@@ -1396,6 +1396,34 @@ mod tests {
         }
         // The result blocks still precede the metrics.
         assert!(out.contains("Result: 1.000000"), "{out}");
+
+        // An `mdp` model's build reports the same exploration family.
+        let path = write_model("regime_metrics.sm", REGIME_MDP);
+        let out = run(&Cmd::Check {
+            model: path.to_string_lossy().into_owned(),
+            props: vec!["Pmax=? [ F<=2 err ]".into()],
+            certified: None,
+            topo: false,
+            prop_files: vec![],
+            format: OutputFormat::Text,
+            metrics: Some(OutputFormat::Text),
+            trace_convergence: None,
+            options: opts(),
+        })
+        .unwrap();
+        let summary = obs::validate_exposition(&out).expect("valid exposition");
+        for needle in [
+            "smg_explore_states_total",
+            "smg_explore_transitions_total",
+            "smg_explore_levels_total",
+            "smg_explore_seconds",
+        ] {
+            assert!(
+                summary.names.iter().any(|n| n == needle),
+                "{needle} missing from {:?}",
+                summary.names
+            );
+        }
     }
 
     #[test]

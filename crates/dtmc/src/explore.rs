@@ -8,6 +8,15 @@
 //! ("PRISM discards states that are reached with a probability less than
 //! 10⁻¹⁵").
 //!
+//! The search itself is one core, [`try_explore`]: it takes the successor
+//! function as a plain closure that may fail with the caller's own error
+//! type, plus a closure labelling the reachable states. [`explore`] passes
+//! a model's infallible [`DtmcModel::transitions`]; the `.sm` compiler in
+//! `smg-lang` passes its fallible guarded-command expansion, so a deadlock
+//! or a range violation comes back as an error value from the first
+//! failing state in BFS order, on the sequential and the parallel path
+//! alike.
+//!
 //! # Performance notes
 //!
 //! Exploration is dominated by state interning and row assembly, so both are
@@ -57,10 +66,10 @@
 //! the level is reported before a state-limit overflow, whereas sequential
 //! BFS reports whichever its scan hits first.
 //!
-//! The model's [`DtmcModel::transitions`] is called concurrently (and, on a
-//! failing level, possibly for states sequential BFS would never have
-//! reached) — transition functions must be pure, which the trait already
-//! demands implicitly.
+//! The successor function is called concurrently (and, on a failing level,
+//! possibly for states sequential BFS would never have expanded), so it
+//! must be pure, as a [`DtmcModel`]'s transition function already
+//! implicitly is.
 
 use crate::dtmc::{Dtmc, StateId};
 use crate::error::DtmcError;
@@ -69,8 +78,8 @@ use crate::matrix::{merge_row_into, CsrBuilder, RankOneMatrix, TransitionMatrix,
 use crate::model::{DtmcModel, MemorylessModel};
 use crate::stats::BuildStats;
 use crate::{par, BitVec};
-use smg_obs as obs;
 use std::collections::BTreeMap;
+use std::fmt::Debug;
 use std::hash::{BuildHasher, Hash};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Instant;
@@ -362,8 +371,6 @@ struct ChunkScratch<S> {
     row_len: Vec<u32>,
     /// Per shard: indices into `succ` routed to that shard (ascending).
     routed: Vec<Vec<u32>>,
-    /// First validation/model error hit in this chunk.
-    err: Option<DtmcError>,
     /// Assembled CSR segment: merged per-row lengths, columns, values.
     seg_len: Vec<u32>,
     seg_cols: Vec<u32>,
@@ -378,7 +385,6 @@ impl<S> ChunkScratch<S> {
             succ: Vec::new(),
             row_len: Vec::new(),
             routed: Vec::new(),
-            err: None,
             seg_len: Vec::new(),
             seg_cols: Vec::new(),
             seg_vals: Vec::new(),
@@ -395,7 +401,6 @@ impl<S> ChunkScratch<S> {
         for r in &mut self.routed {
             r.clear();
         }
-        self.err = None;
     }
 }
 
@@ -433,6 +438,35 @@ fn reshard<S: Clone + Hash + Eq>(shards: &mut Vec<Shard<S>>, nshards: usize, shi
     }
 }
 
+/// Validates an initial distribution and interns its support (in order)
+/// through `intern`, returning the `(id, mass)` pairs. Shared with the MDP
+/// explorer in `smg-mdp`.
+///
+/// # Errors
+///
+/// [`DtmcError::BadInitialDistribution`] for a negative or NaN mass, an
+/// empty support, or masses not summing to one; any error of `intern`.
+pub fn intern_initial<S>(
+    initial: Vec<(S, f64)>,
+    mut intern: impl FnMut(S) -> Result<StateId, DtmcError>,
+) -> Result<Vec<(StateId, f64)>, DtmcError> {
+    let mut sum = 0.0;
+    let mut ids = Vec::with_capacity(initial.len());
+    for (s, p) in initial {
+        if p < 0.0 || p.is_nan() {
+            return Err(DtmcError::BadInitialDistribution { sum: f64::NAN });
+        }
+        sum += p;
+        if p > 0.0 {
+            ids.push((intern(s)?, p));
+        }
+    }
+    if (sum - 1.0).abs() > STOCHASTIC_TOL || ids.is_empty() {
+        return Err(DtmcError::BadInitialDistribution { sum });
+    }
+    Ok(ids)
+}
+
 /// Interns one state through the sharded table (sequential path).
 #[inline(always)]
 fn intern<S: Clone + Hash + Eq>(
@@ -451,21 +485,25 @@ fn intern<S: Clone + Hash + Eq>(
 /// map directly so the hot intern path is exactly the pre-sharding flat
 /// lookup (no shard selection, no slice indirection per successor).
 #[allow(clippy::too_many_arguments)] // internal level-pipeline plumbing
-fn expand_level_sequential<M: DtmcModel>(
-    model: &M,
+fn expand_level_sequential<S, E, F>(
+    expand: &F,
     options: &ExploreOptions,
-    states: &mut Vec<M::State>,
-    shards: &mut [Shard<M::State>],
+    states: &mut Vec<S>,
+    shards: &mut [Shard<S>],
     shift: u32,
     builder: &mut CsrBuilder,
     level: std::ops::Range<usize>,
     row: &mut Vec<(u32, f64)>,
-) -> Result<(), DtmcError> {
+) -> Result<(), E>
+where
+    S: Clone + Eq + Hash + Debug,
+    E: From<DtmcError>,
+    F: Fn(&S) -> Result<Vec<(S, f64)>, E>,
+{
     if let [only] = shards {
         for cur in level {
-            let cur_state = states[cur].clone();
-            let mut succ = model.transitions(&cur_state);
-            clean_successors(&cur_state, &mut succ, options.prune_threshold)?;
+            let mut succ = expand(&states[cur])?;
+            clean_successors(&states[cur], &mut succ, options.prune_threshold)?;
             row.clear();
             for (s, p) in succ {
                 let id = intern_in(s, states, &mut only.map, options.max_states)?;
@@ -476,9 +514,8 @@ fn expand_level_sequential<M: DtmcModel>(
         return Ok(());
     }
     for cur in level {
-        let cur_state = states[cur].clone();
-        let mut succ = model.transitions(&cur_state);
-        clean_successors(&cur_state, &mut succ, options.prune_threshold)?;
+        let mut succ = expand(&states[cur])?;
+        clean_successors(&states[cur], &mut succ, options.prune_threshold)?;
         row.clear();
         for (s, p) in succ {
             let id = intern(s, states, shards, shift, options.max_states)?;
@@ -493,20 +530,21 @@ fn expand_level_sequential<M: DtmcModel>(
 /// module docs). Returns `Ok(false)` — level untouched — when id tagging
 /// could overflow [`NEW_TAG`] and the caller must use the sequential path.
 #[allow(clippy::too_many_arguments)] // internal level-pipeline plumbing
-fn expand_level_parallel<M>(
-    model: &M,
+fn expand_level_parallel<S, E, F>(
+    expand: &F,
     options: &ExploreOptions,
-    states: &mut Vec<M::State>,
-    shards: &mut [Shard<M::State>],
+    states: &mut Vec<S>,
+    shards: &mut [Shard<S>],
     shift: u32,
     builder: &mut CsrBuilder,
     level: std::ops::Range<usize>,
-    scratch: &mut [ChunkScratch<M::State>],
+    scratch: &mut [ChunkScratch<S>],
     slots: &mut Vec<AtomicU32>,
-) -> Result<bool, DtmcError>
+) -> Result<bool, E>
 where
-    M: DtmcModel + Sync,
-    M::State: Send + Sync,
+    S: Clone + Eq + Hash + Debug + Send + Sync,
+    E: From<DtmcError> + Send,
+    F: Fn(&S) -> Result<Vec<(S, f64)>, E> + Sync,
 {
     let nchunks = scratch.len();
     let nshards = shards.len();
@@ -521,18 +559,15 @@ where
     {
         let level_states = &states[level.clone()];
         let prune = options.prune_threshold;
-        pool.map_chunks(scratch, 1, &|t, sc: &mut [ChunkScratch<M::State>]| {
+        let results = pool.map_chunks(scratch, 1, &|t, sc: &mut [ChunkScratch<S>]| {
             let sc = &mut sc[0];
             sc.reset(nshards);
             // The last chunks can be empty when `per_chunk` over-covers.
             let lo = level_len.min(t * per_chunk);
             let hi = level_len.min(lo + per_chunk);
             for cur in &level_states[lo..hi] {
-                let mut succ = model.transitions(cur);
-                if let Err(e) = clean_successors(cur, &mut succ, prune) {
-                    sc.err = Some(e);
-                    return;
-                }
+                let mut succ = expand(cur)?;
+                clean_successors(cur, &mut succ, prune)?;
                 sc.row_len.push(succ.len() as u32);
                 for (s, p) in succ {
                     let shard = shard_of(&s, shift, nshards);
@@ -540,14 +575,12 @@ where
                     sc.succ.push((s, p));
                 }
             }
+            Ok::<_, E>(())
         });
-    }
-    // Deterministic error reporting: chunk order is level order, and each
-    // chunk stopped at its first failing state.
-    for sc in scratch.iter_mut() {
-        if let Some(e) = sc.err.take() {
-            return Err(e);
-        }
+        // Deterministic error reporting: results come back in chunk order,
+        // which is level order, and each chunk stopped at its first
+        // failing state.
+        results.into_iter().collect::<Result<(), E>>()?;
     }
 
     // Occurrence positions are level-global: chunk base + index in chunk.
@@ -570,7 +603,7 @@ where
         let scratch_ro = &scratch[..];
         let chunk_base = &chunk_base[..];
         let slots = &slots[..];
-        pool.map_chunks(shards, 1, &|s, sh: &mut [Shard<M::State>]| {
+        pool.map_chunks(shards, 1, &|s, sh: &mut [Shard<S>]| {
             let sh = &mut sh[0];
             sh.fresh.clear();
             sh.assigned.clear();
@@ -616,7 +649,8 @@ where
             if states.len() >= options.max_states {
                 return Err(DtmcError::StateLimitExceeded {
                     limit: options.max_states,
-                });
+                }
+                .into());
             }
             let id = states.len() as StateId;
             let (c, occ) = locate(seq);
@@ -633,7 +667,7 @@ where
     {
         let scratch_ro = &scratch[..];
         let slots = &slots[..];
-        pool.map_chunks(shards, 1, &|_, sh: &mut [Shard<M::State>]| {
+        pool.map_chunks(shards, 1, &|_, sh: &mut [Shard<S>]| {
             let sh = &mut sh[0];
             for (k, &seq) in sh.fresh.iter().enumerate() {
                 let (c, occ) = locate(seq);
@@ -652,7 +686,7 @@ where
     {
         let chunk_base = &chunk_base[..];
         let slots = &slots[..];
-        pool.map_chunks(scratch, 1, &|c, sc: &mut [ChunkScratch<M::State>]| {
+        pool.map_chunks(scratch, 1, &|c, sc: &mut [ChunkScratch<S>]| {
             let ChunkScratch {
                 succ,
                 row_len,
@@ -702,6 +736,54 @@ where
     M: DtmcModel + Sync,
     M::State: Send + Sync,
 {
+    try_explore(
+        model.initial_states(),
+        |s| Ok(model.transitions(s)),
+        |states| {
+            Ok(assemble_labels_rewards(
+                states.len(),
+                &model.atomic_propositions(),
+                |ap, i| model.holds(ap, &states[i]),
+                |i| model.state_reward(&states[i]),
+            ))
+        },
+        options,
+    )
+}
+
+/// Label bit-sets by name and the state-reward vector, both indexed like
+/// the explored states.
+pub type Labelling = (BTreeMap<String, BitVec>, Vec<f64>);
+
+/// The breadth-first search behind [`explore`], over a successor function
+/// that may fail: enumerates the states reachable from `initial` through
+/// `expand`, interning each distinct state and assembling the transition
+/// rows exactly as [`explore`] does for a model (same ids, same rows, same
+/// parallel levels), then attaches what `label` computes over the
+/// reachable states.
+///
+/// `expand` returns a state's successors with their probabilities
+/// (duplicates allowed, masses summing to one) or the caller's own error,
+/// which stops the search. Errors come from the first failing state in BFS
+/// order whatever the lane count, because a parallel level reports the
+/// first error of its lowest-numbered chunk.
+///
+/// # Errors
+///
+/// The first error `expand` or `label` returns, or (converted into `E`)
+/// the validation and state-limit errors [`explore`] documents.
+pub fn try_explore<S, E, F, L>(
+    initial: Vec<(S, f64)>,
+    expand: F,
+    label: L,
+    options: &ExploreOptions,
+) -> Result<Explored<S>, E>
+where
+    S: Clone + Eq + Hash + Debug + Send + Sync,
+    E: From<DtmcError> + Send,
+    F: Fn(&S) -> Result<Vec<(S, f64)>, E> + Sync,
+    L: FnOnce(&[S]) -> Result<Labelling, E>,
+{
     let start = Instant::now();
     let workers = options
         .threads
@@ -719,26 +801,13 @@ where
     // they cannot use. The table is split into `nshards` — a one-time
     // O(states) rehash — only when the first level big enough to expand in
     // parallel appears.
-    let mut shards: Vec<Shard<M::State>> = vec![Shard::new()];
-    let mut states: Vec<M::State> = Vec::new();
+    let mut shards: Vec<Shard<S>> = vec![Shard::new()];
+    let mut states: Vec<S> = Vec::new();
 
     // Initial distribution — level 0 of the BFS.
-    let init = model.initial_states();
-    let mut init_sum = 0.0;
-    let mut initial: Vec<(StateId, f64)> = Vec::with_capacity(init.len());
-    for (s, p) in init {
-        if p < 0.0 || p.is_nan() {
-            return Err(DtmcError::BadInitialDistribution { sum: f64::NAN });
-        }
-        init_sum += p;
-        if p > 0.0 {
-            let id = intern(s, &mut states, &mut shards, shift, options.max_states)?;
-            initial.push((id, p));
-        }
-    }
-    if (init_sum - 1.0).abs() > STOCHASTIC_TOL || initial.is_empty() {
-        return Err(DtmcError::BadInitialDistribution { sum: init_sum });
-    }
+    let init_ids = intern_initial(initial, |s| {
+        intern(s, &mut states, &mut shards, shift, options.max_states)
+    })?;
 
     // Batched BFS: ids are assigned in discovery order and expanded in that
     // same order, one whole level at a time, so CSR rows are emitted
@@ -747,7 +816,7 @@ where
     // arrays grow geometrically, which amortises fine without a hint.
     let mut builder = CsrBuilder::default();
     let mut row: Vec<(u32, f64)> = Vec::new();
-    let mut scratch: Vec<ChunkScratch<M::State>> = Vec::new();
+    let mut scratch: Vec<ChunkScratch<S>> = Vec::new();
     let mut slots: Vec<AtomicU32> = Vec::new();
     let mut levels = 0usize;
     let mut level_start = 0usize;
@@ -765,7 +834,7 @@ where
                 scratch.resize_with(nchunks, ChunkScratch::new);
             }
             expanded = expand_level_parallel(
-                model,
+                &expand,
                 options,
                 &mut states,
                 &mut shards,
@@ -778,7 +847,7 @@ where
         }
         if !expanded {
             expand_level_sequential(
-                model,
+                &expand,
                 options,
                 &mut states,
                 &mut shards,
@@ -791,8 +860,9 @@ where
         level_start = level_end;
     }
 
+    let (labels, rewards) = label(&states)?;
     let matrix = TransitionMatrix::Sparse(builder.finish());
-    let dtmc = assemble(model, matrix, initial, &states)?;
+    let dtmc = Dtmc::new(matrix, init_ids, labels, rewards)?;
     let stats = BuildStats {
         states: states.len(),
         transitions: dtmc.matrix().logical_transitions(),
@@ -802,7 +872,7 @@ where
         reachability_iterations: levels,
         build_time: start.elapsed(),
     };
-    record_build_stats(&stats);
+    stats.record();
     Ok(Explored {
         dtmc,
         states,
@@ -812,26 +882,6 @@ where
         },
         stats,
     })
-}
-
-/// Reports one exploration's statistics through the instrumentation seam
-/// (no-op when no recorder is installed).
-fn record_build_stats(stats: &BuildStats) {
-    if !obs::enabled() {
-        return;
-    }
-    obs::counter_add("smg_explore_states_total", None, stats.states as u64);
-    obs::counter_add(
-        "smg_explore_transitions_total",
-        None,
-        stats.transitions as u64,
-    );
-    obs::counter_add(
-        "smg_explore_levels_total",
-        None,
-        stats.reachability_iterations as u64,
-    );
-    obs::observe("smg_explore_seconds", None, stats.build_time.as_secs_f64());
 }
 
 /// Explores a [`MemorylessModel`] into a rank-one [`Dtmc`].
@@ -875,14 +925,20 @@ where
     let init_in_support = dist.iter().any(|&(id, _)| id == init_id);
 
     let matrix = TransitionMatrix::RankOne(RankOneMatrix::new(states.len(), dist)?);
-    let dtmc = assemble_memoryless(model, matrix, vec![(init_id, 1.0)], &states)?;
+    let (labels, rewards) = assemble_labels_rewards(
+        states.len(),
+        &model.atomic_propositions(),
+        |ap, i| model.holds(ap, &states[i]),
+        |i| model.state_reward(&states[i]),
+    );
+    let dtmc = Dtmc::new(matrix, vec![(init_id, 1.0)], labels, rewards)?;
     let stats = BuildStats {
         states: states.len(),
         transitions: dtmc.matrix().logical_transitions(),
         reachability_iterations: if init_in_support { 2 } else { 3 },
         build_time: start.elapsed(),
     };
-    record_build_stats(&stats);
+    stats.record();
     Ok(Explored {
         dtmc,
         states,
@@ -912,7 +968,7 @@ pub fn assemble_labels_rewards(
     aps: &[&'static str],
     holds: impl Fn(&str, usize) -> bool + Sync,
     reward: impl Fn(usize) -> f64 + Sync,
-) -> (BTreeMap<String, BitVec>, Vec<f64>) {
+) -> Labelling {
     let mut labels = BTreeMap::new();
     for ap in aps {
         labels.insert(
@@ -927,42 +983,6 @@ pub fn assemble_labels_rewards(
         }
     });
     (labels, rewards)
-}
-
-fn assemble<M: DtmcModel + Sync>(
-    model: &M,
-    matrix: TransitionMatrix,
-    initial: Vec<(StateId, f64)>,
-    states: &[M::State],
-) -> Result<Dtmc, DtmcError>
-where
-    M::State: Sync,
-{
-    let (labels, rewards) = assemble_labels_rewards(
-        states.len(),
-        &model.atomic_propositions(),
-        |ap, i| model.holds(ap, &states[i]),
-        |i| model.state_reward(&states[i]),
-    );
-    Dtmc::new(matrix, initial, labels, rewards)
-}
-
-fn assemble_memoryless<M: MemorylessModel + Sync>(
-    model: &M,
-    matrix: TransitionMatrix,
-    initial: Vec<(StateId, f64)>,
-    states: &[M::State],
-) -> Result<Dtmc, DtmcError>
-where
-    M::State: Sync,
-{
-    let (labels, rewards) = assemble_labels_rewards(
-        states.len(),
-        &model.atomic_propositions(),
-        |ap, i| model.holds(ap, &states[i]),
-        |i| model.state_reward(&states[i]),
-    );
-    Dtmc::new(matrix, initial, labels, rewards)
 }
 
 #[cfg(test)]

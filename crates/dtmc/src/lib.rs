@@ -137,7 +137,9 @@ pub use bitvec::BitVec;
 pub use compose::SyncProduct;
 pub use dtmc::{Dtmc, StateId};
 pub use error::DtmcError;
-pub use explore::{explore, explore_memoryless, ExploreOptions, Explored, StateIndex};
+pub use explore::{
+    explore, explore_memoryless, try_explore, ExploreOptions, Explored, Labelling, StateIndex,
+};
 pub use hash::{FastBuildHasher, FastHashMap, FastHashSet};
 pub use matrix::{CsrBuilder, CsrMatrix, RankOneMatrix, RowIter, TransitionMatrix};
 pub use model::{DtmcModel, MemorylessModel};

@@ -1,5 +1,6 @@
 //! Build and analysis statistics, reported the way the paper's tables do.
 
+use smg_obs as obs;
 use std::fmt;
 use std::time::Duration;
 
@@ -33,6 +34,28 @@ impl BuildStats {
             self.reachability_iterations,
             self.build_time.as_secs_f64()
         )
+    }
+
+    /// Reports the stats as the `smg_explore_*` instrument family (states,
+    /// transitions, levels, seconds) through the instrumentation seam; a
+    /// no-op when no recorder is installed. Every explorer calls this once
+    /// per finished build.
+    pub fn record(&self) {
+        if !obs::enabled() {
+            return;
+        }
+        obs::counter_add("smg_explore_states_total", None, self.states as u64);
+        obs::counter_add(
+            "smg_explore_transitions_total",
+            None,
+            self.transitions as u64,
+        );
+        obs::counter_add(
+            "smg_explore_levels_total",
+            None,
+            self.reachability_iterations as u64,
+        );
+        obs::observe("smg_explore_seconds", None, self.build_time.as_secs_f64());
     }
 }
 

@@ -242,6 +242,19 @@ impl fmt::Display for LangError {
 
 impl Error for LangError {}
 
+/// Explorer errors surface as [`LangError::Dtmc`]; an exceeded state cap
+/// keeps naming the [`crate::ExpandOptions::max_states`] knob that set it.
+impl From<smg_dtmc::DtmcError> for LangError {
+    fn from(e: smg_dtmc::DtmcError) -> Self {
+        match e {
+            smg_dtmc::DtmcError::StateLimitExceeded { limit } => {
+                LangError::Dtmc(format!("state space exceeds max_states={limit}"))
+            }
+            e => LangError::Dtmc(e.to_string()),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -5,11 +5,13 @@
 //! variables and probabilistic updates. This crate provides that front
 //! end for the rest of the workspace: a parser and compiler for a
 //! PRISM-compatible subset, targeting [`smg_dtmc`]'s explicit chains and
-//! implicit [`smg_dtmc::DtmcModel`]s.
+//! [`smg_mdp`]'s explicit MDPs.
 //!
-//! Pipeline: [`parse`] → [`check()`](check()) → [`compile`] (or wrap the checked
-//! program in a [`LangModel`] to use the generic exploration/reduction
-//! tooling). Callers that don't care which model family a file declares
+//! Pipeline: [`parse`] → [`check()`](check()) → [`compile`]. Compilation
+//! runs the program's state expansion ([`LangModel`], whose errors are
+//! values) through the engine explorers, so a `.sm` model is built by the
+//! same breadth-first search, with the same parallel levels, as a native
+//! Rust model. Callers that don't care which model family a file declares
 //! use [`compile_any`], which dispatches on the `dtmc`/`mdp` header and
 //! returns an [`smg_pctl::AnyModel`] ready for a
 //! [`smg_pctl::CheckSession`].
@@ -54,6 +56,9 @@ pub mod model;
 pub mod parser;
 pub mod token;
 pub mod value;
+
+#[cfg(test)]
+mod lane_tests;
 
 pub use ast::{Expr, ModelType, Program};
 pub use check::{check, CheckedProgram, VarInfo};

@@ -1,6 +1,13 @@
 //! State-space expansion: from a [`CheckedProgram`] to an explicit
-//! [`Dtmc`], and a [`DtmcModel`] adapter for the reduction/bisimulation
-//! tooling.
+//! [`Dtmc`] or [`Mdp`].
+//!
+//! A [`LangModel`] expands one state at a time, reporting deadlocks, bad
+//! distributions and range violations as [`LangError`] values; [`compile`]
+//! and [`compile_mdp`] hand that expansion to the engine explorers
+//! ([`smg_dtmc::try_explore`], [`smg_mdp::try_explore`]), so `.sm` programs
+//! are built by the same breadth-first search, sharded interning and
+//! parallel levels as every native model, and number their states the same
+//! way whatever the lane count.
 //!
 //! # Semantics
 //!
@@ -23,18 +30,15 @@
 //!   its declared range aborts expansion with [`LangError::OutOfRange`]
 //!   (PRISM raises the analogous runtime error).
 
-use crate::ast::Expr;
+use crate::ast::{Expr, ModelType, RewardsDecl};
 use crate::check::CheckedProgram;
 use crate::error::LangError;
 use crate::value::{eval, Env, Value};
 use smg_dtmc::bitvec::BitVec;
-use smg_dtmc::matrix::{CsrMatrix, TransitionMatrix};
-use smg_dtmc::{Dtmc, DtmcModel};
-use smg_mdp::{Mdp, MdpBuilder};
-use smg_obs as obs;
+use smg_dtmc::{Dtmc, ExploreOptions, Labelling};
+use smg_mdp::Mdp;
 use smg_pctl::AnyModel;
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 
 /// Probability mass below which an update branch is treated as absent, and
 /// tolerance for "sums to one" checks. Matches the DTMC layer's
@@ -60,6 +64,15 @@ impl Default for ExpandOptions {
             max_states: 4_000_000,
             allow_stutter: false,
         }
+    }
+}
+
+impl ExpandOptions {
+    /// The explorer configuration these options map onto: the same state
+    /// cap, and the engine's lane count (`SMG_THREADS`), as on every other
+    /// engine path.
+    pub(crate) fn explore_options(&self) -> ExploreOptions {
+        ExploreOptions::default().with_max_states(self.max_states)
     }
 }
 
@@ -108,22 +121,16 @@ fn render_assignment(names: &[String], vals: &[i64]) -> String {
     s
 }
 
-/// A checked program viewed as an implicit [`DtmcModel`].
-///
-/// This adapter exists for interop with the exploration, reduction and
-/// bisimulation tooling, which are generic over `DtmcModel`. Prefer
-/// [`compile`] when you just want the explicit chain — it reports
-/// expansion errors as `Result`s, whereas the trait's `transitions` has no
-/// error channel and **panics** on deadlocks, bad distributions and
-/// range violations (each panic message names the state).
+/// A checked program viewed as an implicit model: an initial state, and
+/// per state either its successor distribution (DTMC semantics,
+/// [`LangModel::transitions_checked`]) or its actions (MDP semantics,
+/// [`LangModel::actions_checked`]). Expansion errors are values that name
+/// the offending state; [`compile`] and [`compile_mdp`] are these
+/// functions run through the engine explorers.
 #[derive(Debug, Clone)]
 pub struct LangModel {
     checked: CheckedProgram,
     options: ExpandOptions,
-    /// Label names leaked to `'static` (once per `LangModel`, bounded by
-    /// the program's label count) because [`DtmcModel`] identifies atomic
-    /// propositions by `&'static str`.
-    ap_names: Vec<&'static str>,
 }
 
 impl LangModel {
@@ -134,17 +141,7 @@ impl LangModel {
 
     /// Wraps a checked program.
     pub fn with_options(checked: CheckedProgram, options: ExpandOptions) -> Self {
-        let ap_names = checked
-            .program
-            .labels
-            .iter()
-            .map(|l| &*Box::leak(l.name.clone().into_boxed_str()))
-            .collect();
-        LangModel {
-            checked,
-            options,
-            ap_names,
-        }
+        LangModel { checked, options }
     }
 
     /// The checked program.
@@ -155,6 +152,11 @@ impl LangModel {
     /// The initial state vector.
     pub fn initial_state(&self) -> Vec<i64> {
         self.checked.vars.iter().map(|v| v.init).collect()
+    }
+
+    /// Variable names in state-vector order.
+    fn var_names(&self) -> Vec<String> {
+        self.checked.vars.iter().map(|v| v.name.clone()).collect()
     }
 
     fn env<'a>(&'a self, state: &[i64]) -> Env<'a> {
@@ -216,20 +218,11 @@ impl LangModel {
             }
             return Err(LangError::Deadlock {
                 module: m.name.clone(),
-                state: render_assignment(
-                    &self
-                        .checked
-                        .vars
-                        .iter()
-                        .map(|v| v.name.clone())
-                        .collect::<Vec<_>>(),
-                    state,
-                ),
+                state: render_assignment(&self.var_names(), state),
             });
         }
         Ok(Some(enabled))
     }
-
     /// The update distribution of command `ci` of module `m` as deltas,
     /// with every probability scaled by `scale` — the DTMC path passes its
     /// uniform choice weight, the MDP path 1 (each command is its own
@@ -381,6 +374,49 @@ impl LangModel {
             }
         }
     }
+
+    /// The program's labels and default reward structure evaluated in
+    /// every one of `states`, with the named reward structures stored into
+    /// `named` — one helper for both model families. An evaluation failure
+    /// (say, a division by zero in a label) is returned as an error, never
+    /// panicked on.
+    fn labelling(
+        &self,
+        states: &[Vec<i64>],
+        named: &mut BTreeMap<String, Vec<f64>>,
+    ) -> Result<Labelling, LangError> {
+        let mut labels = BTreeMap::new();
+        for l in &self.checked.program.labels {
+            let mut bv = BitVec::zeros(states.len());
+            for (i, s) in states.iter().enumerate() {
+                bv.set(i, self.eval_bool(&l.body, s, "label body")?);
+            }
+            labels.insert(l.name.clone(), bv);
+        }
+        let reward_vector = |block: &RewardsDecl| -> Result<Vec<f64>, LangError> {
+            let mut out = Vec::with_capacity(states.len());
+            for s in states {
+                let mut total = 0.0;
+                for item in &block.items {
+                    if self.eval_bool(&item.guard, s, "reward guard")? {
+                        total += self.eval_num(&item.value, s, "reward value")?;
+                    }
+                }
+                out.push(total);
+            }
+            Ok(out)
+        };
+        let rewards = match default_rewards_block(&self.checked) {
+            Some(block) => reward_vector(block)?,
+            None => vec![0.0; states.len()],
+        };
+        for block in &self.checked.program.rewards {
+            if let Some(name) = &block.name {
+                named.insert(name.clone(), reward_vector(block)?);
+            }
+        }
+        Ok((labels, rewards))
+    }
 }
 
 /// One MDP action (or DTMC step): a distribution over successor state
@@ -393,10 +429,9 @@ type Delta = Vec<(usize, i64)>;
 /// The synchronous product of one delta-distribution per module: cartesian
 /// combination applied to `state`, with duplicate successors merged so
 /// downstream consumers see a distribution, not a multiset. Successors are
-/// returned sorted by state vector: the merge map's iteration order is
-/// per-instance random, and letting it leak would make BFS state ids (and
-/// every exported artifact) differ from run to run — and between the DTMC
-/// and MDP compilers on the same program.
+/// returned sorted by state vector, which fixes the BFS state ids (and
+/// every exported artifact) across runs, lane counts, and the DTMC and MDP
+/// compilers on the same program.
 fn combine_module_dists(state: &[i64], module_dists: &[&[(Delta, f64)]]) -> Vec<(Vec<i64>, f64)> {
     let mut out: Vec<(Vec<i64>, f64)> = vec![(state.to_vec(), 1.0)];
     for dist in module_dists {
@@ -412,72 +447,22 @@ fn combine_module_dists(state: &[i64], module_dists: &[&[(Delta, f64)]]) -> Vec<
         }
         out = next;
     }
-    let mut merged: HashMap<Vec<i64>, f64> = HashMap::with_capacity(out.len());
+    // The sort is stable, so duplicates stay in generation order and each
+    // merged mass is summed in the same order every time.
+    out.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut merged: Vec<(Vec<i64>, f64)> = Vec::with_capacity(out.len());
     for (s, p) in out {
-        *merged.entry(s).or_insert(0.0) += p;
-    }
-    let mut out: Vec<(Vec<i64>, f64)> = merged.into_iter().collect();
-    out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    out
-}
-
-impl DtmcModel for LangModel {
-    type State = Vec<i64>;
-
-    fn initial_states(&self) -> Vec<(Vec<i64>, f64)> {
-        vec![(self.initial_state(), 1.0)]
-    }
-
-    /// # Panics
-    ///
-    /// On any expansion error (deadlock, bad distribution, range
-    /// violation) — the trait has no error channel. Use
-    /// [`LangModel::transitions_checked`] or [`compile`] to keep errors as
-    /// values.
-    fn transitions(&self, state: &Vec<i64>) -> Vec<(Vec<i64>, f64)> {
-        match self.transitions_checked(state) {
-            Ok(t) => t,
-            Err(e) => panic!("state expansion failed: {e}"),
+        match merged.last_mut() {
+            Some((last, mass)) if *last == s => *mass += p,
+            _ => merged.push((s, p)),
         }
     }
-
-    fn atomic_propositions(&self) -> Vec<&'static str> {
-        self.ap_names.clone()
-    }
-
-    fn holds(&self, ap: &str, state: &Vec<i64>) -> bool {
-        for (l, name) in self.checked.program.labels.iter().zip(&self.ap_names) {
-            if *name == ap {
-                return self
-                    .eval_bool(&l.body, state, "label body")
-                    .unwrap_or_else(|e| panic!("label {ap:?} failed to evaluate: {e}"));
-            }
-        }
-        false
-    }
-
-    fn state_reward(&self, state: &Vec<i64>) -> f64 {
-        let Some(block) = default_rewards_block(&self.checked) else {
-            return 0.0;
-        };
-        let mut total = 0.0;
-        for item in &block.items {
-            let on = self
-                .eval_bool(&item.guard, state, "reward guard")
-                .unwrap_or_else(|e| panic!("reward guard failed to evaluate: {e}"));
-            if on {
-                total += self
-                    .eval_num(&item.value, state, "reward value")
-                    .unwrap_or_else(|e| panic!("reward value failed to evaluate: {e}"));
-            }
-        }
-        total
-    }
+    merged
 }
 
 /// The default reward structure: the unnamed block if present, else the
 /// first block, else none.
-fn default_rewards_block(cp: &CheckedProgram) -> Option<&crate::ast::RewardsDecl> {
+fn default_rewards_block(cp: &CheckedProgram) -> Option<&RewardsDecl> {
     cp.program
         .rewards
         .iter()
@@ -523,124 +508,34 @@ pub fn compile_with(
     checked: CheckedProgram,
     options: ExpandOptions,
 ) -> Result<CompiledModel, LangError> {
-    if checked.program.model_type == crate::ast::ModelType::Mdp {
+    explore_dtmc(checked, options, &options.explore_options())
+}
+
+/// [`compile_with`] on an explicit explorer configuration; tests use it to
+/// force parallel levels at a chosen lane count.
+pub(crate) fn explore_dtmc(
+    checked: CheckedProgram,
+    options: ExpandOptions,
+    explore: &ExploreOptions,
+) -> Result<CompiledModel, LangError> {
+    if checked.program.model_type == ModelType::Mdp {
         return Err(LangError::WrongModelType {
             declared: "mdp",
             hint: "use compile_mdp (or the CLI, which dispatches on the header)",
         });
     }
     let model = LangModel::with_options(checked, options);
-    let init = model.initial_state();
-    let explore_start = obs::enabled().then(std::time::Instant::now);
-
-    let mut index: HashMap<Vec<i64>, u32> = HashMap::new();
-    let mut states: Vec<Vec<i64>> = Vec::new();
-    let mut rows: Vec<Vec<(u32, f64)>> = Vec::new();
-    let mut queue: VecDeque<u32> = VecDeque::new();
-
-    index.insert(init.clone(), 0);
-    states.push(init);
-    queue.push_back(0);
-
-    // BFS level bookkeeping: level k is fully discovered before its first
-    // state is expanded, so `states.len()` at that moment is where level
-    // k+1 will start.
-    let mut levels: u64 = 0;
-    let mut next_level_start: usize = 0;
-
-    while let Some(id) = queue.pop_front() {
-        if id as usize == next_level_start {
-            levels += 1;
-            next_level_start = states.len();
-        }
-        let succ = model.transitions_checked(&states[id as usize])?;
-        let mut row: Vec<(u32, f64)> = Vec::with_capacity(succ.len());
-        for (s, p) in succ {
-            let next_id = match index.entry(s) {
-                Entry::Occupied(o) => *o.get(),
-                Entry::Vacant(v) => {
-                    let nid = states.len() as u32;
-                    if states.len() >= options.max_states {
-                        return Err(LangError::Dtmc(format!(
-                            "state space exceeds max_states={}",
-                            options.max_states
-                        )));
-                    }
-                    states.push(v.key().clone());
-                    v.insert(nid);
-                    queue.push_back(nid);
-                    nid
-                }
-            };
-            row.push((next_id, p));
-        }
-        row.sort_by_key(|&(s, _)| s);
-        debug_assert!(rows.len() == id as usize);
-        rows.push(row);
-    }
-
-    let n = states.len();
-    let matrix = TransitionMatrix::Sparse(
-        CsrMatrix::from_rows(rows).map_err(|e| LangError::Dtmc(e.to_string()))?,
-    );
-    if let Some(start) = explore_start {
-        obs::counter_add("smg_explore_states_total", None, n as u64);
-        obs::counter_add(
-            "smg_explore_transitions_total",
-            None,
-            matrix.logical_transitions() as u64,
-        );
-        obs::counter_add("smg_explore_levels_total", None, levels);
-        obs::observe("smg_explore_seconds", None, start.elapsed().as_secs_f64());
-    }
-
-    let mut labels: BTreeMap<String, BitVec> = BTreeMap::new();
-    for l in &model.checked().program.labels {
-        let mut bv = BitVec::zeros(n);
-        for (i, s) in states.iter().enumerate() {
-            bv.set(i, model.eval_bool(&l.body, s, "label body")?);
-        }
-        labels.insert(l.name.clone(), bv);
-    }
-
-    let eval_block = |block: &crate::ast::RewardsDecl| -> Result<Vec<f64>, LangError> {
-        let mut out = vec![0.0; n];
-        for (i, s) in states.iter().enumerate() {
-            let mut total = 0.0;
-            for item in &block.items {
-                if model.eval_bool(&item.guard, s, "reward guard")? {
-                    total += model.eval_num(&item.value, s, "reward value")?;
-                }
-            }
-            out[i] = total;
-        }
-        Ok(out)
-    };
-
-    let default_rewards = match default_rewards_block(model.checked()) {
-        Some(block) => eval_block(block)?,
-        None => vec![0.0; n],
-    };
     let mut named_rewards = BTreeMap::new();
-    for block in &model.checked().program.rewards {
-        if let Some(name) = &block.name {
-            named_rewards.insert(name.clone(), eval_block(block)?);
-        }
-    }
-
-    let dtmc = Dtmc::new(matrix, vec![(0, 1.0)], labels, default_rewards)
-        .map_err(|e| LangError::Dtmc(e.to_string()))?;
-
-    let var_names = model
-        .checked()
-        .vars
-        .iter()
-        .map(|v| v.name.clone())
-        .collect();
+    let explored = smg_dtmc::try_explore(
+        vec![(model.initial_state(), 1.0)],
+        |s: &Vec<i64>| model.transitions_checked(s),
+        |states| model.labelling(states, &mut named_rewards),
+        explore,
+    )?;
     Ok(CompiledModel {
-        dtmc,
-        var_names,
-        states,
+        dtmc: explored.dtmc,
+        var_names: model.var_names(),
+        states: explored.states,
         named_rewards,
     })
 }
@@ -725,120 +620,28 @@ pub fn compile_mdp_with(
     checked: CheckedProgram,
     options: ExpandOptions,
 ) -> Result<CompiledMdp, LangError> {
+    explore_mdp(checked, options, &options.explore_options())
+}
+
+/// [`compile_mdp_with`] on an explicit explorer configuration; tests use
+/// it to force parallel levels at a chosen lane count.
+pub(crate) fn explore_mdp(
+    checked: CheckedProgram,
+    options: ExpandOptions,
+    explore: &ExploreOptions,
+) -> Result<CompiledMdp, LangError> {
     let model = LangModel::with_options(checked, options);
-    let init = model.initial_state();
-    let explore_start = obs::enabled().then(std::time::Instant::now);
-
-    let mut index: HashMap<Vec<i64>, u32> = HashMap::new();
-    let mut states: Vec<Vec<i64>> = Vec::new();
-    let mut builder = MdpBuilder::default();
-    let mut queue: VecDeque<u32> = VecDeque::new();
-    let mut row: Vec<(u32, f64)> = Vec::new();
-
-    index.insert(init.clone(), 0);
-    states.push(init);
-    queue.push_back(0);
-
-    // Same BFS level bookkeeping as the DTMC path above.
-    let mut levels: u64 = 0;
-    let mut next_level_start: usize = 0;
-
-    while let Some(id) = queue.pop_front() {
-        if id as usize == next_level_start {
-            levels += 1;
-            next_level_start = states.len();
-        }
-        let actions = model.actions_checked(&states[id as usize])?;
-        debug_assert!(!actions.is_empty(), "modules are non-empty");
-        for succ in actions {
-            row.clear();
-            for (s, p) in succ {
-                let next_id = match index.entry(s) {
-                    Entry::Occupied(o) => *o.get(),
-                    Entry::Vacant(v) => {
-                        let nid = states.len() as u32;
-                        if states.len() >= model.options.max_states {
-                            return Err(LangError::Dtmc(format!(
-                                "state space exceeds max_states={}",
-                                model.options.max_states
-                            )));
-                        }
-                        states.push(v.key().clone());
-                        v.insert(nid);
-                        queue.push_back(nid);
-                        nid
-                    }
-                };
-                row.push((next_id, p));
-            }
-            builder
-                .push_action(&mut row)
-                .map_err(|e| LangError::Dtmc(e.to_string()))?;
-        }
-        debug_assert!(builder.states() == id as usize);
-        builder
-            .finish_state()
-            .map_err(|e| LangError::Dtmc(e.to_string()))?;
-    }
-
-    let n = states.len();
-    let mut labels: BTreeMap<String, BitVec> = BTreeMap::new();
-    for l in &model.checked().program.labels {
-        let mut bv = BitVec::zeros(n);
-        for (i, s) in states.iter().enumerate() {
-            bv.set(i, model.eval_bool(&l.body, s, "label body")?);
-        }
-        labels.insert(l.name.clone(), bv);
-    }
-
-    let eval_block = |block: &crate::ast::RewardsDecl| -> Result<Vec<f64>, LangError> {
-        let mut out = vec![0.0; n];
-        for (i, s) in states.iter().enumerate() {
-            let mut total = 0.0;
-            for item in &block.items {
-                if model.eval_bool(&item.guard, s, "reward guard")? {
-                    total += model.eval_num(&item.value, s, "reward value")?;
-                }
-            }
-            out[i] = total;
-        }
-        Ok(out)
-    };
-
-    let default_rewards = match default_rewards_block(model.checked()) {
-        Some(block) => eval_block(block)?,
-        None => vec![0.0; n],
-    };
     let mut named_rewards = BTreeMap::new();
-    for block in &model.checked().program.rewards {
-        if let Some(name) = &block.name {
-            named_rewards.insert(name.clone(), eval_block(block)?);
-        }
-    }
-
-    let mdp = Mdp::new(builder.finish(), vec![(0, 1.0)], labels, default_rewards)
-        .map_err(|e| LangError::Dtmc(e.to_string()))?;
-    if let Some(start) = explore_start {
-        obs::counter_add("smg_explore_states_total", None, n as u64);
-        obs::counter_add(
-            "smg_explore_transitions_total",
-            None,
-            mdp.n_transitions() as u64,
-        );
-        obs::counter_add("smg_explore_levels_total", None, levels);
-        obs::observe("smg_explore_seconds", None, start.elapsed().as_secs_f64());
-    }
-
-    let var_names = model
-        .checked()
-        .vars
-        .iter()
-        .map(|v| v.name.clone())
-        .collect();
+    let explored = smg_mdp::try_explore(
+        vec![(model.initial_state(), 1.0)],
+        |s: &Vec<i64>| model.actions_checked(s),
+        |states| model.labelling(states, &mut named_rewards),
+        explore,
+    )?;
     Ok(CompiledMdp {
-        mdp,
-        var_names,
-        states,
+        mdp: explored.mdp,
+        var_names: model.var_names(),
+        states: explored.states,
         named_rewards,
     })
 }
@@ -1181,7 +984,7 @@ mod tests {
     }
 
     #[test]
-    fn langmodel_implements_dtmcmodel_for_reduction_tooling() {
+    fn langmodel_expands_states_and_reports_errors_as_values() {
         let cp = check(
             parse(
                 "module m
@@ -1194,13 +997,32 @@ mod tests {
         )
         .unwrap();
         let lm = LangModel::new(cp);
-        assert_eq!(lm.initial_states(), vec![(vec![0], 1.0)]);
-        assert_eq!(lm.transitions(&vec![0]).len(), 2);
-        assert_eq!(lm.atomic_propositions(), vec!["one"]);
-        assert!(lm.holds("one", &vec![1]));
-        assert!(!lm.holds("one", &vec![0]));
-        assert!(!lm.holds("unknown", &vec![1]));
-        assert_eq!(lm.state_reward(&vec![1]), 0.0); // no rewards block
+        assert_eq!(lm.initial_state(), vec![0]);
+        assert_eq!(
+            lm.transitions_checked(&[0]).unwrap(),
+            vec![(vec![0], 0.5), (vec![1], 0.5)]
+        );
+        let one = &lm.checked().program.labels[0].body;
+        assert!(lm.eval_bool(one, &[1], "label body").unwrap());
+        assert!(!lm.eval_bool(one, &[0], "label body").unwrap());
+
+        // A deadlock is an error naming the state, not a panic.
+        let lm = LangModel::new(
+            check(parse("module m x : [0..1] init 0; [] x=0 -> (x'=1); endmodule").unwrap())
+                .unwrap(),
+        );
+        let err = lm.transitions_checked(&[1]).unwrap_err();
+        assert!(matches!(err, LangError::Deadlock { ref state, .. } if state == "{x=1}"));
+    }
+
+    #[test]
+    fn label_evaluation_errors_are_values() {
+        let err = compiled(
+            "module m x : [0..2] init 0; [] true -> (x'=mod(x+1, 3)); endmodule
+             label \"bad\" = 1/(x-2) > 0;",
+        )
+        .unwrap_err();
+        assert!(matches!(err, LangError::DivisionByZero { .. }), "{err}");
     }
 
     #[test]

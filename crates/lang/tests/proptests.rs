@@ -7,6 +7,8 @@
 //! * the program → chain → program-text → chain loop preserves transient
 //!   rewards (the paper's P2 read-out) for arbitrary generated models.
 
+mod programs;
+
 use proptest::prelude::*;
 use smg_lang::ast::{BinOp, Expr, Func};
 use smg_lang::{check, compile, parse, parse_expr, Value};
@@ -123,29 +125,7 @@ proptest! {
     /// chain within the declared range bound, and the program_text round
     /// trip must preserve the paper's P2 read-out exactly.
     #[test]
-    fn generated_programs_compile_and_round_trip(
-        hi in 1i64..6,
-        // Each state's command: (eighths for branch A, target A, target B)
-        rows in proptest::collection::vec((1u32..8, 0i64..6, 0i64..6), 6),
-        reward_state in 0i64..6,
-    ) {
-        let hi = hi.max(1);
-        let mut src = String::from("dtmc\nmodule m\n");
-        src.push_str(&format!("  x : [0..{hi}] init 0;\n"));
-        for v in 0..=hi {
-            let (eighths, ta, tb) = rows[v as usize % rows.len()];
-            let p = f64::from(eighths) / 8.0;
-            let (ta, tb) = (ta.min(hi), tb.min(hi));
-            src.push_str(&format!(
-                "  [] x={v} -> {p}:(x'={ta}) + {:?}:(x'={tb});\n",
-                1.0 - p
-            ));
-        }
-        src.push_str("endmodule\n");
-        let r = reward_state.min(hi);
-        src.push_str(&format!("label \"hit\" = x={r};\n"));
-        src.push_str(&format!("rewards x={r} : 1; endrewards\n"));
-
+    fn generated_programs_compile_and_round_trip((hi, src) in programs::counter_programs()) {
         let compiled = compile(check(parse(&src).unwrap()).unwrap()).unwrap();
         let n = compiled.dtmc.n_states();
         prop_assert!(n as i64 <= hi + 1, "n={n} exceeds range bound {}", hi + 1);

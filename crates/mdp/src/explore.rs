@@ -29,12 +29,20 @@
 //!
 //! Ids, rows and statistics are bit-identical to sequential BFS for every
 //! thread count (property-tested in `tests/vi_properties.rs`).
+//!
+//! As on the DTMC side, [`explore`] is a thin call into one search core,
+//! [`try_explore`], whose action function may fail with the caller's own
+//! error type; the `.sm` compiler builds `mdp` programs through it.
 
 use crate::mdp::{Mdp, MdpBuilder};
 use crate::model::MdpModel;
-use smg_dtmc::explore::{assemble_labels_rewards, clean_successors, ExploreOptions, StateIndex};
+use smg_dtmc::explore::{
+    assemble_labels_rewards, clean_successors, intern_initial, ExploreOptions, Labelling,
+    StateIndex,
+};
 use smg_dtmc::matrix::merge_row_into;
 use smg_dtmc::{par, pool, BuildStats, DtmcError, StateId};
+use std::fmt::Debug;
 use std::hash::Hash;
 use std::time::Instant;
 
@@ -94,8 +102,6 @@ struct ChunkScratch<S> {
     act_len: Vec<u32>,
     /// Action count per source state.
     action_count: Vec<u32>,
-    /// First validation/model error hit in this chunk.
-    err: Option<DtmcError>,
     /// Assembled segment: merged per-action lengths, columns, values.
     seg_act_len: Vec<u32>,
     seg_cols: Vec<u32>,
@@ -111,7 +117,6 @@ impl<S> ChunkScratch<S> {
             ids: Vec::new(),
             act_len: Vec::new(),
             action_count: Vec::new(),
-            err: None,
             seg_act_len: Vec::new(),
             seg_cols: Vec::new(),
             seg_vals: Vec::new(),
@@ -124,7 +129,6 @@ impl<S> ChunkScratch<S> {
         self.ids.clear();
         self.act_len.clear();
         self.action_count.clear();
-        self.err = None;
     }
 }
 
@@ -145,36 +149,65 @@ where
     M: MdpModel + Sync,
     M::State: Send + Sync,
 {
+    try_explore(
+        model.initial_states(),
+        |s| Ok(model.actions(s)),
+        |states| {
+            Ok(assemble_labels_rewards(
+                states.len(),
+                &model.atomic_propositions(),
+                |ap, i| model.holds(ap, &states[i]),
+                |i| model.state_reward(&states[i]),
+            ))
+        },
+        options,
+    )
+}
+
+/// The breadth-first search behind [`explore`], over an action function
+/// that may fail: enumerates the states reachable from `initial` through
+/// `expand` exactly as [`explore`] does for a model (same ids, same action
+/// rows, same parallel levels), then attaches what `label` computes over
+/// the reachable states. Build statistics are reported through
+/// [`BuildStats::record`], as the DTMC explorer does.
+///
+/// `expand` returns a state's actions, each a distribution over successors,
+/// or the caller's own error, which stops the search. Errors come from the
+/// first failing state in BFS order whatever the lane count.
+///
+/// # Errors
+///
+/// The first error `expand` or `label` returns, or (converted into `E`)
+/// the validation, deadlock and state-limit errors [`explore`] documents.
+pub fn try_explore<S, E, F, L>(
+    initial: Vec<(S, f64)>,
+    expand: F,
+    label: L,
+    options: &ExploreOptions,
+) -> Result<ExploredMdp<S>, E>
+where
+    S: Clone + Eq + Hash + Debug + Send + Sync,
+    E: From<DtmcError> + Send,
+    F: Fn(&S) -> Result<Vec<Vec<(S, f64)>>, E> + Sync,
+    L: FnOnce(&[S]) -> Result<Labelling, E>,
+{
     let start = Instant::now();
     let workers = options
         .threads
         .unwrap_or_else(par::max_threads)
         .clamp(1, 1 << 16);
 
-    let mut index: StateIndex<M::State> = StateIndex::new();
-    let mut states: Vec<M::State> = Vec::new();
+    let mut index: StateIndex<S> = StateIndex::new();
+    let mut states: Vec<S> = Vec::new();
 
     // Initial distribution — level 0 of the BFS.
-    let init = model.initial_states();
-    let mut init_sum = 0.0;
-    let mut initial: Vec<(StateId, f64)> = Vec::with_capacity(init.len());
-    for (s, p) in init {
-        if p < 0.0 || p.is_nan() {
-            return Err(DtmcError::BadInitialDistribution { sum: f64::NAN });
-        }
-        init_sum += p;
-        if p > 0.0 {
-            let id = intern(s, &mut states, &mut index, options.max_states)?;
-            initial.push((id, p));
-        }
-    }
-    if (init_sum - 1.0).abs() > smg_dtmc::matrix::STOCHASTIC_TOL || initial.is_empty() {
-        return Err(DtmcError::BadInitialDistribution { sum: init_sum });
-    }
+    let init_ids = intern_initial(initial, |s| {
+        intern(s, &mut states, &mut index, options.max_states)
+    })?;
 
     let mut builder = MdpBuilder::default();
     let mut row: Vec<(u32, f64)> = Vec::new();
-    let mut scratch: Vec<ChunkScratch<M::State>> = Vec::new();
+    let mut scratch: Vec<ChunkScratch<S>> = Vec::new();
     let mut levels = 0usize;
     let mut level_start = 0usize;
     while level_start < states.len() {
@@ -187,7 +220,7 @@ where
                 scratch.resize_with(nchunks, ChunkScratch::new);
             }
             expand_level_parallel(
-                model,
+                &expand,
                 options,
                 &mut states,
                 &mut index,
@@ -197,15 +230,8 @@ where
             )?;
         } else {
             for cur in level_start..level_end {
-                let cur_state = states[cur].clone();
-                let actions = model.actions(&cur_state);
-                if actions.is_empty() {
-                    return Err(DtmcError::NoActions {
-                        state: format!("{cur_state:?}"),
-                    });
-                }
-                for mut dist in actions {
-                    clean_successors(&cur_state, &mut dist, options.prune_threshold)?;
+                let actions = state_actions(&expand, &states[cur], options.prune_threshold)?;
+                for dist in actions {
                     row.clear();
                     for (s, p) in dist {
                         let id = intern(s, &mut states, &mut index, options.max_states)?;
@@ -219,19 +245,15 @@ where
         level_start = level_end;
     }
 
-    let (labels, rewards) = assemble_labels_rewards(
-        states.len(),
-        &model.atomic_propositions(),
-        |ap, i| model.holds(ap, &states[i]),
-        |i| model.state_reward(&states[i]),
-    );
-    let mdp = Mdp::new(builder.finish(), initial, labels, rewards)?;
+    let (labels, rewards) = label(&states)?;
+    let mdp = Mdp::new(builder.finish(), init_ids, labels, rewards)?;
     let stats = BuildStats {
         states: states.len(),
         transitions: mdp.n_transitions(),
         reachability_iterations: levels,
         build_time: start.elapsed(),
     };
+    stats.record();
     Ok(ExploredMdp {
         mdp,
         states,
@@ -240,19 +262,42 @@ where
     })
 }
 
+/// The validated actions of one state: [`DtmcError::NoActions`] for a
+/// deadlock, and every action's distribution cleaned by
+/// [`clean_successors`].
+fn state_actions<S, E, F>(expand: &F, state: &S, prune: f64) -> Result<Vec<Vec<(S, f64)>>, E>
+where
+    S: Debug,
+    E: From<DtmcError>,
+    F: Fn(&S) -> Result<Vec<Vec<(S, f64)>>, E>,
+{
+    let mut actions = expand(state)?;
+    if actions.is_empty() {
+        return Err(DtmcError::NoActions {
+            state: format!("{state:?}"),
+        }
+        .into());
+    }
+    for dist in &mut actions {
+        clean_successors(state, dist, prune)?;
+    }
+    Ok(actions)
+}
+
 /// Expands one BFS level through the three-phase pipeline (module docs).
-fn expand_level_parallel<M>(
-    model: &M,
+fn expand_level_parallel<S, E, F>(
+    expand: &F,
     options: &ExploreOptions,
-    states: &mut Vec<M::State>,
-    index: &mut StateIndex<M::State>,
+    states: &mut Vec<S>,
+    index: &mut StateIndex<S>,
     builder: &mut MdpBuilder,
     level: std::ops::Range<usize>,
-    scratch: &mut [ChunkScratch<M::State>],
-) -> Result<(), DtmcError>
+    scratch: &mut [ChunkScratch<S>],
+) -> Result<(), E>
 where
-    M: MdpModel + Sync,
-    M::State: Send + Sync,
+    S: Clone + Eq + Hash + Debug + Send + Sync,
+    E: From<DtmcError> + Send,
+    F: Fn(&S) -> Result<Vec<Vec<(S, f64)>>, E> + Sync,
 {
     let nchunks = scratch.len();
     let level_len = level.len();
@@ -263,37 +308,25 @@ where
     {
         let level_states = &states[level];
         let prune = options.prune_threshold;
-        pool.map_chunks(scratch, 1, &|t, sc: &mut [ChunkScratch<M::State>]| {
+        let results = pool.map_chunks(scratch, 1, &|t, sc: &mut [ChunkScratch<S>]| {
             let sc = &mut sc[0];
             sc.reset();
             let lo = level_len.min(t * per_chunk);
             let hi = level_len.min(lo + per_chunk);
             for cur in &level_states[lo..hi] {
-                let actions = model.actions(cur);
-                if actions.is_empty() {
-                    sc.err = Some(DtmcError::NoActions {
-                        state: format!("{cur:?}"),
-                    });
-                    return;
-                }
+                let actions = state_actions(expand, cur, prune)?;
                 sc.action_count.push(actions.len() as u32);
-                for mut dist in actions {
-                    if let Err(e) = clean_successors(cur, &mut dist, prune) {
-                        sc.err = Some(e);
-                        return;
-                    }
+                for dist in actions {
                     sc.act_len.push(dist.len() as u32);
                     sc.succ.extend(dist);
                 }
             }
+            Ok::<_, E>(())
         });
-    }
-    // Deterministic error reporting: chunk order is level order, and each
-    // chunk stopped at its first failing state.
-    for sc in scratch.iter_mut() {
-        if let Some(e) = sc.err.take() {
-            return Err(e);
-        }
+        // Deterministic error reporting: results come back in chunk order,
+        // which is level order, and each chunk stopped at its first
+        // failing state.
+        results.into_iter().collect::<Result<(), E>>()?;
     }
 
     // Phase 2 (sequential): intern every occurrence in level order — ids
@@ -306,7 +339,7 @@ where
     }
 
     // Phase 3: per-chunk row assembly, then the flat segment merge.
-    pool.map_chunks(scratch, 1, &|_, sc: &mut [ChunkScratch<M::State>]| {
+    pool.map_chunks(scratch, 1, &|_, sc: &mut [ChunkScratch<S>]| {
         let ChunkScratch {
             succ,
             ids,

@@ -122,7 +122,7 @@ pub mod model;
 pub mod qual;
 pub mod vi;
 
-pub use explore::{explore, ExploredMdp};
+pub use explore::{explore, try_explore, ExploredMdp};
 pub use mdp::{Mdp, MdpBuilder, MdpTransitions};
 pub use model::{DtmcAsMdp, MdpModel};
 pub use smg_dtmc::solve::CertifiedValues;

@@ -104,3 +104,40 @@ fn no_recorder_means_identical_results() {
     assert_eq!(plain.hi, recorded.hi);
     assert_eq!(plain.iterations, recorded.iterations);
 }
+
+/// A counter the adversary advances by one or two; 0..=9, absorbing at 9.
+struct Ladder;
+
+impl smg_mdp::MdpModel for Ladder {
+    type State = u8;
+    fn initial_states(&self) -> Vec<(u8, f64)> {
+        vec![(0, 1.0)]
+    }
+    fn actions(&self, s: &u8) -> Vec<Vec<(u8, f64)>> {
+        if *s == 9 {
+            return vec![vec![(9, 1.0)]];
+        }
+        vec![
+            vec![(s + 1, 0.5), (*s, 0.5)],
+            vec![((s + 2).min(9), 0.25), (*s, 0.75)],
+        ]
+    }
+}
+
+#[test]
+fn explore_reports_the_explore_family() {
+    let (cap, e) =
+        captured(|| smg_mdp::explore(&Ladder, &smg_dtmc::ExploreOptions::default()).unwrap());
+    assert_eq!(cap.counter("smg_explore_states_total"), 10);
+    assert_eq!(
+        cap.counter("smg_explore_transitions_total"),
+        e.mdp.n_transitions() as u64
+    );
+    assert_eq!(
+        cap.counter("smg_explore_levels_total"),
+        e.stats.reachability_iterations as u64
+    );
+    // Levels {0}, {1,2}, {3,4}, {5,6}, {7,8}, {9}.
+    assert_eq!(e.stats.reachability_iterations, 6);
+    assert_eq!(cap.observations("smg_explore_seconds").len(), 1);
+}

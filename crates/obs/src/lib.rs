@@ -5,8 +5,8 @@
 //! *recorder seam*: free functions ([`counter_add`], [`gauge_set`],
 //! [`observe`], [`trace`]) that forward to whatever [`Recorder`] is
 //! installed. With no recorder installed — the default — every entry point
-//! is a single relaxed atomic load and an early return, so instrumentation
-//! costs nothing measurable on the hot paths (the engine's bit-identical
+//! is one relaxed atomic load, one thread-local read and an early return,
+//! so instrumentation costs nothing measurable on the hot paths (the engine's bit-identical
 //! seq/parallel pins and the committed kernel benchmarks all run in this
 //! no-op state).
 //!
@@ -71,8 +71,8 @@ pub use expo::{validate_exposition, ExpositionSummary};
 pub use registry::Registry;
 pub use trace::{ConvergenceRecord, JsonLines};
 
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::{Cell, RefCell};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 use std::time::Instant;
 
@@ -123,11 +123,10 @@ pub trait Recorder: Send + Sync {
     fn record(&self, event: &Event<'_>);
 }
 
-/// Count of currently installed recorders (the global one counts 1, each
-/// active [`with_recorder`] scope counts 1). Zero means every seam entry
-/// point returns after one relaxed load — the "instrumentation is free
-/// when off" contract.
-static ACTIVE: AtomicUsize = AtomicUsize::new(0);
+/// Whether a process-wide recorder is installed. Relaxed loads suffice:
+/// the flag publishes no data, since `dispatch` reads the recorder
+/// itself under `GLOBAL`'s lock.
+static GLOBAL_INSTALLED: AtomicBool = AtomicBool::new(false);
 
 /// The process-wide recorder, if any.
 static GLOBAL: RwLock<Option<Arc<dyn Recorder>>> = RwLock::new(None);
@@ -135,14 +134,19 @@ static GLOBAL: RwLock<Option<Arc<dyn Recorder>>> = RwLock::new(None);
 thread_local! {
     /// Innermost-wins stack of thread-local recorders.
     static LOCAL: RefCell<Vec<Arc<dyn Recorder>>> = const { RefCell::new(Vec::new()) };
+    /// Number of [`with_recorder`] scopes active on this thread (the depth
+    /// of `LOCAL`, readable without a `RefCell` borrow).
+    static LOCAL_SCOPES: Cell<usize> = const { Cell::new(0) };
 }
 
-/// Whether any recorder is installed (globally or on *some* thread). The
-/// instrumented crates use this to skip building event payloads; it is a
-/// single relaxed atomic load.
+/// Whether events fired *from this thread* reach a recorder: a global
+/// recorder is installed, or this thread is inside a [`with_recorder`]
+/// scope. A scope on another thread does not switch this thread on. The
+/// instrumented crates use this to skip building event payloads; it is one
+/// relaxed atomic load and one thread-local read.
 #[inline]
 pub fn enabled() -> bool {
-    ACTIVE.load(Ordering::Relaxed) != 0
+    GLOBAL_INSTALLED.load(Ordering::Relaxed) || LOCAL_SCOPES.with(Cell::get) != 0
 }
 
 /// Installs (or replaces) the process-wide recorder. Thread-local
@@ -150,19 +154,15 @@ pub fn enabled() -> bool {
 /// threads.
 pub fn set_global(recorder: Arc<dyn Recorder>) {
     let mut slot = GLOBAL.write().unwrap_or_else(PoisonError::into_inner);
-    if slot.replace(recorder).is_none() {
-        ACTIVE.fetch_add(1, Ordering::Relaxed);
-    }
+    *slot = Some(recorder);
+    GLOBAL_INSTALLED.store(true, Ordering::Relaxed);
 }
 
 /// Removes the process-wide recorder, returning it if one was installed.
 pub fn clear_global() -> Option<Arc<dyn Recorder>> {
     let mut slot = GLOBAL.write().unwrap_or_else(PoisonError::into_inner);
-    let prev = slot.take();
-    if prev.is_some() {
-        ACTIVE.fetch_sub(1, Ordering::Relaxed);
-    }
-    prev
+    GLOBAL_INSTALLED.store(false, Ordering::Relaxed);
+    slot.take()
 }
 
 /// Runs `f` with `recorder` installed as this thread's recorder (innermost
@@ -178,11 +178,11 @@ pub fn with_recorder<R>(recorder: Arc<dyn Recorder>, f: impl FnOnce() -> R) -> R
     impl Drop for Scope {
         fn drop(&mut self) {
             LOCAL.with(|l| l.borrow_mut().pop());
-            ACTIVE.fetch_sub(1, Ordering::Relaxed);
+            LOCAL_SCOPES.with(|n| n.set(n.get() - 1));
         }
     }
     LOCAL.with(|l| l.borrow_mut().push(recorder));
-    ACTIVE.fetch_add(1, Ordering::Relaxed);
+    LOCAL_SCOPES.with(|n| n.set(n.get() + 1));
     let _scope = Scope;
     f()
 }
@@ -316,9 +316,20 @@ impl Recorder for Fanout {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Barrier, Mutex, MutexGuard};
+
+    /// Serializes the one test that installs a global recorder (which
+    /// switches the seam on for every thread) with the tests that assert
+    /// the seam is off.
+    static GLOBAL_LOCK: Mutex<()> = Mutex::new(());
+
+    fn no_global() -> MutexGuard<'static, ()> {
+        GLOBAL_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn seam_is_off_by_default_and_scoped_install_restores() {
+        let _g = no_global();
         assert!(!enabled());
         // Events with no recorder vanish (and must not panic).
         counter_add("smg_test_total", None, 1);
@@ -340,6 +351,7 @@ mod tests {
 
     #[test]
     fn scoped_recorder_survives_panics() {
+        let _g = no_global();
         let cap = Arc::new(Capture::new());
         let r = std::panic::catch_unwind(|| {
             with_recorder(cap.clone(), || panic!("boom"));
@@ -352,8 +364,7 @@ mod tests {
 
     #[test]
     fn global_recorder_receives_other_threads() {
-        // Serialized with any other global-using test by the install
-        // itself being process-wide; this is the only one in this crate.
+        let _g = no_global();
         let cap = Arc::new(Capture::new());
         set_global(cap.clone());
         std::thread::spawn(|| counter_add("smg_thread_total", None, 7))
@@ -363,6 +374,63 @@ mod tests {
         assert!(got.is_some());
         assert_eq!(cap.counter("smg_thread_total"), 7);
         assert!(clear_global().is_none());
+    }
+
+    #[test]
+    fn scopes_on_other_threads_leave_this_thread_off() {
+        let _g = no_global();
+        const SCOPED: usize = 8;
+        const BARE: usize = 4;
+        let caps: Vec<Arc<Capture>> = (0..SCOPED).map(|_| Arc::new(Capture::new())).collect();
+        // Every thread reads `enabled()` between the two barrier waits,
+        // while all the scoped threads are inside their scopes. Threads
+        // report instead of asserting, so a failure cannot strand the
+        // others at a barrier.
+        let barrier = Barrier::new(SCOPED + BARE);
+        std::thread::scope(|s| {
+            let scoped: Vec<_> = caps
+                .iter()
+                .enumerate()
+                .map(|(i, cap)| {
+                    let barrier = &barrier;
+                    s.spawn(move || {
+                        let inside = with_recorder(cap.clone(), || {
+                            barrier.wait();
+                            let on = enabled();
+                            counter_add("smg_test_total", None, i as u64 + 1);
+                            barrier.wait();
+                            on
+                        });
+                        (inside, enabled())
+                    })
+                })
+                .collect();
+            let bare: Vec<_> = (0..BARE)
+                .map(|_| {
+                    let barrier = &barrier;
+                    s.spawn(move || {
+                        barrier.wait();
+                        let on = enabled();
+                        counter_add("smg_test_total", None, 1000);
+                        barrier.wait();
+                        on
+                    })
+                })
+                .collect();
+            for h in scoped {
+                assert_eq!(h.join().unwrap(), (true, false));
+            }
+            for h in bare {
+                assert!(
+                    !h.join().unwrap(),
+                    "another thread's scope switched this one on"
+                );
+            }
+        });
+        // Each scope saw exactly its own thread's event.
+        for (i, cap) in caps.iter().enumerate() {
+            assert_eq!(cap.counter("smg_test_total"), i as u64 + 1);
+        }
     }
 
     #[test]

@@ -78,28 +78,4 @@ pub mod prelude {
         estimate, sprt, BerEstimator, DetectorSimulation, SprtConfig, ViterbiSimulation,
     };
     pub use smg_viterbi::{ConvergenceModel, FullModel, ReducedModel, ViterbiConfig};
-
-    /// Compiles a checked `dtmc` program to an explicit chain.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `compile_any` + `CheckSession` (model-family dispatch without the \
-                WrongModelType dance), or call `smg_lang::compile` directly"
-    )]
-    pub fn lang_compile(
-        checked: smg_lang::CheckedProgram,
-    ) -> Result<smg_lang::CompiledModel, smg_lang::LangError> {
-        smg_lang::compile(checked)
-    }
-
-    /// Compiles a checked `mdp` program to an explicit MDP.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `compile_any` + `CheckSession` (model-family dispatch without the \
-                WrongModelType dance), or call `smg_lang::compile_mdp` directly"
-    )]
-    pub fn lang_compile_mdp(
-        checked: smg_lang::CheckedProgram,
-    ) -> Result<smg_lang::CompiledMdp, smg_lang::LangError> {
-        smg_lang::compile_mdp(checked)
-    }
 }

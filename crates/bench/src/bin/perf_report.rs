@@ -407,8 +407,14 @@ fn main() {
                     .expect("global VI converges")
             },
             || {
-                smg_dtmc::solve::topo_reach_values(&dtmc, &target, 1e-8, 1_000_000)
-                    .expect("topological VI converges")
+                smg_dtmc::solve::topo_reach_values(
+                    &dtmc,
+                    &smg_dtmc::graph::Condensation::new(&dtmc),
+                    &target,
+                    1e-8,
+                    1_000_000,
+                )
+                .expect("topological VI converges")
             },
         );
         let (global_cert, topo_cert) = time_pair_ns(
@@ -418,8 +424,14 @@ fn main() {
                     .expect("global interval iteration converges")
             },
             || {
-                smg_dtmc::solve::topo_interval_reach_values(&dtmc, &target, 1e-8, 10_000_000)
-                    .expect("topological interval iteration converges")
+                smg_dtmc::solve::topo_interval_reach_values(
+                    &dtmc,
+                    &smg_dtmc::graph::Condensation::new(&dtmc),
+                    &target,
+                    1e-8,
+                    10_000_000,
+                )
+                .expect("topological interval iteration converges")
             },
         );
         eprintln!(

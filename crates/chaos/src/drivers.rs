@@ -426,7 +426,8 @@ fn digest_topo(case: &CaseParams, parallel: bool) -> u64 {
     let lanes = if parallel { case.lanes } else { 1 };
     let mut d = Digest::new();
     par::with_lane_scope(lanes, || {
-        let cert = solve::topo_interval_reach_values(&chain, &target, 1e-9, 100_000)
+        let cond = smg_dtmc::graph::Condensation::new(&chain);
+        let cert = solve::topo_interval_reach_values(&chain, &cond, &target, 1e-9, 100_000)
             .expect("topo interval reach");
         d.mix_cert(&cert);
     });
@@ -447,8 +448,15 @@ fn digest_topo(case: &CaseParams, parallel: bool) -> u64 {
             ..ViOptions::default()
         }
     };
-    let cert = vi::topo_certified_reach_values(&m, &goal, Opt::Max, 1e-9, &vio)
-        .expect("topo certified VI");
+    let cert = vi::topo_certified_reach_values(
+        &m,
+        &smg_mdp::qual::condensation(&m),
+        &goal,
+        Opt::Max,
+        1e-9,
+        &vio,
+    )
+    .expect("topo certified VI");
     d.mix_cert(&cert);
     d.finish()
 }

@@ -198,7 +198,7 @@ pub fn run(cmd: &Cmd) -> Result<String, CliError> {
                         "Mean actions per state: {:.3}",
                         m.n_choices() as f64 / m.n_states().max(1) as f64
                     );
-                    let cond = smg_mdp::qual::Condensation::new(m);
+                    let cond = smg_mdp::qual::condensation(m);
                     let _ = writeln!(
                         out,
                         "SCCs: {} (largest {} states, condensation depth {})",
@@ -217,7 +217,8 @@ pub fn run(cmd: &Cmd) -> Result<String, CliError> {
             let _ = writeln!(
                 out,
                 "Solvers: transient (bounded, exact arithmetic); value-iteration \
-                 (unbounded, residual test); interval-iteration (unbounded, certified \
+                 (unbounded, SCC-ordered on the condensation above, residual test per \
+                 component; S=? from the BSCCs); interval-iteration (unbounded, certified \
                  — `check --certified EPS`); topological-interval-iteration \
                  (certified, SCC-ordered — add `--topo`)"
             );

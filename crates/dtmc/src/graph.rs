@@ -16,85 +16,9 @@ use crate::matrix::TransitionMatrix;
 /// list of state ids. Components are returned in reverse topological order
 /// (successors before predecessors), which is Tarjan's natural output order.
 pub fn sccs(dtmc: &Dtmc) -> Vec<Vec<u32>> {
-    let n = dtmc.n_states();
-    let matrix = dtmc.matrix();
-
-    // Iterative Tarjan.
-    const UNVISITED: u32 = u32::MAX;
-    let mut index_of = vec![UNVISITED; n];
-    let mut lowlink = vec![0u32; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<u32> = Vec::new();
-    let mut next_index = 0u32;
-    let mut comps: Vec<Vec<u32>> = Vec::new();
-
-    // Call-stack frames: (vertex, iterator position over successors).
-    enum Frame {
-        Enter(u32),
-        Resume(u32, usize),
-    }
-
-    for root in 0..n as u32 {
-        if index_of[root as usize] != UNVISITED {
-            continue;
-        }
-        let mut frames = vec![Frame::Enter(root)];
-        while let Some(frame) = frames.pop() {
-            match frame {
-                Frame::Enter(v) => {
-                    index_of[v as usize] = next_index;
-                    lowlink[v as usize] = next_index;
-                    next_index += 1;
-                    stack.push(v);
-                    on_stack[v as usize] = true;
-                    frames.push(Frame::Resume(v, 0));
-                }
-                Frame::Resume(v, mut i) => {
-                    let succ = successors_of(matrix, v);
-                    let mut descended = false;
-                    while i < succ.len() {
-                        let w = succ[i];
-                        i += 1;
-                        if index_of[w as usize] == UNVISITED {
-                            frames.push(Frame::Resume(v, i));
-                            frames.push(Frame::Enter(w));
-                            descended = true;
-                            break;
-                        } else if on_stack[w as usize] {
-                            lowlink[v as usize] = lowlink[v as usize].min(index_of[w as usize]);
-                        }
-                    }
-                    if descended {
-                        continue;
-                    }
-                    if lowlink[v as usize] == index_of[v as usize] {
-                        let mut comp = Vec::new();
-                        loop {
-                            let w = stack.pop().expect("tarjan stack underflow");
-                            on_stack[w as usize] = false;
-                            comp.push(w);
-                            if w == v {
-                                break;
-                            }
-                        }
-                        comp.sort_unstable();
-                        comps.push(comp);
-                    } else if let Some(Frame::Resume(parent, _)) = frames.last() {
-                        let p = *parent as usize;
-                        lowlink[p] = lowlink[p].min(lowlink[v as usize]);
-                    }
-                }
-            }
-        }
-    }
-    comps
-}
-
-fn successors_of(matrix: &TransitionMatrix, v: u32) -> Vec<u32> {
-    matrix
-        .successors(v as usize)
-        .into_iter()
-        .map(|(c, _)| c)
+    Condensation::new(dtmc)
+        .components()
+        .map(<[u32]>::to_vec)
         .collect()
 }
 
@@ -102,33 +26,16 @@ fn successors_of(matrix: &TransitionMatrix, v: u32) -> Vec<u32> {
 /// them. Once the chain enters a BSCC it never leaves; the long-run
 /// distribution is supported on the BSCCs.
 pub fn bsccs(dtmc: &Dtmc) -> Vec<Vec<u32>> {
-    let comps = sccs(dtmc);
-    let n = dtmc.n_states();
-    let mut comp_of = vec![0usize; n];
-    for (ci, comp) in comps.iter().enumerate() {
-        for &s in comp {
-            comp_of[s as usize] = ci;
-        }
-    }
-    comps
+    let cond = Condensation::new(dtmc);
+    cond.bottom()
         .iter()
-        .enumerate()
-        .filter(|(ci, comp)| {
-            comp.iter().all(|&s| {
-                dtmc.matrix()
-                    .successors(s as usize)
-                    .iter()
-                    .all(|&(c, _)| comp_of[c as usize] == *ci)
-            })
-        })
-        .map(|(_, comp)| comp.clone())
+        .map(|&ci| cond.comp(ci as usize).to_vec())
         .collect()
 }
 
 /// Whether the chain is irreducible: a single SCC covering every state.
 pub fn is_irreducible(dtmc: &Dtmc) -> bool {
-    let comps = sccs(dtmc);
-    comps.len() == 1 && comps[0].len() == dtmc.n_states()
+    dtmc.n_states() > 0 && Condensation::new(dtmc).n_components() == 1
 }
 
 /// The period of an irreducible chain: the gcd of all cycle lengths,
@@ -241,47 +148,127 @@ pub fn can_reach(dtmc: &Dtmc, target: &BitVec, avoid: Option<&BitVec>) -> BitVec
     reach
 }
 
-/// The condensation of the chain's digraph: its strongly-connected
-/// components together with the component-of map and the DAG structure the
-/// topological solvers ([`crate::solve`]'s `topo_*` drivers) walk.
+/// The condensation of a digraph: its strongly-connected components
+/// together with the component-of map and the DAG structure the
+/// topological solvers ([`crate::solve`]'s `topo_*` drivers, and
+/// `smg-mdp`'s over the any-action graph) walk.
 ///
-/// Components are stored in reverse topological order (successors before
-/// predecessors, [`sccs`]' output order), so iterating them by ascending
-/// index — or level by level via [`Condensation::comps_at_level`] — visits
-/// every component only after all components it can reach. Built by the
-/// same iterative Tarjan as [`sccs`], so it is stack-safe at millions of
-/// states.
+/// Components are numbered in reverse topological order (successors before
+/// predecessors, Tarjan's pop order), so iterating them by ascending index
+/// — or level by level via [`Condensation::comps_at_level`] — visits every
+/// component only after all components it can reach. Level 0 holds the
+/// sink components: on a chain (every state has a successor) these are
+/// exactly the bottom SCCs ([`Condensation::bottom`]).
+///
+/// The layout is flat: one array of states ordered by component (members
+/// sorted) with per-component offsets, and one array of component ids
+/// ordered by level with per-level offsets — no allocation per component
+/// or per level, so a session can keep one for the model's lifetime.
+/// Built by an iterative Tarjan, stack-safe at millions of states.
 #[derive(Debug, Clone)]
 pub struct Condensation {
-    comps: Vec<Vec<u32>>,
+    /// States grouped by component, each group sorted.
+    states: Vec<u32>,
+    /// `states[comp_ptr[ci]..comp_ptr[ci + 1]]` are component `ci`'s members.
+    comp_ptr: Vec<u32>,
     comp_of: Vec<u32>,
     /// Per-component DAG level: 0 for sink components, else
     /// `1 + max(level of successor components)`.
     level: Vec<u32>,
-    /// Component indices bucketed by level (`by_level[l]` lists the
-    /// components at level `l`). Components at one level cannot reach each
-    /// other, which is what makes them independent parallel work units.
-    by_level: Vec<Vec<u32>>,
+    /// Component ids grouped by level, ascending within a level.
+    by_level: Vec<u32>,
+    /// `by_level[level_ptr[l]..level_ptr[l + 1]]` are the components at
+    /// level `l`.
+    level_ptr: Vec<u32>,
 }
 
 impl Condensation {
     /// Builds the condensation of a chain's digraph.
     pub fn new(dtmc: &Dtmc) -> Condensation {
-        let comps = sccs(dtmc);
-        let n = dtmc.n_states();
+        let matrix = dtmc.matrix();
+        Condensation::from_successors(dtmc.n_states(), |s| matrix.row_iter(s).map(|(c, _)| c))
+    }
+
+    /// Builds the condensation of the digraph on `0..n` whose edges leave
+    /// each vertex `s` toward the ids `succ(s)` yields. `succ` is called
+    /// twice per vertex (once by Tarjan, once by the level pass), and each
+    /// call's iterator is kept on the Tarjan frame stack, so the search
+    /// never materializes a successor list. Self-loops and repeated edges
+    /// are allowed.
+    pub fn from_successors<I, F>(n: usize, succ: F) -> Condensation
+    where
+        F: Fn(usize) -> I,
+        I: Iterator<Item = u32>,
+    {
+        const UNVISITED: u32 = u32::MAX;
+        let mut index_of = vec![UNVISITED; n];
+        let mut lowlink = vec![0u32; n];
+        let mut on_stack = vec![false; n];
+        let mut stack: Vec<u32> = Vec::new();
+        let mut frames: Vec<(usize, I)> = Vec::new();
+        let mut next_index = 0u32;
+        let mut states: Vec<u32> = Vec::with_capacity(n);
+        let mut comp_ptr: Vec<u32> = vec![0];
         let mut comp_of = vec![0u32; n];
-        for (ci, comp) in comps.iter().enumerate() {
-            for &s in comp {
-                comp_of[s as usize] = ci as u32;
+
+        for root in 0..n {
+            if index_of[root] != UNVISITED {
+                continue;
+            }
+            let mut descend = Some(root);
+            loop {
+                if let Some(v) = descend.take() {
+                    index_of[v] = next_index;
+                    lowlink[v] = next_index;
+                    next_index += 1;
+                    stack.push(v as u32);
+                    on_stack[v] = true;
+                    frames.push((v, succ(v)));
+                }
+                let Some((v, edges)) = frames.last_mut() else {
+                    break;
+                };
+                let v = *v;
+                if let Some(w) = edges.next() {
+                    let w = w as usize;
+                    if index_of[w] == UNVISITED {
+                        descend = Some(w);
+                    } else if on_stack[w] {
+                        lowlink[v] = lowlink[v].min(index_of[w]);
+                    }
+                    continue;
+                }
+                frames.pop();
+                if lowlink[v] == index_of[v] {
+                    let ci = (comp_ptr.len() - 1) as u32;
+                    let begin = states.len();
+                    loop {
+                        let w = stack.pop().expect("tarjan stack underflow");
+                        on_stack[w as usize] = false;
+                        comp_of[w as usize] = ci;
+                        states.push(w);
+                        if w as usize == v {
+                            break;
+                        }
+                    }
+                    states[begin..].sort_unstable();
+                    comp_ptr.push(states.len() as u32);
+                }
+                if let Some(&(parent, _)) = frames.last() {
+                    lowlink[parent] = lowlink[parent].min(lowlink[v]);
+                }
             }
         }
+        drop((index_of, lowlink, on_stack, stack, frames));
+
         // Components arrive successors-first, so one forward pass settles
         // every level before it is read.
-        let mut level = vec![0u32; comps.len()];
-        for (ci, comp) in comps.iter().enumerate() {
+        let n_comps = comp_ptr.len() - 1;
+        let mut level = vec![0u32; n_comps];
+        for ci in 0..n_comps {
             let mut l = 0u32;
-            for &s in comp {
-                for (c, _) in dtmc.matrix().row_iter(s as usize) {
+            for &s in &states[comp_ptr[ci] as usize..comp_ptr[ci + 1] as usize] {
+                for c in succ(s as usize) {
                     let tc = comp_of[c as usize] as usize;
                     if tc != ci {
                         l = l.max(level[tc] + 1);
@@ -290,23 +277,41 @@ impl Condensation {
             }
             level[ci] = l;
         }
+        // Counting sort of the components by level (stable: ascending ids
+        // within a level).
         let depth = level.iter().copied().max().map_or(0, |d| d as usize + 1);
-        let mut by_level: Vec<Vec<u32>> = vec![Vec::new(); depth];
+        let mut level_ptr = vec![0u32; depth + 1];
+        for &l in &level {
+            level_ptr[l as usize + 1] += 1;
+        }
+        for l in 0..depth {
+            level_ptr[l + 1] += level_ptr[l];
+        }
+        let mut fill = level_ptr.clone();
+        let mut by_level = vec![0u32; n_comps];
         for (ci, &l) in level.iter().enumerate() {
-            by_level[l as usize].push(ci as u32);
+            by_level[fill[l as usize] as usize] = ci as u32;
+            fill[l as usize] += 1;
         }
         Condensation {
-            comps,
+            states,
+            comp_ptr,
             comp_of,
             level,
             by_level,
+            level_ptr,
         }
     }
 
-    /// The components, each a sorted state list, in reverse topological
-    /// order (successors before predecessors).
-    pub fn comps(&self) -> &[Vec<u32>] {
-        &self.comps
+    /// The members of component `ci`, sorted.
+    pub fn comp(&self, ci: usize) -> &[u32] {
+        &self.states[self.comp_ptr[ci] as usize..self.comp_ptr[ci + 1] as usize]
+    }
+
+    /// The components in index order (reverse topological order), each a
+    /// sorted member slice.
+    pub fn components(&self) -> impl ExactSizeIterator<Item = &[u32]> + '_ {
+        (0..self.n_components()).map(|ci| self.comp(ci))
     }
 
     /// The component index of each state.
@@ -316,12 +321,16 @@ impl Condensation {
 
     /// The number of components.
     pub fn n_components(&self) -> usize {
-        self.comps.len()
+        self.comp_ptr.len() - 1
     }
 
     /// The size of the largest component.
     pub fn largest(&self) -> usize {
-        self.comps.iter().map(Vec::len).max().unwrap_or(0)
+        self.comp_ptr
+            .windows(2)
+            .map(|w| (w[1] - w[0]) as usize)
+            .max()
+            .unwrap_or(0)
     }
 
     /// The DAG level of component `ci`: 0 for sink components, else one
@@ -331,16 +340,35 @@ impl Condensation {
     }
 
     /// The depth of the component DAG: the number of levels (the length of
-    /// the longest component chain). 0 only for the empty chain.
+    /// the longest component chain). 0 only for the empty graph.
     pub fn dag_depth(&self) -> usize {
-        self.by_level.len()
+        self.level_ptr.len() - 1
     }
 
     /// The component indices at DAG level `l` (0 = sinks). Components at
     /// one level cannot reach each other; solving level by level (ascending
     /// `l`) sees every successor component already solved.
     pub fn comps_at_level(&self, l: usize) -> &[u32] {
-        &self.by_level[l]
+        &self.by_level[self.level_ptr[l] as usize..self.level_ptr[l + 1] as usize]
+    }
+
+    /// The sink components (level 0): the bottom SCCs of a chain, the
+    /// closed components of an MDP's any-action graph. Empty only for the
+    /// empty graph.
+    pub fn bottom(&self) -> &[u32] {
+        if self.dag_depth() == 0 {
+            &[]
+        } else {
+            self.comps_at_level(0)
+        }
+    }
+
+    /// Whether some component of more than one state holds an `active`
+    /// state — the only places a topological walk iterates (every other
+    /// active state is closed by one backsubstitution).
+    pub fn iterates_on(&self, active: &BitVec) -> bool {
+        self.components()
+            .any(|comp| comp.len() > 1 && comp.iter().any(|&s| active.get(s as usize)))
     }
 }
 
@@ -509,7 +537,7 @@ mod tests {
         }
         // Sinks at level 0, and levels partition the components.
         for &ci in c.comps_at_level(0) {
-            assert!(c.comps()[ci as usize] == vec![1] || c.comps()[ci as usize] == vec![2, 3]);
+            assert!(c.comp(ci as usize) == [1] || c.comp(ci as usize) == [2, 3]);
         }
         let total: usize = (0..c.dag_depth()).map(|l| c.comps_at_level(l).len()).sum();
         assert_eq!(total, c.n_components());

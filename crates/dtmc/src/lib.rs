@@ -69,7 +69,7 @@
 //! assert_eq!(cond.largest(), 1);
 //!
 //! let target = chain.label("target")?.clone();
-//! let cert = solve::topo_interval_reach_values(&chain, &target, 1e-9, 10_000)?;
+//! let cert = solve::topo_interval_reach_values(&chain, &cond, &target, 1e-9, 10_000)?;
 //! // Certified bracket around the exact 0.5, solved without global sweeps.
 //! assert!(cert.lo[0] <= 0.5 && 0.5 <= cert.hi[0]);
 //! assert!(cert.width() < 1e-9);

@@ -214,7 +214,7 @@ pub fn gauss_seidel_reach(
             for it in 1..=max_iter {
                 let delta = sweep_block_hybrid(m, target, &x, &mut x_new);
                 std::mem::swap(&mut x, &mut x_new);
-                record_gs_sweep(it, delta);
+                f64::record_sweep("gauss_seidel", it, delta, None);
                 if delta < tol {
                     return Ok(x);
                 }
@@ -227,7 +227,7 @@ pub fn gauss_seidel_reach(
         TransitionMatrix::Sparse(m) => {
             for it in 1..=max_iter {
                 let delta = sweep_gauss_seidel(m, target, &mut x);
-                record_gs_sweep(it, delta);
+                f64::record_sweep("gauss_seidel", it, delta, None);
                 if delta < tol {
                     return Ok(x);
                 }
@@ -238,27 +238,6 @@ pub fn gauss_seidel_reach(
             })
         }
     }
-}
-
-/// Reports one Gauss–Seidel sweep (either flavour) through the
-/// instrumentation seam.
-#[inline]
-fn record_gs_sweep(it: usize, delta: f64) {
-    if !obs::enabled() {
-        return;
-    }
-    obs::counter_add(
-        "smg_solve_sweeps_total",
-        Some(("driver", "gauss_seidel")),
-        1,
-    );
-    obs::trace(&obs::ConvergenceRecord {
-        driver: "gauss_seidel",
-        sweep: it as u64,
-        residual: Some(delta),
-        width: None,
-        component: None,
-    });
 }
 
 /// A per-state value bracket `[lo, hi]` produced by interval iteration,
@@ -276,6 +255,12 @@ pub struct CertifiedValues {
 }
 
 impl CertifiedValues {
+    /// Unzips per-state `(lo, hi)` pairs into a certificate.
+    pub fn from_pairs(pairs: Vec<(f64, f64)>, iterations: usize) -> CertifiedValues {
+        let (lo, hi) = pairs.into_iter().unzip();
+        CertifiedValues { lo, hi, iterations }
+    }
+
     /// The maximum interval width over all states (0 for exactly pinned
     /// states and for infinite `lo = hi = ∞` pairs).
     pub fn width(&self) -> f64 {
@@ -370,23 +355,9 @@ fn interval_iterate(
     for it in 1..=max_iter {
         let width = interval_sweep(matrix, active, rewards, &cur, &mut next);
         std::mem::swap(&mut cur, &mut next);
-        if obs::enabled() {
-            obs::counter_add("smg_solve_sweeps_total", Some(("driver", "interval")), 1);
-            obs::trace(&obs::ConvergenceRecord {
-                driver: "interval",
-                sweep: it as u64,
-                residual: None,
-                width: Some(width),
-                component: None,
-            });
-        }
+        <(f64, f64)>::record_sweep("interval", it, width, None);
         if width < epsilon {
-            let (lo, hi) = cur.into_iter().unzip();
-            return Ok(CertifiedValues {
-                lo,
-                hi,
-                iterations: it,
-            });
+            return Ok(CertifiedValues::from_pairs(cur, it));
         }
     }
     Err(DtmcError::NoConvergence {
@@ -487,17 +458,9 @@ pub fn interval_reach_reward_values(
             actual: target.len(),
         });
     }
-    let s0 = graph::can_reach(dtmc, target, None).not();
-    let certain = graph::can_reach(dtmc, &s0, Some(target)).not();
-    let active = certain.and(&target.not());
+    let (certain, active) = reward_region(dtmc, target);
     let rewards = dtmc.rewards();
-    let r_max = active.iter_ones().map(|i| rewards[i]).fold(0.0, f64::max);
-    let seed = if r_max == 0.0 {
-        0.0
-    } else {
-        let (k, delta) = hitting_probe(dtmc, target, &active)?;
-        k as f64 * r_max / delta
-    };
+    let seed = reward_seed(dtmc, target, &active)?;
     let cur: Vec<(f64, f64)> = (0..n)
         .map(|i| {
             if active.get(i) {
@@ -517,6 +480,29 @@ pub fn interval_reach_reward_values(
         epsilon,
         max_iter,
     )
+}
+
+/// The finite region of `R=? [F target]`, from the graph alone: the
+/// `certain` states, which reach `target` almost surely (no path escapes
+/// to a state that cannot reach it), and the `active` ones among them that
+/// still accumulate reward (`certain ∖ target`).
+fn reward_region(dtmc: &Dtmc, target: &BitVec) -> (BitVec, BitVec) {
+    let s0 = graph::can_reach(dtmc, target, None).not();
+    let certain = graph::can_reach(dtmc, &s0, Some(target)).not();
+    let active = certain.and(&target.not());
+    (certain, active)
+}
+
+/// The sound upper seed `k·r_max/δ` of a reward bracket over `active`
+/// ([`hitting_probe`]); 0 when no active state carries reward.
+fn reward_seed(dtmc: &Dtmc, target: &BitVec, active: &BitVec) -> Result<f64, DtmcError> {
+    let rewards = dtmc.rewards();
+    let r_max = active.iter_ones().map(|i| rewards[i]).fold(0.0, f64::max);
+    if r_max == 0.0 {
+        return Ok(0.0);
+    }
+    let (k, delta) = hitting_probe(dtmc, target, active)?;
+    Ok(k as f64 * r_max / delta)
 }
 
 /// The smallest sweep count `k` at which every `active` state reaches the
@@ -558,20 +544,25 @@ fn hitting_probe(dtmc: &Dtmc, target: &BitVec, active: &BitVec) -> Result<(usize
 // ---------------------------------------------------------------------------
 //
 // Every solver above iterates the *whole* state space until its slowest
-// state converges. The `topo_*` family instead condenses the chain to its
-// SCC DAG ([`graph::Condensation`]) and solves one component at a time in
+// state converges. The `topo_*` family instead walks the chain's SCC
+// condensation ([`graph::Condensation`]) one component at a time in
 // reverse topological order (sinks first), with already-solved successor
 // values folded in as constants:
 //
 // * **Trivial SCCs** (single state, the common case in layered models)
 //   collapse to one closed-form backsubstitution
-//   `x_i = (r_i + Σ_{c≠i} p_c·x_c) / (1 − p_ii)` — no iteration at all.
+//   `x_i = (r_i + Σ_{c≠i} p_c·x_c) / Σ_{c≠i} p_c` — no iteration at all.
 //   All trivial components of one DAG level are independent, so they are
 //   evaluated as a single batch dispatched onto the persistent worker pool.
-// * **Non-trivial SCCs** run in-place Gauss–Seidel (or, certified, a dual
-//   in-place sweep) restricted to the component's states, terminating on a
-//   *component-local* test. Convergence cost concentrates on the components
-//   that need it instead of being paid globally.
+// * **Non-trivial SCCs** run in-place sweeps restricted to the component's
+//   states, terminating on a *component-local* test. Convergence cost
+//   concentrates on the components that need it instead of being paid
+//   globally.
+//
+// One level walk ([`topo_walk`]) serves both modes, generic over the value
+// kept per state ([`LevelValue`]): the checker's default mode keeps one
+// estimate per state and stops each component on a residual test; the
+// certified mode keeps an `(lo, hi)` bracket and stops on its width.
 //
 // Soundness of the certified variants is per-component: every active state
 // of a component leaves it almost surely (active states reach the target,
@@ -581,66 +572,173 @@ fn hitting_probe(dtmc: &Dtmc, target: &BitVec, active: &BitVec) -> Result<(usize
 // Each individual in-place update preserves `lo ≤ x* ≤ hi` because the
 // diagonal-solved row is monotone in its off-diagonal reads.
 
-/// One diagonal-solved row over a generic matrix: `(r + Σ_{c≠i} p_c·read(c))
-/// / (1 − p_ii)`, with pure self-loops pinned to zero (they cannot occur in
-/// an active region, which by construction reaches the target).
-#[inline]
-fn solved_row(
-    matrix: &TransitionMatrix,
-    i: usize,
-    reward: f64,
-    read: impl Fn(usize) -> f64,
-) -> f64 {
-    let mut acc = reward;
-    let mut self_loop = 0.0;
-    for (c, p) in matrix.row_iter(i) {
-        if c as usize == i {
-            self_loop += p;
-        } else {
-            acc += p * read(c as usize);
+/// The value a topological level walk keeps per state: a single estimate
+/// (`f64`, the default mode, tested on its residual) or a certified
+/// `(lo, hi)` bracket (tested on its width). Arithmetic is slot-wise; a
+/// single estimate is its own lower slot and has no upper slot to move.
+/// Shared with `smg-mdp`'s topological drivers.
+pub trait LevelValue: Copy + Send + Sync {
+    /// Whether this is the certified bracket (its progress measure is a
+    /// width, reported as such in convergence records).
+    const CERTIFIED: bool;
+    /// `v` in every slot.
+    fn splat(v: f64) -> Self;
+    /// The seed of a state still to be solved: `lo` for a single estimate,
+    /// `(lo, hi)` for a bracket.
+    fn bracket(lo: f64, hi: f64) -> Self;
+    /// `self + p·x`, slot-wise.
+    fn add_scaled(self, p: f64, x: Self) -> Self;
+    /// `self / d`, slot-wise.
+    fn div(self, d: f64) -> Self;
+    /// Combines two values slot by slot.
+    fn zip(self, other: Self, f: impl Fn(f64, f64) -> f64) -> Self;
+    /// The lower slot.
+    fn lo(self) -> f64;
+    /// The upper slot (a single estimate's own value).
+    fn hi(self) -> f64;
+    /// Rewrites the lower slot.
+    fn map_lo(self, f: impl FnOnce(f64) -> f64) -> Self;
+    /// Rewrites the upper slot (a single estimate has none: unchanged).
+    fn map_hi(self, f: impl FnOnce(f64) -> f64) -> Self;
+    /// The stopping measure of one update: the residual `|new − old|` of a
+    /// single estimate, the width `hi − lo` of a bracket.
+    fn progress(old: Self, new: Self) -> f64;
+
+    /// Reports one sweep of a solver driver that keeps this value per
+    /// state through the instrumentation seam: the sweep counter under
+    /// `driver`, and a convergence record carrying `progress` as a
+    /// residual or a width.
+    fn record_sweep(driver: &'static str, sweep: usize, progress: f64, component: Option<u32>) {
+        if !obs::enabled() {
+            return;
         }
-    }
-    if self_loop < 1.0 {
-        acc / (1.0 - self_loop)
-    } else {
-        0.0
+        obs::counter_add("smg_solve_sweeps_total", Some(("driver", driver)), 1);
+        obs::trace(&obs::ConvergenceRecord {
+            driver,
+            sweep: sweep as u64,
+            residual: (!Self::CERTIFIED).then_some(progress),
+            width: Self::CERTIFIED.then_some(progress),
+            component,
+        });
     }
 }
 
-/// The dual-bound twin of [`solved_row`]: both bounds ride one row walk,
-/// so a state's pair is always updated consistently (`lo ≤ hi` is preserved
-/// whenever every read pair satisfies it).
+impl LevelValue for f64 {
+    const CERTIFIED: bool = false;
+    fn splat(v: f64) -> f64 {
+        v
+    }
+    fn bracket(lo: f64, _hi: f64) -> f64 {
+        lo
+    }
+    fn add_scaled(self, p: f64, x: f64) -> f64 {
+        self + p * x
+    }
+    fn div(self, d: f64) -> f64 {
+        self / d
+    }
+    fn zip(self, other: f64, f: impl Fn(f64, f64) -> f64) -> f64 {
+        f(self, other)
+    }
+    fn lo(self) -> f64 {
+        self
+    }
+    fn hi(self) -> f64 {
+        self
+    }
+    fn map_lo(self, f: impl FnOnce(f64) -> f64) -> f64 {
+        f(self)
+    }
+    fn map_hi(self, _f: impl FnOnce(f64) -> f64) -> f64 {
+        self
+    }
+    fn progress(old: f64, new: f64) -> f64 {
+        (new - old).abs()
+    }
+}
+
+impl LevelValue for (f64, f64) {
+    const CERTIFIED: bool = true;
+    fn splat(v: f64) -> (f64, f64) {
+        (v, v)
+    }
+    fn bracket(lo: f64, hi: f64) -> (f64, f64) {
+        (lo, hi)
+    }
+    fn add_scaled(self, p: f64, x: (f64, f64)) -> (f64, f64) {
+        (self.0 + p * x.0, self.1 + p * x.1)
+    }
+    fn div(self, d: f64) -> (f64, f64) {
+        (self.0 / d, self.1 / d)
+    }
+    fn zip(self, other: (f64, f64), f: impl Fn(f64, f64) -> f64) -> (f64, f64) {
+        (f(self.0, other.0), f(self.1, other.1))
+    }
+    fn lo(self) -> f64 {
+        self.0
+    }
+    fn hi(self) -> f64 {
+        self.1
+    }
+    fn map_lo(self, f: impl FnOnce(f64) -> f64) -> (f64, f64) {
+        (f(self.0), self.1)
+    }
+    fn map_hi(self, f: impl FnOnce(f64) -> f64) -> (f64, f64) {
+        (self.0, f(self.1))
+    }
+    fn progress(_old: (f64, f64), new: (f64, f64)) -> f64 {
+        new.1 - new.0
+    }
+}
+
+/// One diagonal-solved row: `(r + Σ_{c≠i} p_c·read(c)) / Σ_{c≠i} p_c`.
+/// Dividing by the off-diagonal mass rather than by `1 − p_ii` keeps the
+/// closed form exact on sticky rows: with `p_ii = 1 − 10⁻¹³` the
+/// subtraction keeps about three significant digits, while the
+/// off-diagonal sum is the exact stored mass (the two agree on every
+/// stochastic row). Pure self-loops are pinned to zero (they cannot occur
+/// in an active region, which by construction reaches the target).
 #[inline]
-fn solved_row_pair(
+fn solved_row<V: LevelValue>(
     matrix: &TransitionMatrix,
     i: usize,
     reward: f64,
-    read: impl Fn(usize) -> (f64, f64),
-) -> (f64, f64) {
-    let mut lo = reward;
-    let mut hi = reward;
-    let mut self_loop = 0.0;
-    for (c, p) in matrix.row_iter(i) {
-        if c as usize == i {
-            self_loop += p;
-        } else {
-            let (l, h) = read(c as usize);
-            lo += p * l;
-            hi += p * h;
+    read: impl Fn(usize) -> V,
+) -> V {
+    // Dispatch on the storage once per row, not once per entry.
+    match matrix {
+        TransitionMatrix::Sparse(m) => solved_terms(m.row(i), i, reward, read),
+        TransitionMatrix::RankOne(m) => solved_terms(m.dist().iter().copied(), i, reward, read),
+    }
+}
+
+#[inline(always)]
+fn solved_terms<V: LevelValue>(
+    terms: impl Iterator<Item = (u32, f64)>,
+    i: usize,
+    reward: f64,
+    read: impl Fn(usize) -> V,
+) -> V {
+    let mut acc = V::splat(reward);
+    let mut off = 0.0;
+    for (c, p) in terms {
+        if c as usize != i {
+            off += p;
+            acc = acc.add_scaled(p, read(c as usize));
         }
     }
-    if self_loop < 1.0 {
-        let scale = 1.0 / (1.0 - self_loop);
-        (lo * scale, hi * scale)
+    if off > 0.0 {
+        acc.div(off)
     } else {
-        (0.0, 0.0)
+        V::splat(0.0)
     }
 }
 
 /// Splits one DAG level into the batch of trivial (singleton) active states
 /// and the ids of non-trivial components that contain active states.
 /// Components with no active state are already fully pinned and skipped.
-fn split_level(
+/// Shared with `smg-mdp`'s topological drivers.
+pub fn split_level(
     cond: &graph::Condensation,
     level: usize,
     active: &BitVec,
@@ -650,7 +748,7 @@ fn split_level(
     batch.clear();
     nontrivial.clear();
     for &ci in cond.comps_at_level(level) {
-        let comp = &cond.comps()[ci as usize];
+        let comp = cond.comp(ci as usize);
         if let [s] = comp[..] {
             if active.get(s as usize) {
                 batch.push(s);
@@ -661,31 +759,42 @@ fn split_level(
     }
 }
 
-/// The shared per-level driver for the plain topological solvers: walks the
+/// The level walk of every topological solver on a chain: walks the
 /// condensation level by level (sinks first), backsubstituting trivial
 /// components in pool-dispatched batches and running component-local
-/// Gauss–Seidel on the rest. `x` arrives with all inactive states pinned.
-fn topo_values_driver(
+/// in-place sweeps on the rest until each one's [`LevelValue::progress`]
+/// drops below `stop`. `x` arrives with all inactive states pinned.
+/// Returns the number of sweeps performed (each trivial-batch level counts
+/// as one; each non-trivial component contributes its own sweeps).
+/// `max_iter` bounds the sweeps of each individual component.
+fn topo_walk<V: LevelValue>(
     matrix: &TransitionMatrix,
     cond: &graph::Condensation,
     active: &BitVec,
     rewards: Option<&[f64]>,
-    x: &mut [f64],
-    tol: f64,
+    x: &mut [V],
+    stop: f64,
     max_iter: usize,
-) -> Result<(), DtmcError> {
+) -> Result<usize, DtmcError> {
+    let driver = if V::CERTIFIED {
+        "topo_interval"
+    } else {
+        "topo"
+    };
     let r_of = |i: usize| rewards.map_or(0.0, |r| r[i]);
+    let mut iterations = 0usize;
     let mut batch: Vec<u32> = Vec::new();
     let mut nontrivial: Vec<u32> = Vec::new();
-    let mut scratch: Vec<f64> = Vec::new();
+    let mut scratch: Vec<V> = Vec::new();
     for level in 0..cond.dag_depth() {
         split_level(cond, level, active, &mut batch, &mut nontrivial);
         if !batch.is_empty() {
+            iterations += 1;
             scratch.clear();
-            scratch.resize(batch.len(), 0.0);
-            let xr: &[f64] = x;
+            scratch.resize(batch.len(), V::splat(0.0));
+            let xr: &[V] = x;
             let batch_ref: &[u32] = &batch;
-            let fill = |offset: usize, chunk: &mut [f64]| {
+            let fill = |offset: usize, chunk: &mut [V]| {
                 for (j, slot) in chunk.iter_mut().enumerate() {
                     let s = batch_ref[offset + j] as usize;
                     *slot = solved_row(matrix, s, r_of(s), |c| xr[c]);
@@ -705,22 +814,25 @@ fn topo_values_driver(
             for (&s, &v) in batch.iter().zip(&scratch) {
                 x[s as usize] = v;
             }
+            V::record_sweep(driver, iterations, 0.0, None);
         }
         for &ci in &nontrivial {
-            let comp = &cond.comps()[ci as usize];
+            let comp = cond.comp(ci as usize);
             let mut converged = false;
-            for _ in 0..max_iter {
-                let mut delta: f64 = 0.0;
+            for local in 1..=max_iter {
+                iterations += 1;
+                let mut progress: f64 = 0.0;
                 for &s in comp {
                     let i = s as usize;
                     if !active.get(i) {
                         continue;
                     }
                     let new = solved_row(matrix, i, r_of(i), |c| x[c]);
-                    delta = delta.max((new - x[i]).abs());
+                    progress = progress.max(V::progress(x[i], new));
                     x[i] = new;
                 }
-                if delta < tol {
+                V::record_sweep(driver, local, progress, Some(ci));
+                if progress < stop {
                     converged = true;
                     break;
                 }
@@ -728,113 +840,7 @@ fn topo_values_driver(
             if !converged {
                 return Err(DtmcError::NoConvergence {
                     iterations: max_iter,
-                    residual: tol,
-                });
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The certified twin of [`topo_values_driver`]: dual bounds per state,
-/// component-local width `< epsilon` instead of a residual test. Returns
-/// the number of sweeps performed (each trivial-batch level counts as one;
-/// each non-trivial component contributes its own dual sweeps).
-fn topo_interval_driver(
-    matrix: &TransitionMatrix,
-    cond: &graph::Condensation,
-    active: &BitVec,
-    rewards: Option<&[f64]>,
-    cur: &mut [(f64, f64)],
-    epsilon: f64,
-    max_iter: usize,
-) -> Result<usize, DtmcError> {
-    let r_of = |i: usize| rewards.map_or(0.0, |r| r[i]);
-    let mut iterations = 0usize;
-    let mut batch: Vec<u32> = Vec::new();
-    let mut nontrivial: Vec<u32> = Vec::new();
-    let mut scratch: Vec<(f64, f64)> = Vec::new();
-    for level in 0..cond.dag_depth() {
-        split_level(cond, level, active, &mut batch, &mut nontrivial);
-        if !batch.is_empty() {
-            iterations += 1;
-            scratch.clear();
-            scratch.resize(batch.len(), (0.0, 0.0));
-            let cur_ref: &[(f64, f64)] = cur;
-            let batch_ref: &[u32] = &batch;
-            let fill = |offset: usize, chunk: &mut [(f64, f64)]| {
-                for (j, slot) in chunk.iter_mut().enumerate() {
-                    let s = batch_ref[offset + j] as usize;
-                    *slot = solved_row_pair(matrix, s, r_of(s), |c| cur_ref[c]);
-                }
-            };
-            if par::should_parallelize(batch.len()) {
-                par::chunked_map(
-                    &mut scratch,
-                    par::tune_chunk(PAR_MIN_CHUNK),
-                    |offset, chunk| {
-                        fill(offset, chunk);
-                    },
-                );
-            } else {
-                fill(0, &mut scratch);
-            }
-            for (&s, &pair) in batch.iter().zip(&scratch) {
-                cur[s as usize] = pair;
-            }
-            if obs::enabled() {
-                obs::counter_add(
-                    "smg_solve_sweeps_total",
-                    Some(("driver", "topo_interval")),
-                    1,
-                );
-                obs::trace(&obs::ConvergenceRecord {
-                    driver: "topo_interval",
-                    sweep: iterations as u64,
-                    residual: None,
-                    width: Some(0.0),
-                    component: None,
-                });
-            }
-        }
-        for &ci in &nontrivial {
-            let comp = &cond.comps()[ci as usize];
-            let mut converged = false;
-            for local in 1..=max_iter {
-                iterations += 1;
-                let mut width: f64 = 0.0;
-                for &s in comp {
-                    let i = s as usize;
-                    if !active.get(i) {
-                        continue;
-                    }
-                    let pair = solved_row_pair(matrix, i, r_of(i), |c| cur[c]);
-                    width = width.max(pair.1 - pair.0);
-                    cur[i] = pair;
-                }
-                if obs::enabled() {
-                    obs::counter_add(
-                        "smg_solve_sweeps_total",
-                        Some(("driver", "topo_interval")),
-                        1,
-                    );
-                    obs::trace(&obs::ConvergenceRecord {
-                        driver: "topo_interval",
-                        sweep: local as u64,
-                        residual: None,
-                        width: Some(width),
-                        component: Some(ci),
-                    });
-                }
-                if width < epsilon {
-                    converged = true;
-                    break;
-                }
-            }
-            if !converged {
-                return Err(DtmcError::NoConvergence {
-                    iterations: max_iter,
-                    residual: epsilon,
+                    residual: stop,
                 });
             }
         }
@@ -842,41 +848,117 @@ fn topo_interval_driver(
     Ok(iterations)
 }
 
-/// Unbounded until probabilities `P(lhs U rhs)` by topological solving:
-/// same qualitative pre-pass and fixpoint as [`gauss_seidel_reach`]-style
-/// global iteration, but each SCC is solved (or backsubstituted in closed
-/// form, for trivial SCCs) with its successors' values as constants. On
-/// layered, mostly-acyclic chains this replaces global convergence with a
-/// single backsubstitution pass. `max_iter` bounds the sweeps of each
-/// individual component, not the global total.
+/// Checks that every mask and the condensation match the chain's size.
+fn check_dims(dtmc: &Dtmc, cond: &graph::Condensation, masks: &[&BitVec]) -> Result<(), DtmcError> {
+    let n = dtmc.n_states();
+    let lens = masks.iter().map(|m| m.len()).chain([cond.comp_of().len()]);
+    for len in lens {
+        if len != n {
+            return Err(DtmcError::DimensionMismatch {
+                expected: n,
+                actual: len,
+            });
+        }
+    }
+    Ok(())
+}
+
+/// `P(lhs U rhs)` on the condensation in either mode: the qualitative
+/// pre-pass pins states that cannot reach `rhs` through `lhs` to 0 and
+/// `rhs` to 1, then the level walk solves the rest.
+fn topo_until<V: LevelValue>(
+    dtmc: &Dtmc,
+    cond: &graph::Condensation,
+    lhs: &BitVec,
+    rhs: &BitVec,
+    stop: f64,
+    max_iter: usize,
+) -> Result<(Vec<V>, usize), DtmcError> {
+    check_dims(dtmc, cond, &[lhs, rhs])?;
+    let active = graph::can_reach(dtmc, rhs, Some(&lhs.not())).and(&rhs.not());
+    let mut x: Vec<V> = (0..dtmc.n_states())
+        .map(|i| {
+            if rhs.get(i) {
+                V::splat(1.0)
+            } else if active.get(i) {
+                V::bracket(0.0, 1.0)
+            } else {
+                V::splat(0.0)
+            }
+        })
+        .collect();
+    let iterations = topo_walk(dtmc.matrix(), cond, &active, None, &mut x, stop, max_iter)?;
+    Ok((x, iterations))
+}
+
+/// The expected reward to `target` on the condensation in either mode:
+/// the finite region comes from the graph ([`reward_region`]), states
+/// outside it are pinned to exactly `∞`, targets to 0. The certified
+/// bracket's upper seed ([`reward_seed`]) is only read inside non-trivial
+/// components, so it is computed only when one of them holds an active
+/// state.
+fn topo_reach_reward<V: LevelValue>(
+    dtmc: &Dtmc,
+    cond: &graph::Condensation,
+    target: &BitVec,
+    stop: f64,
+    max_iter: usize,
+) -> Result<(Vec<V>, usize), DtmcError> {
+    check_dims(dtmc, cond, &[target])?;
+    let (certain, active) = reward_region(dtmc, target);
+    let seed = if V::CERTIFIED && cond.iterates_on(&active) {
+        reward_seed(dtmc, target, &active)?
+    } else {
+        0.0
+    };
+    let mut x: Vec<V> = (0..dtmc.n_states())
+        .map(|i| {
+            if active.get(i) {
+                V::bracket(0.0, seed)
+            } else if certain.get(i) {
+                V::splat(0.0) // target states accumulate nothing
+            } else {
+                V::splat(f64::INFINITY)
+            }
+        })
+        .collect();
+    let iterations = topo_walk(
+        dtmc.matrix(),
+        cond,
+        &active,
+        Some(dtmc.rewards()),
+        &mut x,
+        stop,
+        max_iter,
+    )?;
+    Ok((x, iterations))
+}
+
+/// Unbounded until probabilities `P(lhs U rhs)` by topological solving
+/// over `cond` (the chain's [`graph::Condensation`]): the qualitative
+/// pre-pass of the interval solvers, then each SCC solved (or
+/// backsubstituted in closed form, for trivial SCCs) with its successors'
+/// values as constants, each non-trivial SCC stopping on a component-local
+/// residual test. On layered, mostly-acyclic chains this replaces global
+/// convergence with a single backsubstitution pass. `max_iter` bounds the
+/// sweeps of each individual component, not the global total. This is the
+/// checker's default unbounded solver.
 ///
 /// # Errors
 ///
-/// * [`DtmcError::DimensionMismatch`] for wrong-length bit vectors.
+/// * [`DtmcError::DimensionMismatch`] for wrong-length bit vectors or a
+///   condensation of another chain.
 /// * [`DtmcError::NoConvergence`] if some component fails to reach `tol`
 ///   within `max_iter` sweeps.
 pub fn topo_until_values(
     dtmc: &Dtmc,
+    cond: &graph::Condensation,
     lhs: &BitVec,
     rhs: &BitVec,
     tol: f64,
     max_iter: usize,
 ) -> Result<Vec<f64>, DtmcError> {
-    let n = dtmc.n_states();
-    for bits in [lhs, rhs] {
-        if bits.len() != n {
-            return Err(DtmcError::DimensionMismatch {
-                expected: n,
-                actual: bits.len(),
-            });
-        }
-    }
-    let maybe = graph::can_reach(dtmc, rhs, Some(&lhs.not()));
-    let active = maybe.and(&rhs.not());
-    let mut x: Vec<f64> = (0..n).map(|i| if rhs.get(i) { 1.0 } else { 0.0 }).collect();
-    let cond = graph::Condensation::new(dtmc);
-    topo_values_driver(dtmc.matrix(), &cond, &active, None, &mut x, tol, max_iter)?;
-    Ok(x)
+    topo_until(dtmc, cond, lhs, rhs, tol, max_iter).map(|(x, _)| x)
 }
 
 /// Unbounded reachability `P(F target)` by topological solving — the
@@ -887,51 +969,32 @@ pub fn topo_until_values(
 /// As for [`topo_until_values`].
 pub fn topo_reach_values(
     dtmc: &Dtmc,
+    cond: &graph::Condensation,
     target: &BitVec,
     tol: f64,
     max_iter: usize,
 ) -> Result<Vec<f64>, DtmcError> {
     let all = BitVec::ones(dtmc.n_states());
-    topo_until_values(dtmc, &all, target, tol, max_iter)
+    topo_until_values(dtmc, cond, &all, target, tol, max_iter)
 }
 
 /// Expected reward to `target` (PRISM `R=? [F target]`) by topological
 /// solving, with the same qualitative ∞-pinning as
-/// [`interval_reach_reward_values`].
+/// [`interval_reach_reward_values`]: the finite region is where the graph
+/// says the target is reached almost surely, never a thresholded
+/// probability.
 ///
 /// # Errors
 ///
 /// As for [`topo_until_values`].
 pub fn topo_reach_reward_values(
     dtmc: &Dtmc,
+    cond: &graph::Condensation,
     target: &BitVec,
     tol: f64,
     max_iter: usize,
 ) -> Result<Vec<f64>, DtmcError> {
-    let n = dtmc.n_states();
-    if target.len() != n {
-        return Err(DtmcError::DimensionMismatch {
-            expected: n,
-            actual: target.len(),
-        });
-    }
-    let s0 = graph::can_reach(dtmc, target, None).not();
-    let certain = graph::can_reach(dtmc, &s0, Some(target)).not();
-    let active = certain.and(&target.not());
-    let mut x: Vec<f64> = (0..n)
-        .map(|i| if certain.get(i) { 0.0 } else { f64::INFINITY })
-        .collect();
-    let cond = graph::Condensation::new(dtmc);
-    topo_values_driver(
-        dtmc.matrix(),
-        &cond,
-        &active,
-        Some(dtmc.rewards()),
-        &mut x,
-        tol,
-        max_iter,
-    )?;
-    Ok(x)
+    topo_reach_reward(dtmc, cond, target, tol, max_iter).map(|(x, _)| x)
 }
 
 /// Certified `P(lhs U rhs)` by topological interval iteration: the same
@@ -946,45 +1009,14 @@ pub fn topo_reach_reward_values(
 /// As for [`topo_until_values`], with `epsilon` as the width target.
 pub fn topo_interval_until_values(
     dtmc: &Dtmc,
+    cond: &graph::Condensation,
     lhs: &BitVec,
     rhs: &BitVec,
     epsilon: f64,
     max_iter: usize,
 ) -> Result<CertifiedValues, DtmcError> {
-    let n = dtmc.n_states();
-    for bits in [lhs, rhs] {
-        if bits.len() != n {
-            return Err(DtmcError::DimensionMismatch {
-                expected: n,
-                actual: bits.len(),
-            });
-        }
-    }
-    let maybe = graph::can_reach(dtmc, rhs, Some(&lhs.not()));
-    let active = maybe.and(&rhs.not());
-    let mut cur: Vec<(f64, f64)> = (0..n)
-        .map(|i| {
-            if rhs.get(i) {
-                (1.0, 1.0)
-            } else if active.get(i) {
-                (0.0, 1.0)
-            } else {
-                (0.0, 0.0)
-            }
-        })
-        .collect();
-    let cond = graph::Condensation::new(dtmc);
-    let iterations = topo_interval_driver(
-        dtmc.matrix(),
-        &cond,
-        &active,
-        None,
-        &mut cur,
-        epsilon,
-        max_iter,
-    )?;
-    let (lo, hi) = cur.into_iter().unzip();
-    Ok(CertifiedValues { lo, hi, iterations })
+    topo_until(dtmc, cond, lhs, rhs, epsilon, max_iter)
+        .map(|(pairs, it)| CertifiedValues::from_pairs(pairs, it))
 }
 
 /// Certified unbounded reachability by topological interval iteration —
@@ -995,69 +1027,183 @@ pub fn topo_interval_until_values(
 /// As for [`topo_interval_until_values`].
 pub fn topo_interval_reach_values(
     dtmc: &Dtmc,
+    cond: &graph::Condensation,
     target: &BitVec,
     epsilon: f64,
     max_iter: usize,
 ) -> Result<CertifiedValues, DtmcError> {
     let all = BitVec::ones(dtmc.n_states());
-    topo_interval_until_values(dtmc, &all, target, epsilon, max_iter)
+    topo_interval_until_values(dtmc, cond, &all, target, epsilon, max_iter)
 }
 
 /// Certified expected reachability reward by topological interval
 /// iteration — the SCC-ordered replacement for
 /// [`interval_reach_reward_values`], sharing its qualitative ∞-pinning and
-/// the one global hitting-probe upper seed.
+/// its hitting-probe upper seed (computed only when a non-trivial
+/// component will read it).
 ///
 /// # Errors
 ///
 /// As for [`topo_interval_until_values`].
 pub fn topo_interval_reach_reward_values(
     dtmc: &Dtmc,
+    cond: &graph::Condensation,
     target: &BitVec,
     epsilon: f64,
     max_iter: usize,
 ) -> Result<CertifiedValues, DtmcError> {
-    let n = dtmc.n_states();
-    if target.len() != n {
-        return Err(DtmcError::DimensionMismatch {
-            expected: n,
-            actual: target.len(),
-        });
+    topo_reach_reward(dtmc, cond, target, epsilon, max_iter)
+        .map(|(pairs, it)| CertifiedValues::from_pairs(pairs, it))
+}
+
+/// The long-run probability of being in a `sat` state from the chain's
+/// initial distribution (the Cesàro limit, which exists for periodic
+/// chains too), computed from the bottom SCCs: `Σ_B P(◇B)·π_B(sat)`.
+///
+/// Each bottom SCC `B` (a level-0 component of `cond`) gets its local
+/// long-run mass `π_B(sat)`: exactly 0 or 1 when `B` lies entirely outside
+/// or inside `sat`, otherwise a damped ("lazy-chain") power iteration
+/// restricted to `B`'s rows, stopped on a residual below `tol`. Every
+/// bottom state is then pinned to its component's mass and one level walk
+/// ([`topo_until_values`]'s default mode) over the transient states folds
+/// the absorption probabilities in. A chain that is one bottom SCC runs
+/// the damped iteration `π ← ½π + ½πP` on the whole chain from the
+/// initial distribution instead — the paper's irreducible models take
+/// this path.
+///
+/// # Errors
+///
+/// * [`DtmcError::DimensionMismatch`] for a wrong-length `sat` or a
+///   condensation of another chain.
+/// * [`DtmcError::NoConvergence`] if a power iteration or a transient
+///   component misses `tol` within `max_iter` sweeps.
+pub fn steady_state_prob(
+    dtmc: &Dtmc,
+    cond: &graph::Condensation,
+    sat: &BitVec,
+    tol: f64,
+    max_iter: usize,
+) -> Result<f64, DtmcError> {
+    check_dims(dtmc, cond, &[sat])?;
+    if cond.n_components() == 1 {
+        return whole_chain_steady_prob(dtmc, sat, tol, max_iter);
     }
-    let s0 = graph::can_reach(dtmc, target, None).not();
-    let certain = graph::can_reach(dtmc, &s0, Some(target)).not();
-    let active = certain.and(&target.not());
-    let rewards = dtmc.rewards();
-    let r_max = active.iter_ones().map(|i| rewards[i]).fold(0.0, f64::max);
-    let seed = if r_max == 0.0 {
-        0.0
-    } else {
-        let (k, delta) = hitting_probe(dtmc, target, &active)?;
-        k as f64 * r_max / delta
-    };
-    let mut cur: Vec<(f64, f64)> = (0..n)
-        .map(|i| {
-            if active.get(i) {
-                (0.0, seed)
-            } else if certain.get(i) {
-                (0.0, 0.0)
-            } else {
-                (f64::INFINITY, f64::INFINITY)
+    let n = dtmc.n_states();
+    let mut x = vec![0.0; n];
+    let mut transient = BitVec::ones(n);
+    let mut pi: Vec<f64> = Vec::new();
+    let mut next: Vec<f64> = Vec::new();
+    for &ci in cond.bottom() {
+        let members = cond.comp(ci as usize);
+        let inside = members.iter().filter(|&&s| sat.get(s as usize)).count();
+        let mass = if inside == 0 {
+            0.0
+        } else if inside == members.len() {
+            1.0
+        } else {
+            if pi.is_empty() {
+                pi = vec![0.0; n];
+                next = vec![0.0; n];
             }
-        })
-        .collect();
-    let cond = graph::Condensation::new(dtmc);
-    let iterations = topo_interval_driver(
-        dtmc.matrix(),
-        &cond,
-        &active,
-        Some(rewards),
-        &mut cur,
-        epsilon,
-        max_iter,
-    )?;
-    let (lo, hi) = cur.into_iter().unzip();
-    Ok(CertifiedValues { lo, hi, iterations })
+            bscc_mass(
+                dtmc.matrix(),
+                ci,
+                members,
+                sat,
+                &mut pi,
+                &mut next,
+                tol,
+                max_iter,
+            )?
+        };
+        for &s in members {
+            x[s as usize] = mass;
+            transient.set(s as usize, false);
+        }
+    }
+    topo_walk(dtmc.matrix(), cond, &transient, None, &mut x, tol, max_iter)?;
+    Ok(dtmc.initial().iter().map(|&(s, p)| p * x[s as usize]).sum())
+}
+
+/// Damped power iteration over the whole (irreducible) chain from the
+/// initial distribution.
+fn whole_chain_steady_prob(
+    dtmc: &Dtmc,
+    sat: &BitVec,
+    tol: f64,
+    max_iter: usize,
+) -> Result<f64, DtmcError> {
+    let mut pi = dtmc.initial_dense();
+    let mut stepped = vec![0.0; pi.len()];
+    for it in 1..=max_iter {
+        dtmc.matrix().forward_into(&pi, &mut stepped);
+        let mut delta: f64 = 0.0;
+        for (p, s) in pi.iter_mut().zip(&stepped) {
+            let lazy = 0.5 * *p + 0.5 * s;
+            delta = delta.max((lazy - *p).abs());
+            *p = lazy;
+        }
+        f64::record_sweep("steady", it, delta, None);
+        if delta < tol {
+            return Ok(sat.iter_ones().map(|i| pi[i]).sum());
+        }
+    }
+    Err(DtmcError::NoConvergence {
+        iterations: max_iter,
+        residual: tol,
+    })
+}
+
+/// The long-run mass of `sat` inside the bottom SCC `members`: damped power
+/// iteration `π ← ½π + ½πP` over the component's rows only, from the
+/// uniform distribution on it (a bottom SCC is irreducible, so the limit
+/// is its unique stationary distribution whatever the start, and the lazy
+/// step removes periodicity). `pi`/`next` are full-length scratch vectors
+/// of which only the members' slots are touched.
+#[allow(clippy::too_many_arguments)]
+fn bscc_mass(
+    matrix: &TransitionMatrix,
+    ci: u32,
+    members: &[u32],
+    sat: &BitVec,
+    pi: &mut [f64],
+    next: &mut [f64],
+    tol: f64,
+    max_iter: usize,
+) -> Result<f64, DtmcError> {
+    let uniform = 1.0 / members.len() as f64;
+    for &s in members {
+        pi[s as usize] = uniform;
+    }
+    for it in 1..=max_iter {
+        for &s in members {
+            next[s as usize] = 0.5 * pi[s as usize];
+        }
+        for &s in members {
+            let half = 0.5 * pi[s as usize];
+            for (c, p) in matrix.row_iter(s as usize) {
+                next[c as usize] += p * half;
+            }
+        }
+        let mut delta: f64 = 0.0;
+        for &s in members {
+            let s = s as usize;
+            delta = delta.max((next[s] - pi[s]).abs());
+            pi[s] = next[s];
+        }
+        f64::record_sweep("bscc", it, delta, Some(ci));
+        if delta < tol {
+            return Ok(members
+                .iter()
+                .filter(|&&s| sat.get(s as usize))
+                .map(|&s| pi[s as usize])
+                .sum());
+        }
+    }
+    Err(DtmcError::NoConvergence {
+        iterations: max_iter,
+        residual: tol,
+    })
 }
 
 #[cfg(test)]
@@ -1556,10 +1702,11 @@ mod tests {
         let global = super::interval_reach_values(&e.dtmc, &goal, 1e-10, 10_000_000)
             .unwrap()
             .midpoints();
-        let topo = super::topo_interval_reach_values(&e.dtmc, &goal, 1e-10, 10_000_000).unwrap();
+        let topo =
+            super::topo_interval_reach_values(&e.dtmc, &cond, &goal, 1e-10, 10_000_000).unwrap();
         assert!(topo.width() < 1e-10);
         let topo_mid = topo.midpoints();
-        let plain = super::topo_reach_values(&e.dtmc, &goal, 1e-12, 1_000_000).unwrap();
+        let plain = super::topo_reach_values(&e.dtmc, &cond, &goal, 1e-12, 1_000_000).unwrap();
         for i in 0..e.dtmc.n_states() {
             assert!((global[i] - topo_mid[i]).abs() < 1e-9, "state {i}");
             assert!((plain[i] - topo_mid[i]).abs() < 1e-8, "state {i}");
@@ -1581,14 +1728,14 @@ mod tests {
         assert_eq!(cond.dag_depth(), depth + 1);
         let target = d.label("target").unwrap().clone();
         let absorbing = d.label("absorbing").unwrap().clone();
-        let reach = super::topo_reach_values(&d, &target, 1e-12, 1_000_000).unwrap();
+        let reach = super::topo_reach_values(&d, &cond, &target, 1e-12, 1_000_000).unwrap();
         assert!((reach[0] - 0.5).abs() < 1e-12);
-        let cert = super::topo_interval_reach_values(&d, &target, 1e-9, 10_000_000).unwrap();
+        let cert = super::topo_interval_reach_values(&d, &cond, &target, 1e-9, 10_000_000).unwrap();
         assert!(cert.width() < 1e-9);
         assert!(cert.lo[0] <= 0.5 && 0.5 <= cert.hi[0]);
         // Expected steps to absorption from the head is exactly `depth`.
-        let rew =
-            super::topo_interval_reach_reward_values(&d, &absorbing, 1e-6, 10_000_000).unwrap();
+        let rew = super::topo_interval_reach_reward_values(&d, &cond, &absorbing, 1e-6, 10_000_000)
+            .unwrap();
         let want = depth as f64;
         assert!(
             rew.lo[0] - 1e-6 <= want && want <= rew.hi[0] + 1e-6,
@@ -1749,163 +1896,164 @@ mod tests {
         }
 
         proptest! {
-            #![proptest_config(ProptestConfig::with_cases(48))]
+                    #![proptest_config(ProptestConfig::with_cases(48))]
 
-            /// Hybrid sweeps of arbitrary block geometry agree with serial
-            /// Gauss–Seidel and with Jacobi value iteration on random
-            /// absorbing chains.
-            #[test]
-            fn hybrid_pinned_to_serial_on_random_chains(
-                n in 8u32..60,
-                edges in proptest::collection::vec((0u32..64, 0u32..64, 1u32..8), 60),
-                block_len in 1usize..40,
-            ) {
-                let model = RandomAbsorbing { n, edges };
-                let e = explore(&model, &ExploreOptions::default()).unwrap();
-                let goal = e.dtmc.label("goal").unwrap().clone();
-                // Some random chains place the goal out of reach of every
-                // explored state; the solvers must still agree.
-                let serial = gauss_seidel_reach(&e.dtmc, &goal, 1e-13, 1_000_000).unwrap();
-                let jacobi =
-                    transient::unbounded_reach_values(&e.dtmc, &goal, 1e-13, 1_000_000).unwrap();
-                let hybrid =
-                    super::hybrid_fixed_point(&e.dtmc, &goal, block_len, 1e-13).unwrap();
-                for (i, ((h, s), j)) in hybrid.iter().zip(&serial).zip(&jacobi).enumerate() {
-                    prop_assert!((h - s).abs() < 1e-8, "state {i}: hybrid {h} vs serial {s}");
-                    prop_assert!((h - j).abs() < 1e-8, "state {i}: hybrid {h} vs jacobi {j}");
-                }
-            }
+                    /// Hybrid sweeps of arbitrary block geometry agree with serial
+                    /// Gauss–Seidel and with Jacobi value iteration on random
+                    /// absorbing chains.
+                    #[test]
+                    fn hybrid_pinned_to_serial_on_random_chains(
+                        n in 8u32..60,
+                        edges in proptest::collection::vec((0u32..64, 0u32..64, 1u32..8), 60),
+                        block_len in 1usize..40,
+                    ) {
+                        let model = RandomAbsorbing { n, edges };
+                        let e = explore(&model, &ExploreOptions::default()).unwrap();
+                        let goal = e.dtmc.label("goal").unwrap().clone();
+                        // Some random chains place the goal out of reach of every
+                        // explored state; the solvers must still agree.
+                        let serial = gauss_seidel_reach(&e.dtmc, &goal, 1e-13, 1_000_000).unwrap();
+                        let jacobi =
+                            transient::unbounded_reach_values(&e.dtmc, &goal, 1e-13, 1_000_000).unwrap();
+                        let hybrid =
+                            super::hybrid_fixed_point(&e.dtmc, &goal, block_len, 1e-13).unwrap();
+                        for (i, ((h, s), j)) in hybrid.iter().zip(&serial).zip(&jacobi).enumerate() {
+                            prop_assert!((h - s).abs() < 1e-8, "state {i}: hybrid {h} vs serial {s}");
+                            prop_assert!((h - j).abs() < 1e-8, "state {i}: hybrid {h} vs jacobi {j}");
+                        }
+                    }
 
-            /// The certified reachability interval always brackets the
-            /// exact linear-system solution, with width below ε, on random
-            /// absorbing chains.
-            #[test]
-            fn interval_brackets_exact_solve_on_random_chains(
-                n in 8u32..60,
-                edges in proptest::collection::vec((0u32..64, 0u32..64, 1u32..8), 60),
-            ) {
-                let model = RandomAbsorbing { n, edges };
-                let e = explore(&model, &ExploreOptions::default()).unwrap();
-                let goal = e.dtmc.label("goal").unwrap().clone();
-                let eps = 1e-8;
-                let cert =
-                    super::super::interval_reach_values(&e.dtmc, &goal, eps, 10_000_000).unwrap();
-                prop_assert!(cert.width() < eps);
-                let exact = exact_reach(&e.dtmc, &goal);
-                for (i, v) in exact.iter().enumerate() {
-                    prop_assert!(
-                        cert.lo[i] - 1e-10 <= *v && *v <= cert.hi[i] + 1e-10,
-                        "state {i}: exact {v} outside [{}, {}]",
-                        cert.lo[i], cert.hi[i]
-                    );
-                }
-            }
+                    /// The certified reachability interval always brackets the
+                    /// exact linear-system solution, with width below ε, on random
+                    /// absorbing chains.
+                    #[test]
+                    fn interval_brackets_exact_solve_on_random_chains(
+                        n in 8u32..60,
+                        edges in proptest::collection::vec((0u32..64, 0u32..64, 1u32..8), 60),
+                    ) {
+                        let model = RandomAbsorbing { n, edges };
+                        let e = explore(&model, &ExploreOptions::default()).unwrap();
+                        let goal = e.dtmc.label("goal").unwrap().clone();
+                        let eps = 1e-8;
+                        let cert =
+                            super::super::interval_reach_values(&e.dtmc, &goal, eps, 10_000_000).unwrap();
+                        prop_assert!(cert.width() < eps);
+                        let exact = exact_reach(&e.dtmc, &goal);
+                        for (i, v) in exact.iter().enumerate() {
+                            prop_assert!(
+                                cert.lo[i] - 1e-10 <= *v && *v <= cert.hi[i] + 1e-10,
+                                "state {i}: exact {v} outside [{}, {}]",
+                                cert.lo[i], cert.hi[i]
+                            );
+                        }
+                    }
 
-            /// The certified reachability-reward interval always brackets
-            /// the exact linear-system solution (∞ states matching the
-            /// qualitative analysis exactly) on random rewarded chains.
-            #[test]
-            fn interval_reward_brackets_exact_solve_on_random_chains(
-                n in 8u32..60,
-                edges in proptest::collection::vec((0u32..64, 0u32..64, 1u32..8), 60),
-            ) {
-                let model = RandomAbsorbing { n, edges };
-                let e = explore(&model, &ExploreOptions::default()).unwrap();
-                let goal = e.dtmc.label("goal").unwrap().clone();
-                let eps = 1e-7;
-                let cert =
-                    super::super::interval_reach_reward_values(&e.dtmc, &goal, eps, 10_000_000)
-                        .unwrap();
-                prop_assert!(cert.width() < eps);
-                let exact = exact_reach_reward(&e.dtmc, &goal);
-                for (i, v) in exact.iter().enumerate() {
-                    if v.is_infinite() {
-                        prop_assert_eq!(cert.lo[i], f64::INFINITY, "state {}", i);
-                        prop_assert_eq!(cert.hi[i], f64::INFINITY, "state {}", i);
-                    } else {
-                        // The dense factorization itself carries rounding
-                        // noise; allow it proportionally.
-                        let slack = 1e-9 * (1.0 + v.abs());
-                        prop_assert!(
-                            cert.lo[i] - slack <= *v && *v <= cert.hi[i] + slack,
-                            "state {i}: exact {v} outside [{}, {}]",
-                            cert.lo[i], cert.hi[i]
-                        );
+                    /// The certified reachability-reward interval always brackets
+                    /// the exact linear-system solution (∞ states matching the
+                    /// qualitative analysis exactly) on random rewarded chains.
+                    #[test]
+                    fn interval_reward_brackets_exact_solve_on_random_chains(
+                        n in 8u32..60,
+                        edges in proptest::collection::vec((0u32..64, 0u32..64, 1u32..8), 60),
+                    ) {
+                        let model = RandomAbsorbing { n, edges };
+                        let e = explore(&model, &ExploreOptions::default()).unwrap();
+                        let goal = e.dtmc.label("goal").unwrap().clone();
+                        let eps = 1e-7;
+                        let cert =
+                            super::super::interval_reach_reward_values(&e.dtmc, &goal, eps, 10_000_000)
+                                .unwrap();
+                        prop_assert!(cert.width() < eps);
+                        let exact = exact_reach_reward(&e.dtmc, &goal);
+                        for (i, v) in exact.iter().enumerate() {
+                            if v.is_infinite() {
+                                prop_assert_eq!(cert.lo[i], f64::INFINITY, "state {}", i);
+                                prop_assert_eq!(cert.hi[i], f64::INFINITY, "state {}", i);
+                            } else {
+                                // The dense factorization itself carries rounding
+                                // noise; allow it proportionally.
+                                let slack = 1e-9 * (1.0 + v.abs());
+                                prop_assert!(
+                                    cert.lo[i] - slack <= *v && *v <= cert.hi[i] + slack,
+                                    "state {i}: exact {v} outside [{}, {}]",
+                                    cert.lo[i], cert.hi[i]
+                                );
+                            }
+                        }
+                    }
+
+                    /// Topological (SCC-ordered) solving agrees with the global
+                    /// solvers on random absorbing chains: plain values within the
+                    /// solver tolerance, certified intervals still ε-wide and
+                    /// bracketing the exact linear-system solution.
+                    #[test]
+                    fn topological_matches_global_on_random_chains(
+                        n in 8u32..60,
+                        edges in proptest::collection::vec((0u32..64, 0u32..64, 1u32..8), 60),
+                    ) {
+                        let model = RandomAbsorbing { n, edges };
+                        let e = explore(&model, &ExploreOptions::default()).unwrap();
+                        let goal = e.dtmc.label("goal").unwrap().clone();
+                        let global =
+                            transient::unbounded_reach_values(&e.dtmc, &goal, 1e-12, 1_000_000).unwrap();
+                        let topo =
+                            super::super::topo_reach_values(
+        &e.dtmc, &crate::graph::Condensation::new(&e.dtmc), &goal, 1e-12, 1_000_000).unwrap();
+                        for (i, (t, g)) in topo.iter().zip(&global).enumerate() {
+                            prop_assert!((t - g).abs() < 1e-8, "state {i}: topo {t} vs global {g}");
+                        }
+                        let eps = 1e-8;
+                        let cert = super::super::topo_interval_reach_values(
+        &e.dtmc, &crate::graph::Condensation::new(&e.dtmc), &goal, eps, 10_000_000,
+                        ).unwrap();
+                        prop_assert!(cert.width() < eps);
+                        let exact = exact_reach(&e.dtmc, &goal);
+                        for (i, v) in exact.iter().enumerate() {
+                            prop_assert!(
+                                cert.lo[i] - 1e-10 <= *v && *v <= cert.hi[i] + 1e-10,
+                                "state {i}: exact {v} outside topo [{}, {}]",
+                                cert.lo[i], cert.hi[i]
+                            );
+                        }
+                    }
+
+                    /// The topological reachability-reward drivers agree with the
+                    /// exact solve — including the ∞ region, which the qualitative
+                    /// pre-pass must pin identically however the SCCs are ordered.
+                    #[test]
+                    fn topological_reward_matches_exact_on_random_chains(
+                        n in 8u32..60,
+                        edges in proptest::collection::vec((0u32..64, 0u32..64, 1u32..8), 60),
+                    ) {
+                        let model = RandomAbsorbing { n, edges };
+                        let e = explore(&model, &ExploreOptions::default()).unwrap();
+                        let goal = e.dtmc.label("goal").unwrap().clone();
+                        let exact = exact_reach_reward(&e.dtmc, &goal);
+                        let topo = super::super::topo_reach_reward_values(
+        &e.dtmc, &crate::graph::Condensation::new(&e.dtmc), &goal, 1e-12, 1_000_000,
+                        ).unwrap();
+                        let cert = super::super::topo_interval_reach_reward_values(
+        &e.dtmc, &crate::graph::Condensation::new(&e.dtmc), &goal, 1e-7, 10_000_000,
+                        ).unwrap();
+                        prop_assert!(cert.width() < 1e-7);
+                        for (i, v) in exact.iter().enumerate() {
+                            if v.is_infinite() {
+                                prop_assert_eq!(topo[i], f64::INFINITY, "state {}", i);
+                                prop_assert_eq!(cert.lo[i], f64::INFINITY, "state {}", i);
+                            } else {
+                                let slack = 1e-8 * (1.0 + v.abs());
+                                prop_assert!(
+                                    (topo[i] - v).abs() < slack,
+                                    "state {i}: topo {} vs exact {v}", topo[i]
+                                );
+                                prop_assert!(
+                                    cert.lo[i] - slack <= *v && *v <= cert.hi[i] + slack,
+                                    "state {i}: exact {v} outside topo [{}, {}]",
+                                    cert.lo[i], cert.hi[i]
+                                );
+                            }
+                        }
                     }
                 }
-            }
-
-            /// Topological (SCC-ordered) solving agrees with the global
-            /// solvers on random absorbing chains: plain values within the
-            /// solver tolerance, certified intervals still ε-wide and
-            /// bracketing the exact linear-system solution.
-            #[test]
-            fn topological_matches_global_on_random_chains(
-                n in 8u32..60,
-                edges in proptest::collection::vec((0u32..64, 0u32..64, 1u32..8), 60),
-            ) {
-                let model = RandomAbsorbing { n, edges };
-                let e = explore(&model, &ExploreOptions::default()).unwrap();
-                let goal = e.dtmc.label("goal").unwrap().clone();
-                let global =
-                    transient::unbounded_reach_values(&e.dtmc, &goal, 1e-12, 1_000_000).unwrap();
-                let topo =
-                    super::super::topo_reach_values(&e.dtmc, &goal, 1e-12, 1_000_000).unwrap();
-                for (i, (t, g)) in topo.iter().zip(&global).enumerate() {
-                    prop_assert!((t - g).abs() < 1e-8, "state {i}: topo {t} vs global {g}");
-                }
-                let eps = 1e-8;
-                let cert = super::super::topo_interval_reach_values(
-                    &e.dtmc, &goal, eps, 10_000_000,
-                ).unwrap();
-                prop_assert!(cert.width() < eps);
-                let exact = exact_reach(&e.dtmc, &goal);
-                for (i, v) in exact.iter().enumerate() {
-                    prop_assert!(
-                        cert.lo[i] - 1e-10 <= *v && *v <= cert.hi[i] + 1e-10,
-                        "state {i}: exact {v} outside topo [{}, {}]",
-                        cert.lo[i], cert.hi[i]
-                    );
-                }
-            }
-
-            /// The topological reachability-reward drivers agree with the
-            /// exact solve — including the ∞ region, which the qualitative
-            /// pre-pass must pin identically however the SCCs are ordered.
-            #[test]
-            fn topological_reward_matches_exact_on_random_chains(
-                n in 8u32..60,
-                edges in proptest::collection::vec((0u32..64, 0u32..64, 1u32..8), 60),
-            ) {
-                let model = RandomAbsorbing { n, edges };
-                let e = explore(&model, &ExploreOptions::default()).unwrap();
-                let goal = e.dtmc.label("goal").unwrap().clone();
-                let exact = exact_reach_reward(&e.dtmc, &goal);
-                let topo = super::super::topo_reach_reward_values(
-                    &e.dtmc, &goal, 1e-12, 1_000_000,
-                ).unwrap();
-                let cert = super::super::topo_interval_reach_reward_values(
-                    &e.dtmc, &goal, 1e-7, 10_000_000,
-                ).unwrap();
-                prop_assert!(cert.width() < 1e-7);
-                for (i, v) in exact.iter().enumerate() {
-                    if v.is_infinite() {
-                        prop_assert_eq!(topo[i], f64::INFINITY, "state {}", i);
-                        prop_assert_eq!(cert.lo[i], f64::INFINITY, "state {}", i);
-                    } else {
-                        let slack = 1e-8 * (1.0 + v.abs());
-                        prop_assert!(
-                            (topo[i] - v).abs() < slack,
-                            "state {i}: topo {} vs exact {v}", topo[i]
-                        );
-                        prop_assert!(
-                            cert.lo[i] - slack <= *v && *v <= cert.hi[i] + slack,
-                            "state {i}: exact {v} outside topo [{}, {}]",
-                            cert.lo[i], cert.hi[i]
-                        );
-                    }
-                }
-            }
-        }
     }
 }

@@ -150,11 +150,14 @@ mod tests {
         let d = layered_chain(depth, 4);
         let target = d.label("target").unwrap().clone();
         let absorbing = d.label("absorbing").unwrap().clone();
-        let reach = solve::topo_reach_values(&d, &target, 1e-12, 10_000).unwrap();
+        let reach =
+            solve::topo_reach_values(&d, &Condensation::new(&d), &target, 1e-12, 10_000).unwrap();
         for (i, v) in reach.iter().enumerate().take(depth * 4) {
             assert!((v - 0.5).abs() < 1e-12, "state {i}: {v}");
         }
-        let rew = solve::topo_reach_reward_values(&d, &absorbing, 1e-12, 10_000).unwrap();
+        let rew =
+            solve::topo_reach_reward_values(&d, &Condensation::new(&d), &absorbing, 1e-12, 10_000)
+                .unwrap();
         for layer in 0..depth {
             let want = (depth - layer) as f64;
             let got = rew[layer * 4];

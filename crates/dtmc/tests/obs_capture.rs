@@ -6,6 +6,7 @@
 //! on: with no recorder installed, results are identical.
 
 use smg_dtmc::bitvec::BitVec;
+use smg_dtmc::graph::Condensation;
 use smg_dtmc::matrix::{CsrMatrix, TransitionMatrix};
 use smg_dtmc::{solve, transient, Dtmc};
 use smg_obs as obs;
@@ -105,14 +106,31 @@ fn topo_interval_driver_tags_components() {
     let d = Dtmc::new(m, vec![(0, 1.0)], labels, vec![0.0, 0.0, 1.0, 0.0]).unwrap();
     let goal = d.label("goal").unwrap().clone();
     let eps = 1e-9;
+    let cond = Condensation::new(&d);
     let (cap, certified) =
-        captured(|| solve::topo_interval_reach_values(&d, &goal, eps, 10_000).unwrap());
+        captured(|| solve::topo_interval_reach_values(&d, &cond, &goal, eps, 10_000).unwrap());
     assert!(certified.hi[0] - certified.lo[0] < eps);
     let traces = cap.traces_for("topo_interval");
     assert_eq!(traces.len(), certified.iterations);
     assert!(traces.iter().any(|t| t.component.is_some()), "{traces:?}");
     assert!(traces.iter().any(|t| t.component.is_none()), "{traces:?}");
     assert!(traces.last().unwrap().width.unwrap() < eps);
+
+    // The default (residual) walk over the same condensation reports under
+    // its own label, with residuals instead of widths.
+    let (cap, values) =
+        captured(|| solve::topo_reach_values(&d, &cond, &goal, 1e-12, 10_000).unwrap());
+    assert!((values[0] - 1.0).abs() < 1e-9);
+    let traces = cap.traces_for("topo");
+    assert!(!traces.is_empty());
+    assert_eq!(
+        cap.counter_with("smg_solve_sweeps_total", "topo"),
+        traces.len() as u64
+    );
+    assert!(traces.iter().any(|t| t.component.is_some()), "{traces:?}");
+    assert!(traces.iter().all(|t| t.width.is_none()));
+    let last_cycle = traces.iter().rev().find(|t| t.component.is_some()).unwrap();
+    assert!(last_cycle.residual.unwrap() < 1e-12, "{last_cycle:?}");
 }
 
 #[test]

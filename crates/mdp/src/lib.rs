@@ -39,10 +39,13 @@
 //!
 //! # Topological solving
 //!
-//! The `topo_certified_*` drivers in [`vi`] walk the SCC condensation of
-//! the any-action graph ([`qual::Condensation`]) sinks-first, solving each
-//! component with its successors' certified bounds as constants — end
-//! components never span SCCs, so deflation/inflation stays local:
+//! The `topo_*` drivers in [`vi`] walk the SCC condensation of the
+//! any-action graph ([`qual::condensation`]) sinks-first, solving each
+//! component with its successors' values (or certified bounds, for the
+//! `topo_certified_*` family) as constants — end components never span
+//! SCCs, so deflation/inflation stays local. The default drivers keep one
+//! lower value per state and stop each component on a residual; the
+//! certified ones keep a bracket and stop on its width:
 //!
 //! ```
 //! use smg_mdp::{vi, Mdp, MdpBuilder, Opt, ViOptions};
@@ -62,13 +65,15 @@
 //! labels.insert("goal".to_string(), BitVec::from_fn(3, |i| i == 1));
 //! let mdp = Mdp::new(b.finish(), vec![(0, 1.0)], labels, vec![0.0; 3])?;
 //!
-//! let cond = smg_mdp::qual::Condensation::new(&mdp);
+//! let cond = smg_mdp::qual::condensation(&mdp);
 //! assert_eq!(cond.largest(), 1); // every SCC trivial → pure backsubstitution
 //! let goal = mdp.label("goal")?.clone();
-//! let cert =
-//!     vi::topo_certified_reach_values(&mdp, &goal, Opt::Max, 1e-9, &ViOptions::default())?;
+//! let vio = ViOptions::default();
+//! let cert = vi::topo_certified_reach_values(&mdp, &cond, &goal, Opt::Max, 1e-9, &vio)?;
 //! assert!(cert.lo[0] <= 0.5 && 0.5 <= cert.hi[0]);
 //! assert!(cert.width() < 1e-9);
+//! let plain = vi::topo_reach_values(&mdp, &cond, &goal, Opt::Max, &vio)?;
+//! assert_eq!(plain[0], 0.5); // closed form: one exact backsubstitution
 //! # Ok::<(), smg_dtmc::DtmcError>(())
 //! ```
 //!

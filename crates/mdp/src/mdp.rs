@@ -147,6 +147,38 @@ impl Mdp {
         }
     }
 
+    /// The positive-probability successors of state `s` under any of its
+    /// actions (in storage order; a state reached by several actions
+    /// repeats) — the any-action graph the condensation and the
+    /// qualitative passes walk.
+    pub(crate) fn successors(&self, s: usize) -> impl Iterator<Item = u32> + '_ {
+        let lo = self.act_ptr[self.state_ptr[s]];
+        let hi = self.act_ptr[self.state_ptr[s + 1]];
+        self.cols[lo..hi]
+            .iter()
+            .zip(&self.vals[lo..hi])
+            .filter(|&(_, &p)| p > 0.0)
+            .map(|(&c, _)| c)
+    }
+
+    /// The global ids of state `s`'s choices (its actions, numbered across
+    /// the whole MDP): choice `state_choices(s).start + a` is local action
+    /// `a`.
+    pub(crate) fn state_choices(&self, s: usize) -> std::ops::Range<usize> {
+        self.state_ptr[s]..self.state_ptr[s + 1]
+    }
+
+    /// Iterates `(column, probability)` of the choice with global id
+    /// `choice` (see [`Mdp::state_choices`]).
+    pub(crate) fn choice_row(&self, choice: usize) -> RowIter<'_> {
+        let lo = self.act_ptr[choice];
+        let hi = self.act_ptr[choice + 1];
+        RowIter::Sparse {
+            cols: self.cols[lo..hi].iter(),
+            vals: self.vals[lo..hi].iter(),
+        }
+    }
+
     /// The initial distribution as `(state, mass)` pairs.
     pub fn initial(&self) -> &[(StateId, f64)] {
         &self.initial

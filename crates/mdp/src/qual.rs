@@ -22,6 +22,14 @@
 //!   almost surely from every `Pmax = 1` state, built by a safe-action
 //!   attractor (used to seed the certified `Rmin` descent with a cost that
 //!   is provably finite).
+//! * [`condensation`] — the SCC condensation of the any-action graph that
+//!   the topological drivers walk.
+//!
+//! Every fixpoint runs as a worklist over a predecessor index of the
+//! choices (each state lists the choices that can move into it), so each
+//! pass touches every transition a constant number of times: linear in the
+//! MDP's size, however deep its graph. (`prob1_max` keeps de Alfaro's
+//! outer loop, one linear pass per refinement.)
 //!
 //! Every function takes the until-style `(lhs, rhs)` masks the checkers
 //! use: states outside `lhs ∪ rhs` are failure states whose actions are
@@ -29,8 +37,10 @@
 //! of `lhs U rhs`.
 
 use crate::mdp::Mdp;
+use smg_dtmc::graph::Condensation;
 use smg_dtmc::BitVec;
 use smg_obs as obs;
+use std::collections::VecDeque;
 
 /// Whether state `s` may be expanded through: a legal path intermediate
 /// (in `lhs`, not already in `rhs`).
@@ -39,35 +49,80 @@ fn expandable(lhs: &BitVec, rhs: &BitVec, s: usize) -> bool {
     lhs.get(s) && !rhs.get(s)
 }
 
+/// The predecessor index of an MDP's choices: for every state `c`, the
+/// global ids of the choices with `c` in their positive-probability
+/// support (ascending), plus the state owning each choice.
+struct ChoicePreds {
+    ptr: Vec<usize>,
+    choices: Vec<u32>,
+    owner: Vec<u32>,
+}
+
+impl ChoicePreds {
+    fn new(mdp: &Mdp) -> ChoicePreds {
+        let n = mdp.n_states();
+        let mut owner = vec![0u32; mdp.n_choices()];
+        let mut ptr = vec![0usize; n + 1];
+        for s in 0..n {
+            for choice in mdp.state_choices(s) {
+                owner[choice] = s as u32;
+                for (c, p) in mdp.choice_row(choice) {
+                    if p > 0.0 {
+                        ptr[c as usize + 1] += 1;
+                    }
+                }
+            }
+        }
+        for c in 0..n {
+            ptr[c + 1] += ptr[c];
+        }
+        let mut fill = ptr.clone();
+        let mut choices = vec![0u32; ptr[n]];
+        for choice in 0..mdp.n_choices() {
+            for (c, p) in mdp.choice_row(choice) {
+                if p > 0.0 {
+                    choices[fill[c as usize]] = choice as u32;
+                    fill[c as usize] += 1;
+                }
+            }
+        }
+        ChoicePreds {
+            ptr,
+            choices,
+            owner,
+        }
+    }
+
+    /// The choices that can move into state `c`.
+    fn entering(&self, c: usize) -> &[u32] {
+        &self.choices[self.ptr[c]..self.ptr[c + 1]]
+    }
+}
+
+/// Whether every positive-probability successor of `choice` lies in `set`.
+fn stays_in(mdp: &Mdp, choice: usize, set: impl Fn(usize) -> bool) -> bool {
+    mdp.choice_row(choice)
+        .all(|(c, p)| p == 0.0 || set(c as usize))
+}
+
 /// The states that can reach `rhs` with positive probability under *some*
 /// scheduler, through `lhs`-states only — the complement of the
 /// `Pmax = 0` set.
 pub fn pre_star(mdp: &Mdp, lhs: &BitVec, rhs: &BitVec) -> BitVec {
-    let n = mdp.n_states();
-    // Predecessor adjacency over expandable sources (any action).
-    let mut preds: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for s in 0..n {
-        if !expandable(lhs, rhs, s) {
-            continue;
-        }
-        for a in 0..mdp.action_count(s) {
-            for (c, p) in mdp.action_row(s, a) {
-                if p > 0.0 {
-                    preds[c as usize].push(s as u32);
-                }
-            }
-        }
-    }
-    let mut reach = BitVec::zeros(n);
-    let mut queue: std::collections::VecDeque<u32> =
-        (0..n as u32).filter(|&s| rhs.get(s as usize)).collect();
+    pre_star_with(mdp, &ChoicePreds::new(mdp), lhs, rhs)
+}
+
+fn pre_star_with(mdp: &Mdp, preds: &ChoicePreds, lhs: &BitVec, rhs: &BitVec) -> BitVec {
+    let mut reach = BitVec::zeros(mdp.n_states());
+    let mut queue: VecDeque<usize> = rhs.iter_ones().collect();
     for &s in &queue {
-        reach.set(s as usize, true);
+        reach.set(s, true);
     }
-    while let Some(u) = queue.pop_front() {
-        for &s in &preds[u as usize] {
-            if !reach.get(s as usize) {
-                reach.set(s as usize, true);
+    while let Some(c) = queue.pop_front() {
+        for &choice in preds.entering(c) {
+            let s = preds.owner[choice as usize] as usize;
+            if !reach.get(s) && expandable(lhs, rhs, s) {
+                reach.set(s, true);
                 queue.push_back(s);
             }
         }
@@ -84,29 +139,36 @@ pub fn prob0_max(mdp: &Mdp, lhs: &BitVec, rhs: &BitVec) -> BitVec {
 /// The `Pmin = 0` states of `lhs U rhs`: *some* scheduler avoids `rhs`
 /// almost surely (PRISM `Prob0E`). Computed as the greatest fixpoint of
 /// `U = {s ∉ rhs : s is a failure state, or some action keeps all mass
-/// in U}`.
+/// in U}`: states leave `U` from `rhs` outward, and an expandable state
+/// leaves once every one of its actions can move out of `U`.
 pub fn prob0_min(mdp: &Mdp, lhs: &BitVec, rhs: &BitVec) -> BitVec {
+    prob0_min_with(mdp, &ChoicePreds::new(mdp), lhs, rhs)
+}
+
+fn prob0_min_with(mdp: &Mdp, preds: &ChoicePreds, lhs: &BitVec, rhs: &BitVec) -> BitVec {
     let n = mdp.n_states();
     let mut u = rhs.not();
-    loop {
-        let mut changed = false;
-        for s in 0..n {
-            if !u.get(s) || !expandable(lhs, rhs, s) {
-                continue; // rhs states stay out; failure states stay in.
+    // Per state: actions still keeping all their mass inside `U`.
+    let mut staying: Vec<u32> = (0..n).map(|s| mdp.action_count(s) as u32).collect();
+    let mut leaves = vec![false; mdp.n_choices()];
+    let mut queue: VecDeque<usize> = rhs.iter_ones().collect();
+    while let Some(c) = queue.pop_front() {
+        for &choice in preds.entering(c) {
+            let choice = choice as usize;
+            if leaves[choice] {
+                continue;
             }
-            let stays = (0..mdp.action_count(s)).any(|a| {
-                mdp.action_row(s, a)
-                    .all(|(c, p)| p == 0.0 || u.get(c as usize))
-            });
-            if !stays {
+            leaves[choice] = true;
+            let s = preds.owner[choice] as usize;
+            staying[s] -= 1;
+            // rhs states are never in `U`; failure states stay in it.
+            if staying[s] == 0 && u.get(s) && expandable(lhs, rhs, s) {
                 u.set(s, false);
-                changed = true;
+                queue.push_back(s);
             }
-        }
-        if !changed {
-            return u;
         }
     }
+    u
 }
 
 /// The `Pmin = 1` states of `lhs U rhs`: every scheduler reaches `rhs`
@@ -114,49 +176,39 @@ pub fn prob0_min(mdp: &Mdp, lhs: &BitVec, rhs: &BitVec) -> BitVec {
 /// some scheduler reaches the `Pmin = 0` region with positive probability
 /// before `rhs`, so this is `¬ pre*(prob0_min)`.
 pub fn prob1_min(mdp: &Mdp, lhs: &BitVec, rhs: &BitVec) -> BitVec {
-    let zero = prob0_min(mdp, lhs, rhs);
+    let preds = ChoicePreds::new(mdp);
+    let zero = prob0_min_with(mdp, &preds, lhs, rhs);
     // Intermediates must avoid rhs (reaching rhs first is a success), so
     // restrict the expansion mask to lhs ∖ rhs — `pre_star` already never
     // expands through its `rhs` argument (`zero` here), and we exclude the
     // real rhs by masking it out of lhs.
-    pre_star(mdp, &lhs.and(&rhs.not()), &zero).not()
+    pre_star_with(mdp, &preds, &lhs.and(&rhs.not()), &zero).not()
 }
 
 /// The `Pmax = 1` states of `lhs U rhs`: some scheduler reaches `rhs`
 /// almost surely (PRISM `Prob1E`, de Alfaro's nested fixpoint).
 pub fn prob1_max(mdp: &Mdp, lhs: &BitVec, rhs: &BitVec) -> BitVec {
+    prob1_max_with(mdp, &ChoicePreds::new(mdp), lhs, rhs)
+}
+
+fn prob1_max_with(mdp: &Mdp, preds: &ChoicePreds, lhs: &BitVec, rhs: &BitVec) -> BitVec {
     let n = mdp.n_states();
     let mut x = BitVec::ones(n);
     loop {
         // Inner least fixpoint: states with an action that stays inside X
-        // and makes progress toward rhs through Y.
+        // and makes progress toward rhs through Y, grown backward from rhs.
+        let inside: Vec<bool> = (0..mdp.n_choices())
+            .map(|choice| stays_in(mdp, choice, |c| x.get(c)))
+            .collect();
         let mut y = rhs.clone();
-        loop {
-            let mut changed = false;
-            for s in 0..n {
-                if y.get(s) || !x.get(s) || !expandable(lhs, rhs, s) {
-                    continue;
-                }
-                let ok = (0..mdp.action_count(s)).any(|a| {
-                    let mut touches = false;
-                    for (c, p) in mdp.action_row(s, a) {
-                        if p == 0.0 {
-                            continue;
-                        }
-                        if !x.get(c as usize) {
-                            return false;
-                        }
-                        touches |= y.get(c as usize);
-                    }
-                    touches
-                });
-                if ok {
+        let mut queue: VecDeque<usize> = rhs.iter_ones().collect();
+        while let Some(c) = queue.pop_front() {
+            for &choice in preds.entering(c) {
+                let s = preds.owner[choice as usize] as usize;
+                if !y.get(s) && x.get(s) && expandable(lhs, rhs, s) && inside[choice as usize] {
                     y.set(s, true);
-                    changed = true;
+                    queue.push_back(s);
                 }
-            }
-            if !changed {
-                break;
             }
         }
         if y == x {
@@ -180,28 +232,27 @@ pub fn max_end_components(mdp: &Mdp, restrict: &BitVec) -> Vec<Vec<u32>> {
         .map(|s| if restrict.get(s) { 0 } else { u32::MAX })
         .collect();
     loop {
-        // Adjacency through actions fully inside the current candidate
-        // component of their source.
-        let internal = |s: usize, a: usize, comp: &[u32]| -> bool {
+        // SCCs through the actions fully inside the current candidate
+        // component of their source (unassigned states get no edges).
+        let internal = |s: usize, a: usize| -> bool {
             mdp.action_row(s, a)
                 .all(|(c, p)| p == 0.0 || comp[c as usize] == comp[s])
         };
-        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for s in 0..n {
-            if comp[s] == u32::MAX {
-                continue;
-            }
-            for a in 0..mdp.action_count(s) {
-                if internal(s, a, &comp) {
-                    for (c, p) in mdp.action_row(s, a) {
-                        if p > 0.0 && c as usize != s {
-                            adj[s].push(c);
-                        }
-                    }
-                }
-            }
-        }
-        let scc_of = sccs(&adj, &comp);
+        let sccs = Condensation::from_successors(n, |s| {
+            let actions = if comp[s] == u32::MAX {
+                0
+            } else {
+                mdp.action_count(s)
+            };
+            (0..actions)
+                .filter(move |&a| internal(s, a))
+                .flat_map(move |a| {
+                    mdp.action_row(s, a)
+                        .filter(|&(_, p)| p > 0.0)
+                        .map(|(c, _)| c)
+                })
+        });
+        let scc_of = sccs.comp_of();
         // Re-map: states sharing (old component, scc) stay together.
         let mut next: Vec<u32> = vec![u32::MAX; n];
         let mut ids: std::collections::BTreeMap<(u32, u32), u32> =
@@ -242,227 +293,59 @@ pub fn max_end_components(mdp: &Mdp, restrict: &BitVec) -> Vec<Vec<u32>> {
     mecs
 }
 
-/// Strongly-connected component ids over an adjacency list, restricted to
-/// states with a component assignment (iterative Tarjan; isolated or
-/// unassigned states get singleton ids).
-fn sccs(adj: &[Vec<u32>], comp: &[u32]) -> Vec<u32> {
-    let n = adj.len();
-    const UNVISITED: u32 = u32::MAX;
-    let mut index_of = vec![UNVISITED; n];
-    let mut lowlink = vec![0u32; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<u32> = Vec::new();
-    let mut scc_of = vec![0u32; n];
-    let mut next_index = 0u32;
-    let mut next_scc = 0u32;
-
-    enum Frame {
-        Enter(u32),
-        Resume(u32, usize),
-    }
-
-    for root in 0..n as u32 {
-        if index_of[root as usize] != UNVISITED || comp[root as usize] == u32::MAX {
-            continue;
-        }
-        let mut frames = vec![Frame::Enter(root)];
-        while let Some(frame) = frames.pop() {
-            match frame {
-                Frame::Enter(v) => {
-                    index_of[v as usize] = next_index;
-                    lowlink[v as usize] = next_index;
-                    next_index += 1;
-                    stack.push(v);
-                    on_stack[v as usize] = true;
-                    frames.push(Frame::Resume(v, 0));
-                }
-                Frame::Resume(v, mut i) => {
-                    let succ = &adj[v as usize];
-                    let mut descended = false;
-                    while i < succ.len() {
-                        let w = succ[i];
-                        i += 1;
-                        if index_of[w as usize] == UNVISITED {
-                            frames.push(Frame::Resume(v, i));
-                            frames.push(Frame::Enter(w));
-                            descended = true;
-                            break;
-                        } else if on_stack[w as usize] {
-                            lowlink[v as usize] = lowlink[v as usize].min(index_of[w as usize]);
-                        }
-                    }
-                    if descended {
-                        continue;
-                    }
-                    if lowlink[v as usize] == index_of[v as usize] {
-                        loop {
-                            let w = stack.pop().expect("tarjan stack underflow");
-                            on_stack[w as usize] = false;
-                            scc_of[w as usize] = next_scc;
-                            if w == v {
-                                break;
-                            }
-                        }
-                        next_scc += 1;
-                    } else if let Some(Frame::Resume(parent, _)) = frames.last() {
-                        let p = *parent as usize;
-                        lowlink[p] = lowlink[p].min(lowlink[v as usize]);
-                    }
-                }
-            }
-        }
-    }
-    scc_of
-}
-
 /// The SCC condensation of an MDP's *any-action* transition graph: states
 /// are grouped into strongly-connected components over the union of all
 /// action supports, and components are arranged into DAG levels (level 0 =
 /// sinks, i.e. components with no outgoing cross-component edge).
 ///
-/// This is the structural backbone of the topological certified drivers
-/// ([`crate::vi::topo_certified_until_values`] and friends): components are
-/// solved in ascending level order, so every cross-component read hits an
-/// already-solved constant. End components are always strongly connected
-/// through their internal actions, so **an end component never spans two
-/// SCCs** — deflation and inflation stay component-local.
-#[derive(Debug, Clone)]
-pub struct Condensation {
-    comps: Vec<Vec<u32>>,
-    comp_of: Vec<u32>,
-    by_level: Vec<Vec<u32>>,
-}
-
-impl Condensation {
-    /// Decomposes `mdp`'s any-action graph (iterative Tarjan, stack-safe at
-    /// millions of states). Component ids ascend in reverse topological
-    /// order: every cross-component edge points to a smaller id.
-    pub fn new(mdp: &Mdp) -> Condensation {
-        let n = mdp.n_states();
-        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (s, out) in adj.iter_mut().enumerate() {
-            for a in 0..mdp.action_count(s) {
-                for (c, p) in mdp.action_row(s, a) {
-                    if p > 0.0 && c as usize != s {
-                        out.push(c);
-                    }
-                }
-            }
-            out.sort_unstable();
-            out.dedup();
-        }
-        let assigned = vec![0u32; n];
-        let comp_of = sccs(&adj, &assigned);
-        // Tarjan pops a component only after everything reachable from it
-        // has popped, so ascending id = reverse topological order and the
-        // level pass below always reads finalized successor levels.
-        let n_comps = comp_of.iter().map(|&c| c as usize + 1).max().unwrap_or(0);
-        let mut comps: Vec<Vec<u32>> = vec![Vec::new(); n_comps];
-        for (s, &c) in comp_of.iter().enumerate() {
-            comps[c as usize].push(s as u32);
-        }
-        let mut level = vec![0u32; n_comps];
-        for (ci, comp) in comps.iter().enumerate() {
-            let mut l = 0u32;
-            for &s in comp {
-                for &c in &adj[s as usize] {
-                    let tc = comp_of[c as usize] as usize;
-                    if tc != ci {
-                        l = l.max(level[tc] + 1);
-                    }
-                }
-            }
-            level[ci] = l;
-        }
-        let depth = level.iter().copied().max().map_or(0, |d| d as usize + 1);
-        let mut by_level: Vec<Vec<u32>> = vec![Vec::new(); depth];
-        for (ci, &l) in level.iter().enumerate() {
-            by_level[l as usize].push(ci as u32);
-        }
-        Condensation {
-            comps,
-            comp_of,
-            by_level,
-        }
-    }
-
-    /// The components, as sorted state lists, in reverse topological order.
-    pub fn comps(&self) -> &[Vec<u32>] {
-        &self.comps
-    }
-
-    /// The component id of every state.
-    pub fn comp_of(&self) -> &[u32] {
-        &self.comp_of
-    }
-
-    /// The number of components.
-    pub fn n_components(&self) -> usize {
-        self.comps.len()
-    }
-
-    /// The size of the largest component.
-    pub fn largest(&self) -> usize {
-        self.comps.iter().map(Vec::len).max().unwrap_or(0)
-    }
-
-    /// The number of DAG levels (the longest component chain).
-    pub fn dag_depth(&self) -> usize {
-        self.by_level.len()
-    }
-
-    /// The component ids at DAG level `l` (level 0 = sinks). All
-    /// components of one level are pairwise unreachable from each other.
-    pub fn comps_at_level(&self, l: usize) -> &[u32] {
-        &self.by_level[l]
-    }
+/// This is the structural backbone of the topological drivers
+/// ([`crate::vi::topo_until_values`], [`crate::vi::topo_certified_until_values`]
+/// and friends): components are solved in ascending level order, so every
+/// cross-component read hits an already-solved constant. End components
+/// are always strongly connected through their internal actions, so **an
+/// end component never spans two SCCs** — deflation and inflation stay
+/// component-local.
+pub fn condensation(mdp: &Mdp) -> Condensation {
+    Condensation::from_successors(mdp.n_states(), |s| mdp.successors(s))
 }
 
 /// A memoryless scheduler that reaches `rhs` almost surely from every
 /// `Pmax = 1` state of `lhs U rhs`, constructed purely from the graph:
-/// states are claimed outward from `rhs`, each picking an action that (a)
-/// keeps all its mass inside the `Pmax = 1` region and (b) moves to an
-/// already-claimed state with positive probability. Such an action always
-/// exists for every `Pmax = 1` state (follow the almost-sure scheduler's
-/// own choices), and the induced chain provably reaches `rhs` almost
-/// surely — no numeric value vector is trusted anywhere.
+/// states are claimed outward from `rhs` (breadth-first), each picking an
+/// action that (a) keeps all its mass inside the `Pmax = 1` region and
+/// (b) moves to an already-claimed state with positive probability. Such
+/// an action always exists for every `Pmax = 1` state (follow the
+/// almost-sure scheduler's own choices), and the induced chain provably
+/// reaches `rhs` almost surely — no numeric value vector is trusted
+/// anywhere.
 ///
 /// Unclaimed states (outside the `Pmax = 1` region) default to action 0;
 /// their induced behaviour is irrelevant to the callers, which only
 /// evaluate the scheduler on the certain region.
 pub fn proper_scheduler(mdp: &Mdp, lhs: &BitVec, rhs: &BitVec) -> Vec<u32> {
     let n = mdp.n_states();
-    let certain = prob1_max(mdp, lhs, rhs);
+    let preds = ChoicePreds::new(mdp);
+    let certain = prob1_max_with(mdp, &preds, lhs, rhs);
     let mut sched = vec![0u32; n];
-    let mut claimed: Vec<bool> = (0..n).map(|s| rhs.get(s)).collect();
-    loop {
-        let mut changed = false;
-        for s in 0..n {
-            if claimed[s] || !certain.get(s) || !expandable(lhs, rhs, s) {
+    let mut claimed = rhs.clone();
+    let mut queue: VecDeque<usize> = rhs.iter_ones().collect();
+    while let Some(c) = queue.pop_front() {
+        for &choice in preds.entering(c) {
+            let choice = choice as usize;
+            let s = preds.owner[choice] as usize;
+            if claimed.get(s)
+                || !certain.get(s)
+                || !expandable(lhs, rhs, s)
+                || !stays_in(mdp, choice, |c| certain.get(c) || rhs.get(c))
+            {
                 continue;
             }
-            for a in 0..mdp.action_count(s) {
-                let safe = mdp
-                    .action_row(s, a)
-                    .all(|(c, p)| p == 0.0 || certain.get(c as usize) || rhs.get(c as usize));
-                if !safe {
-                    continue;
-                }
-                if mdp
-                    .action_row(s, a)
-                    .any(|(c, p)| p > 0.0 && claimed[c as usize])
-                {
-                    sched[s] = a as u32;
-                    claimed[s] = true;
-                    changed = true;
-                    break;
-                }
-            }
-        }
-        if !changed {
-            return sched;
+            sched[s] = (choice - mdp.state_choices(s).start) as u32;
+            claimed.set(s, true);
+            queue.push_back(s);
         }
     }
+    sched
 }
 
 #[cfg(test)]
@@ -560,13 +443,13 @@ mod tests {
         b.push_action(&mut [(3, 1.0)]).unwrap();
         b.finish_state().unwrap();
         let m = Mdp::new(b.finish(), vec![(0, 1.0)], BTreeMap::new(), vec![0.0; 4]).unwrap();
-        let cond = Condensation::new(&m);
+        let cond = condensation(&m);
         assert_eq!(cond.n_components(), 3);
         assert_eq!(cond.largest(), 2);
         assert_eq!(cond.dag_depth(), 3);
         // {0,1} share a component; every cross edge targets a smaller id.
         assert_eq!(cond.comp_of()[0], cond.comp_of()[1]);
-        for comp in cond.comps() {
+        for comp in cond.components() {
             assert!(comp.windows(2).all(|w| w[0] < w[1]), "sorted members");
         }
         assert!(cond.comp_of()[2] < cond.comp_of()[0]);

@@ -11,8 +11,10 @@
 //! or `max` (best case, `Pmax`/`Rmax`). [`optimal_step_into`] implements
 //! one masked backup following the DTMC engine's buffer-reuse contract
 //! (caller-owned ping-pong buffers, zero per-step allocation); the bounded
-//! and unbounded drivers ([`bounded_until_values`],
-//! [`unbounded_until_values`], [`reach_reward_values`], ...) loop it.
+//! and global unbounded drivers ([`bounded_until_values`],
+//! [`unbounded_until_values`], ...) loop it. The checker's default
+//! unbounded solvers ([`topo_until_values`], [`topo_reach_reward_values`])
+//! walk the SCC condensation instead (see "Topological solving" below).
 //!
 //! # Parallelism and determinism
 //!
@@ -46,7 +48,8 @@
 
 use crate::mdp::Mdp;
 use crate::qual;
-use smg_dtmc::solve::CertifiedValues;
+use smg_dtmc::graph::Condensation;
+use smg_dtmc::solve::{split_level, CertifiedValues, LevelValue};
 use smg_dtmc::{par, pool, BitVec, DtmcError};
 use smg_obs as obs;
 
@@ -364,16 +367,7 @@ pub fn unbounded_until_values(
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f64::max);
         std::mem::swap(&mut x, &mut next);
-        if obs::enabled() {
-            obs::counter_add("smg_solve_sweeps_total", Some(("driver", "vi")), 1);
-            obs::trace(&obs::ConvergenceRecord {
-                driver: "vi",
-                sweep: it as u64,
-                residual: Some(diff),
-                width: None,
-                component: None,
-            });
-        }
+        f64::record_sweep("vi", it, diff, None);
         if diff < vio.tol {
             return Ok(x);
         }
@@ -430,128 +424,6 @@ pub fn cumulative_reward_values(mdp: &Mdp, t: usize, opt: Opt, vio: &ViOptions) 
         std::mem::swap(&mut x, &mut next);
     }
     x
-}
-
-/// The optimal expected reward accumulated strictly before first reaching
-/// a `target` state, from every state (`Rmin`/`Rmax` `[F target]`, PRISM
-/// semantics: the target's own reward is not counted).
-///
-/// A state's value is `∞` when the *dual* reachability probability is
-/// below 1 — `Rmax` is infinite where some scheduler avoids the target
-/// (`Pmin < 1`), `Rmin` where even the best scheduler cannot reach it
-/// almost surely (`Pmax < 1`). The iteration pins those states to `∞`
-/// up front; `min`-backups route around infinite actions (a finite action
-/// always exists from a finite state), and `max`-backups never see one.
-/// `Rmax` iterates up from 0 (unique fixpoint — every scheduler is proper
-/// in its certain region); `Rmin` descends from the expected cost of a
-/// known-proper scheduler, which steps over the spurious sub-fixpoints
-/// that zero-reward cycles create (a path that stalls forever never
-/// reaches the target and semantically costs ∞, but costs the from-zero
-/// Bellman iteration nothing). Rewards are assumed non-negative.
-///
-/// # Errors
-///
-/// As for [`unbounded_until_values`], for both the qualitative pre-pass
-/// and the reward iteration.
-pub fn reach_reward_values(
-    mdp: &Mdp,
-    target: &BitVec,
-    opt: Opt,
-    vio: &ViOptions,
-) -> Result<Vec<f64>, DtmcError> {
-    check_len(mdp, target)?;
-    let n = mdp.n_states();
-    let dual_reach = reach_values(mdp, target, opt.dual(), vio)?;
-    let certain = BitVec::from_fn(n, |i| dual_reach[i] > 1.0 - 1e-9);
-    let active = certain.and(&target.not());
-    let rewards = mdp.rewards();
-    // Starting point. For Rmax, 0 works: in the certain region *every*
-    // scheduler reaches the target almost surely, the backup operator is a
-    // contraction, and the fixpoint is unique. For Rmin it is unsound: the
-    // certain region only guarantees *some* scheduler is proper, and a
-    // zero-reward cycle lets the minimizing backup stall forever at no
-    // Bellman cost even though the stalling path semantically costs ∞
-    // (it never reaches the target). The classic SSP remedy: start the
-    // descent *from above*, at the expected cost of a known-proper
-    // scheduler — the Pmax attractor scheduler, whose induced chain
-    // reaches the target almost surely from every certain state. Min
-    // backups then decrease monotonically from that super-solution to the
-    // optimal proper cost, and can never fall into the spurious
-    // sub-fixpoints below it. (Assumes non-negative rewards, as do the
-    // paper's 0/1 flag reward structures.)
-    let mut x: Vec<f64> = match opt {
-        Opt::Max => (0..n)
-            .map(|i| if certain.get(i) { 0.0 } else { f64::INFINITY })
-            .collect(),
-        Opt::Min => {
-            let proper = extremal_scheduler(mdp, &dual_reach, Opt::Max, Some(target));
-            let chain = mdp.induced_dtmc(&proper)?;
-            let mut cost = proper_chain_cost(&chain, &active, rewards, vio)?;
-            for (i, c) in cost.iter_mut().enumerate() {
-                if !certain.get(i) {
-                    *c = f64::INFINITY;
-                }
-            }
-            cost
-        }
-    };
-    let mut next = vec![0.0; n];
-    let mut converged = false;
-    for _ in 0..vio.max_iter {
-        optimal_step_into(mdp, &x, Some(&active), opt, &mut next, vio);
-        let mut diff: f64 = 0.0;
-        for i in active.iter_ones() {
-            next[i] += rewards[i];
-            // Finite states always have a finite optimal action (see the
-            // doc comment), so this difference is never ∞ − ∞.
-            diff = diff.max((next[i] - x[i]).abs());
-        }
-        std::mem::swap(&mut x, &mut next);
-        if diff < vio.tol {
-            converged = true;
-            break;
-        }
-    }
-    if !converged {
-        return Err(DtmcError::NoConvergence {
-            iterations: vio.max_iter,
-            residual: vio.tol,
-        });
-    }
-    Ok(x)
-}
-
-/// The expected reward accumulated before absorption for a *proper* chain
-/// (every `active` state reaches the complement of `active` almost
-/// surely): iterates `x = r + P·x` on the active states. Used to seed the
-/// `Rmin` descent in [`reach_reward_values`].
-fn proper_chain_cost(
-    chain: &smg_dtmc::Dtmc,
-    active: &BitVec,
-    rewards: &[f64],
-    vio: &ViOptions,
-) -> Result<Vec<f64>, DtmcError> {
-    let n = chain.n_states();
-    let mut x = vec![0.0; n];
-    let mut next = vec![0.0; n];
-    for _ in 0..vio.max_iter {
-        chain
-            .matrix()
-            .backward_masked_into(&x, Some(active), &mut next);
-        let mut diff: f64 = 0.0;
-        for i in active.iter_ones() {
-            next[i] += rewards[i];
-            diff = diff.max((next[i] - x[i]).abs());
-        }
-        std::mem::swap(&mut x, &mut next);
-        if diff < vio.tol {
-            return Ok(x);
-        }
-    }
-    Err(DtmcError::NoConvergence {
-        iterations: vio.max_iter,
-        residual: vio.tol,
-    })
 }
 
 /// One dual optimal backup `out = (T_opt lo, T_opt hi)`, masked: states
@@ -676,11 +548,6 @@ fn bracket_width(active: &BitVec, cur: &[(f64, f64)]) -> f64 {
         .fold(0.0, f64::max)
 }
 
-fn unzip_certificate(cur: Vec<(f64, f64)>, iterations: usize) -> CertifiedValues {
-    let (lo, hi) = cur.into_iter().unzip();
-    CertifiedValues { lo, hi, iterations }
-}
-
 /// Certified optimal probabilities of `lhs U rhs` from every state:
 /// interval iteration whose `[lo, hi]` result provably brackets the exact
 /// `Pmin`/`Pmax` value with width below `epsilon` at every state.
@@ -752,31 +619,15 @@ pub fn certified_until_values(
             width = bracket_width(&active, &next);
         }
         std::mem::swap(&mut cur, &mut next);
-        record_certified_sweep("certified_vi", it, width, None);
+        <(f64, f64)>::record_sweep("certified_vi", it, width, None);
         if width < epsilon {
-            return Ok(unzip_certificate(cur, it));
+            return Ok(CertifiedValues::from_pairs(cur, it));
         }
     }
     Err(DtmcError::NoConvergence {
         iterations: vio.max_iter,
         residual: epsilon,
     })
-}
-
-/// Reports one certified dual sweep through the instrumentation seam.
-#[inline]
-fn record_certified_sweep(driver: &'static str, it: usize, width: f64, component: Option<u32>) {
-    if !obs::enabled() {
-        return;
-    }
-    obs::counter_add("smg_solve_sweeps_total", Some(("driver", driver)), 1);
-    obs::trace(&obs::ConvergenceRecord {
-        driver,
-        sweep: it as u64,
-        residual: None,
-        width: Some(width),
-        component,
-    });
 }
 
 /// Certified optimal reachability `Pmin`/`Pmax` `[F target]` from every
@@ -898,9 +749,9 @@ pub fn certified_reach_reward_values(
             width = bracket_width(&active, &next);
         }
         std::mem::swap(&mut cur, &mut next);
-        record_certified_sweep("certified_vi", it, width, None);
+        <(f64, f64)>::record_sweep("certified_vi", it, width, None);
         if width < epsilon {
-            return Ok(unzip_certificate(cur, it));
+            return Ok(CertifiedValues::from_pairs(cur, it));
         }
     }
     Err(DtmcError::NoConvergence {
@@ -949,23 +800,32 @@ fn min_hitting_probe(
 }
 
 // ---------------------------------------------------------------------------
-// Topological (SCC-ordered) certified solving
+// Topological (SCC-ordered) solving
 // ---------------------------------------------------------------------------
 //
-// The `topo_certified_*` drivers compute the same certificates as the
-// global `certified_*` family, but walk the SCC condensation of the
-// any-action graph ([`qual::Condensation`]) level by level (sinks first),
-// solving each component with its successors' already-certified bounds
-// folded in as constants. Because an end component is strongly connected,
-// it never spans two SCCs, so deflation (Pmax) and inflation (Rmin) stay
+// The `topo_*` drivers walk the SCC condensation of the any-action graph
+// ([`qual::condensation`]) level by level (sinks first), solving each
+// component with its successors' already-solved values folded in as
+// constants. Because an end component is strongly connected, it never
+// spans two SCCs, so deflation (Pmax) and inflation (Rmin) stay
 // component-local. Trivial components — a single state, the dominant case
-// in layered models — collapse to one closed-form backsubstitution per
-// bound; all trivial components of a DAG level are independent and are
-// evaluated as one batch dispatched onto the worker pool.
+// in layered models — collapse to one closed-form backsubstitution; all
+// trivial components of a DAG level are independent and are evaluated as
+// one batch dispatched onto the worker pool.
+//
+// One level walk ([`topo_driver`]) serves both modes, generic over the
+// value kept per state ([`LevelValue`]): the certified `topo_certified_*`
+// drivers keep an `(lo, hi)` bracket and stop each component on its width;
+// the default `topo_*` drivers keep only the lower value, iterated up from
+// 0 and stopped on a residual. The lower side needs no upper seed, no
+// hitting probe and no proper scheduler: it converges to the least
+// fixpoint, which is `Pmin`/`Pmax` and `Rmax` exactly, and `Rmin` once
+// zero-reward end components are inflated (a stall there costs nothing
+// per backup but never reaches the target).
 
-/// Which end-component correction a certified query needs: cap upper
-/// bounds at the best exit (`Pmax`) or raise lower bounds to the cheapest
-/// exit (`Rmin` over zero-reward components).
+/// Which end-component correction a query needs: cap upper bounds at the
+/// best exit (certified `Pmax`) or raise lower bounds to the cheapest exit
+/// (`Rmin` over zero-reward components).
 #[derive(Clone, Copy)]
 enum EcMode {
     DeflateHi,
@@ -975,48 +835,43 @@ enum EcMode {
 /// Closed-form solve of a trivial (single-state) component: the optimal
 /// fixpoint of `x = opt_a (r + Σ_c P(s,a,c)·x_c)` with every non-self
 /// successor already solved. Per action, the self-loop mass is eliminated
-/// algebraically (`x_a = (r + Σ_{c≠s} p_c·x_c) / (1 − p_ss)`); actions
-/// keeping all mass on `s` are skipped — staying forever never reaches a
-/// target (`P` forms: contributes the already-seeded 0; reward forms:
-/// exactly what deflation/inflation would enforce, since the state is then
-/// a singleton end component whose exits are the remaining actions).
-fn solved_state_pair(mdp: &Mdp, s: usize, reward: f64, opt: Opt, cur: &[(f64, f64)]) -> (f64, f64) {
-    let mut best: Option<(f64, f64)> = None;
+/// algebraically (`x_a = (r + Σ_{c≠s} p_c·x_c) / Σ_{c≠s} p_c`, dividing by
+/// the stored off-diagonal mass rather than `1 − p_ss`, which loses the
+/// digits of a sticky self-loop); actions keeping all mass on `s` are
+/// skipped — staying forever never reaches a target (`P` forms:
+/// contributes the already-seeded 0; reward forms: exactly what
+/// deflation/inflation would enforce, since the state is then a singleton
+/// end component whose exits are the remaining actions).
+fn solved_state<V: LevelValue>(mdp: &Mdp, s: usize, reward: f64, opt: Opt, cur: &[V]) -> V {
+    let mut best: Option<V> = None;
     for a in 0..mdp.action_count(s) {
-        let mut stay = 0.0;
-        let mut lo = reward;
-        let mut hi = reward;
+        let mut off = 0.0;
+        let mut acc = V::splat(reward);
         for (c, p) in mdp.action_row(s, a) {
-            if c as usize == s {
-                stay += p;
-            } else {
-                let (l, h) = cur[c as usize];
-                lo += p * l;
-                hi += p * h;
+            if c as usize != s {
+                off += p;
+                acc = acc.add_scaled(p, cur[c as usize]);
             }
         }
-        if stay >= 1.0 {
+        if off <= 0.0 {
             continue;
         }
-        let scale = 1.0 / (1.0 - stay);
-        let cand = (lo * scale, hi * scale);
+        let cand = acc.div(off);
         best = Some(match best {
             None => cand,
-            Some((bl, bh)) => (
-                if opt.better(cand.0, bl) { cand.0 } else { bl },
-                if opt.better(cand.1, bh) { cand.1 } else { bh },
-            ),
+            Some(b) => b.zip(cand, |b, c| if opt.better(c, b) { c } else { b }),
         });
     }
     // Active states always have at least one mass-moving action (they reach
     // a target outside themselves), so this fallback is never taken.
-    best.unwrap_or((0.0, 0.0))
+    best.unwrap_or(V::splat(0.0))
 }
 
-/// Solves one non-trivial component in place: dual optimal backups
-/// restricted to the component's active states (reading the freshest
-/// values, Gauss–Seidel style), then the component-local end-component
-/// correction, then a component-local width test. Returns the sweeps used.
+/// Solves one non-trivial component in place: optimal backups restricted
+/// to the component's active states (reading the freshest values,
+/// Gauss–Seidel style), then the component-local end-component correction,
+/// then a component-local [`LevelValue::progress`] test against the values
+/// the sweep started from (`old`, scratch). Returns the sweeps used.
 ///
 /// In-place updates are sound for the same reason global sweeps are: the
 /// optimal backup is monotone, so any read vector satisfying
@@ -1025,99 +880,99 @@ fn solved_state_pair(mdp: &Mdp, s: usize, reward: f64, opt: Opt, cur: &[(f64, f6
 /// (already tighter) read can only tighten the update, so each in-place
 /// sweep is bracketed by the corresponding Jacobi sweep and the truth.
 #[allow(clippy::too_many_arguments)]
-fn solve_component_certified(
+fn solve_component<V: LevelValue>(
     mdp: &Mdp,
+    driver: &'static str,
     ci: u32,
     comp: &[u32],
     active: &BitVec,
     opt: Opt,
     rewards: Option<&[f64]>,
     ec: Option<(&EcIndex, &[usize], EcMode)>,
-    cur: &mut [(f64, f64)],
-    epsilon: f64,
+    cur: &mut [V],
+    old: &mut Vec<V>,
+    stop: f64,
     max_iter: usize,
 ) -> Result<usize, DtmcError> {
+    let pick = |b: f64, c: f64| if opt.better(c, b) { c } else { b };
     for it in 1..=max_iter {
+        old.clear();
+        old.extend(comp.iter().map(|&s| cur[s as usize]));
         for &s in comp {
             let s = s as usize;
             if !active.get(s) {
                 continue;
             }
-            let mut best_lo = 0.0;
-            let mut best_hi = 0.0;
+            let mut best = V::splat(0.0);
             for a in 0..mdp.action_count(s) {
-                let mut acc_lo = 0.0;
-                let mut acc_hi = 0.0;
+                let mut acc = V::splat(0.0);
                 for (c, p) in mdp.action_row(s, a) {
-                    let (l, h) = cur[c as usize];
-                    acc_lo += p * l;
-                    acc_hi += p * h;
+                    acc = acc.add_scaled(p, cur[c as usize]);
                 }
-                if a == 0 || opt.better(acc_lo, best_lo) {
-                    best_lo = acc_lo;
-                }
-                if a == 0 || opt.better(acc_hi, best_hi) {
-                    best_hi = acc_hi;
-                }
+                best = if a == 0 { acc } else { best.zip(acc, pick) };
             }
             if let Some(r) = rewards {
-                best_lo += r[s];
-                best_hi += r[s];
+                best = best.add_scaled(1.0, V::splat(r[s]));
             }
-            cur[s] = (best_lo, best_hi);
+            cur[s] = best;
         }
         if let Some((ecs, ids, mode)) = ec {
             for &k in ids {
                 match mode {
                     EcMode::DeflateHi => {
-                        let cap = ecs.best_exit(mdp, k, |c| cur[c].1, Opt::Max);
+                        let cap = ecs.best_exit(mdp, k, |c| cur[c].hi(), Opt::Max);
                         for &s in &ecs.members[k] {
-                            let hi = &mut cur[s as usize].1;
-                            *hi = hi.min(cap);
+                            cur[s as usize] = cur[s as usize].map_hi(|hi| hi.min(cap));
                         }
                     }
                     EcMode::InflateLo => {
-                        let floor = ecs.best_exit(mdp, k, |c| cur[c].0, Opt::Min);
+                        let floor = ecs.best_exit(mdp, k, |c| cur[c].lo(), Opt::Min);
                         for &s in &ecs.members[k] {
-                            let lo = &mut cur[s as usize].0;
-                            *lo = lo.max(floor);
+                            cur[s as usize] = cur[s as usize].map_lo(|lo| lo.max(floor));
                         }
                     }
                 }
             }
         }
-        let width = comp
+        let progress = comp
             .iter()
-            .filter(|&&s| active.get(s as usize))
-            .map(|&s| cur[s as usize].1 - cur[s as usize].0)
+            .zip(old.iter())
+            .filter(|&(&s, _)| active.get(s as usize))
+            .map(|(&s, &was)| V::progress(was, cur[s as usize]))
             .fold(0.0, f64::max);
-        record_certified_sweep("topo_certified_vi", it, width, Some(ci));
-        if width < epsilon {
+        V::record_sweep(driver, it, progress, Some(ci));
+        if progress < stop {
             return Ok(it);
         }
     }
     Err(DtmcError::NoConvergence {
         iterations: max_iter,
-        residual: epsilon,
+        residual: stop,
     })
 }
 
-/// The shared level walk of the topological certified drivers: per DAG
-/// level, backsubstitute all trivial active components as one pool batch,
-/// then solve each non-trivial component to its local width target.
-/// `vio.max_iter` bounds the sweeps of each individual component.
+/// The level walk of every topological MDP driver: per DAG level,
+/// backsubstitute all trivial active components as one pool batch, then
+/// solve each non-trivial component to its local `stop` target.
+/// `vio.max_iter` bounds the sweeps of each individual component. Returns
+/// the total sweeps (a trivial batch counts as one).
 #[allow(clippy::too_many_arguments)]
-fn topo_certified_driver(
+fn topo_driver<V: LevelValue>(
     mdp: &Mdp,
-    cond: &qual::Condensation,
+    cond: &Condensation,
     active: &BitVec,
     opt: Opt,
     rewards: Option<&[f64]>,
     ec: Option<(EcIndex, EcMode)>,
-    cur: &mut [(f64, f64)],
-    epsilon: f64,
+    cur: &mut [V],
+    stop: f64,
     vio: &ViOptions,
 ) -> Result<usize, DtmcError> {
+    let driver = if V::CERTIFIED {
+        "topo_certified_vi"
+    } else {
+        "topo_vi"
+    };
     // End components per condensation component (an EC never spans SCCs).
     let mut ec_by_comp: std::collections::BTreeMap<u32, Vec<usize>> =
         std::collections::BTreeMap::new();
@@ -1133,30 +988,20 @@ fn topo_certified_driver(
     let mut iterations = 0usize;
     let mut batch: Vec<u32> = Vec::new();
     let mut nontrivial: Vec<u32> = Vec::new();
-    let mut scratch: Vec<(f64, f64)> = Vec::new();
+    let mut scratch: Vec<V> = Vec::new();
+    let mut old: Vec<V> = Vec::new();
     for level in 0..cond.dag_depth() {
-        batch.clear();
-        nontrivial.clear();
-        for &ci in cond.comps_at_level(level) {
-            let comp = &cond.comps()[ci as usize];
-            if let [s] = comp[..] {
-                if active.get(s as usize) {
-                    batch.push(s);
-                }
-            } else if comp.iter().any(|&s| active.get(s as usize)) {
-                nontrivial.push(ci);
-            }
-        }
+        split_level(cond, level, active, &mut batch, &mut nontrivial);
         if !batch.is_empty() {
             iterations += 1;
             scratch.clear();
-            scratch.resize(batch.len(), (0.0, 0.0));
-            let cur_ref: &[(f64, f64)] = cur;
+            scratch.resize(batch.len(), V::splat(0.0));
+            let cur_ref: &[V] = cur;
             let batch_ref: &[u32] = &batch;
-            let fill = |offset: usize, chunk: &mut [(f64, f64)]| {
+            let fill = |offset: usize, chunk: &mut [V]| {
                 for (j, slot) in chunk.iter_mut().enumerate() {
                     let s = batch_ref[offset + j] as usize;
-                    *slot = solved_state_pair(mdp, s, r_of(s), opt, cur_ref);
+                    *slot = solved_state(mdp, s, r_of(s), opt, cur_ref);
                 }
             };
             if vio.parallelize(batch.len()) {
@@ -1167,27 +1012,28 @@ fn topo_certified_driver(
             } else {
                 fill(0, &mut scratch);
             }
-            for (&s, &pair) in batch.iter().zip(&scratch) {
-                cur[s as usize] = pair;
+            for (&s, &v) in batch.iter().zip(&scratch) {
+                cur[s as usize] = v;
             }
-            record_certified_sweep("topo_certified_vi", iterations, 0.0, None);
+            V::record_sweep(driver, iterations, 0.0, None);
         }
         for &ci in &nontrivial {
-            let comp = &cond.comps()[ci as usize];
             let local = ec.as_ref().map(|(ecs, mode)| {
                 let ids = ec_by_comp.get(&ci).map_or(&[] as &[usize], Vec::as_slice);
                 (ecs, ids, *mode)
             });
-            iterations += solve_component_certified(
+            iterations += solve_component(
                 mdp,
+                driver,
                 ci,
-                comp,
+                cond.comp(ci as usize),
                 active,
                 opt,
                 rewards,
                 local,
                 cur,
-                epsilon,
+                &mut old,
+                stop,
                 vio.max_iter,
             )?;
         }
@@ -1195,89 +1041,77 @@ fn topo_certified_driver(
     Ok(iterations)
 }
 
-/// Certified optimal probabilities of `lhs U rhs` by **topological**
-/// interval iteration: the same bracket guarantee as
-/// [`certified_until_values`] (`lo ≤ x* ≤ hi` with width below `epsilon`
-/// everywhere), but solved one SCC at a time in reverse topological order,
-/// so certified cost concentrates on the components that need iteration
-/// while layered structure collapses to closed-form backsubstitution.
-/// `vio.max_iter` bounds each component's sweeps, not the global total.
-///
-/// # Errors
-///
-/// As for [`certified_until_values`].
-pub fn topo_certified_until_values(
+/// Checks that `cond` is a condensation of this MDP's graph.
+fn check_cond(mdp: &Mdp, cond: &Condensation) -> Result<(), DtmcError> {
+    if cond.comp_of().len() != mdp.n_states() {
+        return Err(DtmcError::DimensionMismatch {
+            expected: mdp.n_states(),
+            actual: cond.comp_of().len(),
+        });
+    }
+    Ok(())
+}
+
+/// `Pmin`/`Pmax [lhs U rhs]` on the condensation in either mode: the
+/// `P = 0` region is pinned qualitatively ([`qual::prob0_max`] /
+/// [`qual::prob0_min`]), `rhs` to 1, and the level walk solves the rest.
+/// Only the certified `Pmax` upper bound needs deflation.
+fn topo_until<V: LevelValue>(
     mdp: &Mdp,
+    cond: &Condensation,
     lhs: &BitVec,
     rhs: &BitVec,
     opt: Opt,
-    epsilon: f64,
+    stop: f64,
     vio: &ViOptions,
-) -> Result<CertifiedValues, DtmcError> {
+) -> Result<(Vec<V>, usize), DtmcError> {
     check_len(mdp, lhs)?;
     check_len(mdp, rhs)?;
-    let n = mdp.n_states();
+    check_cond(mdp, cond)?;
     let zero = match opt {
         Opt::Max => qual::prob0_max(mdp, lhs, rhs),
         Opt::Min => qual::prob0_min(mdp, lhs, rhs),
     };
     let active = lhs.and(&rhs.not()).and(&zero.not());
     let ec = match opt {
-        Opt::Max => Some((EcIndex::new(mdp, &active), EcMode::DeflateHi)),
-        Opt::Min => None, // every end component has Pmin = 0 → pinned already
+        Opt::Max if V::CERTIFIED => Some((EcIndex::new(mdp, &active), EcMode::DeflateHi)),
+        // Every end component has Pmin = 0 (pinned already), and a lower
+        // value iterated from 0 reaches the least fixpoint unaided.
+        _ => None,
     };
-    let mut cur: Vec<(f64, f64)> = (0..n)
+    let mut cur: Vec<V> = (0..mdp.n_states())
         .map(|i| {
             if rhs.get(i) {
-                (1.0, 1.0)
+                V::splat(1.0)
             } else if active.get(i) {
-                (0.0, 1.0)
+                V::bracket(0.0, 1.0)
             } else {
-                (0.0, 0.0)
+                V::splat(0.0)
             }
         })
         .collect();
-    let cond = qual::Condensation::new(mdp);
-    let iterations =
-        topo_certified_driver(mdp, &cond, &active, opt, None, ec, &mut cur, epsilon, vio)?;
-    Ok(unzip_certificate(cur, iterations))
+    let iterations = topo_driver(mdp, cond, &active, opt, None, ec, &mut cur, stop, vio)?;
+    Ok((cur, iterations))
 }
 
-/// Certified optimal reachability `Pmin`/`Pmax` `[F target]` by
-/// topological interval iteration — [`topo_certified_until_values`] with
-/// an unrestricted left operand.
-///
-/// # Errors
-///
-/// As for [`certified_until_values`].
-pub fn topo_certified_reach_values(
+/// `Rmin`/`Rmax [F target]` on the condensation in either mode. The
+/// finite region is graph-based ([`qual::prob1_min`] for `Rmax`,
+/// [`qual::prob1_max`] for `Rmin`), states outside it are pinned to
+/// exactly `∞`, and `Rmin` inflates zero-reward end components on the
+/// lower side. The certified upper seeds (the min hitting probe for
+/// `Rmax`, the proper scheduler's cost for `Rmin`) are read only inside
+/// non-trivial components, so they are computed only when one of those
+/// holds an active state.
+fn topo_reach_reward<V: LevelValue>(
     mdp: &Mdp,
+    cond: &Condensation,
     target: &BitVec,
     opt: Opt,
-    epsilon: f64,
+    stop: f64,
     vio: &ViOptions,
-) -> Result<CertifiedValues, DtmcError> {
-    let all = BitVec::ones(mdp.n_states());
-    topo_certified_until_values(mdp, &all, target, opt, epsilon, vio)
-}
-
-/// Certified optimal expected reachability reward by topological interval
-/// iteration: the qualitative pre-passes, seeds, and end-component
-/// corrections of [`certified_reach_reward_values`], solved one SCC at a
-/// time (inflation of zero-reward components stays component-local, since
-/// an end component never spans SCCs).
-///
-/// # Errors
-///
-/// As for [`certified_reach_reward_values`].
-pub fn topo_certified_reach_reward_values(
-    mdp: &Mdp,
-    target: &BitVec,
-    opt: Opt,
-    epsilon: f64,
-    vio: &ViOptions,
-) -> Result<CertifiedValues, DtmcError> {
+) -> Result<(Vec<V>, usize), DtmcError> {
     check_len(mdp, target)?;
+    check_cond(mdp, cond)?;
     let n = mdp.n_states();
     let all = BitVec::ones(n);
     let certain = match opt {
@@ -1286,28 +1120,10 @@ pub fn topo_certified_reach_reward_values(
     };
     let active = certain.and(&target.not());
     let rewards = mdp.rewards();
-    let r_max = active.iter_ones().map(|i| rewards[i]).fold(0.0, f64::max);
-    let seed: Vec<f64> = match opt {
-        Opt::Max => {
-            let bound = if r_max == 0.0 {
-                0.0
-            } else {
-                let (k, delta) = min_hitting_probe(mdp, target, &active, vio)?;
-                k as f64 * r_max / delta
-            };
-            vec![bound; n]
-        }
-        Opt::Min => {
-            let sched = qual::proper_scheduler(mdp, &all, target);
-            let chain = mdp.induced_dtmc(&sched)?;
-            smg_dtmc::solve::topo_interval_reach_reward_values(
-                &chain,
-                target,
-                epsilon,
-                vio.max_iter,
-            )?
-            .hi
-        }
+    let seed: Vec<f64> = if V::CERTIFIED && cond.iterates_on(&active) {
+        upper_reward_seed(mdp, target, &active, opt, stop, vio)?
+    } else {
+        vec![0.0; n]
     };
     let ec = match opt {
         Opt::Min => {
@@ -1316,30 +1132,206 @@ pub fn topo_certified_reach_reward_values(
         }
         Opt::Max => None, // no end components survive inside a Pmin = 1 region
     };
-    let mut cur: Vec<(f64, f64)> = (0..n)
+    let mut cur: Vec<V> = (0..n)
         .map(|i| {
             if active.get(i) {
-                (0.0, seed[i])
+                V::bracket(0.0, seed[i])
             } else if certain.get(i) {
-                (0.0, 0.0)
+                V::splat(0.0)
             } else {
-                (f64::INFINITY, f64::INFINITY)
+                V::splat(f64::INFINITY)
             }
         })
         .collect();
-    let cond = qual::Condensation::new(mdp);
-    let iterations = topo_certified_driver(
+    let iterations = topo_driver(
         mdp,
-        &cond,
+        cond,
         &active,
         opt,
         Some(rewards),
         ec,
         &mut cur,
-        epsilon,
+        stop,
         vio,
     )?;
-    Ok(unzip_certificate(cur, iterations))
+    Ok((cur, iterations))
+}
+
+/// The per-state upper seed of a certified reward bracket over `active`:
+/// `k·r_max/δ` from the min hitting probe for `Rmax` (every scheduler is
+/// proper there), the certified cost of the graph-built proper scheduler
+/// for `Rmin`.
+fn upper_reward_seed(
+    mdp: &Mdp,
+    target: &BitVec,
+    active: &BitVec,
+    opt: Opt,
+    epsilon: f64,
+    vio: &ViOptions,
+) -> Result<Vec<f64>, DtmcError> {
+    let n = mdp.n_states();
+    match opt {
+        Opt::Max => {
+            let rewards = mdp.rewards();
+            let r_max = active.iter_ones().map(|i| rewards[i]).fold(0.0, f64::max);
+            let bound = if r_max == 0.0 {
+                0.0
+            } else {
+                let (k, delta) = min_hitting_probe(mdp, target, active, vio)?;
+                k as f64 * r_max / delta
+            };
+            Ok(vec![bound; n])
+        }
+        Opt::Min => {
+            let sched = qual::proper_scheduler(mdp, &BitVec::ones(n), target);
+            let chain = mdp.induced_dtmc(&sched)?;
+            Ok(smg_dtmc::solve::topo_interval_reach_reward_values(
+                &chain,
+                &Condensation::new(&chain),
+                target,
+                epsilon,
+                vio.max_iter,
+            )?
+            .hi)
+        }
+    }
+}
+
+/// Optimal probabilities of `lhs U rhs` by **topological** value
+/// iteration — the checker's default unbounded MDP solver. Same
+/// qualitative pre-pass as the certified drivers, then one SCC at a time
+/// in reverse topological order over `cond` ([`qual::condensation`]):
+/// trivial components by closed-form backsubstitution, the others by
+/// in-place optimal backups of the lower value from 0, each stopping on a
+/// component-local residual below `vio.tol`. `vio.max_iter` bounds each
+/// component's sweeps.
+///
+/// # Errors
+///
+/// [`DtmcError::DimensionMismatch`] for wrong-length bit vectors or a
+/// condensation of another MDP; [`DtmcError::NoConvergence`] if a
+/// component misses the tolerance within `vio.max_iter` sweeps.
+pub fn topo_until_values(
+    mdp: &Mdp,
+    cond: &Condensation,
+    lhs: &BitVec,
+    rhs: &BitVec,
+    opt: Opt,
+    vio: &ViOptions,
+) -> Result<Vec<f64>, DtmcError> {
+    topo_until(mdp, cond, lhs, rhs, opt, vio.tol, vio).map(|(x, _)| x)
+}
+
+/// Optimal reachability `Pmin`/`Pmax` `[F target]` by topological value
+/// iteration — [`topo_until_values`] with an unrestricted left operand.
+///
+/// # Errors
+///
+/// As for [`topo_until_values`].
+pub fn topo_reach_values(
+    mdp: &Mdp,
+    cond: &Condensation,
+    target: &BitVec,
+    opt: Opt,
+    vio: &ViOptions,
+) -> Result<Vec<f64>, DtmcError> {
+    let all = BitVec::ones(mdp.n_states());
+    topo_until_values(mdp, cond, &all, target, opt, vio)
+}
+
+/// The optimal expected reward accumulated strictly before first reaching
+/// a `target` state, from every state (`Rmin`/`Rmax` `[F target]`, PRISM
+/// semantics: the target's own reward is not counted), by topological
+/// value iteration of the lower value.
+///
+/// A state's value is `∞` when the *dual* reachability is not almost sure
+/// — `Rmax` where some scheduler avoids the target (`Pmin < 1`), `Rmin`
+/// where even the best scheduler cannot reach it almost surely
+/// (`Pmax < 1`) — decided from the graph ([`qual::prob1_min`] /
+/// [`qual::prob1_max`]), never from a thresholded probability. `Rmax`
+/// ascends from 0 to its unique fixpoint (every scheduler is proper in its
+/// finite region); `Rmin` ascends with zero-reward end components inflated
+/// to their cheapest exit, which steps over the spurious sub-fixpoints a
+/// free stall would create. Rewards are assumed non-negative.
+///
+/// # Errors
+///
+/// As for [`topo_until_values`].
+pub fn topo_reach_reward_values(
+    mdp: &Mdp,
+    cond: &Condensation,
+    target: &BitVec,
+    opt: Opt,
+    vio: &ViOptions,
+) -> Result<Vec<f64>, DtmcError> {
+    topo_reach_reward(mdp, cond, target, opt, vio.tol, vio).map(|(x, _)| x)
+}
+
+/// Certified optimal probabilities of `lhs U rhs` by **topological**
+/// interval iteration: the same bracket guarantee as
+/// [`certified_until_values`] (`lo ≤ x* ≤ hi` with width below `epsilon`
+/// everywhere), but solved one SCC of `cond` at a time in reverse
+/// topological order, so certified cost concentrates on the components
+/// that need iteration while layered structure collapses to closed-form
+/// backsubstitution. `vio.max_iter` bounds each component's sweeps, not
+/// the global total.
+///
+/// # Errors
+///
+/// As for [`certified_until_values`], plus
+/// [`DtmcError::DimensionMismatch`] for a condensation of another MDP.
+pub fn topo_certified_until_values(
+    mdp: &Mdp,
+    cond: &Condensation,
+    lhs: &BitVec,
+    rhs: &BitVec,
+    opt: Opt,
+    epsilon: f64,
+    vio: &ViOptions,
+) -> Result<CertifiedValues, DtmcError> {
+    let (cur, iterations) = topo_until::<(f64, f64)>(mdp, cond, lhs, rhs, opt, epsilon, vio)?;
+    Ok(CertifiedValues::from_pairs(cur, iterations))
+}
+
+/// Certified optimal reachability `Pmin`/`Pmax` `[F target]` by
+/// topological interval iteration — [`topo_certified_until_values`] with
+/// an unrestricted left operand.
+///
+/// # Errors
+///
+/// As for [`topo_certified_until_values`].
+pub fn topo_certified_reach_values(
+    mdp: &Mdp,
+    cond: &Condensation,
+    target: &BitVec,
+    opt: Opt,
+    epsilon: f64,
+    vio: &ViOptions,
+) -> Result<CertifiedValues, DtmcError> {
+    let all = BitVec::ones(mdp.n_states());
+    topo_certified_until_values(mdp, cond, &all, target, opt, epsilon, vio)
+}
+
+/// Certified optimal expected reachability reward by topological interval
+/// iteration: the qualitative pre-passes, seeds, and end-component
+/// corrections of [`certified_reach_reward_values`], solved one SCC at a
+/// time (inflation of zero-reward components stays component-local, since
+/// an end component never spans SCCs). The upper seeds are computed only
+/// when a non-trivial component will read them.
+///
+/// # Errors
+///
+/// As for [`topo_certified_until_values`].
+pub fn topo_certified_reach_reward_values(
+    mdp: &Mdp,
+    cond: &Condensation,
+    target: &BitVec,
+    opt: Opt,
+    epsilon: f64,
+    vio: &ViOptions,
+) -> Result<CertifiedValues, DtmcError> {
+    let (cur, iterations) = topo_reach_reward::<(f64, f64)>(mdp, cond, target, opt, epsilon, vio)?;
+    Ok(CertifiedValues::from_pairs(cur, iterations))
 }
 
 #[cfg(test)]
@@ -1459,14 +1451,16 @@ mod tests {
         let vio = ViOptions::default();
         // Rmin/Rmax to reach goal: bad (state 2) never reaches → ∞ from 0
         // too, since every action risks ending in bad.
-        let rmax = reach_reward_values(&m, &goal, Opt::Max, &vio).unwrap();
+        let rmax =
+            topo_reach_reward_values(&m, &qual::condensation(&m), &goal, Opt::Max, &vio).unwrap();
         assert_eq!(rmax[0], f64::INFINITY);
         assert_eq!(rmax[2], f64::INFINITY);
         assert_eq!(rmax[1], 0.0);
         // Reaching goal | bad is certain in one step; reward 1 accrues in
         // state 0 only.
         let either = BitVec::from_fn(3, |i| i > 0);
-        let r = reach_reward_values(&m, &either, Opt::Min, &vio).unwrap();
+        let r =
+            topo_reach_reward_values(&m, &qual::condensation(&m), &either, Opt::Min, &vio).unwrap();
         assert!((r[0] - 1.0).abs() < 1e-9);
         assert_eq!(r[1], 0.0);
     }
@@ -1502,7 +1496,8 @@ mod tests {
         .unwrap();
         let target = m.label("t").unwrap().clone();
         let vio = ViOptions::default();
-        let rmin = reach_reward_values(&m, &target, Opt::Min, &vio).unwrap();
+        let rmin =
+            topo_reach_reward_values(&m, &qual::condensation(&m), &target, Opt::Min, &vio).unwrap();
         assert!((rmin[0] - 10.0).abs() < 1e-9, "Rmin[0] = {}", rmin[0]);
         assert!((rmin[1] - 10.0).abs() < 1e-9, "Rmin[1] = {}", rmin[1]);
         assert!((rmin[2] - 10.0).abs() < 1e-9);
@@ -1510,7 +1505,8 @@ mod tests {
         // Rmax here: the maximizer could also stall forever — but a
         // stalling path never reaches the target, so Rmax is ∞ exactly
         // when Pmin < 1, which the qualitative pre-pass reports.
-        let rmax = reach_reward_values(&m, &target, Opt::Max, &vio).unwrap();
+        let rmax =
+            topo_reach_reward_values(&m, &qual::condensation(&m), &target, Opt::Max, &vio).unwrap();
         assert_eq!(rmax[0], f64::INFINITY);
     }
 
@@ -1657,7 +1653,9 @@ mod tests {
         let vio = ViOptions::default();
         let eps = 1e-9;
         for (opt, want) in [(Opt::Max, 0.5), (Opt::Min, 0.1)] {
-            let topo = topo_certified_reach_values(&m, &goal, opt, eps, &vio).unwrap();
+            let topo =
+                topo_certified_reach_values(&m, &qual::condensation(&m), &goal, opt, eps, &vio)
+                    .unwrap();
             let glob = certified_reach_values(&m, &goal, opt, eps, &vio).unwrap();
             assert!(topo.width() < eps, "{opt:?}");
             assert!(
@@ -1695,7 +1693,9 @@ mod tests {
         let goal = m.label("goal").unwrap().clone();
         let vio = ViOptions::default();
         let eps = 1e-9;
-        let cert = topo_certified_reach_values(&m, &goal, Opt::Max, eps, &vio).unwrap();
+        let cert =
+            topo_certified_reach_values(&m, &qual::condensation(&m), &goal, Opt::Max, eps, &vio)
+                .unwrap();
         assert!(cert.width() < eps);
         assert!(
             cert.lo[0] <= 0.5 && 0.5 <= cert.hi[0] && cert.hi[0] < 0.5 + eps,
@@ -1732,7 +1732,15 @@ mod tests {
         let target = m.label("t").unwrap().clone();
         let vio = ViOptions::default();
         let eps = 1e-9;
-        let cert = topo_certified_reach_reward_values(&m, &target, Opt::Min, eps, &vio).unwrap();
+        let cert = topo_certified_reach_reward_values(
+            &m,
+            &qual::condensation(&m),
+            &target,
+            Opt::Min,
+            eps,
+            &vio,
+        )
+        .unwrap();
         assert!(cert.width() < eps);
         for s in [0usize, 1, 2] {
             assert!(
@@ -1743,13 +1751,29 @@ mod tests {
             );
         }
         // Rmax stays exactly ∞ outside the certain region.
-        let cert = topo_certified_reach_reward_values(&m, &target, Opt::Max, eps, &vio).unwrap();
+        let cert = topo_certified_reach_reward_values(
+            &m,
+            &qual::condensation(&m),
+            &target,
+            Opt::Max,
+            eps,
+            &vio,
+        )
+        .unwrap();
         assert_eq!((cert.lo[0], cert.hi[0]), (f64::INFINITY, f64::INFINITY));
         // Rmax of goal|either-style certain queries still brackets.
         let m2 = tiny();
         let either = BitVec::from_fn(3, |i| i > 0);
         for opt in [Opt::Max, Opt::Min] {
-            let cert = topo_certified_reach_reward_values(&m2, &either, opt, eps, &vio).unwrap();
+            let cert = topo_certified_reach_reward_values(
+                &m2,
+                &qual::condensation(&m2),
+                &either,
+                opt,
+                eps,
+                &vio,
+            )
+            .unwrap();
             assert!(cert.width() < eps);
             assert!(cert.lo[0] <= 1.0 && 1.0 <= cert.hi[0], "{opt:?}");
         }
@@ -1774,7 +1798,9 @@ mod tests {
         let end = m.label("end").unwrap().clone();
         let vio = ViOptions::default();
         for opt in [Opt::Min, Opt::Max] {
-            let cert = topo_certified_reach_values(&m, &end, opt, 1e-9, &vio).unwrap();
+            let cert =
+                topo_certified_reach_values(&m, &qual::condensation(&m), &end, opt, 1e-9, &vio)
+                    .unwrap();
             assert!(cert.width() < 1e-9);
             assert!((cert.midpoints()[0] - 1.0).abs() < 1e-9);
         }

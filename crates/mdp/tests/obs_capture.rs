@@ -80,7 +80,15 @@ fn topo_certified_vi_emits_records_ending_below_epsilon() {
     let goal = m.label("goal").unwrap().clone();
     let eps = 1e-9;
     let (cap, certified) = captured(|| {
-        vi::topo_certified_reach_values(&m, &goal, Opt::Max, eps, &ViOptions::default()).unwrap()
+        vi::topo_certified_reach_values(
+            &m,
+            &smg_mdp::qual::condensation(&m),
+            &goal,
+            Opt::Max,
+            eps,
+            &ViOptions::default(),
+        )
+        .unwrap()
     });
     assert!((certified.hi[0] - 1.0).abs() < 1e-6);
     let traces = cap.traces_for("topo_certified_vi");
@@ -90,6 +98,42 @@ fn topo_certified_vi_emits_records_ending_below_epsilon() {
         traces.len() as u64
     );
     assert!(traces.last().unwrap().width.unwrap() < eps);
+}
+
+#[test]
+fn topo_vi_default_driver_reports_residuals_per_component() {
+    // 0 ↔ 1 leak into the absorbing goal 2; 1 may instead jump to the
+    // absorbing bad state 3. The cycle is a non-trivial SCC, so the
+    // default walk sweeps it in place under its component id.
+    let mut b = MdpBuilder::default();
+    b.push_action(&mut [(1, 0.9), (2, 0.1)]).unwrap();
+    b.finish_state().unwrap();
+    b.push_action(&mut [(0, 0.9), (2, 0.1)]).unwrap();
+    b.push_action(&mut [(3, 1.0)]).unwrap();
+    b.finish_state().unwrap();
+    b.push_action(&mut [(2, 1.0)]).unwrap();
+    b.finish_state().unwrap();
+    b.push_action(&mut [(3, 1.0)]).unwrap();
+    b.finish_state().unwrap();
+    let mut labels = BTreeMap::new();
+    labels.insert("goal".to_string(), BitVec::from_fn(4, |i| i == 2));
+    let m = Mdp::new(b.finish(), vec![(0, 1.0)], labels, vec![0.0; 4]).unwrap();
+    let goal = m.label("goal").unwrap().clone();
+    let vio = ViOptions::default();
+    let cond = smg_mdp::qual::condensation(&m);
+    let (cap, values) =
+        captured(|| vi::topo_reach_values(&m, &cond, &goal, Opt::Max, &vio).unwrap());
+    assert!((values[0] - 1.0).abs() < 1e-9, "Pmax = {}", values[0]);
+    let traces = cap.traces_for("topo_vi");
+    assert!(!traces.is_empty());
+    assert_eq!(
+        cap.counter_with("smg_solve_sweeps_total", "topo_vi"),
+        traces.len() as u64
+    );
+    assert!(traces.iter().all(|t| t.width.is_none()));
+    let last = traces.last().unwrap();
+    assert!(last.component.is_some(), "{last:?}");
+    assert!(last.residual.unwrap() < vio.tol, "{last:?}");
 }
 
 #[test]

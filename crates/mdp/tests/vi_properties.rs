@@ -275,6 +275,49 @@ proptest! {
         }
     }
 
+    /// The checker's default unbounded solvers — topological value
+    /// iteration of the lower value, `Pmin`/`Pmax` and `Rmin`/`Rmax` —
+    /// equal the exhaustive memoryless-scheduler envelope, including the
+    /// exact `∞` region of the reward forms.
+    #[test]
+    fn topological_default_matches_scheduler_enumeration(
+        n in 2u32..6,
+        seed in 0u64..u64::MAX,
+    ) {
+        init_env();
+        let mdp = explore_mdp(n, seed);
+        let target = mdp.label("target").unwrap().clone();
+        let vio = ViOptions::default();
+        let cond = smg_mdp::qual::condensation(&mdp);
+        let (emin, emax) = enumerate_schedulers(&mdp, &target);
+        for (opt, envelope) in [(Opt::Min, &emin), (Opt::Max, &emax)] {
+            let vals = vi::topo_reach_values(&mdp, &cond, &target, opt, &vio).unwrap();
+            for (s, &env) in envelope.iter().enumerate() {
+                prop_assert!(
+                    (vals[s] - env).abs() < 1e-6,
+                    "state {s}: P{opt} topo {} vs enumeration {env} (n={n}, seed={seed:#x})",
+                    vals[s]
+                );
+            }
+        }
+        let (rmin, rmax) = enumerate_scheduler_rewards(&mdp, &target);
+        for (opt, envelope) in [(Opt::Min, &rmin), (Opt::Max, &rmax)] {
+            let vals = vi::topo_reach_reward_values(&mdp, &cond, &target, opt, &vio).unwrap();
+            for (s, &env) in envelope.iter().enumerate() {
+                if env.is_infinite() {
+                    prop_assert_eq!(vals[s], f64::INFINITY, "state {} (R{:?})", s, opt);
+                } else {
+                    let slack = 1e-6 * (1.0 + env.abs());
+                    prop_assert!(
+                        (vals[s] - env).abs() <= slack,
+                        "state {s}: R{opt} topo {} vs enumeration {env} (n={n}, seed={seed:#x})",
+                        vals[s]
+                    );
+                }
+            }
+        }
+    }
+
     /// Topological (SCC-ordered) certified solving agrees with global
     /// certified interval iteration on random MDPs: both brackets are
     /// ε-wide, overlap, and bracket the exhaustive scheduler envelope —
@@ -293,7 +336,7 @@ proptest! {
         let (emin, emax) = enumerate_schedulers(&mdp, &target);
         for (opt, envelope) in [(Opt::Min, &emin), (Opt::Max, &emax)] {
             let global = vi::certified_reach_values(&mdp, &target, opt, eps, &vio).unwrap();
-            let topo = vi::topo_certified_reach_values(&mdp, &target, opt, eps, &vio).unwrap();
+            let topo = vi::topo_certified_reach_values(&mdp, &smg_mdp::qual::condensation(&mdp), &target, opt, eps, &vio).unwrap();
             prop_assert!(topo.width() < eps, "{opt:?} width {}", topo.width());
             for (s, &env) in envelope.iter().enumerate() {
                 prop_assert!(
@@ -310,7 +353,7 @@ proptest! {
         let (rmin, rmax) = enumerate_scheduler_rewards(&mdp, &target);
         for (opt, envelope) in [(Opt::Min, &rmin), (Opt::Max, &rmax)] {
             let topo =
-                vi::topo_certified_reach_reward_values(&mdp, &target, opt, eps, &vio).unwrap();
+                vi::topo_certified_reach_reward_values(&mdp, &smg_mdp::qual::condensation(&mdp), &target, opt, eps, &vio).unwrap();
             prop_assert!(topo.width() < eps, "{opt:?} width {}", topo.width());
             for (s, &env) in envelope.iter().enumerate() {
                 if env.is_infinite() {

@@ -24,16 +24,17 @@
 use crate::ast::{PathFormula, Property, RewardQuery, StateFormula, TimeBound};
 use crate::error::PctlError;
 use crate::session::{CacheKind, CacheStats};
+use smg_dtmc::graph::Condensation;
 use smg_dtmc::{solve, transient, BitVec, Dtmc};
 use smg_obs as obs;
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Tolerance for unbounded-until value iteration.
+/// Residual tolerance of the default unbounded solvers (per SCC).
 const UNBOUNDED_TOL: f64 = 1e-12;
-/// Iteration budget for unbounded queries.
+/// Iteration budget for unbounded queries (per SCC).
 const UNBOUNDED_MAX_ITER: usize = 1_000_000;
 /// Iteration budget for certified interval iteration (dual sweeps close a
 /// width, not a residual, so slow-mixing models legitimately need more
@@ -98,8 +99,11 @@ pub enum Solver {
     /// Exact finite-horizon arithmetic (forward transient propagation or
     /// bounded backward iteration) — no convergence test involved.
     Transient,
-    /// Unbounded value/power iteration stopped on a heuristic residual
-    /// test (`delta < tol`), which bounds nothing.
+    /// Unbounded iteration stopped on a heuristic residual test
+    /// (`delta < tol`), which bounds nothing: topological value iteration
+    /// over the SCC condensation (trivial components in closed form,
+    /// the rest until a component-local residual passes), and for
+    /// long-run queries damped power iteration inside bottom SCCs.
     Iterative,
     /// Certified interval iteration: dual bounds with a qualitative
     /// pre-pass, terminated on `upper − lower < ε` pointwise.
@@ -200,7 +204,8 @@ impl CheckResult {
 }
 
 /// Evaluates a top-level property against the DTMC's initial distribution
-/// with default options (residual-converged unbounded iteration).
+/// with default options (unbounded queries solved topologically on the
+/// SCC condensation, residual-tested per component).
 ///
 /// # Errors
 ///
@@ -250,9 +255,13 @@ pub(crate) struct DtmcCache {
     /// Satisfaction sets, one entry per distinct (sub)formula
     /// ([`sat_key`]-keyed).
     sat: HashMap<String, BitVec>,
-    /// Unbounded reachability value vectors keyed by the target set. Also
-    /// the pre-pass of reachability rewards, so `P=? [ F φ ]` and
-    /// `R=? [ F φ ]` share one solve.
+    /// The chain's SCC condensation, built on the first unbounded query
+    /// and handed to every topological solve after it. Query-independent,
+    /// so one per session; sessions that only run bounded queries never
+    /// build it.
+    cond: OnceCell<Arc<Condensation>>,
+    /// Unbounded reachability value vectors keyed by the target set
+    /// (shared by `F φ`, `G ¬φ` and nested `P⋈p [F φ]` operators).
     reach: HashMap<BitVec, Arc<Vec<f64>>>,
     /// Unbounded until value vectors keyed by `(lhs, rhs)`.
     until: HashMap<(BitVec, BitVec), Arc<Vec<f64>>>,
@@ -269,7 +278,8 @@ pub(crate) struct DtmcCache {
     cert_until: HashMap<(BitVec, BitVec, u64, bool), Arc<solve::CertifiedValues>>,
     /// Certified reachability-reward brackets, keyed as [`Self::cert_reach`].
     cert_reach_reward: HashMap<(BitVec, u64, bool), Arc<solve::CertifiedValues>>,
-    /// Long-run probabilities keyed by the satisfaction set.
+    /// Long-run probabilities (from the initial distribution) keyed by
+    /// the satisfaction set.
     steady: HashMap<BitVec, f64>,
     /// Hit/miss telemetry, per cache kind.
     pub(crate) stats: CacheStats,
@@ -281,12 +291,19 @@ pub(crate) struct DtmcCache {
 pub(crate) struct Evaluator<'a> {
     dtmc: &'a Dtmc,
     cache: Option<&'a RefCell<DtmcCache>>,
+    /// An uncached evaluator's own condensation (one per free-function
+    /// call), built on its first unbounded solve.
+    cond: OnceCell<Arc<Condensation>>,
 }
 
 impl<'a> Evaluator<'a> {
     /// An evaluator that recomputes everything (the free-function path).
     pub(crate) fn uncached(dtmc: &'a Dtmc) -> Self {
-        Evaluator { dtmc, cache: None }
+        Evaluator {
+            dtmc,
+            cache: None,
+            cond: OnceCell::new(),
+        }
     }
 
     /// An evaluator sharing a session's cache.
@@ -294,6 +311,18 @@ impl<'a> Evaluator<'a> {
         Evaluator {
             dtmc,
             cache: Some(cache),
+            cond: OnceCell::new(),
+        }
+    }
+
+    /// The chain's SCC condensation: the session's single copy in cached
+    /// mode, this evaluator's own otherwise — built on first use either
+    /// way.
+    fn condensation(&self) -> Arc<Condensation> {
+        let build = || Arc::new(Condensation::new(self.dtmc));
+        match self.cache {
+            Some(cell) => cell.borrow().cond.get_or_init(build).clone(),
+            None => self.cond.get_or_init(build).clone(),
         }
     }
 
@@ -621,8 +650,9 @@ impl<'a> Evaluator<'a> {
                 c.reach.insert(target.clone(), v);
             },
             |ev| {
-                Ok(Arc::new(transient::unbounded_reach_values(
+                Ok(Arc::new(solve::topo_reach_values(
                     ev.dtmc,
+                    &ev.condensation(),
                     target,
                     UNBOUNDED_TOL,
                     UNBOUNDED_MAX_ITER,
@@ -640,43 +670,17 @@ impl<'a> Evaluator<'a> {
             |c, v| {
                 c.until.insert((lhs.clone(), rhs.clone()), v);
             },
-            |ev| ev.unbounded_until_raw(lhs, rhs).map(Arc::new),
+            |ev| {
+                Ok(Arc::new(solve::topo_until_values(
+                    ev.dtmc,
+                    &ev.condensation(),
+                    lhs,
+                    rhs,
+                    UNBOUNDED_TOL,
+                    UNBOUNDED_MAX_ITER,
+                )?))
+            },
         )
-    }
-
-    fn unbounded_until_raw(&self, lhs: &BitVec, rhs: &BitVec) -> Result<Vec<f64>, PctlError> {
-        // φ U ψ = reachability of ψ through φ-only states: make ¬φ∧¬ψ
-        // states absorbing failures by restricting the until iteration.
-        // Reuse the bounded iteration until the values converge.
-        let dtmc = self.dtmc;
-        let n = dtmc.n_states();
-        let mut x: Vec<f64> = (0..n).map(|i| if rhs.get(i) { 1.0 } else { 0.0 }).collect();
-        let mut next = vec![0.0; n];
-        let active = lhs.and(&rhs.not());
-        for _ in 0..UNBOUNDED_MAX_ITER {
-            dtmc.matrix()
-                .backward_masked_into(&x, Some(&active), &mut next);
-            for (i, v) in next.iter_mut().enumerate() {
-                if rhs.get(i) {
-                    *v = 1.0;
-                } else if !lhs.get(i) {
-                    *v = 0.0;
-                }
-            }
-            let diff = x
-                .iter()
-                .zip(&next)
-                .map(|(a, b)| (a - b).abs())
-                .fold(0.0, f64::max);
-            std::mem::swap(&mut x, &mut next);
-            if diff < UNBOUNDED_TOL {
-                return Ok(x);
-            }
-        }
-        Err(PctlError::Dtmc(smg_dtmc::DtmcError::NoConvergence {
-            iterations: UNBOUNDED_MAX_ITER,
-            residual: UNBOUNDED_TOL,
-        }))
     }
 
     fn reward_query(&self, q: &RewardQuery, opts: &CheckOptions) -> Result<EngineValue, PctlError> {
@@ -723,9 +727,7 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// See [`reach_reward_values`]; memoized on the target set, with the
-    /// reachability pre-pass routed through the shared [`DtmcCache::reach`]
-    /// entry.
+    /// See [`reach_reward_values`]; memoized on the target set.
     pub(crate) fn reach_reward_values(&self, target: &BitVec) -> Result<Arc<Vec<f64>>, PctlError> {
         self.memo(
             CacheKind::Values,
@@ -733,50 +735,16 @@ impl<'a> Evaluator<'a> {
             |c, v| {
                 c.reach_reward.insert(target.clone(), v);
             },
-            |ev| ev.reach_reward_values_raw(target).map(Arc::new),
+            |ev| {
+                Ok(Arc::new(solve::topo_reach_reward_values(
+                    ev.dtmc,
+                    &ev.condensation(),
+                    target,
+                    UNBOUNDED_TOL,
+                    UNBOUNDED_MAX_ITER,
+                )?))
+            },
         )
-    }
-
-    fn reach_reward_values_raw(&self, target: &BitVec) -> Result<Vec<f64>, PctlError> {
-        let dtmc = self.dtmc;
-        let n = dtmc.n_states();
-        let reach = self.unbounded_reach(target)?;
-        let certain = BitVec::from_fn(n, |i| reach[i] > 1.0 - 1e-9);
-        // Iterate only over certain non-target states; everything else is
-        // pinned (0 on targets, ∞ elsewhere, applied after convergence).
-        let active = certain.and(&target.not());
-        let rewards = dtmc.rewards();
-        let mut x = vec![0.0; n];
-        let mut next = vec![0.0; n];
-        let mut converged = false;
-        for _ in 0..UNBOUNDED_MAX_ITER {
-            dtmc.matrix()
-                .backward_masked_into(&x, Some(&active), &mut next);
-            let mut diff: f64 = 0.0;
-            for i in active.iter_ones() {
-                next[i] += rewards[i];
-                diff = diff.max((next[i] - x[i]).abs());
-            }
-            std::mem::swap(&mut x, &mut next);
-            if diff < UNBOUNDED_TOL {
-                converged = true;
-                break;
-            }
-        }
-        if !converged {
-            return Err(PctlError::Dtmc(smg_dtmc::DtmcError::NoConvergence {
-                iterations: UNBOUNDED_MAX_ITER,
-                residual: UNBOUNDED_TOL,
-            }));
-        }
-        for (i, v) in x.iter_mut().enumerate() {
-            if !certain.get(i) {
-                *v = f64::INFINITY;
-            } else if target.get(i) {
-                *v = 0.0;
-            }
-        }
-        Ok(x)
     }
 
     /// Certified unbounded reachability, memoized on `(target, ε, topo)`.
@@ -802,7 +770,13 @@ impl<'a> Evaluator<'a> {
             },
             |ev| {
                 let cert = if topo {
-                    solve::topo_interval_reach_values(ev.dtmc, target, eps, CERTIFIED_MAX_ITER)?
+                    solve::topo_interval_reach_values(
+                        ev.dtmc,
+                        &ev.condensation(),
+                        target,
+                        eps,
+                        CERTIFIED_MAX_ITER,
+                    )?
                 } else {
                     solve::interval_reach_values(ev.dtmc, target, eps, CERTIFIED_MAX_ITER)?
                 };
@@ -832,7 +806,14 @@ impl<'a> Evaluator<'a> {
             },
             |ev| {
                 let cert = if topo {
-                    solve::topo_interval_until_values(ev.dtmc, lhs, rhs, eps, CERTIFIED_MAX_ITER)?
+                    solve::topo_interval_until_values(
+                        ev.dtmc,
+                        &ev.condensation(),
+                        lhs,
+                        rhs,
+                        eps,
+                        CERTIFIED_MAX_ITER,
+                    )?
                 } else {
                     solve::interval_until_values(ev.dtmc, lhs, rhs, eps, CERTIFIED_MAX_ITER)?
                 };
@@ -863,6 +844,7 @@ impl<'a> Evaluator<'a> {
                 let cert = if topo {
                     solve::topo_interval_reach_reward_values(
                         ev.dtmc,
+                        &ev.condensation(),
                         target,
                         eps,
                         CERTIFIED_MAX_ITER,
@@ -875,9 +857,10 @@ impl<'a> Evaluator<'a> {
         )
     }
 
-    /// The long-run probability of being in a `sat`-state, memoized on the
-    /// set, computed by damped ("lazy-chain") power iteration which
-    /// converges even for periodic chains and equals the Cesàro limit.
+    /// The long-run probability of being in a `sat`-state (the Cesàro
+    /// limit, which exists for periodic chains too), memoized on the set:
+    /// `Σ_B P(◇B)·π_B(sat)` over the bottom SCCs of the session's
+    /// condensation ([`solve::steady_state_prob`]).
     fn steady_prob(&self, sat: &BitVec) -> Result<f64, PctlError> {
         self.memo(
             CacheKind::Steady,
@@ -890,35 +873,13 @@ impl<'a> Evaluator<'a> {
     }
 
     fn steady_prob_raw(&self, sat: &BitVec) -> Result<f64, PctlError> {
-        let dtmc = self.dtmc;
-        let mut pi = dtmc.initial_dense();
-        let mut stepped = vec![0.0; pi.len()];
-        for it in 1..=STEADY_MAX_STEPS {
-            dtmc.matrix().forward_into(&pi, &mut stepped);
-            let mut delta: f64 = 0.0;
-            for (p, s) in pi.iter_mut().zip(&stepped) {
-                let lazy = 0.5 * *p + 0.5 * s;
-                delta = delta.max((lazy - *p).abs());
-                *p = lazy;
-            }
-            if obs::enabled() {
-                obs::counter_add("smg_solve_sweeps_total", Some(("driver", "steady")), 1);
-                obs::trace(&obs::ConvergenceRecord {
-                    driver: "steady",
-                    sweep: it as u64,
-                    residual: Some(delta),
-                    width: None,
-                    component: None,
-                });
-            }
-            if delta < STEADY_TOL {
-                return Ok(sat.iter_ones().map(|i| pi[i]).sum());
-            }
-        }
-        Err(PctlError::Dtmc(smg_dtmc::DtmcError::NoConvergence {
-            iterations: STEADY_MAX_STEPS,
-            residual: STEADY_TOL,
-        }))
+        Ok(solve::steady_state_prob(
+            self.dtmc,
+            &self.condensation(),
+            sat,
+            STEADY_TOL,
+            STEADY_MAX_STEPS,
+        )?)
     }
 }
 
@@ -1207,10 +1168,11 @@ pub fn path_values(dtmc: &Dtmc, path: &PathFormula) -> Result<Vec<f64>, PctlErro
 /// the target state's own reward is not counted, and states from which the
 /// target is reached with probability < 1 get `f64::INFINITY`).
 ///
-/// Computed by value iteration on `x = r + P·x` restricted to non-target
-/// states whose reachability probability is 1; from such states every
-/// successor is again certain (or the target), so infinities never enter
-/// the iteration.
+/// The finite region is decided on the graph (the states from which every
+/// path keeps the target reachable), and `x = r + P·x` is solved on it
+/// topologically ([`solve::topo_reach_reward_values`]); from such states
+/// every successor is again in the region (or the target), so infinities
+/// never enter the solve.
 ///
 /// # Errors
 ///
@@ -1613,6 +1575,77 @@ mod tests {
         let s_bad = q(&d, "S=? [ bad ]");
         assert!((s_goal - 1.0 / 3.0).abs() < 1e-6, "s_goal = {s_goal}");
         assert!((s_bad - 2.0 / 3.0).abs() < 1e-6);
+    }
+
+    /// A chain from explicit rows, starting in state 0, with the given
+    /// labels and per-state rewards.
+    fn chain(rows: Vec<Vec<(u32, f64)>>, labels: &[(&str, &[usize])], rewards: Vec<f64>) -> Dtmc {
+        use smg_dtmc::{matrix::CsrMatrix, TransitionMatrix};
+        let n = rows.len();
+        let matrix = TransitionMatrix::Sparse(CsrMatrix::from_rows(rows).unwrap());
+        let labels = labels
+            .iter()
+            .map(|(name, states)| {
+                (
+                    name.to_string(),
+                    BitVec::from_fn(n, |i| states.contains(&i)),
+                )
+            })
+            .collect();
+        Dtmc::new(matrix, vec![(0, 1.0)], labels, rewards).unwrap()
+    }
+
+    #[test]
+    fn reward_region_comes_from_the_graph() {
+        // 0 reaches the goal with probability 1 − 1e-10 and otherwise falls
+        // into the absorbing state 2, from which the goal is unreachable: a
+        // thresholded reach probability would call 0 "certain" and report
+        // a finite reward, but the expectation is ∞, as certified says.
+        let d = chain(
+            vec![
+                vec![(1, 0.9999999999), (2, 1e-10)],
+                vec![(1, 1.0)],
+                vec![(2, 1.0)],
+            ],
+            &[("goal", &[1])],
+            vec![1.0, 0.0, 0.0],
+        );
+        assert_eq!(q(&d, "R=? [ F goal ]"), f64::INFINITY);
+        let certified = check_query_with(
+            &d,
+            &parse_property("R=? [ F goal ]").unwrap(),
+            &CheckOptions::certified(1e-9),
+        )
+        .unwrap();
+        assert_eq!(certified.value(), f64::INFINITY);
+    }
+
+    #[test]
+    fn sticky_self_loop_is_solved_in_closed_form() {
+        // 0 stays with probability 1 − 1e-13 and moves to the absorbing
+        // goal otherwise: the goal is reached almost surely after ~1e13
+        // steps, and the chain ends there. A residual test sees no
+        // progress after one sweep; the closed form divides by the stored
+        // off-diagonal mass, not by the cancelling `1 − p_ii`.
+        let d = chain(
+            vec![vec![(0, 0.9999999999999), (1, 1e-13)], vec![(1, 1.0)]],
+            &[("goal", &[1])],
+            vec![1.0, 0.0],
+        );
+        let p = q(&d, "P=? [ F goal ]");
+        assert!((p - 1.0).abs() < 1e-9, "P = {p}");
+        let r = q(&d, "R=? [ F goal ]");
+        assert!((r / 1e13 - 1.0).abs() < 1e-9, "R = {r}");
+        let s = q(&d, "S=? [ goal ]");
+        assert!((s - 1.0).abs() < 1e-9, "S = {s}");
+        // The topological certified bracket closes on the same chain.
+        let certified = check_query_with(
+            &d,
+            &parse_property("P=? [ F goal ]").unwrap(),
+            &CheckOptions::certified(1e-6).topological(),
+        )
+        .unwrap();
+        assert!((certified.value() - 1.0).abs() < 1e-9);
     }
 
     #[test]

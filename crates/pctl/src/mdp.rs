@@ -8,7 +8,8 @@
 //! formulas over labels work unchanged.
 //!
 //! All numeric evaluation happens *backwards* — per-state optimal value
-//! vectors from `smg-mdp`'s value iteration, folded over the initial
+//! vectors from `smg-mdp`'s value iteration (unbounded queries walk the
+//! any-action SCC condensation, `smg_mdp::vi::topo_*`), folded over the initial
 //! distribution at the end. (A scheduler observes the state, including the
 //! initial draw, so the optimal value of a distribution is the expectation
 //! of the per-state optima; there is no MDP analogue of the DTMC checker's
@@ -25,11 +26,12 @@ use crate::check::{
 };
 use crate::error::PctlError;
 use crate::session::{CacheKind, CacheStats};
+use smg_dtmc::graph::Condensation;
 use smg_dtmc::solve::CertifiedValues;
 use smg_dtmc::BitVec;
-use smg_mdp::{vi, Mdp, ViOptions};
+use smg_mdp::{qual, vi, Mdp, ViOptions};
 use smg_obs as obs;
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -106,6 +108,9 @@ pub fn check_mdp_query_with(
 pub(crate) struct MdpCache {
     /// Satisfaction sets, one entry per distinct (sub)formula text.
     sat: HashMap<String, BitVec>,
+    /// The SCC condensation of the any-action graph, built on the first
+    /// unbounded query and handed to every topological solve after it.
+    cond: OnceCell<Arc<Condensation>>,
     /// Unbounded optimal until values keyed by `(lhs, rhs, opt)`.
     /// (`F φ` routes through this with an all-ones `lhs`.)
     until: HashMap<(BitVec, BitVec, Opt), Arc<Vec<f64>>>,
@@ -132,6 +137,9 @@ pub(crate) struct MdpEvaluator<'a> {
     mdp: &'a Mdp,
     vio: ViOptions,
     cache: Option<&'a RefCell<MdpCache>>,
+    /// An uncached evaluator's own condensation (one per free-function
+    /// call), built on its first unbounded solve.
+    cond: OnceCell<Arc<Condensation>>,
 }
 
 impl<'a> MdpEvaluator<'a> {
@@ -141,6 +149,7 @@ impl<'a> MdpEvaluator<'a> {
             mdp,
             vio,
             cache: None,
+            cond: OnceCell::new(),
         }
     }
 
@@ -150,6 +159,18 @@ impl<'a> MdpEvaluator<'a> {
             mdp,
             vio,
             cache: Some(cache),
+            cond: OnceCell::new(),
+        }
+    }
+
+    /// The any-action condensation: the session's single copy in cached
+    /// mode, this evaluator's own otherwise — built on first use either
+    /// way.
+    fn condensation(&self) -> Arc<Condensation> {
+        let build = || Arc::new(qual::condensation(self.mdp));
+        match self.cache {
+            Some(cell) => cell.borrow().cond.get_or_init(build).clone(),
+            None => self.cond.get_or_init(build).clone(),
         }
     }
 
@@ -432,8 +453,13 @@ impl<'a> MdpEvaluator<'a> {
                 c.until.insert((lhs.clone(), rhs.clone(), opt), v);
             },
             |ev| {
-                Ok(Arc::new(vi::unbounded_until_values(
-                    ev.mdp, lhs, rhs, opt, &ev.vio,
+                Ok(Arc::new(vi::topo_until_values(
+                    ev.mdp,
+                    &ev.condensation(),
+                    lhs,
+                    rhs,
+                    opt,
+                    &ev.vio,
                 )?))
             },
         )
@@ -493,8 +519,12 @@ impl<'a> MdpEvaluator<'a> {
                 c.reach_reward.insert((target.clone(), opt), v);
             },
             |ev| {
-                Ok(Arc::new(vi::reach_reward_values(
-                    ev.mdp, target, opt, &ev.vio,
+                Ok(Arc::new(vi::topo_reach_reward_values(
+                    ev.mdp,
+                    &ev.condensation(),
+                    target,
+                    opt,
+                    &ev.vio,
                 )?))
             },
         )
@@ -526,7 +556,15 @@ impl<'a> MdpEvaluator<'a> {
             |ev| {
                 let vio = ev.certified_vio();
                 let cert = if topo {
-                    vi::topo_certified_until_values(ev.mdp, lhs, rhs, opt, eps, &vio)?
+                    vi::topo_certified_until_values(
+                        ev.mdp,
+                        &ev.condensation(),
+                        lhs,
+                        rhs,
+                        opt,
+                        eps,
+                        &vio,
+                    )?
                 } else {
                     vi::certified_until_values(ev.mdp, lhs, rhs, opt, eps, &vio)?
                 };
@@ -558,7 +596,14 @@ impl<'a> MdpEvaluator<'a> {
             |ev| {
                 let vio = ev.certified_vio();
                 let cert = if topo {
-                    vi::topo_certified_reach_values(ev.mdp, target, opt, eps, &vio)?
+                    vi::topo_certified_reach_values(
+                        ev.mdp,
+                        &ev.condensation(),
+                        target,
+                        opt,
+                        eps,
+                        &vio,
+                    )?
                 } else {
                     vi::certified_reach_values(ev.mdp, target, opt, eps, &vio)?
                 };
@@ -589,7 +634,14 @@ impl<'a> MdpEvaluator<'a> {
             |ev| {
                 let vio = ev.certified_vio();
                 let cert = if topo {
-                    vi::topo_certified_reach_reward_values(ev.mdp, target, opt, eps, &vio)?
+                    vi::topo_certified_reach_reward_values(
+                        ev.mdp,
+                        &ev.condensation(),
+                        target,
+                        opt,
+                        eps,
+                        &vio,
+                    )?
                 } else {
                     vi::certified_reach_reward_values(ev.mdp, target, opt, eps, &vio)?
                 };
@@ -824,6 +876,50 @@ mod tests {
             } else {
                 assert_eq!(t.value(), g.value(), "{prop}");
             }
+        }
+    }
+
+    /// A one-action MDP from explicit rows, starting in state 0, with a
+    /// "goal" label and per-state rewards.
+    fn one_action(rows: &[&[(u32, f64)]], goal: usize, rewards: Vec<f64>) -> Mdp {
+        let mut b = MdpBuilder::default();
+        for row in rows {
+            b.push_action(&mut row.to_vec()).unwrap();
+            b.finish_state().unwrap();
+        }
+        let n = rows.len();
+        let mut labels = BTreeMap::new();
+        labels.insert("goal".to_string(), BitVec::from_fn(n, |i| i == goal));
+        Mdp::new(b.finish(), vec![(0, 1.0)], labels, rewards).unwrap()
+    }
+
+    #[test]
+    fn reward_region_comes_from_the_graph() {
+        // The DTMC checker's near-certain chain as a one-action MDP: the
+        // 1e-10 escape to a dead end makes both optima infinite.
+        let m = one_action(
+            &[&[(1, 0.9999999999), (2, 1e-10)], &[(1, 1.0)], &[(2, 1.0)]],
+            1,
+            vec![1.0, 0.0, 0.0],
+        );
+        assert_eq!(q(&m, "Rmin=? [ F goal ]"), f64::INFINITY);
+        assert_eq!(q(&m, "Rmax=? [ F goal ]"), f64::INFINITY);
+    }
+
+    #[test]
+    fn sticky_self_loop_is_solved_in_closed_form() {
+        let m = one_action(
+            &[&[(0, 0.9999999999999), (1, 1e-13)], &[(1, 1.0)]],
+            1,
+            vec![1.0, 0.0],
+        );
+        for prop in ["Pmin=? [ F goal ]", "Pmax=? [ F goal ]"] {
+            let p = q(&m, prop);
+            assert!((p - 1.0).abs() < 1e-9, "{prop} = {p}");
+        }
+        for prop in ["Rmin=? [ F goal ]", "Rmax=? [ F goal ]"] {
+            let r = q(&m, prop);
+            assert!((r / 1e13 - 1.0).abs() < 1e-9, "{prop} = {r}");
         }
     }
 

@@ -41,6 +41,12 @@
 //!   the naive per-call `check_query` loop, at n ∈ {1e3, 1e5} — the
 //!   amortization claim of the batch API (three of the four properties
 //!   reuse the one unbounded reachability solve).
+//! * a `lang` section: the same torus lattice written as a `.sm` program
+//!   and compiled by `smg-lang` (parse and check excluded; expansion,
+//!   interning and assembly included) beside the native [`Lattice`]
+//!   explorer at ~1e4 and ~1e5 states, both on the engine's default lane
+//!   count — the front end's cost per state as a ratio of the engine's
+//!   (`native_ratio`: native states/sec over `.sm` states/sec).
 //!
 //! Future PRs append their own run to compare trajectories; keep the keys
 //! stable.
@@ -69,6 +75,21 @@ impl DtmcModel for Lattice {
         succ.push(((x, (y + w - 1) % w), 0.25));
         succ
     }
+}
+
+/// [`Lattice`] as a guarded-command program: the same `w * w` torus walk,
+/// four quarter-probability moves per state.
+fn lattice_program(w: u32) -> String {
+    format!(
+        "dtmc
+         const int W = {w};
+         module walker
+           x : [0..W-1] init 0;
+           y : [0..W-1] init 0;
+           [] true -> 0.25:(x'=mod(x+1, W)) + 0.25:(x'=mod(x+W-1, W))
+                    + 0.25:(y'=mod(y+1, W)) + 0.25:(y'=mod(y+W-1, W));
+         endmodule"
+    )
 }
 
 /// A synthetic sparse chain with ~4 off-diagonal entries per row.
@@ -498,6 +519,41 @@ fn main() {
         session_entries.push((n, per_call, batched));
     }
 
+    // Front end: the lattice as a `.sm` program against the native
+    // explorer, reps interleaved.
+    let mut lang_entries: Vec<(usize, f64, f64)> = Vec::new();
+    for w in if quick {
+        vec![100u32]
+    } else {
+        vec![100u32, 316]
+    } {
+        let checked =
+            smg_lang::check(smg_lang::parse(&lattice_program(w)).expect("parses")).expect("checks");
+        let model = Lattice { w };
+        let mut states = 0;
+        let (sm_ns, native_ns) = time_pair_ns(
+            3,
+            || {
+                let c = smg_lang::compile(checked.clone()).expect("lattice compiles");
+                states = c.dtmc.n_states();
+            },
+            || {
+                explore(&model, &ExploreOptions::default())
+                    .expect("lattice explores")
+                    .dtmc
+                    .n_states()
+            },
+        );
+        let sm = states as f64 / (sm_ns * 1e-9);
+        let native = states as f64 / (native_ns * 1e-9);
+        eprintln!(
+            "lang n={states}: .sm {sm:.0} states/sec, native {native:.0} states/sec \
+             ({:.2}x)",
+            native / sm
+        );
+        lang_entries.push((states, sm, native));
+    }
+
     // SpMV + Gauss-Seidel kernels.
     for &n in spmv_sizes {
         let dtmc = synthetic_chain(n);
@@ -688,6 +744,16 @@ fn main() {
             } else {
                 ""
             }
+        );
+    }
+    json.push_str("  ],\n  \"lang\": [\n");
+    for (i, (states, sm, native)) in lang_entries.iter().enumerate() {
+        let _ = writeln!(
+            json,
+            "    {{\"states\": {states}, \"sm_states_per_sec\": {sm:.1}, \
+             \"native_states_per_sec\": {native:.1}, \"native_ratio\": {:.3}}}{}",
+            native / sm,
+            if i + 1 < lang_entries.len() { "," } else { "" }
         );
     }
     json.push_str("  ],\n  \"kernels\": [\n");

@@ -9,6 +9,8 @@
 //!   them; variable, constant, formula and module names do not collide;
 //! * every name referenced anywhere resolves to a variable, constant or
 //!   formula (typos surface at compile time, not at some unlucky state);
+//! * no formula is defined in terms of itself, directly or through other
+//!   formulas;
 //! * commands only assign to variables owned by their module;
 //! * label names are unique.
 //!
@@ -16,7 +18,7 @@
 //! are caught dynamically during expansion, where the offending state can
 //! be reported.
 
-use crate::ast::{DeclType, Expr, Program};
+use crate::ast::{DeclType, Expr, FormulaDecl, Program};
 use crate::error::{LangError, Pos};
 use crate::value::{eval, Env, Value};
 use std::collections::{HashMap, HashSet};
@@ -235,6 +237,7 @@ pub fn check(program: Program) -> Result<CheckedProgram, LangError> {
     for f in &program.formulas {
         resolve(&f.body)?;
     }
+    formula_order(&program.formulas)?;
     for (mi, m) in program.modules.iter().enumerate() {
         for cmd in &m.commands {
             resolve(&cmd.guard)?;
@@ -286,6 +289,67 @@ pub fn check(program: Program) -> Result<CheckedProgram, LangError> {
         var_index,
         module_names,
     })
+}
+
+/// The indices of `formulas` in dependency order: each formula comes after
+/// every formula its body references, so they can be resolved one at a
+/// time.
+///
+/// # Errors
+///
+/// [`LangError::CyclicFormula`] if formulas reference each other in a
+/// cycle; it names the first formula the depth-first search (run in
+/// declaration order) meets twice, which lies on the cycle.
+pub(crate) fn formula_order(formulas: &[FormulaDecl]) -> Result<Vec<usize>, LangError> {
+    let index: HashMap<&str, usize> = formulas
+        .iter()
+        .enumerate()
+        .map(|(i, f)| (f.name.as_str(), i))
+        .collect();
+    let deps: Vec<Vec<usize>> = formulas
+        .iter()
+        .map(|f| {
+            let mut deps = Vec::new();
+            walk_names(&f.body, &mut |name, _| deps.extend(index.get(name)));
+            deps
+        })
+        .collect();
+    // Iterative depth-first search, so a long chain of formulas cannot
+    // exhaust the stack: 0 = unvisited, 1 = on the path, 2 = ordered.
+    let mut mark = vec![0u8; formulas.len()];
+    let mut order = Vec::with_capacity(formulas.len());
+    let mut path: Vec<(usize, usize)> = Vec::new();
+    for root in 0..formulas.len() {
+        if mark[root] != 0 {
+            continue;
+        }
+        mark[root] = 1;
+        path.push((root, 0));
+        while let Some(&(f, next)) = path.last() {
+            let Some(&g) = deps[f].get(next) else {
+                mark[f] = 2;
+                order.push(f);
+                path.pop();
+                continue;
+            };
+            let top = path.len() - 1;
+            path[top].1 += 1;
+            match mark[g] {
+                0 => {
+                    mark[g] = 1;
+                    path.push((g, 0));
+                }
+                1 => {
+                    return Err(LangError::CyclicFormula {
+                        name: formulas[g].name.clone(),
+                        pos: formulas[g].pos,
+                    })
+                }
+                _ => {}
+            }
+        }
+    }
+    Ok(order)
 }
 
 /// Calls `f` for every name reference in `e`.
@@ -436,6 +500,69 @@ mod tests {
             check(parse("const int k = 1;").unwrap()).unwrap_err(),
             LangError::NoModules
         ));
+    }
+
+    fn cycle_at(src: &str) -> (String, Pos) {
+        match checked(src).unwrap_err() {
+            LangError::CyclicFormula { name, pos } => (name, pos),
+            e => panic!("expected a cyclic formula, got {e}"),
+        }
+    }
+
+    const BODY: &str = "module m x : [0..2]; [] true -> true; endmodule";
+
+    #[test]
+    fn self_referential_formula_is_rejected() {
+        let (name, pos) = cycle_at(&format!(
+            "formula loop = loop & true;\n{BODY}\nlabel \"l\" = loop;"
+        ));
+        assert_eq!(name, "loop");
+        assert_eq!(pos.line, 1);
+    }
+
+    #[test]
+    fn mutually_recursive_formulas_are_rejected() {
+        let (name, pos) = cycle_at(&format!("formula a = b;\nformula b = a;\n{BODY}"));
+        assert_eq!((name.as_str(), pos.line), ("a", 1));
+    }
+
+    #[test]
+    fn three_cycle_is_rejected_behind_an_acyclic_prefix() {
+        let (name, _) = cycle_at(&format!(
+            "formula top = a + 1;
+             formula a = b * 2;
+             formula b = c - x;
+             formula c = a > 0 ? 1 : 0;
+             {BODY}"
+        ));
+        assert_eq!(name, "a");
+        let err = checked(&format!(
+            "formula a = b; formula b = c; formula c = a; {BODY}"
+        ))
+        .unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("\"a\" is defined in terms of itself"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn acyclic_formula_chain_is_accepted_in_dependency_order() {
+        let src = format!(
+            "formula d = c + b;
+             formula c = b * a;
+             formula b = a + 1;
+             formula a = x;
+             {BODY}"
+        );
+        let cp = checked(&src).unwrap();
+        let order = formula_order(&cp.program.formulas).unwrap();
+        let names: Vec<&str> = order
+            .iter()
+            .map(|&i| cp.program.formulas[i].name.as_str())
+            .collect();
+        assert_eq!(names, ["a", "b", "c", "d"]);
     }
 
     #[test]

@@ -72,6 +72,14 @@ pub enum LangError {
         /// Where the second declaration appears.
         pos: Pos,
     },
+    /// A formula is defined in terms of itself, directly or through other
+    /// formulas (PRISM rejects such cycles too).
+    CyclicFormula {
+        /// A formula on the cycle.
+        name: String,
+        /// Where that formula is declared.
+        pos: Pos,
+    },
     /// A name was used but never declared.
     UndefinedName {
         /// The name.
@@ -187,6 +195,9 @@ impl fmt::Display for LangError {
             } => write!(f, "{pos}: expected {expected}, found {found}"),
             LangError::DuplicateName { name, pos } => {
                 write!(f, "{pos}: duplicate declaration of {name:?}")
+            }
+            LangError::CyclicFormula { name, pos } => {
+                write!(f, "{pos}: formula {name:?} is defined in terms of itself")
             }
             LangError::UndefinedName { name, pos } => {
                 write!(f, "{pos}: undefined name {name:?}")

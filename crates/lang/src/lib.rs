@@ -52,6 +52,7 @@ pub mod ast;
 pub mod check;
 pub mod error;
 pub mod export;
+mod lower;
 pub mod model;
 pub mod parser;
 pub mod token;

@@ -30,15 +30,16 @@
 //!   its declared range aborts expansion with [`LangError::OutOfRange`]
 //!   (PRISM raises the analogous runtime error).
 
-use crate::ast::{Expr, ModelType, RewardsDecl};
+use crate::ast::ModelType;
 use crate::check::CheckedProgram;
 use crate::error::LangError;
-use crate::value::{eval, Env, Value};
+use crate::lower::{want_bool, want_double, want_int, Lowered};
 use smg_dtmc::bitvec::BitVec;
 use smg_dtmc::{Dtmc, ExploreOptions, Labelling};
 use smg_mdp::Mdp;
 use smg_pctl::AnyModel;
-use std::collections::{BTreeMap, HashMap};
+use std::cell::RefCell;
+use std::collections::BTreeMap;
 
 /// Probability mass below which an update branch is treated as absent, and
 /// tolerance for "sums to one" checks. Matches the DTMC layer's
@@ -127,10 +128,61 @@ fn render_assignment(names: &[String], vals: &[i64]) -> String {
 /// [`LangModel::actions_checked`]). Expansion errors are values that name
 /// the offending state; [`compile`] and [`compile_mdp`] are these
 /// functions run through the engine explorers.
+///
+/// Every expression is lowered once, when the model is built: variables
+/// resolve to state slots, constants fold, and formulas resolve to a
+/// shared table. Expanding a state then evaluates over the state vector
+/// directly and gathers its branches in per-lane buffers reused from
+/// state to state, so the successor vectors handed to the explorer are
+/// the only allocations.
 #[derive(Debug, Clone)]
 pub struct LangModel {
     checked: CheckedProgram,
     options: ExpandOptions,
+    lowered: Lowered,
+}
+
+/// A state's enabled commands and kept update branches, in evaluation
+/// order, reused from state to state on each lane. Ranges are `end`
+/// offsets: item `i` spans from the previous item's end (0 for the first)
+/// to its own.
+#[derive(Debug, Default)]
+struct Buffers {
+    /// Enabled command indices of the module being expanded.
+    enabled: Vec<usize>,
+    /// Assignments of every kept branch: `(slot, value)`.
+    deltas: Vec<(usize, i64)>,
+    /// Kept branches: the end of their assignments in `deltas`, and their
+    /// mass.
+    branches: Vec<(usize, f64)>,
+    /// Choices — one per enabled command under MDP semantics, one per
+    /// module (the uniform mix) under DTMC semantics: end in `branches`.
+    choices: Vec<usize>,
+    /// Modules: end of their choices in `choices`.
+    modules: Vec<usize>,
+    /// The chosen choice of each module for the action being assembled.
+    pick: Vec<usize>,
+    /// Product odometer: the current branch of each module, and the
+    /// running product of masses up to it.
+    cursor: Vec<usize>,
+    prefix: Vec<f64>,
+    /// Generated successors before merging, flat, with their masses.
+    succ: Vec<i64>,
+    mass: Vec<f64>,
+    order: Vec<usize>,
+}
+
+thread_local! {
+    static BUFFERS: RefCell<Buffers> = RefCell::new(Buffers::default());
+}
+
+/// Start of item `i` in an `end`-offset list.
+fn start(ends: &[usize], i: usize) -> usize {
+    if i == 0 {
+        0
+    } else {
+        ends[i - 1]
+    }
 }
 
 impl LangModel {
@@ -139,9 +191,14 @@ impl LangModel {
         Self::with_options(checked, ExpandOptions::default())
     }
 
-    /// Wraps a checked program.
+    /// Wraps a checked program, lowering its expressions.
     pub fn with_options(checked: CheckedProgram, options: ExpandOptions) -> Self {
-        LangModel { checked, options }
+        let lowered = Lowered::new(&checked);
+        LangModel {
+            checked,
+            options,
+            lowered,
+        }
     }
 
     /// The checked program.
@@ -159,90 +216,85 @@ impl LangModel {
         self.checked.vars.iter().map(|v| v.name.clone()).collect()
     }
 
-    fn env<'a>(&'a self, state: &[i64]) -> Env<'a> {
-        let mut vars = HashMap::with_capacity(self.checked.vars.len());
-        for (info, &raw) in self.checked.vars.iter().zip(state) {
-            let v = if info.is_bool {
-                Value::Bool(raw != 0)
+    fn module_name(&self, m: usize) -> &str {
+        &self.checked.program.modules[m].name
+    }
+
+    /// Gathers every module's choices in `state` into `buf`: under MDP
+    /// semantics (`per_command`) one choice per enabled command, else one
+    /// per module mixing its enabled commands uniformly. A module with no
+    /// enabled command contributes one identity branch when stuttering is
+    /// allowed and deadlocks otherwise. Modules are expanded in order, each
+    /// evaluating all its guards before its updates.
+    fn gather(&self, state: &[i64], buf: &mut Buffers, per_command: bool) -> Result<(), LangError> {
+        buf.deltas.clear();
+        buf.branches.clear();
+        buf.choices.clear();
+        buf.modules.clear();
+        for (m, commands) in self.lowered.modules.iter().enumerate() {
+            buf.enabled.clear();
+            for (ci, cmd) in commands.iter().enumerate() {
+                let g = self.lowered.eval(&cmd.guard, state)?;
+                if want_bool(g, || {
+                    format!("guard of command {ci} in module {}", self.module_name(m))
+                })? {
+                    buf.enabled.push(ci);
+                }
+            }
+            if buf.enabled.is_empty() {
+                if !self.options.allow_stutter {
+                    return Err(LangError::Deadlock {
+                        module: self.module_name(m).to_string(),
+                        state: render_assignment(&self.var_names(), state),
+                    });
+                }
+                buf.branches.push((buf.deltas.len(), 1.0));
+                buf.choices.push(buf.branches.len());
             } else {
-                Value::Int(raw)
-            };
-            vars.insert(info.name.as_str(), v);
-        }
-        Env {
-            vars,
-            consts: &self.checked.consts,
-            formulas: &self.checked.formulas,
-        }
-    }
-
-    /// Evaluates a boolean expression (a label body or reward guard) in a
-    /// state.
-    ///
-    /// # Errors
-    ///
-    /// Propagates evaluation errors ([`LangError::TypeMismatch`] etc.).
-    pub fn eval_bool(&self, e: &Expr, state: &[i64], context: &str) -> Result<bool, LangError> {
-        eval(e, &self.env(state))?.as_bool(context)
-    }
-
-    /// Evaluates a numeric expression in a state.
-    ///
-    /// # Errors
-    ///
-    /// Propagates evaluation errors.
-    pub fn eval_num(&self, e: &Expr, state: &[i64], context: &str) -> Result<f64, LangError> {
-        eval(e, &self.env(state))?.as_double(context)
-    }
-
-    /// The indices of the commands of module `m` whose guards hold, or the
-    /// deadlock/stutter resolution when none does: `Ok(None)` means the
-    /// module stutters this tick.
-    fn enabled_commands(
-        &self,
-        env: &Env,
-        m: &crate::ast::Module,
-        state: &[i64],
-    ) -> Result<Option<Vec<usize>>, LangError> {
-        let mut enabled: Vec<usize> = Vec::new();
-        for (ci, cmd) in m.commands.iter().enumerate() {
-            let g = eval(&cmd.guard, env)?
-                .as_bool(&format!("guard of command {ci} in module {}", m.name))?;
-            if g {
-                enabled.push(ci);
+                let scale = if per_command {
+                    1.0
+                } else {
+                    1.0 / buf.enabled.len() as f64
+                };
+                for k in 0..buf.enabled.len() {
+                    let ci = buf.enabled[k];
+                    self.command_branches(state, m, ci, scale, buf)?;
+                    if per_command {
+                        buf.choices.push(buf.branches.len());
+                    }
+                }
+                if !per_command {
+                    buf.choices.push(buf.branches.len());
+                }
             }
+            buf.modules.push(buf.choices.len());
         }
-        if enabled.is_empty() {
-            if self.options.allow_stutter {
-                return Ok(None);
-            }
-            return Err(LangError::Deadlock {
-                module: m.name.clone(),
-                state: render_assignment(&self.var_names(), state),
-            });
-        }
-        Ok(Some(enabled))
+        Ok(())
     }
-    /// The update distribution of command `ci` of module `m` as deltas,
-    /// with every probability scaled by `scale` — the DTMC path passes its
+
+    /// Appends the update branches of command `ci` of module `m` to `buf`,
+    /// every probability scaled by `scale` — the DTMC path passes its
     /// uniform choice weight, the MDP path 1 (each command is its own
     /// action).
-    fn command_dist(
+    fn command_branches(
         &self,
-        env: &Env,
-        m: &crate::ast::Module,
+        state: &[i64],
+        m: usize,
         ci: usize,
         scale: f64,
-    ) -> Result<Vec<(Delta, f64)>, LangError> {
-        let cmd = &m.commands[ci];
-        let mut dist: Vec<(Delta, f64)> = Vec::new();
+        buf: &mut Buffers,
+    ) -> Result<(), LangError> {
         let mut sum = 0.0;
-        for u in &cmd.updates {
-            let p = eval(&u.prob, env)?
-                .as_double(&format!("probability in command {ci} of module {}", m.name))?;
+        for u in &self.lowered.modules[m][ci].updates {
+            let p = want_double(self.lowered.eval(&u.prob, state)?, || {
+                format!(
+                    "probability in command {ci} of module {}",
+                    self.module_name(m)
+                )
+            })?;
             if !(0.0..=1.0 + PROB_TOL).contains(&p) || p.is_nan() {
                 return Err(LangError::BadProbability {
-                    context: format!("command {ci} of module {}", m.name),
+                    context: format!("command {ci} of module {}", self.module_name(m)),
                     value: p,
                 });
             }
@@ -254,36 +306,115 @@ impl LangModel {
             if p <= 0.0 {
                 continue;
             }
-            let mut delta: Delta = Vec::with_capacity(u.assigns.len());
             for a in &u.assigns {
-                let vi = self.checked.var_index[&a.var];
-                let info = &self.checked.vars[vi];
-                let val = eval(&a.value, env)?;
+                let info = &self.checked.vars[a.slot];
+                let val = self.lowered.eval(&a.value, state)?;
+                let context = || format!("assignment to {}", info.name);
                 let new = if info.is_bool {
-                    i64::from(val.as_bool(&format!("assignment to {}", a.var))?)
+                    i64::from(want_bool(val, context)?)
                 } else {
-                    val.as_int(&format!("assignment to {}", a.var))?
+                    want_int(val, context)?
                 };
                 if new < info.lo || new > info.hi {
                     return Err(LangError::OutOfRange {
-                        var: a.var.clone(),
+                        var: info.name.clone(),
                         value: new,
                         lo: info.lo,
                         hi: info.hi,
                     });
                 }
-                delta.push((vi, new));
+                buf.deltas.push((a.slot, new));
             }
-            dist.push((delta, scale * p));
+            buf.branches.push((buf.deltas.len(), scale * p));
         }
         if (sum - 1.0).abs() > 1e-6 {
             return Err(LangError::BadDistribution {
-                module: m.name.clone(),
+                module: self.module_name(m).to_string(),
                 command: ci,
                 sum,
             });
         }
-        Ok(dist)
+        Ok(())
+    }
+
+    /// The synchronous product of the choices in `buf.pick`, one per
+    /// module, applied to `state`: the cartesian combination of their
+    /// branches (the last module varying fastest, each mass the running
+    /// product in module order), with duplicate successors merged so
+    /// downstream consumers see a distribution, not a multiset.
+    /// Successors are returned sorted by state vector, which fixes the BFS
+    /// state ids (and every exported artifact) across runs, lane counts,
+    /// and the DTMC and MDP compilers on the same program; duplicates are
+    /// summed in generation order.
+    fn combine(state: &[i64], buf: &mut Buffers) -> Vec<(Vec<i64>, f64)> {
+        let Buffers {
+            deltas,
+            branches,
+            choices,
+            pick,
+            cursor,
+            prefix,
+            succ,
+            mass,
+            order,
+            ..
+        } = buf;
+        let first = |m: usize| start(choices, pick[m]);
+        let last = |m: usize| choices[pick[m]];
+        let n = state.len();
+        let k = pick.len();
+        succ.clear();
+        mass.clear();
+        if (0..k).all(|m| first(m) < last(m)) {
+            cursor.clear();
+            cursor.extend((0..k).map(first));
+            // `prefix[m]`: the product of the masses of modules `0..m`.
+            prefix.clear();
+            prefix.resize(k + 1, 1.0);
+            let mut from = 0;
+            'product: loop {
+                for m in from..k {
+                    prefix[m + 1] = prefix[m] * branches[cursor[m]].1;
+                }
+                let base = succ.len();
+                succ.extend_from_slice(state);
+                for &b in cursor.iter() {
+                    let assigns = if b == 0 { 0 } else { branches[b - 1].0 }..branches[b].0;
+                    for &(slot, v) in &deltas[assigns] {
+                        succ[base + slot] = v;
+                    }
+                }
+                mass.push(prefix[k]);
+                // Advance the odometer, the last module fastest; the
+                // products are recomputed from the first module that moved.
+                let mut m = k;
+                loop {
+                    if m == 0 {
+                        break 'product;
+                    }
+                    m -= 1;
+                    cursor[m] += 1;
+                    if cursor[m] < last(m) {
+                        break;
+                    }
+                    cursor[m] = first(m);
+                }
+                from = m;
+            }
+        }
+        let row = |i: usize| &succ[i * n..(i + 1) * n];
+        order.clear();
+        order.extend(0..mass.len());
+        order.sort_unstable_by(|&a, &b| row(a).cmp(row(b)).then(a.cmp(&b)));
+        let unique = 1 + order.windows(2).filter(|w| row(w[0]) != row(w[1])).count();
+        let mut out: Vec<(Vec<i64>, f64)> = Vec::with_capacity(unique.min(order.len()));
+        for &i in order.iter() {
+            match out.last_mut() {
+                Some((last, p)) if last.as_slice() == row(i) => *p += mass[i],
+                _ => out.push((row(i).to_vec(), mass[i])),
+            }
+        }
+        out
     }
 
     /// The successor distribution of `state`, or the expansion error that
@@ -295,24 +426,14 @@ impl LangModel {
     /// [`LangError::BadDistribution`], [`LangError::BadProbability`],
     /// [`LangError::OutOfRange`], plus any expression-evaluation error.
     pub fn transitions_checked(&self, state: &[i64]) -> Result<Vec<(Vec<i64>, f64)>, LangError> {
-        let env = self.env(state);
-        let mut module_dists: Vec<Vec<(Delta, f64)>> =
-            Vec::with_capacity(self.checked.program.modules.len());
-        for m in &self.checked.program.modules {
-            let Some(enabled) = self.enabled_commands(&env, m, state)? else {
-                module_dists.push(vec![(Vec::new(), 1.0)]);
-                continue;
-            };
-            // Uniform choice among enabled commands.
-            let choice_w = 1.0 / enabled.len() as f64;
-            let mut dist: Vec<(Delta, f64)> = Vec::new();
-            for &ci in &enabled {
-                dist.extend(self.command_dist(&env, m, ci, choice_w)?);
-            }
-            module_dists.push(dist);
-        }
-        let dists: Vec<&[(Delta, f64)]> = module_dists.iter().map(Vec::as_slice).collect();
-        Ok(combine_module_dists(state, &dists))
+        BUFFERS.with(|buf| {
+            let buf = &mut *buf.borrow_mut();
+            self.gather(state, buf, false)?;
+            // One choice per module: its uniform mix.
+            buf.pick.clear();
+            buf.pick.extend(0..buf.modules.len());
+            Ok(Self::combine(state, buf))
+        })
     }
 
     /// The enabled actions of `state` under **MDP semantics**: every
@@ -333,46 +454,34 @@ impl LangModel {
     ///
     /// As for [`LangModel::transitions_checked`].
     pub fn actions_checked(&self, state: &[i64]) -> Result<Vec<ActionDist>, LangError> {
-        let env = self.env(state);
-        // Per module: the distributions of its enabled commands (a
-        // stuttering module contributes one identity command).
-        let mut module_cmds: Vec<Vec<Vec<(Delta, f64)>>> =
-            Vec::with_capacity(self.checked.program.modules.len());
-        for m in &self.checked.program.modules {
-            let Some(enabled) = self.enabled_commands(&env, m, state)? else {
-                module_cmds.push(vec![vec![(Vec::new(), 1.0)]]);
-                continue;
-            };
-            let mut cmds = Vec::with_capacity(enabled.len());
-            for &ci in &enabled {
-                cmds.push(self.command_dist(&env, m, ci, 1.0)?);
-            }
-            module_cmds.push(cmds);
-        }
-
-        // Odometer over the command choice of each module.
-        let mut actions = Vec::new();
-        let mut idx = vec![0usize; module_cmds.len()];
-        loop {
-            let chosen: Vec<&[(Delta, f64)]> = idx
-                .iter()
-                .zip(&module_cmds)
-                .map(|(&k, cmds)| cmds[k].as_slice())
-                .collect();
-            actions.push(combine_module_dists(state, &chosen));
-            let mut k = module_cmds.len();
+        BUFFERS.with(|buf| {
+            let buf = &mut *buf.borrow_mut();
+            self.gather(state, buf, true)?;
+            let k = buf.modules.len();
+            let n_actions = (0..k)
+                .map(|m| buf.modules[m] - start(&buf.modules, m))
+                .product();
+            let mut actions = Vec::with_capacity(n_actions);
+            // Odometer over the command choice of each module, the last
+            // module varying fastest.
+            buf.pick.clear();
+            buf.pick.extend((0..k).map(|m| start(&buf.modules, m)));
             loop {
-                if k == 0 {
-                    return Ok(actions);
+                actions.push(Self::combine(state, buf));
+                let mut m = k;
+                loop {
+                    if m == 0 {
+                        return Ok(actions);
+                    }
+                    m -= 1;
+                    buf.pick[m] += 1;
+                    if buf.pick[m] < buf.modules[m] {
+                        break;
+                    }
+                    buf.pick[m] = start(&buf.modules, m);
                 }
-                k -= 1;
-                idx[k] += 1;
-                if idx[k] < module_cmds[k].len() {
-                    break;
-                }
-                idx[k] = 0;
             }
-        }
+        })
     }
 
     /// The program's labels and default reward structure evaluated in
@@ -385,34 +494,40 @@ impl LangModel {
         states: &[Vec<i64>],
         named: &mut BTreeMap<String, Vec<f64>>,
     ) -> Result<Labelling, LangError> {
+        let lowered = &self.lowered;
         let mut labels = BTreeMap::new();
-        for l in &self.checked.program.labels {
+        for (decl, body) in self.checked.program.labels.iter().zip(&lowered.labels) {
             let mut bv = BitVec::zeros(states.len());
             for (i, s) in states.iter().enumerate() {
-                bv.set(i, self.eval_bool(&l.body, s, "label body")?);
+                bv.set(i, lowered.eval(body, s)?.as_bool("label body")?);
             }
-            labels.insert(l.name.clone(), bv);
+            labels.insert(decl.name.clone(), bv);
         }
-        let reward_vector = |block: &RewardsDecl| -> Result<Vec<f64>, LangError> {
+        let reward_vector = |block: usize| -> Result<Vec<f64>, LangError> {
             let mut out = Vec::with_capacity(states.len());
             for s in states {
                 let mut total = 0.0;
-                for item in &block.items {
-                    if self.eval_bool(&item.guard, s, "reward guard")? {
-                        total += self.eval_num(&item.value, s, "reward value")?;
+                for item in &lowered.rewards[block] {
+                    if lowered.eval(&item.guard, s)?.as_bool("reward guard")? {
+                        total += lowered.eval(&item.value, s)?.as_double("reward value")?;
                     }
                 }
                 out.push(total);
             }
             Ok(out)
         };
-        let rewards = match default_rewards_block(&self.checked) {
+        let rewards = match lowered.default_rewards {
             Some(block) => reward_vector(block)?,
             None => vec![0.0; states.len()],
         };
-        for block in &self.checked.program.rewards {
-            if let Some(name) = &block.name {
-                named.insert(name.clone(), reward_vector(block)?);
+        for (block, decl) in self.checked.program.rewards.iter().enumerate() {
+            if let Some(name) = &decl.name {
+                let v = if Some(block) == lowered.default_rewards {
+                    rewards.clone()
+                } else {
+                    reward_vector(block)?
+                };
+                named.insert(name.clone(), v);
             }
         }
         Ok((labels, rewards))
@@ -422,53 +537,6 @@ impl LangModel {
 /// One MDP action (or DTMC step): a distribution over successor state
 /// vectors.
 pub type ActionDist = Vec<(Vec<i64>, f64)>;
-
-/// A sparse variable update: `(var index, new value)` pairs.
-type Delta = Vec<(usize, i64)>;
-
-/// The synchronous product of one delta-distribution per module: cartesian
-/// combination applied to `state`, with duplicate successors merged so
-/// downstream consumers see a distribution, not a multiset. Successors are
-/// returned sorted by state vector, which fixes the BFS state ids (and
-/// every exported artifact) across runs, lane counts, and the DTMC and MDP
-/// compilers on the same program.
-fn combine_module_dists(state: &[i64], module_dists: &[&[(Delta, f64)]]) -> Vec<(Vec<i64>, f64)> {
-    let mut out: Vec<(Vec<i64>, f64)> = vec![(state.to_vec(), 1.0)];
-    for dist in module_dists {
-        let mut next = Vec::with_capacity(out.len() * dist.len());
-        for (base, bp) in &out {
-            for (delta, dp) in *dist {
-                let mut s = base.clone();
-                for &(vi, val) in delta {
-                    s[vi] = val;
-                }
-                next.push((s, bp * dp));
-            }
-        }
-        out = next;
-    }
-    // The sort is stable, so duplicates stay in generation order and each
-    // merged mass is summed in the same order every time.
-    out.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut merged: Vec<(Vec<i64>, f64)> = Vec::with_capacity(out.len());
-    for (s, p) in out {
-        match merged.last_mut() {
-            Some((last, mass)) if *last == s => *mass += p,
-            _ => merged.push((s, p)),
-        }
-    }
-    merged
-}
-
-/// The default reward structure: the unnamed block if present, else the
-/// first block, else none.
-fn default_rewards_block(cp: &CheckedProgram) -> Option<&RewardsDecl> {
-    cp.program
-        .rewards
-        .iter()
-        .find(|r| r.name.is_none())
-        .or_else(|| cp.program.rewards.first())
-}
 
 /// Compiles a checked program into an explicit [`Dtmc`] with default
 /// options.
@@ -1002,9 +1070,10 @@ mod tests {
             lm.transitions_checked(&[0]).unwrap(),
             vec![(vec![0], 0.5), (vec![1], 0.5)]
         );
-        let one = &lm.checked().program.labels[0].body;
-        assert!(lm.eval_bool(one, &[1], "label body").unwrap());
-        assert!(!lm.eval_bool(one, &[0], "label body").unwrap());
+        let (labels, _) = lm
+            .labelling(&[vec![0], vec![1]], &mut BTreeMap::new())
+            .unwrap();
+        assert_eq!(labels["one"].iter_ones().collect::<Vec<_>>(), vec![1]);
 
         // A deadlock is an error naming the state, not a panic.
         let lm = LangModel::new(

@@ -141,7 +141,12 @@ pub fn no_formulas() -> &'static HashMap<String, Expr> {
     EMPTY.get_or_init(HashMap::new)
 }
 
-fn numeric_bin(op: BinOp, a: Value, b: Value, context: &str) -> Result<Value, LangError> {
+pub(crate) fn numeric_bin(
+    op: BinOp,
+    a: Value,
+    b: Value,
+    context: &str,
+) -> Result<Value, LangError> {
     // Integer arithmetic stays integral except for division, which is real
     // (PRISM semantics: `/` always yields a double).
     if let (Value::Int(x), Value::Int(y)) = (a, b) {
@@ -178,7 +183,7 @@ fn numeric_bin(op: BinOp, a: Value, b: Value, context: &str) -> Result<Value, La
     })
 }
 
-fn compare(op: BinOp, a: Value, b: Value, context: &str) -> Result<Value, LangError> {
+pub(crate) fn compare(op: BinOp, a: Value, b: Value, context: &str) -> Result<Value, LangError> {
     // Equality is defined on booleans too; ordering is numeric only.
     if let (Value::Bool(x), Value::Bool(y)) = (a, b) {
         return match op {
@@ -204,7 +209,7 @@ fn compare(op: BinOp, a: Value, b: Value, context: &str) -> Result<Value, LangEr
     }))
 }
 
-fn apply(func: Func, args: &[Value], context: &str) -> Result<Value, LangError> {
+pub(crate) fn apply(func: Func, args: &[Value], context: &str) -> Result<Value, LangError> {
     match func {
         Func::Min | Func::Max => {
             let take_max = func == Func::Max;
@@ -254,6 +259,40 @@ fn apply(func: Func, args: &[Value], context: &str) -> Result<Value, LangError> 
     }
 }
 
+/// Unary minus (wrapping, like the integer arithmetic).
+pub(crate) fn negate(v: Value) -> Result<Value, LangError> {
+    match v {
+        Value::Int(v) => Ok(Value::Int(v.wrapping_neg())),
+        Value::Double(v) => Ok(Value::Double(-v)),
+        Value::Bool(_) => Err(LangError::TypeMismatch {
+            expected: "numeric",
+            found: "bool",
+            context: "unary minus".to_string(),
+        }),
+    }
+}
+
+/// The context string `|`, `&` and `=>` report their operands under.
+pub(crate) fn logic_context(op: BinOp) -> &'static str {
+    match op {
+        BinOp::Or => "operand of |",
+        BinOp::And => "operand of &",
+        BinOp::Implies => "operand of =>",
+        _ => unreachable!("logic_context called with non-logical op"),
+    }
+}
+
+/// The value `|`, `&` or `=>` takes without evaluating its right operand
+/// when the left one is `lhs`, or `None` when the right operand decides.
+pub(crate) fn short_circuit(op: BinOp, lhs: bool) -> Option<bool> {
+    match op {
+        BinOp::Or => lhs.then_some(true),
+        BinOp::And => (!lhs).then_some(false),
+        BinOp::Implies => (!lhs).then_some(true),
+        _ => unreachable!("short_circuit called with non-logical op"),
+    }
+}
+
 /// Evaluates `expr` in `env`.
 ///
 /// # Errors
@@ -281,37 +320,15 @@ pub fn eval(expr: &Expr, env: &Env<'_>) -> Result<Value, LangError> {
                 pos: *pos,
             })
         }
-        Expr::Neg(e) => match eval(e, env)? {
-            Value::Int(v) => Ok(Value::Int(-v)),
-            Value::Double(v) => Ok(Value::Double(-v)),
-            Value::Bool(_) => Err(LangError::TypeMismatch {
-                expected: "numeric",
-                found: "bool",
-                context: "unary minus".to_string(),
-            }),
-        },
+        Expr::Neg(e) => negate(eval(e, env)?),
         Expr::Not(e) => Ok(Value::Bool(!eval(e, env)?.as_bool("operand of !")?)),
         Expr::Bin(op, a, b) => match op {
-            BinOp::Or => {
+            BinOp::Or | BinOp::And | BinOp::Implies => {
                 // Short-circuit, as users expect from guards.
-                if eval(a, env)?.as_bool("operand of |")? {
-                    Ok(Value::Bool(true))
-                } else {
-                    Ok(Value::Bool(eval(b, env)?.as_bool("operand of |")?))
-                }
-            }
-            BinOp::And => {
-                if !eval(a, env)?.as_bool("operand of &")? {
-                    Ok(Value::Bool(false))
-                } else {
-                    Ok(Value::Bool(eval(b, env)?.as_bool("operand of &")?))
-                }
-            }
-            BinOp::Implies => {
-                if !eval(a, env)?.as_bool("operand of =>")? {
-                    Ok(Value::Bool(true))
-                } else {
-                    Ok(Value::Bool(eval(b, env)?.as_bool("operand of =>")?))
+                let context = logic_context(*op);
+                match short_circuit(*op, eval(a, env)?.as_bool(context)?) {
+                    Some(v) => Ok(Value::Bool(v)),
+                    None => Ok(Value::Bool(eval(b, env)?.as_bool(context)?)),
                 }
             }
             BinOp::Eq | BinOp::Neq | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {

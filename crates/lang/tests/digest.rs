@@ -9,8 +9,10 @@
 //! not compile pins its `LangError` (variant and fields) instead.
 //!
 //! The expected table was recorded before the compiler moved onto the
-//! engine explorers; any change to state numbering, row assembly, labelling
-//! or error reporting shows up as a digest mismatch. The failure message
+//! engine explorers (the nested-formula and three-module rows, and the
+//! stuttering rows of the deadlocking programs, before expressions were
+//! lowered to slot-resolved form); any change to state numbering, row
+//! assembly, labelling or error reporting shows up as a digest mismatch. The failure message
 //! prints the full actual table.
 
 use smg_dtmc::BitVec;
@@ -163,8 +165,10 @@ fn mdp_digest(src: &str, options: ExpandOptions) -> String {
     format!("{:016x} n={} levels={levels}", h.0, m.mdp.n_states())
 }
 
-/// The programs of `model.rs`'s unit tests, plus a small regime MDP and a
-/// torus walk.
+/// The programs of `model.rs`'s unit tests, plus a small regime MDP, a
+/// torus walk, a program whose nested formulas feed every kind of
+/// expression, and three modules with overlapping guards in two of them
+/// and a third that only stutters or deadlocks (under both headers).
 const INLINE: &[(&str, &str)] = &[
     (
         "coin",
@@ -362,6 +366,74 @@ const INLINE: &[(&str, &str)] = &[
          rewards x = y : 1; endrewards
          rewards \"dist\" true : x + y; endrewards",
     ),
+    (
+        "nested_formulas",
+        "dtmc
+         const int N = 6;
+         const double q = 0.25;
+         formula hi = x >= N - 2;
+         formula near_top = hi & !done;
+         formula step = near_top ? 1 : 2;
+         formula p_up = hi ? q : 2*q;
+         formula nxt = min(x + step, N);
+         formula done = x = N;
+         module m
+           x : [0..N] init 0;
+           d : bool init false;
+           [] !done -> p_up:(x'=nxt)&(d'=near_top) + (1-p_up):(x'=max(x-1, 0));
+           [] done -> (x'=0)&(d'=!d);
+         endmodule
+         label \"near\" = near_top;
+         label \"deep\" = step = 1 & hi;
+         rewards near_top : step * 1.5; done : p_up; endrewards
+         rewards \"steps\" true : nxt / 2; endrewards",
+    ),
+    (
+        "three_modules_mdp",
+        "mdp
+         const int N = 4;
+         module a
+           x : [0..N] init 0;
+           [] x < N -> 0.5:(x'=x+1) + 0.5:(x'=x);
+           [] x < N -> (x'=min(x+2, N));
+           [] x > 0 -> 0.25:(x'=0) + 0.75:(x'=x);
+         endmodule
+         module b
+           y : [0..2] init 0;
+           [] y < 2 -> (y'=y+1);
+           [] true -> 0.5:(y'=0) + 0.5:(y'=y);
+         endmodule
+         module c
+           z : bool init false;
+           [] x = N & !z -> (z'=true);
+         endmodule
+         label \"full\" = x = N;
+         label \"done\" = z;
+         rewards x + y > 2 : x + y; endrewards",
+    ),
+    (
+        "three_modules_dtmc",
+        "dtmc
+         const int N = 4;
+         module a
+           x : [0..N] init 0;
+           [] x < N -> 0.5:(x'=x+1) + 0.5:(x'=x);
+           [] x < N -> (x'=min(x+2, N));
+           [] x > 0 -> 0.25:(x'=0) + 0.75:(x'=x);
+         endmodule
+         module b
+           y : [0..2] init 0;
+           [] y < 2 -> (y'=y+1);
+           [] true -> 0.5:(y'=0) + 0.5:(y'=y);
+         endmodule
+         module c
+           z : bool init false;
+           [] x = N & !z -> (z'=true);
+         endmodule
+         label \"full\" = x = N;
+         label \"done\" = z;
+         rewards x + y > 2 : x + y; endrewards",
+    ),
 ];
 
 /// `.sm` files in `dir`, sorted by name.
@@ -408,8 +480,10 @@ fn actual_table() -> String {
             let d = digest(src, ExpandOptions::default());
             writeln!(table, "{name} {family} {d}").unwrap();
             // Programs that fail to compile are also pinned with stuttering
-            // allowed (which turns deadlocks into self-loops).
-            if !d.starts_with(|c: char| c.is_ascii_hexdigit()) {
+            // allowed (which turns deadlocks into self-loops). A compiled
+            // digest always reports its level count; an error never does
+            // (error names such as `Deadlock` start with a hex digit too).
+            if !d.contains(" levels=") {
                 writeln!(table, "{name} {family}+stutter {}", digest(src, stutter)).unwrap();
             }
         }
@@ -434,11 +508,17 @@ sync_coins mdp b0fb927984e0c37b n=4 levels=2
 overlap dtmc 126bf7fba560bedf n=3 levels=2
 overlap mdp 6a0b9f355779b677 n=3 levels=2
 deadlock dtmc Deadlock { module: "m", state: "{x=1}" }
+deadlock dtmc+stutter 3f823505cdc1b0b6 n=2 levels=2
 deadlock mdp Deadlock { module: "m", state: "{x=1}" }
+deadlock mdp+stutter 7329c8cad063b6f6 n=2 levels=2
 bad_distribution dtmc BadDistribution { module: "m", command: 0, sum: 0.9 }
+bad_distribution dtmc+stutter BadDistribution { module: "m", command: 0, sum: 0.9 }
 bad_distribution mdp BadDistribution { module: "m", command: 0, sum: 0.9 }
+bad_distribution mdp+stutter BadDistribution { module: "m", command: 0, sum: 0.9 }
 negative_probability dtmc BadProbability { context: "command 0 of module m", value: -0.25 }
+negative_probability dtmc+stutter BadProbability { context: "command 0 of module m", value: -0.25 }
 negative_probability mdp BadProbability { context: "command 0 of module m", value: -0.25 }
+negative_probability mdp+stutter BadProbability { context: "command 0 of module m", value: -0.25 }
 out_of_range dtmc OutOfRange { var: "x", value: 4, lo: 0, hi: 3 }
 out_of_range dtmc+stutter OutOfRange { var: "x", value: 4, lo: 0, hi: 3 }
 out_of_range mdp OutOfRange { var: "x", value: 4, lo: 0, hi: 3 }
@@ -458,6 +538,7 @@ mdp_multi_module mdp 78407209af5dac9b n=4 levels=2
 mdp_deadlock dtmc WrongModelType { declared: "mdp", hint: "use compile_mdp (or the CLI, which dispatches on the header)" }
 mdp_deadlock dtmc+stutter WrongModelType { declared: "mdp", hint: "use compile_mdp (or the CLI, which dispatches on the header)" }
 mdp_deadlock mdp Deadlock { module: "m", state: "{x=1}" }
+mdp_deadlock mdp+stutter 7329c8cad063b6f6 n=2 levels=2
 single_command_die dtmc e98c9fe1cbb85f6e n=4 levels=3
 single_command_die mdp fc7d05a77eac5fae n=4 levels=3
 mdp_named_rewards dtmc WrongModelType { declared: "mdp", hint: "use compile_mdp (or the CLI, which dispatches on the header)" }
@@ -475,6 +556,16 @@ regime_mdp dtmc+stutter WrongModelType { declared: "mdp", hint: "use compile_mdp
 regime_mdp mdp d74bcae190e4e3c5 n=273 levels=21
 torus_walk dtmc 00285f9f6afb2c76 n=900 levels=31
 torus_walk mdp 603a99eccecd5386 n=900 levels=31
+nested_formulas dtmc 949abc927960291b n=13 levels=9
+nested_formulas mdp b44b6f057700539a n=13 levels=9
+three_modules_mdp dtmc WrongModelType { declared: "mdp", hint: "use compile_mdp (or the CLI, which dispatches on the header)" }
+three_modules_mdp dtmc+stutter WrongModelType { declared: "mdp", hint: "use compile_mdp (or the CLI, which dispatches on the header)" }
+three_modules_mdp mdp Deadlock { module: "c", state: "{x=0, y=0, z=0}" }
+three_modules_mdp mdp+stutter 8ba5044c2b5df9ba n=30 levels=6
+three_modules_dtmc dtmc Deadlock { module: "c", state: "{x=0, y=0, z=0}" }
+three_modules_dtmc dtmc+stutter 556a1db00cc052c2 n=30 levels=6
+three_modules_dtmc mdp Deadlock { module: "c", state: "{x=0, y=0, z=0}" }
+three_modules_dtmc mdp+stutter 8ba5044c2b5df9ba n=30 levels=6
 counters.sm dtmc 8897cb5f5834138b n=15625 levels=25
 counters.sm mdp 1f02c45d18ca1b22 n=15625 levels=25
 walk.sm dtmc 9b3188b51e88820e n=8401 levels=4201
@@ -494,11 +585,15 @@ l003_out_of_range.sm mdp+stutter OutOfRange { var: "t", value: 4, lo: 0, hi: 3 }
 l003_out_of_range_clean.sm dtmc b8f4a792f467f382 n=4 levels=4
 l003_out_of_range_clean.sm mdp 86443c5ae8000462 n=4 levels=4
 l004_bad_distribution.sm dtmc BadDistribution { module: "chan", command: 0, sum: 1.2 }
+l004_bad_distribution.sm dtmc+stutter BadDistribution { module: "chan", command: 0, sum: 1.2 }
 l004_bad_distribution.sm mdp BadDistribution { module: "chan", command: 0, sum: 1.2 }
+l004_bad_distribution.sm mdp+stutter BadDistribution { module: "chan", command: 0, sum: 1.2 }
 l004_bad_distribution_clean.sm dtmc 42dc539ac323399d n=2 levels=2
 l004_bad_distribution_clean.sm mdp ef99af34bd46e1b9 n=2 levels=2
 l005_deadlock.sm dtmc Deadlock { module: "chan", state: "{t=3}" }
+l005_deadlock.sm dtmc+stutter b8f4a792f467f382 n=4 levels=4
 l005_deadlock.sm mdp Deadlock { module: "chan", state: "{t=3}" }
+l005_deadlock.sm mdp+stutter 86443c5ae8000462 n=4 levels=4
 l005_deadlock_clean.sm dtmc b8f4a792f467f382 n=4 levels=4
 l005_deadlock_clean.sm mdp 86443c5ae8000462 n=4 levels=4
 l006_overlap.sm dtmc e3283bb8ae3befba n=4 levels=4

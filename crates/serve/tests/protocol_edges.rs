@@ -189,6 +189,32 @@ fn wrong_model_class_is_rejected_without_poisoning_the_session() {
 }
 
 #[test]
+fn cyclic_formulas_are_400s_and_the_daemon_stays_up() {
+    let (handle, addr) = daemon(ServerConfig::default());
+    // Before cycles were rejected, the first hung a worker thread and the
+    // second overflowed its stack, taking the whole daemon down.
+    let sources = [
+        ("a", "formula a = b;\nformula b = a;\n"),
+        ("loop", "formula loop = loop & true;\n"),
+    ];
+    for (name, formulas) in sources {
+        let source = format!(
+            "dtmc\n{formulas}module m\n  x : [0..1] init 0;\n  [] true -> (x'=1-x);\nendmodule\n\
+             label \"l\" = {name};\n"
+        );
+        let body = format!("{{\"source\": {}}}", json::escape(&source));
+        let needle = format!("formula \"{name}\" is defined in terms of itself");
+        for route in ["/models", "/lint"] {
+            let (s, b) = client::post(&addr, route, &body).unwrap();
+            assert_structured(s, &b, 400, &needle);
+        }
+        let (s, _) = client::get(&addr, "/healthz").unwrap();
+        assert_eq!(s, 200);
+    }
+    handle.shutdown();
+}
+
+#[test]
 fn oversized_bodies_are_413_and_do_not_wedge_the_daemon() {
     let (handle, addr) = daemon(ServerConfig {
         max_body: 256,

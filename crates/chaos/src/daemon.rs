@@ -56,29 +56,10 @@ struct Expected {
 /// the same thing to the reference session and to the HTTP request.
 const CERT_EPS: f64 = 1e-6;
 
-fn profiles() -> [(CheckOptions, &'static str); 3] {
+fn profiles() -> [(CheckOptions, &'static str); 2] {
     [
-        (
-            CheckOptions {
-                certify: None,
-                topo: false,
-            },
-            "",
-        ),
-        (
-            CheckOptions {
-                certify: Some(CERT_EPS),
-                topo: false,
-            },
-            ", \"certified\": 1e-6",
-        ),
-        (
-            CheckOptions {
-                certify: Some(CERT_EPS),
-                topo: true,
-            },
-            ", \"certified\": 1e-6, \"topo\": true",
-        ),
+        (CheckOptions::default(), ""),
+        (CheckOptions::certified(CERT_EPS), ", \"certified\": 1e-6"),
     ]
 }
 

@@ -1,7 +1,7 @@
 //! The real consumers the harness sweeps, each reduced to a digest.
 //!
 //! A driver runs one of the engine's parallel workloads — sharded BFS
-//! exploration, parallel value iteration, certified interval sweeps,
+//! exploration, parallel value iteration, certified reward brackets,
 //! per-SCC topological batching — and folds every numeric result into a
 //! 64-bit FNV digest, **bit by bit** (`f64::to_bits`, not an epsilon
 //! comparison). All four production drivers are *bit-identical by
@@ -32,8 +32,9 @@ pub enum DriverKind {
     Explore,
     /// Parallel min/max value iteration on a seeded MDP.
     Vi,
-    /// Certified interval sweeps (reachability + reward) on a layered
-    /// chain.
+    /// Certified reward brackets on the condensation walk: a wide layered
+    /// chain, and `Rmin` with zero-reward end-component inflation on a
+    /// layered MDP.
     Certified,
     /// Per-SCC topological batching, DTMC and MDP sides.
     Topo,
@@ -283,12 +284,17 @@ fn seeded_mdp(seed: u64) -> Mdp {
     Mdp::new(b.finish(), vec![(0, 1.0)], labels, rewards).expect("valid seeded MDP")
 }
 
-/// A seeded *layered* MDP for the topological driver: `width` states per
-/// layer, every action targeting the next layer (absorbers after the
-/// last), so the SCC condensation is all-trivial with `width`-sized
-/// levels — exactly the shape whose per-level batches the `topo_*`
-/// drivers dispatch onto the pool.
-fn layered_mdp(seed: u64, layers: u32, width: u32) -> Mdp {
+/// A seeded *layered* MDP: `width` states per layer, every action
+/// targeting the next layer (absorbers after the last), so the SCC
+/// condensation has `width`-sized levels — exactly the shape whose
+/// per-level batches the `topo_*` drivers dispatch onto the pool. Rewards
+/// are seeded in `0..4`. With `twins`, the first two states of every
+/// layer also get an action to each other and reward 0: a zero-reward end
+/// component that certified `Rmin` must inflate, exiting into rewarded
+/// states, beside a batch of `width − 2` trivial ones. Without, every
+/// component is trivial.
+fn layered_mdp(seed: u64, layers: u32, width: u32, twins: bool) -> Mdp {
+    let twin = |w: u32| twins && w < 2 && width >= 2;
     let n = layers * width;
     let goal = n;
     let sink = n + 1;
@@ -326,6 +332,10 @@ fn layered_mdp(seed: u64, layers: u32, width: u32) -> Mdp {
                 b.push_action(&mut dist)
                     .expect("row-stochastic by construction");
             }
+            if twin(w) {
+                b.push_action(&mut [(l * width + (w ^ 1), 1.0)])
+                    .expect("twin move");
+            }
             b.finish_state().expect("at least one action per state");
         }
     }
@@ -340,7 +350,15 @@ fn layered_mdp(seed: u64, layers: u32, width: u32) -> Mdp {
         "goal".to_string(),
         BitVec::from_fn(total, |i| i == goal as usize),
     );
-    let rewards = vec![0.0; total];
+    let rewards: Vec<f64> = (0..total)
+        .map(|s| {
+            if s as u32 >= n || twin(s as u32 % width) {
+                0.0
+            } else {
+                (mash(&[seed, s as u64, 17]) % 4) as f64
+            }
+        })
+        .collect();
     Mdp::new(b.finish(), vec![(0, 1.0)], labels, rewards).expect("valid layered MDP")
 }
 
@@ -389,29 +407,72 @@ fn digest_vi(case: &CaseParams, parallel: bool) -> u64 {
         let vals = vi::reach_values(&m, &goal, opt, &vio).expect("reach VI on seeded MDP");
         d.mix_f64s(&vals);
     }
-    let cert = vi::certified_reach_values(&m, &goal, Opt::Max, 1e-9, &vio)
-        .expect("certified VI on seeded MDP");
+    let cert = vi::topo_certified_reach_values(
+        &m,
+        &smg_mdp::qual::condensation(&m),
+        &goal,
+        Opt::Max,
+        1e-9,
+        &vio,
+    )
+    .expect("certified VI on seeded MDP");
     d.mix_cert(&cert);
     d.finish()
 }
 
 fn digest_certified(case: &CaseParams, parallel: bool) -> u64 {
-    let chain = layered_chain(8, 6);
-    let target = chain
-        .label("target")
-        .expect("layered_chain labels target")
+    // The wide layered chain of `digest_topo`, so the reward walk's level
+    // batches reach the simulated scheduler too.
+    let chain = layered_chain(8, 24);
+    let absorbing = chain
+        .label("absorbing")
+        .expect("layered_chain labels absorbing")
         .clone();
     let lanes = if parallel { case.lanes } else { 1 };
+    let mut d = Digest::new();
     par::with_lane_scope(lanes, || {
-        let reach = solve::interval_reach_values(&chain, &target, 1e-9, 100_000)
-            .expect("interval reach on layered chain");
-        let reward = solve::interval_reach_reward_values(&chain, &target, 1e-9, 100_000)
-            .expect("interval reward on layered chain");
-        let mut d = Digest::new();
-        d.mix_cert(&reach);
+        let cond = smg_dtmc::graph::Condensation::new(&chain);
+        let reward =
+            solve::topo_interval_reach_reward_values(&chain, &cond, &absorbing, 1e-9, 100_000)
+                .expect("topo interval reward on layered chain");
         d.mix_cert(&reward);
-        d.finish()
-    })
+    });
+    // `Rmin` to either absorber: twin pairs are zero-reward end
+    // components whose lower bounds must be inflated.
+    let m = layered_mdp(case.seed ^ 0x5A5A, 6, 12, true);
+    let done = BitVec::from_fn(m.n_states(), |i| i + 2 >= m.n_states());
+    let cert = vi::topo_certified_reach_reward_values(
+        &m,
+        &smg_mdp::qual::condensation(&m),
+        &done,
+        Opt::Min,
+        1e-9,
+        &layered_vio(case, parallel),
+    )
+    .expect("topo certified Rmin");
+    d.mix_cert(&cert);
+    d.finish()
+}
+
+/// Value-iteration options for the layered MDPs: every backup parallel
+/// with several chunks per `width`-state level batch, or the sequential
+/// reference.
+fn layered_vio(case: &CaseParams, parallel: bool) -> ViOptions {
+    if parallel {
+        ViOptions {
+            par_min_states: Some(0),
+            // Per-level batches are `width` states; keep several chunks
+            // per batch so the dispatch is genuinely multi-lane.
+            chunk: case.chunk.min(6),
+            pool: Some(pool::shared(case.lanes)),
+            ..ViOptions::default()
+        }
+    } else {
+        ViOptions {
+            par_min_states: Some(usize::MAX),
+            ..ViOptions::default()
+        }
+    }
 }
 
 fn digest_topo(case: &CaseParams, parallel: bool) -> u64 {
@@ -431,30 +492,15 @@ fn digest_topo(case: &CaseParams, parallel: bool) -> u64 {
             .expect("topo interval reach");
         d.mix_cert(&cert);
     });
-    let m = layered_mdp(case.seed ^ 0xA5A5, 6, 12);
+    let m = layered_mdp(case.seed ^ 0xA5A5, 6, 12, false);
     let goal = m.label("goal").expect("layered MDP labels goal").clone();
-    let vio = if parallel {
-        ViOptions {
-            par_min_states: Some(0),
-            // Per-level batches are `width` states; keep several chunks
-            // per batch so the dispatch is genuinely multi-lane.
-            chunk: case.chunk.min(6),
-            pool: Some(pool::shared(case.lanes)),
-            ..ViOptions::default()
-        }
-    } else {
-        ViOptions {
-            par_min_states: Some(usize::MAX),
-            ..ViOptions::default()
-        }
-    };
     let cert = vi::topo_certified_reach_values(
         &m,
         &smg_mdp::qual::condensation(&m),
         &goal,
         Opt::Max,
         1e-9,
-        &vio,
+        &layered_vio(case, parallel),
     )
     .expect("topo certified VI");
     d.mix_cert(&cert);
@@ -571,6 +617,26 @@ mod tests {
             assert!(m.n_choices() >= m.n_states());
             assert_eq!(m.label("goal").unwrap().count_ones(), 1);
         }
+    }
+
+    #[test]
+    fn certified_driver_inflates_its_twin_end_components() {
+        let m = layered_mdp(9, 6, 12, true);
+        let done = BitVec::from_fn(m.n_states(), |i| i + 2 >= m.n_states());
+        let cap = std::sync::Arc::new(smg_obs::Capture::new());
+        let cert = smg_obs::with_recorder(cap.clone(), || {
+            vi::topo_certified_reach_reward_values(
+                &m,
+                &smg_mdp::qual::condensation(&m),
+                &done,
+                Opt::Min,
+                1e-9,
+                &ViOptions::default(),
+            )
+            .unwrap()
+        });
+        assert!(cert.width() < 1e-9);
+        assert!(cap.counter("smg_vi_inflations_total") > 0);
     }
 
     #[test]

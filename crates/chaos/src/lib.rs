@@ -3,7 +3,7 @@
 //!
 //! Every parallel subsystem in this workspace promises results
 //! **bit-identical to sequential** — sharded BFS exploration, parallel
-//! value iteration, certified interval sweeps, per-SCC topological
+//! value iteration, certified reward brackets, per-SCC topological
 //! batching. Ordinary tests only witness the schedules the operating
 //! system happens to produce; this crate instead drives the worker
 //! pool's scheduling seam (`smg-dtmc`'s `sim` feature) from a

@@ -11,7 +11,7 @@ smg — probabilistic model checking for clocked RTL-style DTMC/MDP models
 
 USAGE:
   smg check  <model.sm> [--prop <pctl>]... [--props FILE]...
-             [--certified EPS] [--topo] [--format text|json]
+             [--certified EPS] [--format text|json]
              [--metrics text|json] [--trace-convergence FILE]
              [--max-states N] [--allow-stutter]
   smg info   <model.sm> [--max-states N] [--allow-stutter]
@@ -37,12 +37,11 @@ COMMANDS:
           which solver ran) plus a summary table when several properties
           are checked; --format json emits machine-readable records
           instead. MDP models take the Pmin/Pmax/Rmin/Rmax query forms.
-          With --certified EPS, unbounded queries run interval iteration
-          and print a sound [lo, hi] interval of width < EPS instead of
-          trusting a residual test; adding --topo solves the SCC
-          condensation one component at a time (reverse topological
-          order) with the same guarantee — much faster on layered,
-          pipeline-shaped models.
+          Unbounded queries are solved on the SCC condensation, one
+          component at a time in reverse topological order. With
+          --certified EPS they run interval iteration and print a sound
+          [lo, hi] interval of width < EPS instead of trusting a residual
+          test.
   info    Print model statistics: states, transitions, labels; BSCCs and
           irreducibility/aperiodicity for chains, choice counts for MDPs;
           SCC structure (component count, largest component, condensation-
@@ -81,9 +80,6 @@ OPTIONS:
   --certified EPS   Certify unbounded queries by interval iteration: the
                     printed interval provably brackets the exact value with
                     width below EPS
-  --topo            With --certified: solve SCC-by-SCC in reverse
-                    topological order (trivial components close in one
-                    backsubstitution step) instead of iterating globally
   --const N=V       Override or define a constant (repeatable), e.g. --const p=0.02
   --max-states N    Exploration cap (default 4000000)
   --allow-stutter   Deadlocked modules self-loop instead of erroring
@@ -131,9 +127,6 @@ pub enum Cmd {
         /// Certified-interval width for unbounded queries
         /// (`--certified EPS`), off by default.
         certified: Option<f64>,
-        /// Solve certified queries one SCC at a time in reverse
-        /// topological order (`--topo`); requires `--certified`.
-        topo: bool,
         /// Output format (`--format`): text (default) or json.
         format: OutputFormat,
         /// Dump run metrics to stderr (`--metrics text|json`), off by
@@ -274,7 +267,6 @@ pub fn parse_args(args: &[String]) -> Result<Cmd, CliError> {
     let mut props: Vec<String> = Vec::new();
     let mut prop_files: Vec<String> = Vec::new();
     let mut certified: Option<f64> = None;
-    let mut topo = false;
     let mut format: Option<String> = None;
     let mut metrics: Option<String> = None;
     let mut trace_convergence: Option<String> = None;
@@ -308,7 +300,6 @@ pub fn parse_args(args: &[String]) -> Result<Cmd, CliError> {
                 }
                 certified = Some(eps);
             }
-            "--topo" => topo = true,
             "--format" => format = Some(value(&mut it, "--format")?.to_string()),
             "--metrics" => metrics = Some(value(&mut it, "--metrics")?.to_string()),
             "--trace-convergence" => {
@@ -410,13 +401,6 @@ pub fn parse_args(args: &[String]) -> Result<Cmd, CliError> {
                     )))
                 }
             };
-            if topo && certified.is_none() {
-                return Err(CliError(
-                    "--topo requires --certified (plain unbounded solves keep \
-                     the global solvers)"
-                        .into(),
-                ));
-            }
             let metrics = match metrics.as_deref() {
                 None => None,
                 Some("text") => Some(OutputFormat::Text),
@@ -432,7 +416,6 @@ pub fn parse_args(args: &[String]) -> Result<Cmd, CliError> {
                 props,
                 prop_files,
                 certified,
-                topo,
                 format,
                 metrics,
                 trace_convergence,
@@ -538,23 +521,11 @@ mod tests {
             panic!("wrong cmd");
         };
         assert_eq!(certified, Some(1e-6));
-        // --topo rides along with --certified, and is rejected without it.
-        let parsed = parse_args(&[
-            "check".into(),
-            "m.sm".into(),
-            "--prop".into(),
-            "P=? [ F err ]".into(),
-            "--certified".into(),
-            "1e-6".into(),
-            "--topo".into(),
-        ])
-        .unwrap();
-        let Cmd::Check { topo, .. } = parsed else {
-            panic!("wrong cmd");
-        };
-        assert!(topo);
-        let err = parse_args(&args("check m.sm --props a.props --topo")).unwrap_err();
-        assert!(err.0.contains("--topo requires --certified"), "{err}");
+        // Certified checks always walk the condensation; there is no
+        // solver switch to pass.
+        let err =
+            parse_args(&args("check m.sm --props a.props --certified 1e-6 --topo")).unwrap_err();
+        assert!(err.0.contains("unknown option --topo"), "{err}");
         for bad in ["banana", "-1e-6", "0", "inf"] {
             let err = parse_args(&[
                 "check".into(),

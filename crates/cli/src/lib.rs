@@ -98,7 +98,6 @@ pub fn run(cmd: &Cmd) -> Result<String, CliError> {
             props,
             prop_files,
             certified,
-            topo,
             format,
             metrics,
             trace_convergence,
@@ -125,7 +124,7 @@ pub fn run(cmd: &Cmd) -> Result<String, CliError> {
             if let Some(t) = &trace_sink {
                 recorders.push(t.clone() as Arc<dyn obs::Recorder>);
             }
-            let body = || run_check(model, props, prop_files, certified, topo, *format, options);
+            let body = || run_check(model, props, prop_files, certified, *format, options);
             let out = if recorders.is_empty() {
                 body()
             } else {
@@ -219,8 +218,7 @@ pub fn run(cmd: &Cmd) -> Result<String, CliError> {
                 "Solvers: transient (bounded, exact arithmetic); value-iteration \
                  (unbounded, SCC-ordered on the condensation above, residual test per \
                  component; S=? from the BSCCs); interval-iteration (unbounded, certified \
-                 — `check --certified EPS`); topological-interval-iteration \
-                 (certified, SCC-ordered — add `--topo`)"
+                 on the same condensation — `check --certified EPS`)"
             );
             Ok(out)
         }
@@ -372,13 +370,11 @@ pub fn run(cmd: &Cmd) -> Result<String, CliError> {
 /// The `check` command proper: load, parse properties, run one shared
 /// session, render. Factored out of [`run`] so the observability wrapper
 /// can scope recorders around the whole thing.
-#[allow(clippy::too_many_arguments)]
 fn run_check(
     model: &str,
     props: &[String],
     prop_files: &[String],
     certified: &Option<f64>,
-    topo: &bool,
     format: OutputFormat,
     options: &Options,
 ) -> Result<String, CliError> {
@@ -403,9 +399,6 @@ fn run_check(
     let mut session = CheckSession::new(compiled.model);
     if let Some(eps) = certified {
         session = session.certified(*eps);
-    }
-    if *topo {
-        session = session.topological();
     }
     let results = session.check_all(&properties)?;
     // Engine-configuration facts every metrics run carries, even when the
@@ -777,7 +770,6 @@ mod tests {
             model: path.to_string_lossy().into_owned(),
             props: vec!["R=? [ I=10 ]".into(), "P=? [ G<=3 !err ]".into()],
             certified: None,
-            topo: false,
             metrics: None,
             trace_convergence: None,
             prop_files: vec![],
@@ -798,7 +790,6 @@ mod tests {
             model: path.to_string_lossy().into_owned(),
             props: vec!["P=? [ F err ]".into(), "P=? [ G<=3 !err ]".into()],
             certified: Some(1e-9),
-            topo: false,
             metrics: None,
             trace_convergence: None,
             prop_files: vec![],
@@ -817,9 +808,8 @@ mod tests {
         let mpath = write_model("regime_cert.sm", REGIME_MDP);
         let out = run(&Cmd::Check {
             model: mpath.to_string_lossy().into_owned(),
-            props: vec!["Pmax=? [ G !err ]".into()],
+            props: vec!["Pmax=? [ G !err ]".into(), "Pmax=? [ F err ]".into()],
             certified: Some(1e-9),
-            topo: false,
             metrics: None,
             trace_convergence: None,
             prop_files: vec![],
@@ -836,7 +826,6 @@ mod tests {
             model: path.to_string_lossy().into_owned(),
             props: vec!["P=? [ F err ]".into()],
             certified: None,
-            topo: false,
             metrics: None,
             trace_convergence: None,
             prop_files: vec![],
@@ -846,47 +835,6 @@ mod tests {
         .unwrap();
         assert!(out.contains("Solver: value-iteration"), "{out}");
         assert!(!out.contains("Certified interval"), "{out}");
-    }
-
-    #[test]
-    fn topological_check_tags_the_solver() {
-        let path = write_model("channel_topo.sm", CHANNEL);
-        let out = run(&Cmd::Check {
-            model: path.to_string_lossy().into_owned(),
-            props: vec!["P=? [ F err ]".into()],
-            certified: Some(1e-9),
-            topo: true,
-            metrics: None,
-            trace_convergence: None,
-            prop_files: vec![],
-            format: OutputFormat::Text,
-            options: opts(),
-        })
-        .unwrap();
-        assert!(
-            out.contains("Solver: topological-interval-iteration"),
-            "{out}"
-        );
-        assert!(out.contains("Certified interval: ["), "{out}");
-        assert!(out.contains("Result: 1.000000"), "{out}");
-        // The MDP engine routes through the same flag.
-        let mpath = write_model("regime_topo.sm", REGIME_MDP);
-        let out = run(&Cmd::Check {
-            model: mpath.to_string_lossy().into_owned(),
-            props: vec!["Pmax=? [ F err ]".into()],
-            certified: Some(1e-9),
-            topo: true,
-            metrics: None,
-            trace_convergence: None,
-            prop_files: vec![],
-            format: OutputFormat::Text,
-            options: opts(),
-        })
-        .unwrap();
-        assert!(
-            out.contains("Solver: topological-interval-iteration"),
-            "{out}"
-        );
     }
 
     #[test]
@@ -992,7 +940,6 @@ mod tests {
             model: path.to_string_lossy().into_owned(),
             props: vec!["R=? [ I=10 ]".into()],
             certified: None,
-            topo: false,
             metrics: None,
             trace_convergence: None,
             prop_files: vec![],
@@ -1009,7 +956,6 @@ mod tests {
             model: path.to_string_lossy().into_owned(),
             props: vec!["R=? [ I=10 ]".into()],
             certified: None,
-            topo: false,
             metrics: None,
             trace_convergence: None,
             prop_files: vec![],
@@ -1026,7 +972,6 @@ mod tests {
             model: path.to_string_lossy().into_owned(),
             props: vec!["R=? [ I=10 ]".into()],
             certified: None,
-            topo: false,
             metrics: None,
             trace_convergence: None,
             prop_files: vec![],
@@ -1066,7 +1011,6 @@ mod tests {
                 "Pmin=? [ G<=2 !err ]".into(),
             ],
             certified: None,
-            topo: false,
             metrics: None,
             trace_convergence: None,
             prop_files: vec![],
@@ -1091,7 +1035,6 @@ mod tests {
             model: path.to_string_lossy().into_owned(),
             props: vec!["P=? [ F<=2 err ]".into()],
             certified: None,
-            topo: false,
             metrics: None,
             trace_convergence: None,
             prop_files: vec![],
@@ -1171,7 +1114,6 @@ mod tests {
             model: dpath.to_string_lossy().into_owned(),
             props: vec!["P=? [ G<=3 !err ]".into()],
             certified: None,
-            topo: false,
             metrics: None,
             trace_convergence: None,
             prop_files: vec![],
@@ -1183,7 +1125,6 @@ mod tests {
             model: mpath.to_string_lossy().into_owned(),
             props: vec!["Pmin=? [ G<=3 !err ]".into(), "Pmax=? [ G<=3 !err ]".into()],
             certified: None,
-            topo: false,
             metrics: None,
             trace_convergence: None,
             prop_files: vec![],
@@ -1215,7 +1156,6 @@ mod tests {
             props: vec!["S=? [ err ]".into()],
             prop_files: vec![props_path.to_string_lossy().into_owned()],
             certified: None,
-            topo: false,
             metrics: None,
             trace_convergence: None,
             format: OutputFormat::Text,
@@ -1238,7 +1178,6 @@ mod tests {
             props: vec![],
             prop_files: vec![empty.to_string_lossy().into_owned()],
             certified: None,
-            topo: false,
             metrics: None,
             trace_convergence: None,
             format: OutputFormat::Text,
@@ -1263,7 +1202,6 @@ mod tests {
             ],
             prop_files: vec![],
             certified: None,
-            topo: false,
             metrics: None,
             trace_convergence: None,
             format: OutputFormat::Json,
@@ -1311,7 +1249,6 @@ mod tests {
             props: vec!["P=? [ F err ]".into()],
             prop_files: vec![],
             certified: Some(1e-9),
-            topo: false,
             metrics: None,
             trace_convergence: None,
             format: OutputFormat::Json,
@@ -1334,7 +1271,6 @@ mod tests {
             props: vec!["Pmax=? [ F<=2 err ]".into()],
             prop_files: vec![],
             certified: None,
-            topo: false,
             metrics: None,
             trace_convergence: None,
             format: OutputFormat::Json,
@@ -1364,7 +1300,6 @@ mod tests {
                 "S=? [ err ]".into(),
             ],
             certified: Some(1e-9),
-            topo: false,
             prop_files: vec![],
             format: OutputFormat::Text,
             metrics: Some(OutputFormat::Text),
@@ -1404,7 +1339,6 @@ mod tests {
             model: path.to_string_lossy().into_owned(),
             props: vec!["Pmax=? [ F<=2 err ]".into()],
             certified: None,
-            topo: false,
             prop_files: vec![],
             format: OutputFormat::Text,
             metrics: Some(OutputFormat::Text),
@@ -1435,7 +1369,6 @@ mod tests {
             model: path.to_string_lossy().into_owned(),
             props: vec!["P=? [ F err ]".into()],
             certified: Some(1e-9),
-            topo: false,
             prop_files: vec![],
             format: OutputFormat::Json,
             metrics: Some(OutputFormat::Json),
@@ -1471,7 +1404,7 @@ mod tests {
             }
         }
         let last = records.last().unwrap();
-        assert_eq!(last.get("driver").unwrap().as_str(), Some("interval"));
+        assert_eq!(last.get("driver").unwrap().as_str(), Some("topo_interval"));
         assert!(
             last.get("width").unwrap().as_f64().unwrap() < 1e-9,
             "{trace}"
@@ -1486,7 +1419,6 @@ mod tests {
                 model: path.to_string_lossy().into_owned(),
                 props: vec!["P=? [ F err ]".into(), "R=? [ I=10 ]".into()],
                 certified: Some(1e-9),
-                topo: false,
                 prop_files: vec![],
                 format: OutputFormat::Text,
                 metrics: Some(OutputFormat::Text),
@@ -1529,7 +1461,6 @@ mod tests {
             model: dir.join("chan.tra").to_string_lossy().into_owned(),
             props: vec!["R=? [ I=10 ]".into(), "S=? [ err ]".into()],
             certified: None,
-            topo: false,
             metrics: None,
             trace_convergence: None,
             prop_files: vec![],
@@ -1617,7 +1548,6 @@ mod tests {
                 model: path.to_string_lossy().into_owned(),
                 props: vec!["R=? [ I=10 ]".into()],
                 certified: None,
-                topo: false,
                 metrics: None,
                 trace_convergence: None,
                 prop_files: vec![],
@@ -1664,7 +1594,6 @@ mod tests {
             model: path.to_string_lossy().into_owned(),
             props: vec!["P=? [ H err ]".into()],
             certified: None,
-            topo: false,
             metrics: None,
             trace_convergence: None,
             prop_files: vec![],

@@ -70,17 +70,37 @@ fn gauss_seidel_driver_emits_one_record_per_sweep() {
 
 #[test]
 fn interval_driver_reports_width_below_epsilon() {
-    let d = chain();
+    // 0 ↔ 1 is a non-trivial SCC leaking into the absorbing goal 2 and
+    // sink 3, so the certified walk iterates on it.
+    let m = TransitionMatrix::Sparse(
+        CsrMatrix::from_rows(vec![
+            vec![(1, 0.8), (2, 0.1), (3, 0.1)],
+            vec![(0, 0.8), (2, 0.2)],
+            vec![(2, 1.0)],
+            vec![(3, 1.0)],
+        ])
+        .unwrap(),
+    );
+    let mut labels = BTreeMap::new();
+    labels.insert("goal".to_string(), BitVec::from_fn(4, |i| i == 2));
+    let d = Dtmc::new(m, vec![(0, 1.0)], labels, vec![0.0; 4]).unwrap();
     let goal = d.label("goal").unwrap().clone();
     let eps = 1e-9;
+    let cond = Condensation::new(&d);
     let (cap, certified) =
-        captured(|| solve::interval_reach_values(&d, &goal, eps, 10_000).unwrap());
+        captured(|| solve::topo_interval_reach_values(&d, &cond, &goal, eps, 10_000).unwrap());
     assert!(certified.hi[0] - certified.lo[0] < eps);
-    let traces = cap.traces_for("interval");
+    let traces = cap.traces_for("topo_interval");
     assert_eq!(traces.len(), certified.iterations);
-    // Widths shrink monotonically to below epsilon; residual stays unset
-    // (interval iteration certifies by bracket, not by residual).
-    let widths: Vec<f64> = traces.iter().map(|t| t.width.unwrap()).collect();
+    // The cycle's widths shrink monotonically to below epsilon; residual
+    // stays unset (interval iteration certifies by bracket, not by
+    // residual).
+    let widths: Vec<f64> = traces
+        .iter()
+        .filter(|t| t.component.is_some())
+        .map(|t| t.width.unwrap())
+        .collect();
+    assert!(widths.len() > 1, "{traces:?}");
     assert!(widths.windows(2).all(|w| w[1] <= w[0]), "{widths:?}");
     assert!(*widths.last().unwrap() < eps);
     assert!(traces.iter().all(|t| t.residual.is_none()));
@@ -137,9 +157,10 @@ fn topo_interval_driver_tags_components() {
 fn no_recorder_means_identical_results() {
     let d = chain();
     let goal = d.label("goal").unwrap().clone();
-    let plain = solve::interval_reach_values(&d, &goal, 1e-9, 10_000).unwrap();
+    let cond = Condensation::new(&d);
+    let plain = solve::topo_interval_reach_values(&d, &cond, &goal, 1e-9, 10_000).unwrap();
     let (_cap, recorded) =
-        captured(|| solve::interval_reach_values(&d, &goal, 1e-9, 10_000).unwrap());
+        captured(|| solve::topo_interval_reach_values(&d, &cond, &goal, 1e-9, 10_000).unwrap());
     assert_eq!(plain.lo, recorded.lo, "recording must not change results");
     assert_eq!(plain.hi, recorded.hi);
     assert_eq!(plain.iterations, recorded.iterations);

@@ -12,9 +12,11 @@
 //! one masked backup following the DTMC engine's buffer-reuse contract
 //! (caller-owned ping-pong buffers, zero per-step allocation); the bounded
 //! and global unbounded drivers ([`bounded_until_values`],
-//! [`unbounded_until_values`], ...) loop it. The checker's default
-//! unbounded solvers ([`topo_until_values`], [`topo_reach_reward_values`])
-//! walk the SCC condensation instead (see "Topological solving" below).
+//! [`unbounded_until_values`], ...) loop it. The checker's unbounded
+//! solvers — the default [`topo_until_values`] / [`topo_reach_reward_values`]
+//! and the certified [`topo_certified_until_values`] /
+//! [`topo_certified_reach_reward_values`] — walk the SCC condensation
+//! instead (see "Topological solving" below).
 //!
 //! # Parallelism and determinism
 //!
@@ -32,19 +34,20 @@
 //! # Certified convergence
 //!
 //! The unbounded drivers above stop on a residual test, which cannot bound
-//! the distance to the fixpoint. The `certified_*` drivers replace it with
-//! **interval iteration**: a lower vector ascending from 0 and an upper
-//! vector descending from a qualitative seed ([`crate::qual`]), advanced
-//! together by [`interval_step_into`] (one action walk computes both
-//! bounds) and terminated only when `upper − lower < ε` pointwise. End
-//! components — the structures that let plain upper iterates stall above
-//! the true `Pmax`, and lower `Rmin` iterates stall below the true cost —
-//! are handled by per-sweep *deflation* (capping a component's upper
-//! values at its best exit backup) and *inflation* (raising a zero-reward
-//! component's lower values to its cheapest exit backup), over maximal end
-//! components computed once per query. The result is a sound bracket for
-//! all four `Pmin`/`Pmax`/`Rmin`/`Rmax` forms, cross-checked in the tests
-//! against exhaustive memoryless-scheduler enumeration.
+//! the distance to the fixpoint. The `topo_certified_*` drivers replace it
+//! with **interval iteration**: a lower bound ascending from 0 and an
+//! upper bound descending from a qualitative seed ([`crate::qual`]),
+//! advanced together by one action walk per state and terminated only when
+//! `upper − lower < ε` pointwise. End components — the structures that let
+//! plain upper iterates stall above the true `Pmax`, and lower `Rmin`
+//! iterates stall below the true cost — are handled by per-sweep
+//! *deflation* (capping a component's upper values at its best exit
+//! backup) and *inflation* (raising a zero-reward component's lower values
+//! to its cheapest exit backup), over maximal end components computed once
+//! per query. The result is a sound bracket for all four
+//! `Pmin`/`Pmax`/`Rmin`/`Rmax` forms, cross-checked in the tests against
+//! exhaustive memoryless-scheduler enumeration. Like the default drivers,
+//! they walk the SCC condensation (see "Topological solving" below).
 
 use crate::mdp::Mdp;
 use crate::qual;
@@ -426,76 +429,8 @@ pub fn cumulative_reward_values(mdp: &Mdp, t: usize, opt: Opt, vio: &ViOptions) 
     x
 }
 
-/// One dual optimal backup `out = (T_opt lo, T_opt hi)`, masked: states
-/// outside `active` copy their current (pinned) pair. Both bounds ride a
-/// single action walk — the per-action accumulators and the running optima
-/// are tracked independently, which is exactly `T_opt` applied to each
-/// bound (the optimal action may differ between them). With `rewards`,
-/// `r[s]` is added to both bounds of every active state.
-///
-/// Parallel dispatch and determinism follow [`optimal_step_into`]: dynamic
-/// chunks on the pool above the threshold, bit-identical sequential
-/// fallback below it. Returns the maximum `hi − lo` width over the active
-/// states of this sweep.
-pub fn interval_step_into(
-    mdp: &Mdp,
-    cur: &[(f64, f64)],
-    active: &BitVec,
-    opt: Opt,
-    rewards: Option<&[f64]>,
-    out: &mut [(f64, f64)],
-    vio: &ViOptions,
-) -> f64 {
-    let n = mdp.n_states();
-    assert_eq!(cur.len(), n, "value vector length mismatch");
-    assert_eq!(out.len(), n, "output buffer length mismatch");
-    assert_eq!(active.len(), n, "mask length mismatch");
-    let body = |offset: usize, chunk: &mut [(f64, f64)]| -> f64 {
-        let mut width: f64 = 0.0;
-        for (j, slot) in chunk.iter_mut().enumerate() {
-            let s = offset + j;
-            if !active.get(s) {
-                *slot = cur[s];
-                continue;
-            }
-            let mut best_lo = 0.0;
-            let mut best_hi = 0.0;
-            for a in 0..mdp.action_count(s) {
-                let mut acc_lo = 0.0;
-                let mut acc_hi = 0.0;
-                for (c, p) in mdp.action_row(s, a) {
-                    let (l, h) = cur[c as usize];
-                    acc_lo += p * l;
-                    acc_hi += p * h;
-                }
-                if a == 0 || opt.better(acc_lo, best_lo) {
-                    best_lo = acc_lo;
-                }
-                if a == 0 || opt.better(acc_hi, best_hi) {
-                    best_hi = acc_hi;
-                }
-            }
-            if let Some(r) = rewards {
-                best_lo += r[s];
-                best_hi += r[s];
-            }
-            width = width.max(best_hi - best_lo);
-            *slot = (best_lo, best_hi);
-        }
-        width
-    };
-    if vio.parallelize(n) {
-        let pool = vio.pool.unwrap_or_else(pool::global);
-        pool.map_chunks_dynamic(out, vio.chunk.max(1), &|offset, chunk| body(offset, chunk))
-            .into_iter()
-            .fold(0.0, f64::max)
-    } else {
-        body(0, out)
-    }
-}
-
 /// Per-state end-component membership (`u32::MAX` = none) plus the list,
-/// precomputed once per certified query.
+/// precomputed once per query that deflates or inflates.
 struct EcIndex {
     of: Vec<u32>,
     members: Vec<Vec<u32>>,
@@ -538,226 +473,6 @@ impl EcIndex {
         }
         best
     }
-}
-
-/// The maximum `hi − lo` over `active` states (all finite there).
-fn bracket_width(active: &BitVec, cur: &[(f64, f64)]) -> f64 {
-    active
-        .iter_ones()
-        .map(|i| cur[i].1 - cur[i].0)
-        .fold(0.0, f64::max)
-}
-
-/// Certified optimal probabilities of `lhs U rhs` from every state:
-/// interval iteration whose `[lo, hi]` result provably brackets the exact
-/// `Pmin`/`Pmax` value with width below `epsilon` at every state.
-///
-/// The qualitative pre-pass pins the `P = 0` region exactly (for `Pmax`
-/// the states no scheduler can steer to `rhs`, for `Pmin` the states some
-/// scheduler can keep away — [`qual::prob0_max`]/[`qual::prob0_min`]).
-/// For `Pmin` that already makes the fixpoint unique. For `Pmax` the
-/// remaining end components can hold the upper iterate above the true
-/// value forever, so each sweep *deflates* them: every component's upper
-/// values are capped at its best exit backup, which is sound (any
-/// scheduler must leave the component to reach `rhs`) and restores
-/// convergence.
-///
-/// # Errors
-///
-/// [`DtmcError::DimensionMismatch`] for wrong-length bit vectors;
-/// [`DtmcError::NoConvergence`] if `vio.max_iter` dual sweeps do not close
-/// the width below `epsilon`.
-pub fn certified_until_values(
-    mdp: &Mdp,
-    lhs: &BitVec,
-    rhs: &BitVec,
-    opt: Opt,
-    epsilon: f64,
-    vio: &ViOptions,
-) -> Result<CertifiedValues, DtmcError> {
-    check_len(mdp, lhs)?;
-    check_len(mdp, rhs)?;
-    let n = mdp.n_states();
-    let zero = match opt {
-        Opt::Max => qual::prob0_max(mdp, lhs, rhs),
-        Opt::Min => qual::prob0_min(mdp, lhs, rhs),
-    };
-    let active = lhs.and(&rhs.not()).and(&zero.not());
-    let ecs = match opt {
-        Opt::Max => Some(EcIndex::new(mdp, &active)),
-        Opt::Min => None, // every end component has Pmin = 0 → pinned already
-    };
-    let mut cur: Vec<(f64, f64)> = (0..n)
-        .map(|i| {
-            if rhs.get(i) {
-                (1.0, 1.0)
-            } else if active.get(i) {
-                (0.0, 1.0)
-            } else {
-                (0.0, 0.0)
-            }
-        })
-        .collect();
-    let mut next = cur.clone();
-    for it in 1..=vio.max_iter {
-        let mut width = interval_step_into(mdp, &cur, &active, opt, None, &mut next, vio);
-        if let Some(ecs) = &ecs {
-            let mut deflated = 0u64;
-            for k in 0..ecs.members.len() {
-                let cap = ecs.best_exit(mdp, k, |c| next[c].1, Opt::Max);
-                for &s in &ecs.members[k] {
-                    let hi = &mut next[s as usize].1;
-                    if cap < *hi {
-                        *hi = cap;
-                        deflated += 1;
-                    }
-                }
-            }
-            if deflated > 0 {
-                obs::counter_add("smg_vi_deflations_total", None, deflated);
-            }
-            width = bracket_width(&active, &next);
-        }
-        std::mem::swap(&mut cur, &mut next);
-        <(f64, f64)>::record_sweep("certified_vi", it, width, None);
-        if width < epsilon {
-            return Ok(CertifiedValues::from_pairs(cur, it));
-        }
-    }
-    Err(DtmcError::NoConvergence {
-        iterations: vio.max_iter,
-        residual: epsilon,
-    })
-}
-
-/// Certified optimal reachability `Pmin`/`Pmax` `[F target]` from every
-/// state — [`certified_until_values`] with an unrestricted left operand.
-///
-/// # Errors
-///
-/// As for [`certified_until_values`].
-pub fn certified_reach_values(
-    mdp: &Mdp,
-    target: &BitVec,
-    opt: Opt,
-    epsilon: f64,
-    vio: &ViOptions,
-) -> Result<CertifiedValues, DtmcError> {
-    let all = BitVec::ones(mdp.n_states());
-    certified_until_values(mdp, &all, target, opt, epsilon, vio)
-}
-
-/// Certified optimal expected reward accumulated strictly before first
-/// reaching `target` (`Rmin`/`Rmax` `[F target]`, PRISM semantics).
-/// States outside the qualitative certain region carry the exact
-/// `lo = hi = ∞`; on the certain region the bracket has width below
-/// `epsilon`.
-///
-/// Everything the certificate rests on is graph-based, never a
-/// residual-converged number:
-///
-/// * the certain region is [`qual::prob1_min`] for `Rmax` (every
-///   scheduler must be proper there for the supremum to be finite) and
-///   [`qual::prob1_max`] for `Rmin`;
-/// * the `Rmax` upper seed comes from a finite hitting probe — `k` min-VI
-///   sweeps showing every certain state reaches the target within `k`
-///   steps with probability ≥ δ under *every* scheduler, giving the bound
-///   `k·r_max/δ`;
-/// * the `Rmin` upper seed is a certified upper bound
-///   ([`smg_dtmc::solve::interval_reach_reward_values`]) on the cost of a
-///   graph-constructed proper scheduler ([`qual::proper_scheduler`]);
-/// * the `Rmin` *lower* iterate would stall below the true cost wherever
-///   a zero-reward end component lets the minimizer wait for free, so
-///   each sweep *inflates* those components' lower values to their
-///   cheapest exit backup (sound: a proper scheduler must leave, and
-///   leaving costs at least the cheapest exit).
-///
-/// # Errors
-///
-/// As for [`certified_until_values`] (for the reward iteration, the
-/// hitting probe, and the seed computation).
-pub fn certified_reach_reward_values(
-    mdp: &Mdp,
-    target: &BitVec,
-    opt: Opt,
-    epsilon: f64,
-    vio: &ViOptions,
-) -> Result<CertifiedValues, DtmcError> {
-    check_len(mdp, target)?;
-    let n = mdp.n_states();
-    let all = BitVec::ones(n);
-    let certain = match opt {
-        Opt::Max => qual::prob1_min(mdp, &all, target),
-        Opt::Min => qual::prob1_max(mdp, &all, target),
-    };
-    let active = certain.and(&target.not());
-    let rewards = mdp.rewards();
-    let r_max = active.iter_ones().map(|i| rewards[i]).fold(0.0, f64::max);
-    // Upper seed per state.
-    let seed: Vec<f64> = match opt {
-        Opt::Max => {
-            let bound = if r_max == 0.0 {
-                0.0
-            } else {
-                let (k, delta) = min_hitting_probe(mdp, target, &active, vio)?;
-                k as f64 * r_max / delta
-            };
-            vec![bound; n]
-        }
-        Opt::Min => {
-            let sched = qual::proper_scheduler(mdp, &all, target);
-            let chain = mdp.induced_dtmc(&sched)?;
-            smg_dtmc::solve::interval_reach_reward_values(&chain, target, epsilon, vio.max_iter)?.hi
-        }
-    };
-    let ecs = match opt {
-        Opt::Min => {
-            let zero_reward = BitVec::from_fn(n, |i| active.get(i) && rewards[i] == 0.0);
-            Some(EcIndex::new(mdp, &zero_reward))
-        }
-        Opt::Max => None, // no end components survive inside a Pmin = 1 region
-    };
-    let mut cur: Vec<(f64, f64)> = (0..n)
-        .map(|i| {
-            if active.get(i) {
-                (0.0, seed[i])
-            } else if certain.get(i) {
-                (0.0, 0.0) // target: accumulation stops before its reward
-            } else {
-                (f64::INFINITY, f64::INFINITY)
-            }
-        })
-        .collect();
-    let mut next = cur.clone();
-    for it in 1..=vio.max_iter {
-        let mut width = interval_step_into(mdp, &cur, &active, opt, Some(rewards), &mut next, vio);
-        if let Some(ecs) = &ecs {
-            let mut inflated = 0u64;
-            for k in 0..ecs.members.len() {
-                let floor = ecs.best_exit(mdp, k, |c| next[c].0, Opt::Min);
-                for &s in &ecs.members[k] {
-                    let lo = &mut next[s as usize].0;
-                    if floor > *lo {
-                        *lo = floor;
-                        inflated += 1;
-                    }
-                }
-            }
-            if inflated > 0 {
-                obs::counter_add("smg_vi_inflations_total", None, inflated);
-            }
-            width = bracket_width(&active, &next);
-        }
-        std::mem::swap(&mut cur, &mut next);
-        <(f64, f64)>::record_sweep("certified_vi", it, width, None);
-        if width < epsilon {
-            return Ok(CertifiedValues::from_pairs(cur, it));
-        }
-    }
-    Err(DtmcError::NoConvergence {
-        iterations: vio.max_iter,
-        residual: epsilon,
-    })
 }
 
 /// The smallest `k` at which every `active` state reaches the target
@@ -871,14 +586,16 @@ fn solved_state<V: LevelValue>(mdp: &Mdp, s: usize, reward: f64, opt: Opt, cur: 
 /// to the component's active states (reading the freshest values,
 /// Gauss–Seidel style), then the component-local end-component correction,
 /// then a component-local [`LevelValue::progress`] test against the values
-/// the sweep started from (`old`, scratch). Returns the sweeps used.
+/// the sweep started from (`old`, scratch). Returns the sweeps used. Every
+/// state whose bound a correction moves in a sweep adds one to
+/// `smg_vi_deflations_total` or `smg_vi_inflations_total`.
 ///
-/// In-place updates are sound for the same reason global sweeps are: the
-/// optimal backup is monotone, so any read vector satisfying
-/// `lo ≤ x* ≤ hi` pointwise produces an update that still satisfies it.
-/// Convergence follows from the global drivers' by domination: a fresher
-/// (already tighter) read can only tighten the update, so each in-place
-/// sweep is bracketed by the corresponding Jacobi sweep and the truth.
+/// In-place updates are sound because the optimal backup is monotone: any
+/// read vector satisfying `lo ≤ x* ≤ hi` pointwise produces an update that
+/// still satisfies it. They converge at least as fast as Jacobi sweeps: a
+/// fresher (already tighter) read can only tighten the update, so each
+/// in-place sweep is bracketed by the corresponding Jacobi sweep and the
+/// truth.
 #[allow(clippy::too_many_arguments)]
 fn solve_component<V: LevelValue>(
     mdp: &Mdp,
@@ -917,21 +634,33 @@ fn solve_component<V: LevelValue>(
             cur[s] = best;
         }
         if let Some((ecs, ids, mode)) = ec {
+            let mut moved = 0u64;
             for &k in ids {
                 match mode {
                     EcMode::DeflateHi => {
                         let cap = ecs.best_exit(mdp, k, |c| cur[c].hi(), Opt::Max);
                         for &s in &ecs.members[k] {
-                            cur[s as usize] = cur[s as usize].map_hi(|hi| hi.min(cap));
+                            let was = cur[s as usize];
+                            cur[s as usize] = was.map_hi(|hi| hi.min(cap));
+                            moved += u64::from(cur[s as usize].hi() < was.hi());
                         }
                     }
                     EcMode::InflateLo => {
                         let floor = ecs.best_exit(mdp, k, |c| cur[c].lo(), Opt::Min);
                         for &s in &ecs.members[k] {
-                            cur[s as usize] = cur[s as usize].map_lo(|lo| lo.max(floor));
+                            let was = cur[s as usize];
+                            cur[s as usize] = was.map_lo(|lo| lo.max(floor));
+                            moved += u64::from(cur[s as usize].lo() > was.lo());
                         }
                     }
                 }
+            }
+            if moved > 0 {
+                let counter = match mode {
+                    EcMode::DeflateHi => "smg_vi_deflations_total",
+                    EcMode::InflateLo => "smg_vi_inflations_total",
+                };
+                obs::counter_add(counter, None, moved);
             }
         }
         let progress = comp
@@ -1199,7 +928,7 @@ fn upper_reward_seed(
 
 /// Optimal probabilities of `lhs U rhs` by **topological** value
 /// iteration — the checker's default unbounded MDP solver. Same
-/// qualitative pre-pass as the certified drivers, then one SCC at a time
+/// qualitative pre-pass as [`topo_certified_until_values`], then one SCC at a time
 /// in reverse topological order over `cond` ([`qual::condensation`]):
 /// trivial components by closed-form backsubstitution, the others by
 /// in-place optimal backups of the lower value from 0, each stopping on a
@@ -1267,19 +996,30 @@ pub fn topo_reach_reward_values(
     topo_reach_reward(mdp, cond, target, opt, vio.tol, vio).map(|(x, _)| x)
 }
 
-/// Certified optimal probabilities of `lhs U rhs` by **topological**
-/// interval iteration: the same bracket guarantee as
-/// [`certified_until_values`] (`lo ≤ x* ≤ hi` with width below `epsilon`
-/// everywhere), but solved one SCC of `cond` at a time in reverse
-/// topological order, so certified cost concentrates on the components
-/// that need iteration while layered structure collapses to closed-form
+/// Certified optimal probabilities of `lhs U rhs` from every state by
+/// **topological** interval iteration: the `[lo, hi]` result provably
+/// brackets the exact `Pmin`/`Pmax` value with width below `epsilon` at
+/// every state, solved one SCC of `cond` at a time in reverse topological
+/// order, so certified cost concentrates on the components that need
+/// iteration while layered structure collapses to closed-form
 /// backsubstitution. `vio.max_iter` bounds each component's sweeps, not
 /// the global total.
 ///
+/// The qualitative pre-pass pins the `P = 0` region exactly (for `Pmax`
+/// the states no scheduler can steer to `rhs`, for `Pmin` the states some
+/// scheduler can keep away — [`qual::prob0_max`]/[`qual::prob0_min`]).
+/// For `Pmin` that already makes the fixpoint unique. For `Pmax` the
+/// remaining end components can hold the upper iterate above the true
+/// value forever, so each sweep *deflates* them: every component's upper
+/// values are capped at its best exit backup, which is sound (any
+/// scheduler must leave the component to reach `rhs`) and restores
+/// convergence.
+///
 /// # Errors
 ///
-/// As for [`certified_until_values`], plus
-/// [`DtmcError::DimensionMismatch`] for a condensation of another MDP.
+/// [`DtmcError::DimensionMismatch`] for wrong-length bit vectors or a
+/// condensation of another MDP; [`DtmcError::NoConvergence`] if a
+/// component's width stays above `epsilon` for `vio.max_iter` sweeps.
 pub fn topo_certified_until_values(
     mdp: &Mdp,
     cond: &Condensation,
@@ -1312,16 +1052,39 @@ pub fn topo_certified_reach_values(
     topo_certified_until_values(mdp, cond, &all, target, opt, epsilon, vio)
 }
 
-/// Certified optimal expected reachability reward by topological interval
-/// iteration: the qualitative pre-passes, seeds, and end-component
-/// corrections of [`certified_reach_reward_values`], solved one SCC at a
-/// time (inflation of zero-reward components stays component-local, since
-/// an end component never spans SCCs). The upper seeds are computed only
-/// when a non-trivial component will read them.
+/// Certified optimal expected reward accumulated strictly before first
+/// reaching `target` (`Rmin`/`Rmax` `[F target]`, PRISM semantics), by
+/// topological interval iteration. States outside the qualitative certain
+/// region carry the exact `lo = hi = ∞`; on the certain region the bracket
+/// has width below `epsilon`.
+///
+/// Everything the certificate rests on is graph-based, never a
+/// residual-converged number:
+///
+/// * the certain region is [`qual::prob1_min`] for `Rmax` (every
+///   scheduler must be proper there for the supremum to be finite) and
+///   [`qual::prob1_max`] for `Rmin`;
+/// * the `Rmax` upper seed comes from a finite hitting probe — `k` min-VI
+///   sweeps showing every certain state reaches the target within `k`
+///   steps with probability ≥ δ under *every* scheduler, giving the bound
+///   `k·r_max/δ`;
+/// * the `Rmin` upper seed is a certified upper bound
+///   ([`smg_dtmc::solve::topo_interval_reach_reward_values`]) on the cost
+///   of a graph-constructed proper scheduler ([`qual::proper_scheduler`]);
+/// * the `Rmin` *lower* iterate would stall below the true cost wherever
+///   a zero-reward end component lets the minimizer wait for free, so
+///   each sweep *inflates* those components' lower values to their
+///   cheapest exit backup (sound: a proper scheduler must leave, and
+///   leaving costs at least the cheapest exit).
+///
+/// The walk solves one SCC at a time (inflation stays component-local,
+/// since an end component never spans SCCs), and the upper seeds are
+/// computed only when a non-trivial component will read them.
 ///
 /// # Errors
 ///
-/// As for [`topo_certified_until_values`].
+/// As for [`topo_certified_until_values`] (for the reward iteration, the
+/// hitting probe, and the seed computation).
 pub fn topo_certified_reach_reward_values(
     mdp: &Mdp,
     cond: &Condensation,
@@ -1517,7 +1280,9 @@ mod tests {
         let vio = ViOptions::default();
         let eps = 1e-9;
         for (opt, want) in [(Opt::Max, 0.5), (Opt::Min, 0.1)] {
-            let cert = certified_reach_values(&m, &goal, opt, eps, &vio).unwrap();
+            let cert =
+                topo_certified_reach_values(&m, &qual::condensation(&m), &goal, opt, eps, &vio)
+                    .unwrap();
             assert!(cert.width() < eps, "{opt:?}");
             assert!(
                 cert.lo[0] <= want && want <= cert.hi[0],
@@ -1551,7 +1316,9 @@ mod tests {
         let goal = m.label("goal").unwrap().clone();
         let vio = ViOptions::default();
         let eps = 1e-9;
-        let cert = certified_reach_values(&m, &goal, Opt::Max, eps, &vio).unwrap();
+        let cert =
+            topo_certified_reach_values(&m, &qual::condensation(&m), &goal, Opt::Max, eps, &vio)
+                .unwrap();
         assert!(cert.width() < eps);
         assert!(
             cert.lo[0] <= 0.5 && 0.5 <= cert.hi[0] && cert.hi[0] < 0.5 + eps,
@@ -1560,7 +1327,9 @@ mod tests {
             cert.hi[0]
         );
         // Pmin = 0 is pinned qualitatively (stall forever).
-        let cert = certified_reach_values(&m, &goal, Opt::Min, eps, &vio).unwrap();
+        let cert =
+            topo_certified_reach_values(&m, &qual::condensation(&m), &goal, Opt::Min, eps, &vio)
+                .unwrap();
         assert_eq!((cert.lo[0], cert.hi[0]), (0.0, 0.0));
     }
 
@@ -1571,7 +1340,16 @@ mod tests {
         // lhs excludes state 0 → goal unreachable from 0 through lhs.
         let lhs = BitVec::from_fn(3, |i| i != 0);
         let vio = ViOptions::default();
-        let cert = certified_until_values(&m, &lhs, &goal, Opt::Max, 1e-9, &vio).unwrap();
+        let cert = topo_certified_until_values(
+            &m,
+            &qual::condensation(&m),
+            &lhs,
+            &goal,
+            Opt::Max,
+            1e-9,
+            &vio,
+        )
+        .unwrap();
         assert_eq!((cert.lo[0], cert.hi[0]), (0.0, 0.0));
     }
 
@@ -1583,7 +1361,15 @@ mod tests {
         let eps = 1e-9;
         // Reaching goal alone is uncertain from 0 → ∞ under both opts.
         for opt in [Opt::Max, Opt::Min] {
-            let cert = certified_reach_reward_values(&m, &goal, opt, eps, &vio).unwrap();
+            let cert = topo_certified_reach_reward_values(
+                &m,
+                &qual::condensation(&m),
+                &goal,
+                opt,
+                eps,
+                &vio,
+            )
+            .unwrap();
             assert_eq!((cert.lo[0], cert.hi[0]), (f64::INFINITY, f64::INFINITY));
             assert_eq!((cert.lo[1], cert.hi[1]), (0.0, 0.0));
             assert!(cert.width() < eps);
@@ -1591,7 +1377,15 @@ mod tests {
         // goal | bad is reached in one certain step; reward 1 accrues at 0.
         let either = BitVec::from_fn(3, |i| i > 0);
         for opt in [Opt::Max, Opt::Min] {
-            let cert = certified_reach_reward_values(&m, &either, opt, eps, &vio).unwrap();
+            let cert = topo_certified_reach_reward_values(
+                &m,
+                &qual::condensation(&m),
+                &either,
+                opt,
+                eps,
+                &vio,
+            )
+            .unwrap();
             assert!(cert.width() < eps);
             assert!(
                 cert.lo[0] <= 1.0 && 1.0 <= cert.hi[0],
@@ -1608,107 +1402,6 @@ mod tests {
         // 0 ↔ 1 zero-reward cycle would hold a plain lower iterate at 0
         // forever; inflation must lift it to the true Rmin = 10 and the
         // certificate must close around it.
-        let mut b = MdpBuilder::default();
-        b.push_action(&mut [(1, 1.0)]).unwrap();
-        b.push_action(&mut [(2, 1.0)]).unwrap();
-        b.finish_state().unwrap();
-        b.push_action(&mut [(0, 1.0)]).unwrap();
-        b.push_action(&mut [(2, 1.0)]).unwrap();
-        b.finish_state().unwrap();
-        b.push_action(&mut [(3, 1.0)]).unwrap();
-        b.finish_state().unwrap();
-        b.push_action(&mut [(3, 1.0)]).unwrap();
-        b.finish_state().unwrap();
-        let mut labels = BTreeMap::new();
-        labels.insert("t".to_string(), BitVec::from_fn(4, |i| i == 3));
-        let m = Mdp::new(
-            b.finish(),
-            vec![(0, 1.0)],
-            labels,
-            vec![0.0, 0.0, 10.0, 0.0],
-        )
-        .unwrap();
-        let target = m.label("t").unwrap().clone();
-        let vio = ViOptions::default();
-        let eps = 1e-9;
-        let cert = certified_reach_reward_values(&m, &target, Opt::Min, eps, &vio).unwrap();
-        assert!(cert.width() < eps);
-        for s in [0usize, 1, 2] {
-            assert!(
-                cert.lo[s] <= 10.0 + 1e-12 && 10.0 <= cert.hi[s] + 1e-12,
-                "state {s}: [{}, {}]",
-                cert.lo[s],
-                cert.hi[s]
-            );
-        }
-        // Rmax is ∞ (the maximizer can stall, so Pmin < 1).
-        let cert = certified_reach_reward_values(&m, &target, Opt::Max, eps, &vio).unwrap();
-        assert_eq!((cert.lo[0], cert.hi[0]), (f64::INFINITY, f64::INFINITY));
-    }
-
-    #[test]
-    fn topo_certified_matches_global_on_tiny() {
-        let m = tiny();
-        let goal = m.label("goal").unwrap().clone();
-        let vio = ViOptions::default();
-        let eps = 1e-9;
-        for (opt, want) in [(Opt::Max, 0.5), (Opt::Min, 0.1)] {
-            let topo =
-                topo_certified_reach_values(&m, &qual::condensation(&m), &goal, opt, eps, &vio)
-                    .unwrap();
-            let glob = certified_reach_values(&m, &goal, opt, eps, &vio).unwrap();
-            assert!(topo.width() < eps, "{opt:?}");
-            assert!(
-                topo.lo[0] <= want && want <= topo.hi[0],
-                "{opt:?}: [{}, {}] vs {want}",
-                topo.lo[0],
-                topo.hi[0]
-            );
-            for i in 0..3 {
-                assert!(
-                    (topo.midpoints()[i] - glob.midpoints()[i]).abs() < eps,
-                    "{opt:?} state {i}"
-                );
-            }
-            // All-trivial SCC structure: the whole query is backsubstitution.
-            assert_eq!((topo.lo[1], topo.hi[1]), (1.0, 1.0));
-            assert_eq!((topo.lo[2], topo.hi[2]), (0.0, 0.0));
-        }
-    }
-
-    #[test]
-    fn topo_certified_handles_end_components() {
-        // The deflation model: 0 self-loops (singleton EC) or risks ½/½.
-        let mut b = MdpBuilder::default();
-        b.push_action(&mut [(0, 1.0)]).unwrap();
-        b.push_action(&mut [(1, 0.5), (2, 0.5)]).unwrap();
-        b.finish_state().unwrap();
-        b.push_action(&mut [(1, 1.0)]).unwrap();
-        b.finish_state().unwrap();
-        b.push_action(&mut [(2, 1.0)]).unwrap();
-        b.finish_state().unwrap();
-        let mut labels = BTreeMap::new();
-        labels.insert("goal".to_string(), BitVec::from_fn(3, |i| i == 1));
-        let m = Mdp::new(b.finish(), vec![(0, 1.0)], labels, vec![0.0; 3]).unwrap();
-        let goal = m.label("goal").unwrap().clone();
-        let vio = ViOptions::default();
-        let eps = 1e-9;
-        let cert =
-            topo_certified_reach_values(&m, &qual::condensation(&m), &goal, Opt::Max, eps, &vio)
-                .unwrap();
-        assert!(cert.width() < eps);
-        assert!(
-            cert.lo[0] <= 0.5 && 0.5 <= cert.hi[0] && cert.hi[0] < 0.5 + eps,
-            "[{}, {}]",
-            cert.lo[0],
-            cert.hi[0]
-        );
-    }
-
-    #[test]
-    fn topo_certified_rmin_inflates_zero_reward_cycles() {
-        // The 0 ↔ 1 zero-reward cycle is a non-trivial SCC *and* an EC;
-        // component-local inflation must lift the bracket to Rmin = 10.
         let mut b = MdpBuilder::default();
         b.push_action(&mut [(1, 1.0)]).unwrap();
         b.push_action(&mut [(2, 1.0)]).unwrap();
@@ -1750,7 +1443,7 @@ mod tests {
                 cert.hi[s]
             );
         }
-        // Rmax stays exactly ∞ outside the certain region.
+        // Rmax is ∞ (the maximizer can stall, so Pmin < 1).
         let cert = topo_certified_reach_reward_values(
             &m,
             &qual::condensation(&m),
@@ -1761,22 +1454,95 @@ mod tests {
         )
         .unwrap();
         assert_eq!((cert.lo[0], cert.hi[0]), (f64::INFINITY, f64::INFINITY));
-        // Rmax of goal|either-style certain queries still brackets.
-        let m2 = tiny();
-        let either = BitVec::from_fn(3, |i| i > 0);
-        for opt in [Opt::Max, Opt::Min] {
-            let cert = topo_certified_reach_reward_values(
-                &m2,
-                &qual::condensation(&m2),
-                &either,
-                opt,
-                eps,
-                &vio,
-            )
-            .unwrap();
-            assert!(cert.width() < eps);
-            assert!(cert.lo[0] <= 1.0 && 1.0 <= cert.hi[0], "{opt:?}");
+    }
+
+    #[test]
+    fn topo_certified_handles_end_components() {
+        // 0 ↔ 1 is a two-state end component (a non-trivial SCC), each
+        // state also risking {goal, sink}: ½/½ from 0, ¼/¾ from 1. Pmax = ½
+        // on both, but the upper iterate is a fixpoint of the cycle's
+        // backups at 1; only component-local deflation closes the bracket.
+        let mut b = MdpBuilder::default();
+        b.push_action(&mut [(1, 1.0)]).unwrap();
+        b.push_action(&mut [(2, 0.5), (3, 0.5)]).unwrap();
+        b.finish_state().unwrap();
+        b.push_action(&mut [(0, 1.0)]).unwrap();
+        b.push_action(&mut [(2, 0.25), (3, 0.75)]).unwrap();
+        b.finish_state().unwrap();
+        b.push_action(&mut [(2, 1.0)]).unwrap();
+        b.finish_state().unwrap();
+        b.push_action(&mut [(3, 1.0)]).unwrap();
+        b.finish_state().unwrap();
+        let mut labels = BTreeMap::new();
+        labels.insert("goal".to_string(), BitVec::from_fn(4, |i| i == 2));
+        let m = Mdp::new(b.finish(), vec![(0, 1.0)], labels, vec![0.0; 4]).unwrap();
+        let goal = m.label("goal").unwrap().clone();
+        let cond = qual::condensation(&m);
+        assert_eq!(cond.largest(), 2);
+        let vio = ViOptions::default();
+        let eps = 1e-9;
+        let cert = topo_certified_reach_values(&m, &cond, &goal, Opt::Max, eps, &vio).unwrap();
+        assert!(cert.width() < eps);
+        for s in [0usize, 1] {
+            assert!(
+                cert.lo[s] <= 0.5 && 0.5 <= cert.hi[s] && cert.hi[s] < 0.5 + eps,
+                "state {s}: [{}, {}]",
+                cert.lo[s],
+                cert.hi[s]
+            );
         }
+        // Pmin = 0 is pinned qualitatively (stall on the cycle forever).
+        let cert = topo_certified_reach_values(&m, &cond, &goal, Opt::Min, eps, &vio).unwrap();
+        assert_eq!((cert.lo[0], cert.hi[0]), (0.0, 0.0));
+    }
+
+    #[test]
+    fn topo_certified_rmin_inflates_zero_reward_cycles() {
+        // The zero-reward cycle 0 ↔ 1 is an end component inside a larger
+        // SCC: both exit to 2 (reward 10), which reaches the target 3 or
+        // falls back to 0 with probability ½ each. Rmin = 20 on 0, 1 and
+        // 2; the inflation floor (2's lower value) rises sweep by sweep
+        // while the component iterates.
+        let mut b = MdpBuilder::default();
+        b.push_action(&mut [(1, 1.0)]).unwrap();
+        b.push_action(&mut [(2, 1.0)]).unwrap();
+        b.finish_state().unwrap();
+        b.push_action(&mut [(0, 1.0)]).unwrap();
+        b.push_action(&mut [(2, 1.0)]).unwrap();
+        b.finish_state().unwrap();
+        b.push_action(&mut [(0, 0.5), (3, 0.5)]).unwrap();
+        b.finish_state().unwrap();
+        b.push_action(&mut [(3, 1.0)]).unwrap();
+        b.finish_state().unwrap();
+        let mut labels = BTreeMap::new();
+        labels.insert("t".to_string(), BitVec::from_fn(4, |i| i == 3));
+        let m = Mdp::new(
+            b.finish(),
+            vec![(0, 1.0)],
+            labels,
+            vec![0.0, 0.0, 10.0, 0.0],
+        )
+        .unwrap();
+        let target = m.label("t").unwrap().clone();
+        let cond = qual::condensation(&m);
+        assert_eq!(cond.largest(), 3);
+        let vio = ViOptions::default();
+        let eps = 1e-9;
+        let cert =
+            topo_certified_reach_reward_values(&m, &cond, &target, Opt::Min, eps, &vio).unwrap();
+        assert!(cert.width() < eps);
+        for s in [0usize, 1, 2] {
+            assert!(
+                cert.lo[s] <= 20.0 + 1e-9 && 20.0 <= cert.hi[s] + 1e-9,
+                "state {s}: [{}, {}]",
+                cert.lo[s],
+                cert.hi[s]
+            );
+        }
+        // Rmax stays exactly ∞ (the maximizer can stall, so Pmin < 1).
+        let cert =
+            topo_certified_reach_reward_values(&m, &cond, &target, Opt::Max, eps, &vio).unwrap();
+        assert_eq!((cert.lo[0], cert.hi[0]), (f64::INFINITY, f64::INFINITY));
     }
 
     #[test]
@@ -1816,8 +1582,12 @@ mod tests {
             ..ViOptions::default().with_par_min_states(0)
         };
         for opt in [Opt::Min, Opt::Max] {
-            let a = certified_reach_values(&m, &goal, opt, 1e-10, &seq).unwrap();
-            let b = certified_reach_values(&m, &goal, opt, 1e-10, &par).unwrap();
+            let a =
+                topo_certified_reach_values(&m, &qual::condensation(&m), &goal, opt, 1e-10, &seq)
+                    .unwrap();
+            let b =
+                topo_certified_reach_values(&m, &qual::condensation(&m), &goal, opt, 1e-10, &par)
+                    .unwrap();
             assert_eq!((a.lo, a.hi), (b.lo, b.hi));
         }
     }

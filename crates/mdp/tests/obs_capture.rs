@@ -1,8 +1,8 @@
 //! Capture-recorder coverage of the instrumented MDP value-iteration
-//! drivers: plain VI streams residual records, the certified variants
-//! stream width records that end below the requested ε (the ISSUE's
-//! acceptance bar for certified solves), and sweeps counted through
-//! `smg_solve_sweeps_total` always equal the traced record count.
+//! drivers: plain VI streams residual records, the certified walk streams
+//! width records that end below the requested ε, sweeps counted through
+//! `smg_solve_sweeps_total` always equal the traced record count, and
+//! end-component corrections are counted in both modes.
 
 use smg_dtmc::BitVec;
 use smg_mdp::{vi, Mdp, MdpBuilder, Opt, ViOptions};
@@ -58,14 +58,16 @@ fn certified_vi_emits_records_ending_below_epsilon() {
     let m = tiny();
     let goal = m.label("goal").unwrap().clone();
     let eps = 1e-9;
+    let cond = smg_mdp::qual::condensation(&m);
     let (cap, certified) = captured(|| {
-        vi::certified_reach_values(&m, &goal, Opt::Min, eps, &ViOptions::default()).unwrap()
+        vi::topo_certified_reach_values(&m, &cond, &goal, Opt::Min, eps, &ViOptions::default())
+            .unwrap()
     });
     assert!((certified.lo[0] - 0.1).abs() < 1e-6);
-    let traces = cap.traces_for("certified_vi");
+    let traces = cap.traces_for("topo_certified_vi");
     assert!(!traces.is_empty(), "certified solve must stream records");
     assert_eq!(
-        cap.counter_with("smg_solve_sweeps_total", "certified_vi"),
+        cap.counter_with("smg_solve_sweeps_total", "topo_certified_vi"),
         traces.len() as u64
     );
     let last = traces.last().unwrap();
@@ -136,14 +138,71 @@ fn topo_vi_default_driver_reports_residuals_per_component() {
     assert!(last.residual.unwrap() < vio.tol, "{last:?}");
 }
 
+/// The end component 0 ↔ 1 (zero reward) exits only into the cost-1 state
+/// 2, which falls into the absorbing goal 3 or sink 4 with probability ½
+/// each. `Pmax [F goal]` is ½ on the cycle, whose upper bounds start at 1
+/// and must be deflated; `Rmin [F goal | sink]` is 1 on the cycle, whose
+/// lower bounds start at 0 and must be inflated.
+fn end_component() -> Mdp {
+    let mut b = MdpBuilder::default();
+    b.push_action(&mut [(1, 1.0)]).unwrap();
+    b.push_action(&mut [(2, 1.0)]).unwrap();
+    b.finish_state().unwrap();
+    b.push_action(&mut [(0, 1.0)]).unwrap();
+    b.push_action(&mut [(2, 1.0)]).unwrap();
+    b.finish_state().unwrap();
+    b.push_action(&mut [(3, 0.5), (4, 0.5)]).unwrap();
+    b.finish_state().unwrap();
+    b.push_action(&mut [(3, 1.0)]).unwrap();
+    b.finish_state().unwrap();
+    b.push_action(&mut [(4, 1.0)]).unwrap();
+    b.finish_state().unwrap();
+    let mut labels = BTreeMap::new();
+    labels.insert("goal".to_string(), BitVec::from_fn(5, |i| i == 3));
+    labels.insert("done".to_string(), BitVec::from_fn(5, |i| i >= 3));
+    Mdp::new(
+        b.finish(),
+        vec![(0, 1.0)],
+        labels,
+        vec![0.0, 0.0, 1.0, 0.0, 0.0],
+    )
+    .unwrap()
+}
+
+#[test]
+fn end_component_corrections_are_counted_in_both_modes() {
+    let m = end_component();
+    let cond = smg_mdp::qual::condensation(&m);
+    let vio = ViOptions::default();
+    let eps = 1e-9;
+    let goal = m.label("goal").unwrap().clone();
+    let (cap, pmax) = captured(|| {
+        vi::topo_certified_reach_values(&m, &cond, &goal, Opt::Max, eps, &vio).unwrap()
+    });
+    assert!(pmax.lo[0] <= 0.5 && 0.5 <= pmax.hi[0] && pmax.width() < eps);
+    assert!(cap.counter("smg_vi_deflations_total") > 0, "certified Pmax");
+    let done = m.label("done").unwrap().clone();
+    let (cap, rmin) =
+        captured(|| vi::topo_reach_reward_values(&m, &cond, &done, Opt::Min, &vio).unwrap());
+    assert!((rmin[0] - 1.0).abs() < 1e-9, "Rmin = {}", rmin[0]);
+    assert!(cap.counter("smg_vi_inflations_total") > 0, "default Rmin");
+    let (cap, rmin) = captured(|| {
+        vi::topo_certified_reach_reward_values(&m, &cond, &done, Opt::Min, eps, &vio).unwrap()
+    });
+    assert!(rmin.lo[0] <= 1.0 && 1.0 <= rmin.hi[0] && rmin.width() < eps);
+    assert!(cap.counter("smg_vi_inflations_total") > 0, "certified Rmin");
+}
+
 #[test]
 fn no_recorder_means_identical_results() {
     let m = tiny();
     let goal = m.label("goal").unwrap().clone();
     let vio = ViOptions::default();
-    let plain = vi::certified_reach_values(&m, &goal, Opt::Min, 1e-9, &vio).unwrap();
-    let (_cap, recorded) =
-        captured(|| vi::certified_reach_values(&m, &goal, Opt::Min, 1e-9, &vio).unwrap());
+    let cond = smg_mdp::qual::condensation(&m);
+    let plain = vi::topo_certified_reach_values(&m, &cond, &goal, Opt::Min, 1e-9, &vio).unwrap();
+    let (_cap, recorded) = captured(|| {
+        vi::topo_certified_reach_values(&m, &cond, &goal, Opt::Min, 1e-9, &vio).unwrap()
+    });
     assert_eq!(plain.lo, recorded.lo, "recording must not change results");
     assert_eq!(plain.hi, recorded.hi);
     assert_eq!(plain.iterations, recorded.iterations);

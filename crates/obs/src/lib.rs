@@ -38,11 +38,11 @@
 //! let registry = Arc::new(obs::Registry::new());
 //! let snapshot = obs::with_recorder(registry.clone(), || {
 //!     // ... run a solver; the engine crates fire these internally ...
-//!     obs::counter_add("smg_solve_sweeps_total", Some(("driver", "interval")), 12);
+//!     obs::counter_add("smg_solve_sweeps_total", Some(("driver", "topo_interval")), 12);
 //!     obs::gauge_set("smg_pool_lanes", None, 4.0);
 //!     obs::observe("smg_pool_dispatch_seconds", None, 3.2e-6);
 //!     obs::trace(&obs::ConvergenceRecord {
-//!         driver: "interval",
+//!         driver: "topo_interval",
 //!         sweep: 12,
 //!         residual: None,
 //!         width: Some(4.5e-10),
@@ -50,7 +50,7 @@
 //!     });
 //!     registry.render_text()
 //! });
-//! assert!(snapshot.contains("smg_solve_sweeps_total{driver=\"interval\"} 12"));
+//! assert!(snapshot.contains("smg_solve_sweeps_total{driver=\"topo_interval\"} 12"));
 //! assert!(snapshot.contains("# TYPE smg_pool_dispatch_seconds histogram"));
 //! // The exposition parses: 3 metric families, and outside the closure
 //! // the seam is a no-op again.

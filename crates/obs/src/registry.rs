@@ -33,10 +33,10 @@ fn help_for(name: &str) -> &'static str {
         "smg_explore_seconds" => "Wall time of model exploration runs.",
         "smg_solve_sweeps_total" => "Solver sweeps (full matrix passes) by driver.",
         "smg_vi_deflations_total" => {
-            "End-component deflation events during certified MDP value iteration."
+            "States whose certified Pmax upper bound end-component deflation lowered."
         }
         "smg_vi_inflations_total" => {
-            "Reward-floor inflation events during certified Rmin value iteration."
+            "States whose Rmin lower bound zero-reward end-component inflation raised."
         }
         "smg_mdp_mecs_total" => "Maximal end components found by MEC decomposition.",
         "smg_pool_dispatch_seconds" => "Worker-pool epoch dispatch-to-completion latency.",

@@ -16,7 +16,7 @@ use std::sync::{Mutex, PoisonError};
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConvergenceRecord {
     /// Which driver produced the record (`"gauss_seidel"`, `"power"`,
-    /// `"interval"`, `"topo_interval"`, `"vi"`, `"certified_vi"`,
+    /// `"topo"`, `"topo_interval"`, `"vi"`, `"topo_vi"`,
     /// `"topo_certified_vi"`, …).
     pub driver: &'static str,
     /// 1-based sweep index within the driver invocation (for per-component

@@ -54,24 +54,17 @@ pub struct CheckOptions {
     /// reachability rewards are solved by **certified interval iteration**
     /// with this ε: the result carries a sound `[lo, hi]` bracket of width
     /// below ε ([`CheckResult::interval`]) instead of trusting a residual
-    /// test. Finite-horizon queries are exact arithmetic either way and
-    /// report the degenerate `[v, v]`; steady-state detection is not
-    /// certified and reports no interval. Formulas nesting an *unbounded*
-    /// `P⋈p` operator are rejected in this mode — their satisfaction sets
-    /// could only come from residual iteration, which would silently void
-    /// the certificate.
+    /// test. Like the default mode, the solve walks the SCC condensation
+    /// one component at a time in reverse topological order, with
+    /// already-certified successor bounds folded in as constants
+    /// ([`solve::topo_interval_reach_values`] and friends on chains,
+    /// `smg_mdp::vi::topo_certified_*` on MDPs). Finite-horizon queries are
+    /// exact arithmetic either way and report the degenerate `[v, v]`;
+    /// steady-state detection is not certified and reports no interval.
+    /// Formulas nesting an *unbounded* `P⋈p` operator are rejected in this
+    /// mode — their satisfaction sets could only come from residual
+    /// iteration, which would silently void the certificate.
     pub certify: Option<f64>,
-    /// When set alongside [`certify`](CheckOptions::certify), certified
-    /// solves run **topologically**: the state graph is condensed to its
-    /// SCC DAG and components are solved one at a time in reverse
-    /// topological order, with already-certified successor values folded
-    /// in as constants ([`solve::topo_interval_reach_values`] and friends
-    /// on chains, `smg_mdp::vi::topo_certified_*` on MDPs). Answers carry
-    /// the same sound `[lo, hi]` guarantee — the certificate is closed per
-    /// component instead of globally — and the result is tagged
-    /// [`Solver::TopologicalII`]. Without `certify` this flag has no
-    /// effect.
-    pub topo: bool,
 }
 
 impl CheckOptions {
@@ -79,16 +72,7 @@ impl CheckOptions {
     pub fn certified(epsilon: f64) -> CheckOptions {
         CheckOptions {
             certify: Some(epsilon),
-            topo: false,
         }
-    }
-
-    /// Requests topological (SCC-ordered) solving for certified queries;
-    /// see [`CheckOptions::topo`].
-    #[must_use]
-    pub fn topological(mut self) -> CheckOptions {
-        self.topo = true;
-        self
     }
 }
 
@@ -106,15 +90,13 @@ pub enum Solver {
     /// long-run queries damped power iteration inside bottom SCCs.
     Iterative,
     /// Certified interval iteration: dual bounds with a qualitative
-    /// pre-pass, terminated on `upper − lower < ε` pointwise.
+    /// pre-pass, run over the SCC condensation (trivial components by
+    /// closed-form backsubstitution, the rest until a component-local
+    /// `upper − lower < ε` test passes), so every state's bracket is
+    /// narrower than ε. The tag names the guarantee, not the walk: the
+    /// uncertified [`Iterative`](Solver::Iterative) mode walks the same
+    /// condensation.
     IntervalIteration,
-    /// Certified interval iteration run **topologically**: the SCC
-    /// condensation is solved one component at a time in reverse
-    /// topological order, trivial components by closed-form
-    /// backsubstitution, with the `upper − lower < ε` test closed per
-    /// component. Same soundness guarantee as
-    /// [`IntervalIteration`](Solver::IntervalIteration).
-    TopologicalII,
 }
 
 impl Solver {
@@ -125,7 +107,6 @@ impl Solver {
             Solver::Transient => "transient",
             Solver::Iterative => "value-iteration",
             Solver::IntervalIteration => "interval-iteration",
-            Solver::TopologicalII => "topological-interval-iteration",
         }
     }
 }
@@ -267,17 +248,12 @@ pub(crate) struct DtmcCache {
     until: HashMap<(BitVec, BitVec), Arc<Vec<f64>>>,
     /// Reachability-reward value vectors keyed by the target set.
     reach_reward: HashMap<BitVec, Arc<Vec<f64>>>,
-    /// Certified reachability brackets keyed by `(target, ε bits, topo)`.
-    /// The `topo` flag is part of the key even though both solvers honour
-    /// the same bracket guarantee: the global and SCC-ordered sweeps land
-    /// on *different sound bits*, and long-lived sessions (the smg-serve
-    /// daemon) promise answers that depend only on (model, property,
-    /// options) — never on which request happened to run first.
-    cert_reach: HashMap<(BitVec, u64, bool), Arc<solve::CertifiedValues>>,
-    /// Certified until brackets keyed by `(lhs, rhs, ε bits, topo)`.
-    cert_until: HashMap<(BitVec, BitVec, u64, bool), Arc<solve::CertifiedValues>>,
+    /// Certified reachability brackets keyed by `(target, ε bits)`.
+    cert_reach: HashMap<(BitVec, u64), Arc<solve::CertifiedValues>>,
+    /// Certified until brackets keyed by `(lhs, rhs, ε bits)`.
+    cert_until: HashMap<(BitVec, BitVec, u64), Arc<solve::CertifiedValues>>,
     /// Certified reachability-reward brackets, keyed as [`Self::cert_reach`].
-    cert_reach_reward: HashMap<(BitVec, u64, bool), Arc<solve::CertifiedValues>>,
+    cert_reach_reward: HashMap<(BitVec, u64), Arc<solve::CertifiedValues>>,
     /// Long-run probabilities (from the initial distribution) keyed by
     /// the satisfaction set.
     steady: HashMap<BitVec, f64>,
@@ -439,26 +415,16 @@ impl<'a> Evaluator<'a> {
                 } => {
                     let l = self.sat_states(lhs)?;
                     let r = self.sat_states(rhs)?;
-                    let cert = self.cert_until(&l, &r, eps, opts.topo)?;
-                    return Ok(fold_certificate(
-                        self.dtmc.initial(),
-                        &cert,
-                        false,
-                        cert_solver(opts),
-                    ));
+                    let cert = self.cert_until(&l, &r, eps)?;
+                    return Ok(fold_certificate(self.dtmc.initial(), &cert, false));
                 }
                 PathFormula::Finally {
                     inner,
                     bound: TimeBound::None,
                 } => {
                     let f = self.sat_states(inner)?;
-                    let cert = self.cert_reach(&f, eps, opts.topo)?;
-                    return Ok(fold_certificate(
-                        self.dtmc.initial(),
-                        &cert,
-                        false,
-                        cert_solver(opts),
-                    ));
+                    let cert = self.cert_reach(&f, eps)?;
+                    return Ok(fold_certificate(self.dtmc.initial(), &cert, false));
                 }
                 PathFormula::Globally {
                     inner,
@@ -467,13 +433,8 @@ impl<'a> Evaluator<'a> {
                     // G φ = ¬F ¬φ; the bracket complements with its ends
                     // swapped.
                     let bad = self.sat_states(inner)?.not();
-                    let cert = self.cert_reach(&bad, eps, opts.topo)?;
-                    return Ok(fold_certificate(
-                        self.dtmc.initial(),
-                        &cert,
-                        true,
-                        cert_solver(opts),
-                    ));
+                    let cert = self.cert_reach(&bad, eps)?;
+                    return Ok(fold_certificate(self.dtmc.initial(), &cert, true));
                 }
                 _ => {} // finite-horizon forms are exact arithmetic below
             }
@@ -705,13 +666,8 @@ impl<'a> Evaluator<'a> {
                 }
                 let target = self.sat_states(phi)?;
                 if let Some(eps) = opts.certify {
-                    let cert = self.cert_reach_reward(&target, eps, opts.topo)?;
-                    return Ok(fold_certificate(
-                        dtmc.initial(),
-                        &cert,
-                        false,
-                        cert_solver(opts),
-                    ));
+                    let cert = self.cert_reach_reward(&target, eps)?;
+                    return Ok(fold_certificate(dtmc.initial(), &cert, false));
                 }
                 let vals = self.reach_reward_values(&target)?;
                 // Skip zero-mass initial states so `0 × ∞` cannot poison
@@ -747,112 +703,89 @@ impl<'a> Evaluator<'a> {
         )
     }
 
-    /// Certified unbounded reachability, memoized on `(target, ε, topo)`.
-    /// With `topo`, the solve walks the SCC condensation component-by-
-    /// component; its (equally sound) bracket differs at the bit level
-    /// from the global sweep's, so the two never share a cache slot.
+    /// Certified unbounded reachability on the condensation, memoized on
+    /// `(target, ε)`.
     fn cert_reach(
         &self,
         target: &BitVec,
         eps: f64,
-        topo: bool,
     ) -> Result<Arc<solve::CertifiedValues>, PctlError> {
         self.memo(
             CacheKind::Certified,
-            |c| {
-                c.cert_reach
-                    .get(&(target.clone(), eps.to_bits(), topo))
-                    .cloned()
-            },
+            |c| c.cert_reach.get(&(target.clone(), eps.to_bits())).cloned(),
             |c, v| {
-                c.cert_reach
-                    .insert((target.clone(), eps.to_bits(), topo), v);
+                c.cert_reach.insert((target.clone(), eps.to_bits()), v);
             },
             |ev| {
-                let cert = if topo {
-                    solve::topo_interval_reach_values(
-                        ev.dtmc,
-                        &ev.condensation(),
-                        target,
-                        eps,
-                        CERTIFIED_MAX_ITER,
-                    )?
-                } else {
-                    solve::interval_reach_values(ev.dtmc, target, eps, CERTIFIED_MAX_ITER)?
-                };
-                Ok(Arc::new(cert))
+                Ok(Arc::new(solve::topo_interval_reach_values(
+                    ev.dtmc,
+                    &ev.condensation(),
+                    target,
+                    eps,
+                    CERTIFIED_MAX_ITER,
+                )?))
             },
         )
     }
 
-    /// Certified unbounded until, memoized on `(lhs, rhs, ε, topo)`.
+    /// Certified unbounded until on the condensation, memoized on
+    /// `(lhs, rhs, ε)`.
     fn cert_until(
         &self,
         lhs: &BitVec,
         rhs: &BitVec,
         eps: f64,
-        topo: bool,
     ) -> Result<Arc<solve::CertifiedValues>, PctlError> {
         self.memo(
             CacheKind::Certified,
             |c| {
                 c.cert_until
-                    .get(&(lhs.clone(), rhs.clone(), eps.to_bits(), topo))
+                    .get(&(lhs.clone(), rhs.clone(), eps.to_bits()))
                     .cloned()
             },
             |c, v| {
                 c.cert_until
-                    .insert((lhs.clone(), rhs.clone(), eps.to_bits(), topo), v);
+                    .insert((lhs.clone(), rhs.clone(), eps.to_bits()), v);
             },
             |ev| {
-                let cert = if topo {
-                    solve::topo_interval_until_values(
-                        ev.dtmc,
-                        &ev.condensation(),
-                        lhs,
-                        rhs,
-                        eps,
-                        CERTIFIED_MAX_ITER,
-                    )?
-                } else {
-                    solve::interval_until_values(ev.dtmc, lhs, rhs, eps, CERTIFIED_MAX_ITER)?
-                };
-                Ok(Arc::new(cert))
+                Ok(Arc::new(solve::topo_interval_until_values(
+                    ev.dtmc,
+                    &ev.condensation(),
+                    lhs,
+                    rhs,
+                    eps,
+                    CERTIFIED_MAX_ITER,
+                )?))
             },
         )
     }
 
-    /// Certified reachability reward, memoized on `(target, ε, topo)`.
+    /// Certified reachability reward on the condensation, memoized on
+    /// `(target, ε)`.
     fn cert_reach_reward(
         &self,
         target: &BitVec,
         eps: f64,
-        topo: bool,
     ) -> Result<Arc<solve::CertifiedValues>, PctlError> {
         self.memo(
             CacheKind::Certified,
             |c| {
                 c.cert_reach_reward
-                    .get(&(target.clone(), eps.to_bits(), topo))
+                    .get(&(target.clone(), eps.to_bits()))
                     .cloned()
             },
             |c, v| {
                 c.cert_reach_reward
-                    .insert((target.clone(), eps.to_bits(), topo), v);
+                    .insert((target.clone(), eps.to_bits()), v);
             },
             |ev| {
-                let cert = if topo {
-                    solve::topo_interval_reach_reward_values(
-                        ev.dtmc,
-                        &ev.condensation(),
-                        target,
-                        eps,
-                        CERTIFIED_MAX_ITER,
-                    )?
-                } else {
-                    solve::interval_reach_reward_values(ev.dtmc, target, eps, CERTIFIED_MAX_ITER)?
-                };
-                Ok(Arc::new(cert))
+                Ok(Arc::new(solve::topo_interval_reach_reward_values(
+                    ev.dtmc,
+                    &ev.condensation(),
+                    target,
+                    eps,
+                    CERTIFIED_MAX_ITER,
+                )?))
             },
         )
     }
@@ -996,28 +929,16 @@ pub(crate) fn sat_key(formula: &StateFormula) -> String {
     out
 }
 
-/// The solver tag a certified query reports under the given options
-/// (shared by the DTMC and MDP checkers).
-pub(crate) fn cert_solver(opts: &CheckOptions) -> Solver {
-    if opts.topo {
-        Solver::TopologicalII
-    } else {
-        Solver::IntervalIteration
-    }
-}
-
 /// Folds a per-state certificate over an initial distribution (shared by
 /// the DTMC and MDP checkers): both bounds fold linearly (the expectation
 /// of a bracketed value stays inside the folded bracket), zero-mass states
 /// are skipped so `0 × ∞` cannot poison reward expectations, and the
 /// reported point value is the interval midpoint. `complement` maps a
-/// bracket of `F ¬φ` to one of `G φ`, swapping the ends. `solver` is the
-/// engine tag to report (see [`cert_solver`]).
+/// bracket of `F ¬φ` to one of `G φ`, swapping the ends.
 pub(crate) fn fold_certificate(
     initial: &[(smg_dtmc::StateId, f64)],
     cert: &solve::CertifiedValues,
     complement: bool,
-    solver: Solver,
 ) -> EngineValue {
     let fold = |vals: &[f64]| -> f64 {
         initial
@@ -1031,7 +952,7 @@ pub(crate) fn fold_certificate(
         (lo, hi) = (1.0 - hi, 1.0 - lo);
     }
     let mid = if lo == hi { lo } else { 0.5 * (lo + hi) };
-    (mid, solver, Some((lo, hi)))
+    (mid, Solver::IntervalIteration, Some((lo, hi)))
 }
 
 /// Whether a path formula is an unbounded until-family operator — the
@@ -1439,6 +1360,7 @@ mod tests {
         // Unbounded reachability: exact value 1/3.
         let r = check_query_with(&d, &parse_property("P=? [ F goal ]").unwrap(), &opts).unwrap();
         assert_eq!(r.solver(), Solver::IntervalIteration);
+        assert_eq!(r.solver().to_string(), "interval-iteration");
         let (lo, hi) = r.interval().unwrap();
         assert!(hi - lo < 1e-9);
         assert!(
@@ -1466,9 +1388,11 @@ mod tests {
 
     #[test]
     fn topological_certified_matches_and_tags() {
+        // Both modes walk the same condensation: the certified midpoint
+        // matches the default walk's value (∞ pinned alike), and only the
+        // tag and the interval tell the two apart.
         let d = gadget();
-        let global = CheckOptions::certified(1e-9);
-        let topo = CheckOptions::certified(1e-9).topological();
+        let certified = CheckOptions::certified(1e-9);
         for prop in [
             "P=? [ F goal ]",
             "P=? [ G !bad ]",
@@ -1477,26 +1401,19 @@ mod tests {
             "R=? [ F goal ]", // ∞ pinning must agree too
         ] {
             let p = parse_property(prop).unwrap();
-            let g = check_query_with(&d, &p, &global).unwrap();
-            let t = check_query_with(&d, &p, &topo).unwrap();
-            assert_eq!(t.solver(), Solver::TopologicalII, "{prop}");
-            assert_eq!(format!("{}", t.solver()), "topological-interval-iteration");
-            let (glo, ghi) = g.interval().unwrap();
-            let (tlo, thi) = t.interval().unwrap();
-            // Both brackets are sound and below ε wide, so they overlap
-            // around the same truth.
-            assert!(tlo <= ghi + 1e-12 && glo <= thi + 1e-12, "{prop}");
-            if t.value().is_finite() {
-                assert!((t.value() - g.value()).abs() < 2e-9, "{prop}");
-                assert!(thi - tlo < 1e-9, "{prop}");
+            let plain = check_query(&d, &p).unwrap();
+            let c = check_query_with(&d, &p, &certified).unwrap();
+            assert_eq!(plain.solver(), Solver::Iterative, "{prop}");
+            assert_eq!(c.solver(), Solver::IntervalIteration, "{prop}");
+            let (lo, hi) = c.interval().unwrap();
+            if c.value().is_finite() {
+                assert!(hi - lo < 1e-9, "{prop}");
+                assert!((c.value() - plain.value()).abs() < 1e-9, "{prop}");
             } else {
-                assert_eq!(t.value(), g.value(), "{prop}");
+                assert_eq!((lo, hi), (f64::INFINITY, f64::INFINITY), "{prop}");
+                assert_eq!(c.value(), plain.value(), "{prop}");
             }
         }
-        // Without certify the flag is inert: plain iteration still runs.
-        let plain = CheckOptions::default().topological();
-        let r = check_query_with(&d, &parse_property("P=? [ F goal ]").unwrap(), &plain).unwrap();
-        assert_eq!(r.solver(), Solver::Iterative);
     }
 
     #[test]
@@ -1638,11 +1555,11 @@ mod tests {
         assert!((r / 1e13 - 1.0).abs() < 1e-9, "R = {r}");
         let s = q(&d, "S=? [ goal ]");
         assert!((s - 1.0).abs() < 1e-9, "S = {s}");
-        // The topological certified bracket closes on the same chain.
+        // The certified bracket closes on the same chain.
         let certified = check_query_with(
             &d,
             &parse_property("P=? [ F goal ]").unwrap(),
-            &CheckOptions::certified(1e-6).topological(),
+            &CheckOptions::certified(1e-6),
         )
         .unwrap();
         assert!((certified.value() - 1.0).abs() < 1e-9);

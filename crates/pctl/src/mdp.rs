@@ -21,8 +21,8 @@
 
 use crate::ast::{Opt, PathFormula, Property, RewardQuery, StateFormula, TimeBound};
 use crate::check::{
-    cert_solver, fold_certificate, is_unbounded_path, sat_key, CheckOptions, CheckResult,
-    EngineValue, Solver, CERTIFIED_MAX_ITER,
+    fold_certificate, is_unbounded_path, sat_key, CheckOptions, CheckResult, EngineValue, Solver,
+    CERTIFIED_MAX_ITER,
 };
 use crate::error::PctlError;
 use crate::session::{CacheKind, CacheStats};
@@ -116,16 +116,12 @@ pub(crate) struct MdpCache {
     until: HashMap<(BitVec, BitVec, Opt), Arc<Vec<f64>>>,
     /// Optimal reachability-reward values keyed by `(target, opt)`.
     reach_reward: HashMap<(BitVec, Opt), Arc<Vec<f64>>>,
-    /// Certified until brackets keyed by `(lhs, rhs, opt, ε bits, topo)`.
-    /// `topo` is in the key because the global and SCC-ordered sweeps
-    /// produce different (equally sound) bits, and session answers must
-    /// depend only on (model, property, options) — not request history.
-    cert_until: HashMap<(BitVec, BitVec, Opt, u64, bool), Arc<CertifiedValues>>,
-    /// Certified reachability brackets keyed by `(target, opt, ε bits,
-    /// topo)`.
-    cert_reach: HashMap<(BitVec, Opt, u64, bool), Arc<CertifiedValues>>,
+    /// Certified until brackets keyed by `(lhs, rhs, opt, ε bits)`.
+    cert_until: HashMap<(BitVec, BitVec, Opt, u64), Arc<CertifiedValues>>,
+    /// Certified reachability brackets keyed by `(target, opt, ε bits)`.
+    cert_reach: HashMap<(BitVec, Opt, u64), Arc<CertifiedValues>>,
     /// Certified reachability-reward brackets, same key as `cert_reach`.
-    cert_reach_reward: HashMap<(BitVec, Opt, u64, bool), Arc<CertifiedValues>>,
+    cert_reach_reward: HashMap<(BitVec, Opt, u64), Arc<CertifiedValues>>,
     /// Hit/miss telemetry, per cache kind.
     pub(crate) stats: CacheStats,
 }
@@ -283,26 +279,16 @@ impl<'a> MdpEvaluator<'a> {
                 } => {
                     let l = self.sat_states_mdp(lhs)?;
                     let r = self.sat_states_mdp(rhs)?;
-                    let cert = self.cert_until(&l, &r, opt, eps, opts.topo)?;
-                    return Ok(fold_certificate(
-                        self.mdp.initial(),
-                        &cert,
-                        false,
-                        cert_solver(opts),
-                    ));
+                    let cert = self.cert_until(&l, &r, opt, eps)?;
+                    return Ok(fold_certificate(self.mdp.initial(), &cert, false));
                 }
                 PathFormula::Finally {
                     inner,
                     bound: TimeBound::None,
                 } => {
                     let f = self.sat_states_mdp(inner)?;
-                    let cert = self.cert_reach(&f, opt, eps, opts.topo)?;
-                    return Ok(fold_certificate(
-                        self.mdp.initial(),
-                        &cert,
-                        false,
-                        cert_solver(opts),
-                    ));
+                    let cert = self.cert_reach(&f, opt, eps)?;
+                    return Ok(fold_certificate(self.mdp.initial(), &cert, false));
                 }
                 PathFormula::Globally {
                     inner,
@@ -311,13 +297,8 @@ impl<'a> MdpEvaluator<'a> {
                     // G φ = ¬F ¬φ with the dual optimum; the bracket
                     // complements with its ends swapped.
                     let bad = self.sat_states_mdp(inner)?.not();
-                    let cert = self.cert_reach(&bad, opt.dual(), eps, opts.topo)?;
-                    return Ok(fold_certificate(
-                        self.mdp.initial(),
-                        &cert,
-                        true,
-                        cert_solver(opts),
-                    ));
+                    let cert = self.cert_reach(&bad, opt.dual(), eps)?;
+                    return Ok(fold_certificate(self.mdp.initial(), &cert, true));
                 }
                 _ => {} // finite-horizon forms are exact arithmetic below
             }
@@ -485,13 +466,8 @@ impl<'a> MdpEvaluator<'a> {
             RewardQuery::Reach(phi) => {
                 let target = self.sat_states_mdp(phi)?;
                 if let Some(eps) = opts.certify {
-                    let cert = self.cert_reach_reward(&target, opt, eps, opts.topo)?;
-                    return Ok(fold_certificate(
-                        self.mdp.initial(),
-                        &cert,
-                        false,
-                        cert_solver(opts),
-                    ));
+                    let cert = self.cert_reach_reward(&target, opt, eps)?;
+                    return Ok(fold_certificate(self.mdp.initial(), &cert, false));
                 }
                 let vals = self.reach_reward(&target, opt)?;
                 // Skip zero-mass initial states so `0 × ∞` cannot poison
@@ -530,122 +506,99 @@ impl<'a> MdpEvaluator<'a> {
         )
     }
 
-    /// Certified unbounded until, memoized on `(lhs, rhs, opt, ε, topo)`.
-    /// With `topo`, the solve walks the SCC condensation
-    /// (`vi::topo_certified_*`), landing on different sound bits than the
-    /// global sweep — hence the separate cache slot.
+    /// Certified unbounded until on the condensation, memoized on
+    /// `(lhs, rhs, opt, ε)`.
     fn cert_until(
         &self,
         lhs: &BitVec,
         rhs: &BitVec,
         opt: Opt,
         eps: f64,
-        topo: bool,
     ) -> Result<Arc<CertifiedValues>, PctlError> {
         self.memo(
             CacheKind::Certified,
             |c| {
                 c.cert_until
-                    .get(&(lhs.clone(), rhs.clone(), opt, eps.to_bits(), topo))
+                    .get(&(lhs.clone(), rhs.clone(), opt, eps.to_bits()))
                     .cloned()
             },
             |c, v| {
                 c.cert_until
-                    .insert((lhs.clone(), rhs.clone(), opt, eps.to_bits(), topo), v);
+                    .insert((lhs.clone(), rhs.clone(), opt, eps.to_bits()), v);
             },
             |ev| {
-                let vio = ev.certified_vio();
-                let cert = if topo {
-                    vi::topo_certified_until_values(
-                        ev.mdp,
-                        &ev.condensation(),
-                        lhs,
-                        rhs,
-                        opt,
-                        eps,
-                        &vio,
-                    )?
-                } else {
-                    vi::certified_until_values(ev.mdp, lhs, rhs, opt, eps, &vio)?
-                };
-                Ok(Arc::new(cert))
+                Ok(Arc::new(vi::topo_certified_until_values(
+                    ev.mdp,
+                    &ev.condensation(),
+                    lhs,
+                    rhs,
+                    opt,
+                    eps,
+                    &ev.certified_vio(),
+                )?))
             },
         )
     }
 
-    /// Certified unbounded reachability, memoized on `(target, opt, ε,
-    /// topo)`.
+    /// Certified unbounded reachability on the condensation, memoized on
+    /// `(target, opt, ε)`.
     fn cert_reach(
         &self,
         target: &BitVec,
         opt: Opt,
         eps: f64,
-        topo: bool,
     ) -> Result<Arc<CertifiedValues>, PctlError> {
         self.memo(
             CacheKind::Certified,
             |c| {
                 c.cert_reach
-                    .get(&(target.clone(), opt, eps.to_bits(), topo))
+                    .get(&(target.clone(), opt, eps.to_bits()))
                     .cloned()
             },
             |c, v| {
-                c.cert_reach
-                    .insert((target.clone(), opt, eps.to_bits(), topo), v);
+                c.cert_reach.insert((target.clone(), opt, eps.to_bits()), v);
             },
             |ev| {
-                let vio = ev.certified_vio();
-                let cert = if topo {
-                    vi::topo_certified_reach_values(
-                        ev.mdp,
-                        &ev.condensation(),
-                        target,
-                        opt,
-                        eps,
-                        &vio,
-                    )?
-                } else {
-                    vi::certified_reach_values(ev.mdp, target, opt, eps, &vio)?
-                };
-                Ok(Arc::new(cert))
+                Ok(Arc::new(vi::topo_certified_reach_values(
+                    ev.mdp,
+                    &ev.condensation(),
+                    target,
+                    opt,
+                    eps,
+                    &ev.certified_vio(),
+                )?))
             },
         )
     }
 
-    /// Certified reachability reward, memoized on `(target, opt, ε, topo)`.
+    /// Certified reachability reward on the condensation, memoized on
+    /// `(target, opt, ε)`.
     fn cert_reach_reward(
         &self,
         target: &BitVec,
         opt: Opt,
         eps: f64,
-        topo: bool,
     ) -> Result<Arc<CertifiedValues>, PctlError> {
         self.memo(
             CacheKind::Certified,
             |c| {
                 c.cert_reach_reward
-                    .get(&(target.clone(), opt, eps.to_bits(), topo))
+                    .get(&(target.clone(), opt, eps.to_bits()))
                     .cloned()
             },
             |c, v| {
                 c.cert_reach_reward
-                    .insert((target.clone(), opt, eps.to_bits(), topo), v);
+                    .insert((target.clone(), opt, eps.to_bits()), v);
             },
             |ev| {
-                let vio = ev.certified_vio();
-                let cert = if topo {
-                    vi::topo_certified_reach_reward_values(
-                        ev.mdp,
-                        &ev.condensation(),
-                        target,
-                        opt,
-                        eps,
-                        &vio,
-                    )?
-                } else {
-                    vi::certified_reach_reward_values(ev.mdp, target, opt, eps, &vio)?
-                };
-                Ok(Arc::new(cert))
+                Ok(Arc::new(vi::topo_certified_reach_reward_values(
+                    ev.mdp,
+                    &ev.condensation(),
+                    target,
+                    opt,
+                    eps,
+                    &ev.certified_vio(),
+                )?))
             },
         )
     }
@@ -852,9 +805,10 @@ mod tests {
     #[test]
     fn topological_certified_mdp_matches_and_tags() {
         use crate::check::{CheckOptions, Solver};
+        // Both modes walk the same condensation: the certified midpoint
+        // matches the default walk's value (∞ pinned alike).
         let m = gadget_mdp();
-        let global = CheckOptions::certified(1e-9);
-        let topo = CheckOptions::certified(1e-9).topological();
+        let certified = CheckOptions::certified(1e-9);
         for prop in [
             "Pmax=? [ F goal ]",
             "Pmin=? [ F goal ]",
@@ -864,17 +818,17 @@ mod tests {
             "Rmax=? [ F (goal | bad) ]", // ∞ pinning must agree too
         ] {
             let p = parse_property(prop).unwrap();
-            let g = check_mdp_query_with(&m, &p, &global).unwrap();
-            let t = check_mdp_query_with(&m, &p, &topo).unwrap();
-            assert_eq!(t.solver(), Solver::TopologicalII, "{prop}");
-            let (glo, ghi) = g.interval().unwrap();
-            let (tlo, thi) = t.interval().unwrap();
-            assert!(tlo <= ghi + 1e-12 && glo <= thi + 1e-12, "{prop}");
-            if t.value().is_finite() {
-                assert!((t.value() - g.value()).abs() < 2e-9, "{prop}");
-                assert!(thi - tlo < 1e-9, "{prop}");
+            let plain = check_mdp_query(&m, &p).unwrap();
+            let c = check_mdp_query_with(&m, &p, &certified).unwrap();
+            assert_eq!(plain.solver(), Solver::Iterative, "{prop}");
+            assert_eq!(c.solver(), Solver::IntervalIteration, "{prop}");
+            let (lo, hi) = c.interval().unwrap();
+            if c.value().is_finite() {
+                assert!(hi - lo < 1e-9, "{prop}");
+                assert!((c.value() - plain.value()).abs() < 1e-9, "{prop}");
             } else {
-                assert_eq!(t.value(), g.value(), "{prop}");
+                assert_eq!((lo, hi), (f64::INFINITY, f64::INFINITY), "{prop}");
+                assert_eq!(c.value(), plain.value(), "{prop}");
             }
         }
     }

@@ -330,18 +330,6 @@ impl CheckSession {
         self
     }
 
-    /// Requests topological (SCC-ordered) certified solving for this
-    /// session's queries: the condensation DAG is solved one component at
-    /// a time in reverse topological order and results are tagged
-    /// `Solver::TopologicalII`. Takes effect for certified queries (pair
-    /// with [`certified`](CheckSession::certified)); see
-    /// [`CheckOptions::topo`].
-    #[must_use]
-    pub fn topological(mut self) -> CheckSession {
-        self.opts = self.opts.topological();
-        self
-    }
-
     /// Replaces the session's checking options wholesale.
     #[must_use]
     pub fn with_options(mut self, opts: CheckOptions) -> CheckSession {
@@ -353,8 +341,9 @@ impl CheckSession {
     /// pool of `n` worker lanes (a lane count of 1 is the sequential
     /// fallback; results are bit-identical for every lane count). The pin
     /// covers **both** engines: MDP value-iteration backups take the pool
-    /// through their options, and the DTMC chain kernels (interval sweeps,
-    /// backward products) are pinned through a thread-local lane scope
+    /// through their options, and the DTMC chain kernels (the condensation
+    /// walk's batches of trivial components, backward products) are pinned
+    /// through a thread-local lane scope
     /// ([`smg_dtmc::par::with_lane_scope`]) wrapped around every query, so
     /// `SMG_THREADS` no longer leaks through for chains. Pools are
     /// process-wide resources shared by every session requesting the same
@@ -371,7 +360,7 @@ impl CheckSession {
     /// Replaces the session's checking options **in place** — the
     /// non-consuming form of [`with_options`](CheckSession::with_options),
     /// for sessions shared behind a lock (a resident daemon serves many
-    /// requests, each with its own `certified`/`topo` choice, through one
+    /// requests, each with its own `certified` width, through one
     /// long-lived session). Changing options never invalidates the caches:
     /// cache keys embed the exact solver inputs (operand bit-sets,
     /// optimization direction, ε bit pattern), so entries computed under
@@ -608,50 +597,6 @@ mod tests {
             // duals to a Pmax reachability of the complement-complement
             // set); goal's sat-set is shared everywhere.
             assert!(session.cache_stats().hits() > 0, "certified={certified}");
-        }
-    }
-
-    #[test]
-    fn topological_sessions_match_global_certified() {
-        let props: Vec<_> = [
-            "P=? [ F goal ]",
-            "P=? [ G !goal ]",
-            "R=? [ F (goal | bad) ]",
-        ]
-        .iter()
-        .map(|p| parse_property(p).unwrap())
-        .collect();
-        let global = CheckSession::new(gadget()).certified(1e-9);
-        let topo = CheckSession::new(gadget()).certified(1e-9).topological();
-        for (g, t) in global
-            .check_all(&props)
-            .unwrap()
-            .iter()
-            .zip(&topo.check_all(&props).unwrap())
-        {
-            assert_eq!(t.solver(), Solver::TopologicalII);
-            assert!((g.value() - t.value()).abs() < 2e-9);
-        }
-        let mprops: Vec<_> = ["Pmax=? [ F goal ]", "Rmax=? [ F goal ]"]
-            .iter()
-            .map(|p| parse_property(p).unwrap())
-            .collect();
-        let global = CheckSession::new(gadget_mdp()).certified(1e-9);
-        let topo = CheckSession::new(gadget_mdp())
-            .certified(1e-9)
-            .topological();
-        for (g, t) in global
-            .check_all(&mprops)
-            .unwrap()
-            .iter()
-            .zip(&topo.check_all(&mprops).unwrap())
-        {
-            assert_eq!(t.solver(), Solver::TopologicalII);
-            if g.value().is_finite() {
-                assert!((g.value() - t.value()).abs() < 2e-9);
-            } else {
-                assert_eq!(g.value(), t.value());
-            }
         }
     }
 

@@ -22,7 +22,7 @@
 //!   interval analysis); recompiling identical content returns the same
 //!   hash and keeps the warm session.
 //! * `POST /check` — check a property batch against a resident model,
-//!   with per-request `certified` / `topo` / `threads` options.
+//!   with per-request `certified` / `threads` options.
 //! * `POST /lint` — run the static analysis alone (no expansion, nothing
 //!   kept resident); the reply is byte-identical to
 //!   `smg lint --format json`.
@@ -180,7 +180,7 @@ impl Drop for Handle {
 /// One resident model: immutable compile-time facts plus the warm
 /// session. The session `Mutex` is the whole concurrency story — checks
 /// against one model serialize here while other models' sessions stay
-/// free, and per-request options (`certified`, `topo`, `threads`) are
+/// free, and per-request options (`certified`, `threads`) are
 /// set under the same lock that runs the batch.
 struct Resident {
     hash: String,
@@ -632,19 +632,6 @@ fn handle_check(daemon: &Arc<Daemon>, req: &http::Request) -> RouteResult {
             Some(eps)
         }
     };
-    let topo = match body.get("topo") {
-        None | Some(json::Value::Null) => false,
-        Some(v) => v
-            .as_bool()
-            .ok_or_else(|| (400, "\"topo\" must be a boolean".to_string()))?,
-    };
-    if topo && certified.is_none() {
-        return Err((
-            400,
-            "\"topo\" requires \"certified\" (plain unbounded solves keep the global solvers)"
-                .to_string(),
-        ));
-    }
     let threads = match body.get("threads") {
         None | Some(json::Value::Null) => None,
         Some(v) => Some(
@@ -675,10 +662,7 @@ fn handle_check(daemon: &Arc<Daemon>, req: &http::Request) -> RouteResult {
     // scheduler-ambiguous query on an MDP, …) only aborts *this* batch —
     // the session and its memoized results stay valid.
     let session = &mut *lock_session(&resident.session);
-    session.set_options(CheckOptions {
-        certify: certified,
-        topo,
-    });
+    session.set_options(CheckOptions { certify: certified });
     session.set_threads(threads);
     let results = session
         .check_all(&properties)

@@ -116,13 +116,6 @@ fn malformed_bodies_and_bad_fields_are_structured_400s() {
     let (s, b) = client::post(
         &addr,
         "/check",
-        &format!("{{\"hash\": \"{hash}\", \"props\": [\"P=? [ F err ]\"], \"topo\": true}}"),
-    )
-    .unwrap();
-    assert_structured(s, &b, 400, "requires");
-    let (s, b) = client::post(
-        &addr,
-        "/check",
         &format!("{{\"hash\": \"{hash}\", \"props\": [\"P=? [ F err ]\"], \"threads\": 0}}"),
     )
     .unwrap();
@@ -136,6 +129,39 @@ fn malformed_bodies_and_bad_fields_are_structured_400s() {
     )
     .unwrap();
     assert_eq!(s, 200, "{b}");
+    handle.shutdown();
+}
+
+#[test]
+fn unknown_check_fields_are_ignored() {
+    // `topo` selected a second certified solver in older clients; like any
+    // other unknown field it is now ignored, so the answer is the plain
+    // certified one.
+    let (handle, addr) = daemon(ServerConfig::default());
+    let hash = compile(&addr, DTMC);
+    let results = |extra: &str| {
+        let body = format!(
+            "{{\"hash\": \"{hash}\", \"props\": [\"P=? [ F err ]\"], \"certified\": 1e-6{extra}}}"
+        );
+        let (s, b) = client::post(&addr, "/check", &body).unwrap();
+        assert_eq!(s, 200, "{b}");
+        let mut records = json::parse(&b).unwrap().get("results").unwrap().clone();
+        if let json::Value::Array(items) = &mut records {
+            for item in items {
+                if let json::Value::Object(fields) = item {
+                    fields.remove("time_s");
+                }
+            }
+        }
+        records
+    };
+    let plain = results("");
+    assert_eq!(
+        plain.as_array().unwrap()[0].get("solver").unwrap().as_str(),
+        Some("interval-iteration")
+    );
+    assert_eq!(results(", \"topo\": true"), plain);
+    assert_eq!(results(", \"topo\": \"yes\", \"colour\": 7"), plain);
     handle.shutdown();
 }
 

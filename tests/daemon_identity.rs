@@ -89,7 +89,6 @@ fn cli_results(source: &str, props: &[String], certified: Option<f64>) -> Vec<Va
         props: props.to_vec(),
         prop_files: Vec::new(),
         certified,
-        topo: false,
         format: OutputFormat::Json,
         metrics: None,
         trace_convergence: None,

@@ -13,15 +13,23 @@
 //!   `successors()` allocation per row) so the report carries its own
 //!   before/after ratio on whatever machine it runs on;
 //! * a `pool` section: fork-join dispatch latency of the persistent worker
-//!   pool against the scoped-spawn baseline it replaced, plus exploration
-//!   throughput at 1, 2, and 4 worker shards (states/sec on the largest
-//!   lattice — the scaling is real on multicore machines and ~1.0x on
-//!   single-core ones, where the shards still run but share one lane);
+//!   pool timed back to back (`dispatch_ns`) and after the lanes have
+//!   parked (`parked_dispatch_ns`, the cost a kernel call between stretches
+//!   of sequential work pays), against the scoped-spawn baseline, plus
+//!   exploration throughput at 1, 2, and 4 worker shards (states/sec on
+//!   the largest lattice — the scaling is real on multicore machines and
+//!   ~1.0x on single-core ones, where the shards still run but share one
+//!   lane);
 //! * an `mdp` section: min/max Bellman-backup latency (ns per
 //!   value-iteration step) on a synthetic ~3-actions-per-state MDP at
 //!   n ∈ {1e3, 1e5}, swept over dedicated 1/2/4-lane pools (lanes = 1 is
 //!   the sequential fallback; multi-lane runs use the dynamically
 //!   dispatched chunk kernel and are bit-identical to it);
+//! * a `gate` section: the forward and backward products and the MDP
+//!   backup at n ∈ {1e4, 1e5}, each timed forced sequential (a 1-lane
+//!   scope), forced parallel (a scope of the engine's lane count) and
+//!   through its measured dispatch site after warm-up (`gated_ratio`: gated
+//!   over the cheaper forced form; CI asserts at most 1.5);
 //! * a `certified` section: end-to-end unbounded-reachability solve time
 //!   of the certified topological walk (`interval_ns`,
 //!   [`smg_dtmc::solve::topo_interval_reach_values`]) against the default
@@ -247,6 +255,28 @@ fn seed_shape_gs_sweeps(dtmc: &smg_dtmc::Dtmc, target: &BitVec, sweeps: usize) -
     x
 }
 
+/// One `gate` row: `call` timed forced sequential, forced parallel on
+/// `lanes` lanes, and through its measured site, interleaved best-of
+/// `reps` after a warm-up long enough for the site to finish its trials.
+fn gate_row(reps: usize, lanes: usize, mut call: impl FnMut()) -> [f64; 3] {
+    for _ in 0..16 {
+        call();
+    }
+    let mut best = [f64::INFINITY; 3];
+    for _ in 0..reps {
+        for (form, slot) in best.iter_mut().enumerate() {
+            let start = Instant::now();
+            match form {
+                0 => smg_dtmc::par::with_lane_scope(1, &mut call),
+                1 => smg_dtmc::par::with_lane_scope(lanes, &mut call),
+                _ => call(),
+            }
+            *slot = slot.min(start.elapsed().as_nanos() as f64);
+        }
+    }
+    best
+}
+
 struct Entry {
     name: String,
     n: usize,
@@ -301,19 +331,33 @@ fn main() {
             std::hint::black_box(0)
         })
     });
+    // The same epoch after the lanes have parked: a check's dispatches are
+    // separated by sequential work, so this is the cost a kernel call
+    // actually pays, where `dispatch_ns` above is timed back to back.
+    let parked_dispatch_ns = {
+        let mut samples: Vec<f64> = (0..if quick { 21 } else { 101 })
+            .map(|_| {
+                std::thread::sleep(std::time::Duration::from_millis(2));
+                let start = Instant::now();
+                dispatch_pool.run(4, &|t| {
+                    std::hint::black_box(t);
+                });
+                start.elapsed().as_nanos() as f64
+            })
+            .collect();
+        samples.sort_by(f64::total_cmp);
+        samples[samples.len() / 2]
+    };
     eprintln!(
-        "pool dispatch {dispatch_ns:.0} ns vs scoped spawn {scoped_spawn_ns:.0} ns \
-         ({:.1}x cheaper)",
+        "pool dispatch {dispatch_ns:.0} ns hot, {parked_dispatch_ns:.0} ns parked, vs scoped \
+         spawn {scoped_spawn_ns:.0} ns ({:.1}x cheaper)",
         scoped_spawn_ns / dispatch_ns.max(1.0)
     );
     let pool_w = if quick { 100u32 } else { 1000 };
-    // In quick mode the lattice's BFS levels are small, so lower the
-    // parallel threshold to keep the sharded pipeline exercised in CI.
-    let pool_min_level = if quick {
-        32
-    } else {
-        smg_dtmc::explore::PAR_MIN_LEVEL
-    };
+    // The parallel pipeline is pinned on levels of at least this many
+    // states; in quick mode the lattice's BFS levels are small, so the pin
+    // drops to keep the sharded pipeline exercised in CI.
+    let pool_min_level = if quick { 32 } else { 1_024 };
     let mut pool_explore: Vec<(usize, usize, f64)> = Vec::new();
     for threads in [1usize, 2, 4] {
         let model = Lattice { w: pool_w };
@@ -366,6 +410,40 @@ fn main() {
             eprintln!("mdp_vi n={n} lanes={lanes}: {ns:.0} ns/iter");
             mdp_entries.push((n, lanes, ns));
         }
+    }
+
+    // The dispatch gate: each gated kernel forced sequential (a 1-lane
+    // scope), forced parallel (a scope of the engine's lane count) and
+    // through its measured site, after the site has settled.
+    let lanes = smg_dtmc::par::max_threads();
+    let mut gate_entries: Vec<(&str, usize, [f64; 3])> = Vec::new();
+    for &n in &[10_000usize, 100_000] {
+        let reps = match (quick, n >= 100_000) {
+            (true, true) => 15,
+            (true, false) => 60,
+            (false, true) => 60,
+            (false, false) => 300,
+        };
+        let dtmc = synthetic_chain(n);
+        let pi = vec![1.0 / n as f64; n];
+        let mut out = vec![0.0; n];
+        let forward = gate_row(reps, lanes, || dtmc.matrix().forward_into(&pi, &mut out));
+        gate_entries.push(("spmv_forward", n, forward));
+        let backward = gate_row(reps, lanes, || dtmc.matrix().backward_into(&pi, &mut out));
+        gate_entries.push(("spmv_backward", n, backward));
+        let mdp = synthetic_mdp(n);
+        let vio = smg_mdp::ViOptions::default();
+        let backup = gate_row(reps, lanes, || {
+            smg_mdp::vi::optimal_step_into(&mdp, &pi, None, smg_mdp::Opt::Max, &mut out, &vio)
+        });
+        gate_entries.push(("mdp_backup", n, backup));
+    }
+    for (kernel, n, [seq, par, gated]) in &gate_entries {
+        eprintln!(
+            "gate {kernel} n={n}: seq {seq:.0} ns, par {par:.0} ns, gated {gated:.0} ns \
+             ({:.2}x the cheaper form)",
+            gated / seq.min(*par).max(1.0)
+        );
     }
 
     // The certified walk vs the default residual walk it would replace:
@@ -641,6 +719,11 @@ fn main() {
     let _ = writeln!(json, "    \"threads\": {},", smg_dtmc::par::max_threads());
     let _ = writeln!(
         json,
+        "    \"nproc\": {},",
+        std::thread::available_parallelism().map_or(1, usize::from)
+    );
+    let _ = writeln!(
+        json,
         "    \"smg_threads_env\": {},",
         match std::env::var("SMG_THREADS") {
             Ok(v) => format!("\"{}\"", v.replace('"', "'")),
@@ -693,6 +776,7 @@ fn main() {
     json.push_str("  ],\n  \"pool\": {\n");
     let _ = writeln!(json, "    \"workers\": {},", smg_dtmc::par::max_threads());
     let _ = writeln!(json, "    \"dispatch_ns\": {dispatch_ns:.1},");
+    let _ = writeln!(json, "    \"parked_dispatch_ns\": {parked_dispatch_ns:.1},");
     let _ = writeln!(json, "    \"scoped_spawn_ns\": {scoped_spawn_ns:.1},");
     json.push_str("    \"explore\": [\n");
     for (i, (threads, states, rate)) in pool_explore.iter().enumerate() {
@@ -709,6 +793,16 @@ fn main() {
             json,
             "    {{\"n\": {n}, \"lanes\": {lanes}, \"vi_ns_per_iter\": {ns:.1}}}{}",
             if i + 1 < mdp_entries.len() { "," } else { "" }
+        );
+    }
+    json.push_str("  ],\n  \"gate\": [\n");
+    for (i, (kernel, n, [seq, par, gated])) in gate_entries.iter().enumerate() {
+        let _ = writeln!(
+            json,
+            "    {{\"kernel\": \"{kernel}\", \"n\": {n}, \"seq_ns\": {seq:.1}, \
+             \"par_ns\": {par:.1}, \"gated_ns\": {gated:.1}, \"gated_ratio\": {:.3}}}{}",
+            gated / seq.min(*par).max(1.0),
+            if i + 1 < gate_entries.len() { "," } else { "" }
         );
     }
     json.push_str("  ],\n  \"certified\": [\n");

@@ -46,7 +46,7 @@ COMMANDS:
           irreducibility/aperiodicity for chains, choice counts for MDPs;
           SCC structure (component count, largest component, condensation-
           DAG depth); plus the numerical-engine configuration (worker
-          lanes, parallel threshold, available solvers).
+          lanes, parallel dispatch rule, available solvers).
   lint    Static analysis over the declared variable ranges (interval
           abstract interpretation, smg-lint): dead or constant guards,
           out-of-range assignments, malformed distributions, certain

@@ -207,11 +207,14 @@ pub fn run(cmd: &Cmd) -> Result<String, CliError> {
                     );
                 }
             }
+            let dispatch = match par::env_min_rows() {
+                Some(rows) => format!("parallel above {rows} rows (SMG_PAR_MIN_ROWS)"),
+                None => "parallel where measured faster".to_string(),
+            };
             let _ = writeln!(
                 out,
-                "Engine: {} worker lanes, parallel above {} states",
-                par::max_threads(),
-                par::min_rows()
+                "Engine: {} worker lanes, {dispatch}",
+                par::max_threads()
             );
             let _ = writeln!(
                 out,
@@ -401,8 +404,8 @@ fn run_check(
         session = session.certified(*eps);
     }
     let results = session.check_all(&properties)?;
-    // Engine-configuration facts every metrics run carries, even when the
-    // model stays below the parallel threshold and the pool never fires.
+    // Engine-configuration facts every metrics run carries, even when
+    // every dispatch stays sequential and the pool never fires.
     obs::gauge_set("smg_pool_lanes", None, par::max_threads() as f64);
     obs::counter_add("smg_check_properties_total", None, properties.len() as u64);
     match format {

@@ -51,17 +51,19 @@ impl BitVec {
     }
 
     /// Builds a bit vector by evaluating `f` at every index, filling whole
-    /// 64-bit words in parallel chunks on the engine's worker pool when the
-    /// vector is long enough (see [`crate::par`]). Each word is produced by
-    /// exactly one task from its own indices, so the result is bit-identical
-    /// to [`BitVec::from_fn`] for every thread count — exploration uses this
-    /// for per-proposition label assembly over large state spaces.
+    /// 64-bit words in parallel chunks on the engine's worker pool when its
+    /// dispatch site picks that (see [`crate::par::Site`]; work: indices).
+    /// Each word is produced by exactly one task from its own indices, so
+    /// the result is bit-identical to [`BitVec::from_fn`] for every thread
+    /// count — exploration uses this for per-proposition label assembly
+    /// over large state spaces.
     pub fn from_fn_parallel<F: Fn(usize) -> bool + Sync>(len: usize, f: F) -> Self {
-        /// Words per parallel chunk: 1024 words = 65536 states, a few tens
-        /// of microseconds of labelling work against ~1 µs of dispatch.
+        /// Words per parallel chunk: 1024 words = 65536 indices, so only
+        /// vectors of 128k+ indices split at all.
         const WORDS_PER_CHUNK: usize = 1_024;
+        static LABELS: crate::par::Site = crate::par::Site::new("bitvec_labels");
         let mut words = vec![0u64; len.div_ceil(64)];
-        crate::par::chunked_map(&mut words, WORDS_PER_CHUNK, |word_off, chunk| {
+        let fill = |word_off: usize, chunk: &mut [u64]| {
             for (k, slot) in chunk.iter_mut().enumerate() {
                 let base = (word_off + k) * 64;
                 let mut word = 0u64;
@@ -71,6 +73,13 @@ impl BitVec {
                     }
                 }
                 *slot = word;
+            }
+        };
+        LABELS.run(len, len, |parallel| {
+            if parallel {
+                crate::par::chunked_map(&mut words, WORDS_PER_CHUNK, fill);
+            } else {
+                fill(0, &mut words);
             }
         });
         BitVec { words, len }

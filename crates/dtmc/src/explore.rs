@@ -36,20 +36,27 @@
 //!
 //! # Parallel exploration
 //!
-//! Levels of at least [`ExploreOptions::par_min_level`] states are expanded
-//! as batched fork-join tasks on the persistent worker pool
-//! ([`crate::pool`]), in four phases:
+//! A level runs in parallel only when pinned: by an explicit
+//! [`ExploreOptions::par_min_level`], or by the static rule of a process or
+//! thread pin ([`crate::par::pinned`]: `SMG_PAR_MIN_ROWS`, a lane scope).
+//! Unpinned exploration is sequential: on the 2-core hosts measured, the
+//! pipeline lost at every size (`perf_report`'s `pool.explore` rows, 1e6
+//! states, read fewer states/s on two and four shards than on one), and a
+//! parallel default waits for a host where it wins. A parallel level is
+//! expanded as batched fork-join tasks on the persistent worker pool
+//! ([`crate::pool`]), in consecutive slices of at most [`PAR_SLICE`]
+//! states, each in four phases:
 //!
-//! 1. **Expand** — the level is split into contiguous chunks, one per
+//! 1. **Expand** — the slice is split into contiguous chunks, one per
 //!    worker; each chunk calls the model's transition function, validates
 //!    the rows, and *routes* every successor occurrence to its owning
 //!    shard (selected by the top bits of the state's hash).
 //! 2. **Intern (owner-computes)** — each shard owner scans the occurrences
-//!    routed to it in global level order, resolving known states to their
+//!    routed to it in global slice order, resolving known states to their
 //!    ids and tagging first occurrences of new states. No shard is touched
 //!    by more than one worker, so the maps need no locks.
 //! 3. **Assign** — a sequential merge orders all newly discovered states by
-//!    their *first-occurrence position* in the level and assigns ids in
+//!    their *first-occurrence position* in the slice and assigns ids in
 //!    exactly that order — the order sequential BFS would have used. Shard
 //!    owners then (in parallel again) replace their tags with final ids.
 //! 4. **Assemble** — each expand chunk sorts and merges its rows into a
@@ -61,10 +68,14 @@
 //! the same primitive as the sequential path, the resulting state ids,
 //! rows, matrix, and statistics are **bit-identical to sequential BFS for
 //! every shard and thread count** (property-tested in
-//! `tests/sharded_explore.rs`). The only observable difference is error
-//! precedence inside a single failing level: a validation error anywhere in
-//! the level is reported before a state-limit overflow, whereas sequential
-//! BFS reports whichever its scan hits first.
+//! `tests/sharded_explore.rs`); slices preserve it because the states a
+//! slice discovers get their ids before the next slice starts, exactly as
+//! in the sequential scan. The only observable difference is error
+//! precedence inside a single failing slice: a validation error anywhere in
+//! the slice is reported before a state-limit overflow, whereas sequential
+//! BFS reports whichever its scan hits first. Since only a pin starts the
+//! pipeline, which error a run reports depends on its configuration, never
+//! on timing.
 //!
 //! The successor function is called concurrently (and, on a failing level,
 //! possibly for states sequential BFS would never have expanded), so it
@@ -84,12 +95,12 @@ use std::hash::{BuildHasher, Hash};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Instant;
 
-/// Default minimum BFS level size before a level is expanded in parallel.
-///
-/// A level's parallel pipeline costs four pool dispatches (a few µs total)
-/// plus a sequential id merge; at ~200 ns of expansion work per state, a
-/// four-digit level is where the fan-out starts paying for itself.
-pub const PAR_MIN_LEVEL: usize = 1_024;
+/// The most states one pass of the parallel pipeline expands: a wider
+/// level runs as consecutive slices of this size, so the per-chunk
+/// successor buffers and the occurrence slots stay bounded by the slice
+/// instead of growing with the level. Consecutive slices keep the
+/// first-occurrence order, so ids and rows are unchanged.
+pub const PAR_SLICE: usize = 8_192;
 
 /// Tag bit marking a not-yet-assigned intern entry during a parallel level
 /// (shard-local index in the low bits). Ids must stay below this bit, so a
@@ -111,10 +122,12 @@ pub struct ExploreOptions {
     /// values let benches sweep scaling and tests pin shard geometry. The
     /// result is bit-identical for every value.
     pub threads: Option<usize>,
-    /// Minimum BFS level size before a level is expanded in parallel
-    /// (default [`PAR_MIN_LEVEL`]); smaller levels always take the
-    /// sequential path.
-    pub par_min_level: usize,
+    /// Minimum BFS level size before a level is expanded in parallel.
+    /// `None` (the default) expands levels sequentially unless a pin's
+    /// static rule asks for the pipeline ([`crate::par::pinned`]); an
+    /// explicit value pins the threshold, so tests and benches can force
+    /// either path.
+    pub par_min_level: Option<usize>,
 }
 
 impl Default for ExploreOptions {
@@ -123,7 +136,7 @@ impl Default for ExploreOptions {
             max_states: 50_000_000,
             prune_threshold: 0.0,
             threads: None,
-            par_min_level: PAR_MIN_LEVEL,
+            par_min_level: None,
         }
     }
 }
@@ -147,9 +160,11 @@ impl ExploreOptions {
         self
     }
 
-    /// Options with an explicit parallel level-size threshold.
+    /// Options with an explicit parallel level-size threshold (1 forces
+    /// the parallel pipeline on every level of a multi-worker run,
+    /// `usize::MAX` the sequential loop).
     pub fn with_par_min_level(mut self, min_level: usize) -> Self {
-        self.par_min_level = min_level;
+        self.par_min_level = Some(min_level);
         self
     }
 }
@@ -795,12 +810,12 @@ where
     } else {
         64 - nshards.trailing_zeros()
     };
-    // Interning starts single-sharded whatever the worker count: narrow
-    // models (no level ever reaching `par_min_level`) then intern through
+    // Interning starts single-sharded whatever the worker count: models
+    // whose levels all run sequentially then intern through
     // the flat-map fast path for the whole run, paying nothing for cores
     // they cannot use. The table is split into `nshards` — a one-time
-    // O(states) rehash — only when the first level big enough to expand in
-    // parallel appears.
+    // O(states) rehash — only when the first level actually runs in
+    // parallel.
     let mut shards: Vec<Shard<S>> = vec![Shard::new()];
     let mut states: Vec<S> = Vec::new();
 
@@ -824,38 +839,50 @@ where
         let level_end = states.len();
         levels += 1;
         let level_len = level_end - level_start;
-        let mut expanded = false;
-        if workers > 1 && level_len >= options.par_min_level.max(1) {
-            if shards.len() != nshards {
-                reshard(&mut shards, nshards, shift);
-            }
-            let nchunks = workers.min(level_len);
-            if scratch.len() < nchunks {
-                scratch.resize_with(nchunks, ChunkScratch::new);
-            }
-            expanded = expand_level_parallel(
-                &expand,
-                options,
-                &mut states,
-                &mut shards,
-                shift,
-                &mut builder,
-                level_start..level_end,
-                &mut scratch[..nchunks],
-                &mut slots,
-            )?;
+        let parallel = workers > 1
+            && match options.par_min_level {
+                Some(min) => level_len >= min.max(1),
+                None => par::pinned(level_len).unwrap_or(false),
+            };
+        if parallel && shards.len() != nshards {
+            reshard(&mut shards, nshards, shift);
         }
-        if !expanded {
-            expand_level_sequential(
-                &expand,
-                options,
-                &mut states,
-                &mut shards,
-                shift,
-                &mut builder,
-                level_start..level_end,
-                &mut row,
-            )?;
+        // A parallel level runs through the pipeline in consecutive slices.
+        let step = if parallel { PAR_SLICE } else { level_len };
+        let mut lo = level_start;
+        while lo < level_end {
+            let slice = lo..level_end.min(lo + step);
+            let mut expanded = false;
+            if parallel {
+                let nchunks = workers.min(slice.len());
+                if scratch.len() < nchunks {
+                    scratch.resize_with(nchunks, ChunkScratch::new);
+                }
+                expanded = expand_level_parallel(
+                    &expand,
+                    options,
+                    &mut states,
+                    &mut shards,
+                    shift,
+                    &mut builder,
+                    slice.clone(),
+                    &mut scratch[..nchunks],
+                    &mut slots,
+                )?;
+            }
+            if !expanded {
+                expand_level_sequential(
+                    &expand,
+                    options,
+                    &mut states,
+                    &mut shards,
+                    shift,
+                    &mut builder,
+                    slice.clone(),
+                    &mut row,
+                )?;
+            }
+            lo = slice.end;
         }
         level_start = level_end;
     }
@@ -955,11 +982,15 @@ where
 /// [`BitVec::from_fn_parallel`]'s words-per-chunk applies.
 const REWARD_CHUNK: usize = 65_536;
 
+/// The reward-vector scan's dispatch site (work: states).
+static REWARD_SCAN: par::Site = par::Site::new("reward_scan");
+
 /// Assembles the per-proposition label bit vectors and the state-reward
 /// vector of an explored chain, chunking the per-state scans over the
-/// engine's worker pool for large state spaces (each label word and each
-/// reward slot is produced by exactly one task, so the result is
-/// bit-identical to the sequential scans whatever the thread count).
+/// engine's worker pool where their dispatch sites pick that (each label
+/// word and each reward slot is produced by exactly one task, so the
+/// result is bit-identical to the sequential scans whatever the thread
+/// count).
 ///
 /// Shared by [`explore`]/[`explore_memoryless`] and by the MDP explorer in
 /// `smg-mdp`, which has the same post-exploration labelling shape.
@@ -977,9 +1008,16 @@ pub fn assemble_labels_rewards(
         );
     }
     let mut rewards = vec![0.0; n];
-    par::chunked_map(&mut rewards, REWARD_CHUNK, |offset, chunk| {
+    let fill = |offset: usize, chunk: &mut [f64]| {
         for (k, slot) in chunk.iter_mut().enumerate() {
             *slot = reward(offset + k);
+        }
+    };
+    REWARD_SCAN.run(n, n, |parallel| {
+        if parallel {
+            par::chunked_map(&mut rewards, REWARD_CHUNK, fill);
+        } else {
+            fill(0, &mut rewards);
         }
     });
     (labels, rewards)

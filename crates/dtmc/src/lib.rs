@@ -31,26 +31,30 @@
 //!   write into caller-owned ping-pong buffers; see the buffer-reuse
 //!   contract in [`matrix`]'s module docs. All solvers in [`transient`] and
 //!   [`solve`] allocate their two buffers once per call, never per step.
-//! * **Parallelism** — the `parallel` feature (default on) runs the kernels
-//!   as fork-join tasks on a persistent, process-wide worker pool
-//!   ([`pool`], dispatched through [`par`]) once a chain has at least
-//!   [`par::min_rows`] rows (default 4k — the warm pool dispatch costs
-//!   about a microsecond, versus the tens of microseconds per-call thread
-//!   spawning used to cost; override with `SMG_PAR_MIN_ROWS`, set the lane
-//!   count with `SMG_THREADS`). Below the threshold — and under
-//!   `--no-default-features` — the tuned sequential loops run instead, so
-//!   small chains never pay dispatch overhead. The parallel forward product
-//!   gathers over a lazily cached transpose and is bit-identical to the
-//!   sequential scatter; [`solve::gauss_seidel_reach`] switches to a
-//!   block-hybrid sweep (Gauss–Seidel within worker blocks, Jacobi across
-//!   them) pinned within tolerance of the serial solver by property tests.
+//! * **Parallelism** — the `parallel` feature (default on) can run the
+//!   kernels as fork-join tasks on a persistent, process-wide worker pool
+//!   ([`pool`]). Every dispatch site is a measured [`par::Site`]: it times
+//!   its sequential and parallel forms on the running host and runs the
+//!   cheaper one per size bucket (the parallel one only when clearly
+//!   cheaper), and calls below [`par::GATE_FLOOR`]
+//!   units of work never dispatch (`SMG_PAR_MIN_ROWS` restores a static
+//!   row threshold, `SMG_THREADS` sets the lane count). Under
+//!   `--no-default-features` the tuned sequential loops always run. The
+//!   parallel forward product gathers over a lazily cached transpose and
+//!   is bit-identical to the sequential scatter;
+//!   [`solve::gauss_seidel_reach`]'s parallel form is a block-hybrid sweep
+//!   (Gauss–Seidel within worker blocks, Jacobi across them), run only
+//!   when pinned ([`par::pinned`]) and held within tolerance of the serial
+//!   solver by property tests.
 //! * **Exploration** — BFS interns states into a sharded
 //!   [`explore::StateIndex`] (an FxHash-style multiply hasher, [`hash`],
 //!   with the hash prefix selecting the shard) and assembles rows directly
-//!   into a flat [`CsrBuilder`], level by level. Large frontier levels are
-//!   expanded in parallel on the pool with an owner-computes discipline
-//!   per shard; state ids, rows, and the matrix are bit-identical to the
-//!   sequential BFS whatever the shard or thread count.
+//!   into a flat [`CsrBuilder`], level by level. When pinned
+//!   ([`ExploreOptions::par_min_level`], [`par::pinned`]), wide levels run
+//!   in parallel on the pool, in bounded slices, with an owner-computes
+//!   discipline per shard; state ids, rows, and the matrix are
+//!   bit-identical to the sequential BFS whatever the shard or thread
+//!   count.
 //!
 //! # Topological solving
 //!

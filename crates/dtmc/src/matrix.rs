@@ -26,16 +26,19 @@
 //! # Parallelism
 //!
 //! With the crate's `parallel` feature (on by default) the sparse kernels
-//! run as fork-join tasks on the persistent worker pool ([`crate::pool`],
-//! dispatched through [`crate::par`]) once the row count
-//! reaches [`crate::par::min_rows`]; below the threshold the tuned
-//! sequential loops run, so small chains never pay thread overhead. The
-//! backward product parallelizes row-wise as-is. The forward product is a
-//! scatter, so the parallel path instead gathers over a lazily built,
-//! cached transpose; entries of each transpose row are stored in ascending
-//! source-row order, which makes the parallel gather accumulate the exact
-//! summation order of the sequential scatter — results are bit-identical,
-//! not merely within tolerance.
+//! can run as fork-join tasks on the persistent worker pool
+//! ([`crate::pool`]). Each product is a measured [`par::Site`] keyed by
+//! the stored nonzeros it works on (those of the rows that pass the mask
+//! and, for the forward product, carry mass): small products, and
+//! products whose parallel form loses on the running host, take the tuned
+//! sequential loops. The backward product parallelizes row-wise as-is.
+//! The forward product is a scatter, so the parallel path instead gathers
+//! over a lazily built, cached transpose; entries of each transpose row
+//! are stored in ascending source-row order, which makes the parallel
+//! gather accumulate the exact summation order of the sequential scatter
+//! — results are bit-identical, not merely within tolerance. (The gather
+//! tests the mask on every stored entry, where the scatter skips whole
+//! zero-mass rows, which is why it often loses on two lanes.)
 
 use crate::bitvec::BitVec;
 use crate::error::DtmcError;
@@ -47,9 +50,16 @@ pub const STOCHASTIC_TOL: f64 = 1e-9;
 
 /// Minimum rows per worker chunk inside the parallel kernels. Half the
 /// [`crate::par::PAR_MIN_ROWS`] threshold, so a chain that clears the
-/// threshold always splits into at least two chunks; a 2k-row chunk is
-/// ~50 µs of kernel work against ~1 µs of pool dispatch.
+/// static threshold always splits into at least two chunks.
 const PAR_MIN_CHUNK: usize = 2_048;
+
+/// The forward product's dispatch site (work: stored nonzeros of the
+/// masked rows that carry mass).
+static FORWARD: par::Site = par::Site::new("spmv_forward");
+
+/// The backward product's dispatch site (work: stored nonzeros of the
+/// masked rows).
+static BACKWARD: par::Site = par::Site::new("spmv_backward");
 
 /// The transposed structure of a [`CsrMatrix`], built lazily for the
 /// parallel forward gather. Row `c` of the transpose lists the predecessors
@@ -351,6 +361,59 @@ impl CsrMatrix {
         out
     }
 
+    /// The forward product's work for its dispatch site: the stored
+    /// nonzeros of the rows that carry mass and pass the mask
+    /// ([`par::live_work`]). The scatter skips every other row and the
+    /// gather does not, so a sparse distribution and a dense one must not
+    /// share a bucket: the sparse call's cheap scatter would make the
+    /// scatter look cheaper than the gather on the dense one too.
+    fn forward_work(&self, pi: &[f64], active: Option<&BitVec>) -> usize {
+        par::live_work(self.nnz(), self.n, |r| {
+            pi[r] != 0.0 && active.is_none_or(|m| m.get(r))
+        })
+    }
+
+    /// The backward product's work for its dispatch site: the stored
+    /// nonzeros of the rows that pass the mask ([`par::live_work`]); both
+    /// forms copy the other rows through.
+    fn backward_work(&self, active: Option<&BitVec>) -> usize {
+        match active {
+            None => self.nnz(),
+            Some(mask) => par::live_work(self.nnz(), self.n, |r| mask.get(r)),
+        }
+    }
+
+    /// The sequential forward product: a scatter of every nonzero-mass
+    /// active row into `out`, which it fully overwrites. The mask dispatch
+    /// is hoisted out of the row loops: the unmasked variant is the one
+    /// every transient sweep hits each step, and on ~1k-state chains a
+    /// per-row branch is a measurable fraction of the kernel.
+    fn forward_scatter(&self, pi: &[f64], active: Option<&BitVec>, out: &mut [f64]) {
+        out.fill(0.0);
+        match active {
+            None => {
+                for (r, &p) in pi.iter().enumerate() {
+                    if p == 0.0 {
+                        continue;
+                    }
+                    for (c, v) in self.row(r) {
+                        out[c as usize] += p * v;
+                    }
+                }
+            }
+            Some(mask) => {
+                for (r, &p) in pi.iter().enumerate() {
+                    if p == 0.0 || !mask.get(r) {
+                        continue;
+                    }
+                    for (c, v) in self.row(r) {
+                        out[c as usize] += p * v;
+                    }
+                }
+            }
+        }
+    }
+
     /// The forward product as a gather over the cached transpose, writing
     /// the output range `[offset, offset + chunk.len())`. Chunks are
     /// independent, which is what the parallel path exploits; a single full
@@ -561,8 +624,9 @@ impl TransitionMatrix {
     }
 
     /// Masked forward product into a caller-owned buffer. The buffer is
-    /// fully overwritten. Large sparse matrices take the parallel gather
-    /// path (bit-identical to the sequential scatter; see module docs).
+    /// fully overwritten. Sparse matrices take the parallel gather when
+    /// their dispatch site picks it (bit-identical to the sequential
+    /// scatter; see module docs).
     ///
     /// # Panics
     ///
@@ -576,40 +640,15 @@ impl TransitionMatrix {
             assert_eq!(m.len(), n, "mask length mismatch");
         }
         match self {
-            TransitionMatrix::Sparse(m) if par::should_parallelize(n) => {
-                par::chunked_map(out, par::tune_chunk(PAR_MIN_CHUNK), |offset, chunk| {
-                    m.forward_gather_chunk(pi, active, offset, chunk)
-                });
-            }
-            // The mask dispatch is hoisted out of the row loops (here and
-            // in the other kernels below): the unmasked variant is the one
-            // every transient sweep hits each step, and on ~1k-state chains
-            // a per-row branch is a measurable fraction of the kernel.
-            TransitionMatrix::Sparse(m) => {
-                out.fill(0.0);
-                match active {
-                    None => {
-                        for (r, &p) in pi.iter().enumerate() {
-                            if p == 0.0 {
-                                continue;
-                            }
-                            for (c, v) in m.row(r) {
-                                out[c as usize] += p * v;
-                            }
-                        }
-                    }
-                    Some(mask) => {
-                        for (r, &p) in pi.iter().enumerate() {
-                            if p == 0.0 || !mask.get(r) {
-                                continue;
-                            }
-                            for (c, v) in m.row(r) {
-                                out[c as usize] += p * v;
-                            }
-                        }
-                    }
+            TransitionMatrix::Sparse(m) => FORWARD.run(n, m.forward_work(pi, active), |parallel| {
+                if parallel {
+                    par::chunked_map(out, par::tune_chunk(PAR_MIN_CHUNK), |offset, chunk| {
+                        m.forward_gather_chunk(pi, active, offset, chunk)
+                    });
+                } else {
+                    m.forward_scatter(pi, active, out);
                 }
-            }
+            }),
             TransitionMatrix::RankOne(m) => {
                 let mass: f64 = match active {
                     None => pi.iter().sum(),
@@ -661,7 +700,8 @@ impl TransitionMatrix {
     }
 
     /// Masked backward product into a caller-owned buffer. The buffer is
-    /// fully overwritten. Rows parallelize as-is for large matrices.
+    /// fully overwritten. Sparse rows parallelize as-is when their dispatch
+    /// site picks it; a rank-one product is one dot product and a fill.
     ///
     /// # Panics
     ///
@@ -689,26 +729,23 @@ impl TransitionMatrix {
                         }
                     }
                 };
-                if par::should_parallelize(n) {
-                    par::chunked_map(out, par::tune_chunk(PAR_MIN_CHUNK), |o, c| body(o, c));
-                } else {
-                    body(0, out);
-                }
+                BACKWARD.run(n, m.backward_work(active), |parallel| {
+                    if parallel {
+                        par::chunked_map(out, par::tune_chunk(PAR_MIN_CHUNK), |o, c| body(o, c));
+                    } else {
+                        body(0, out);
+                    }
+                });
             }
             TransitionMatrix::RankOne(m) => {
                 let shared: f64 = m.dist().iter().map(|&(c, v)| v * x[c as usize]).sum();
-                let body = |offset: usize, chunk: &mut [f64]| {
-                    for (j, slot) in chunk.iter_mut().enumerate() {
-                        *slot = match active {
-                            Some(mask) if !mask.get(offset + j) => x[offset + j],
-                            _ => shared,
-                        };
+                match active {
+                    None => out.fill(shared),
+                    Some(mask) => {
+                        for (r, slot) in out.iter_mut().enumerate() {
+                            *slot = if mask.get(r) { shared } else { x[r] };
+                        }
                     }
-                };
-                if par::should_parallelize(n) {
-                    par::chunked_map(out, par::tune_chunk(PAR_MIN_CHUNK), |o, c| body(o, c));
-                } else {
-                    body(0, out);
                 }
             }
         }
@@ -795,6 +832,24 @@ mod tests {
         TransitionMatrix::Sparse(
             CsrMatrix::from_rows(vec![vec![(0, 0.6), (1, 0.4)], vec![(0, 0.3), (1, 0.7)]]).unwrap(),
         )
+    }
+
+    #[test]
+    fn products_report_the_work_they_do() {
+        // 4,096 rows of two stored entries each.
+        let n = 4_096;
+        let rows = (0..n)
+            .map(|r| vec![(r as u32, 0.5), (((r + 1) % n) as u32, 0.5)])
+            .collect();
+        let m = CsrMatrix::from_rows(rows).unwrap();
+        let quarter = BitVec::from_fn(n, |r| r < n / 4);
+        assert_eq!(m.backward_work(None), 2 * n);
+        assert_eq!(m.backward_work(Some(&quarter)), n / 2);
+        // The forward product counts only the rows that carry mass.
+        let mut pi = vec![0.0; n];
+        pi[..n / 2].fill(1.0 / (n / 2) as f64);
+        assert_eq!(m.forward_work(&pi, None), n);
+        assert_eq!(m.forward_work(&pi, Some(&quarter)), n / 2);
     }
 
     #[test]

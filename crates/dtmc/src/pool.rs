@@ -1,11 +1,13 @@
 //! The persistent worker pool behind all parallel execution in the engine.
 //!
-//! PR 1's fork-join spawned scoped threads per kernel call, which costs
-//! 10–50 µs per dispatch and forced a 32k-row sequential-fallback threshold.
-//! This module replaces it with a lazily initialized, process-wide pool of
-//! long-lived workers parked on a condvar; dispatching a fork-join onto the
-//! warm pool costs on the order of a microsecond, which lets the threshold
-//! drop to [`crate::par::PAR_MIN_ROWS`] = 4096 rows.
+//! A lazily initialized, process-wide pool of long-lived workers parked on
+//! a condvar, instead of scoped threads spawned per kernel call. An epoch
+//! is still not free: on a 2-core host it costs 5–15 µs from dispatch to
+//! completion when timed back to back and 15–55 µs once the lanes have
+//! parked (`perf_report`'s `pool.dispatch_ns` / `pool.parked_dispatch_ns`),
+//! against 30+ µs for a scoped spawn. That is why kernels reach the pool
+//! only through a measured [`crate::par::Site`], which dispatches where the
+//! parallel form has been timed to win, or through an explicit pin.
 //!
 //! # Dispatch protocol
 //!

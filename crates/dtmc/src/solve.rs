@@ -12,9 +12,11 @@
 //! Two sweeps share the per-row diagonal-solved update:
 //!
 //! * **Sequential Gauss–Seidel** — in-place, each row immediately sees the
-//!   values updated earlier in the same sweep. Runs below the parallel
-//!   threshold and when the `parallel` feature is off. The row loop walks
-//!   the CSR arrays directly (no per-row allocation).
+//!   values updated earlier in the same sweep. Runs unless a pin's static
+//!   rule ([`crate::par::pinned`]) asks for the hybrid, and always when the
+//!   `parallel` feature is off: the hybrid's iterates differ, so it is
+//!   never picked on a timed choice. The row loop walks the CSR arrays
+//!   directly (no per-row allocation).
 //!   The parallel sweep dispatches its blocks onto the persistent worker
 //!   pool ([`crate::pool`] via [`crate::par::chunked_map`]), one block per
 //!   lane.
@@ -59,8 +61,11 @@ use smg_obs as obs;
 
 /// Minimum rows per worker block in the hybrid sweep. Matches the matrix
 /// kernels' chunking (half of [`crate::par::PAR_MIN_ROWS`]), so a chain
-/// that clears the parallel threshold always gets at least two blocks.
+/// that clears the static threshold always gets at least two blocks.
 const PAR_MIN_CHUNK: usize = 2_048;
+
+/// The condensation walk's trivial-batch site (work: batch states).
+static TOPO_BATCH: par::Site = par::Site::new("topo_batch");
 
 /// One diagonal-solved row update: `x_i = (Σ_{c≠i} p_c·x_c) / (1 - p_ii)`,
 /// with pure self-loops pinned to zero (they never reach the target).
@@ -160,8 +165,9 @@ fn sweep_blocks(
 }
 
 /// Unbounded reachability probabilities `P(F target)` from every state,
-/// solved by Gauss–Seidel iteration (sequential in-place sweeps below the
-/// parallel threshold, block-hybrid sweeps above it — see module docs).
+/// solved by Gauss–Seidel iteration (sequential in-place sweeps, or
+/// block-hybrid sweeps when a pin's static rule asks for them — see module
+/// docs).
 ///
 /// # Errors
 ///
@@ -206,24 +212,19 @@ pub fn gauss_seidel_reach(
             }
             Ok(x)
         }
-        TransitionMatrix::Sparse(m) if par::should_parallelize(n) => {
-            let mut x_new = x.clone();
-            for it in 1..=max_iter {
-                let delta = sweep_block_hybrid(m, target, &x, &mut x_new);
-                std::mem::swap(&mut x, &mut x_new);
-                f64::record_sweep("gauss_seidel", it, delta, None);
-                if delta < tol {
-                    return Ok(x);
-                }
-            }
-            Err(DtmcError::NoConvergence {
-                iterations: max_iter,
-                residual: tol,
-            })
-        }
         TransitionMatrix::Sparse(m) => {
+            // The hybrid's iterates differ from serial Gauss–Seidel's, so it
+            // runs only when pinned, never on a timed choice.
+            let parallel = par::pinned(n).unwrap_or(false);
+            let mut x_new = if parallel { x.clone() } else { Vec::new() };
             for it in 1..=max_iter {
-                let delta = sweep_gauss_seidel(m, target, &mut x);
+                let delta = if parallel {
+                    let delta = sweep_block_hybrid(m, target, &x, &mut x_new);
+                    std::mem::swap(&mut x, &mut x_new);
+                    delta
+                } else {
+                    sweep_gauss_seidel(m, target, &mut x)
+                };
                 f64::record_sweep("gauss_seidel", it, delta, None);
                 if delta < tol {
                     return Ok(x);
@@ -598,17 +599,19 @@ fn topo_walk<V: LevelValue>(
                     *slot = solved_row(matrix, s, r_of(s), |c| xr[c]);
                 }
             };
-            if par::should_parallelize(batch.len()) {
-                par::chunked_map(
-                    &mut scratch,
-                    par::tune_chunk(PAR_MIN_CHUNK),
-                    |offset, chunk| {
-                        fill(offset, chunk);
-                    },
-                );
-            } else {
-                fill(0, &mut scratch);
-            }
+            TOPO_BATCH.run(batch.len(), batch.len(), |parallel| {
+                if parallel {
+                    par::chunked_map(
+                        &mut scratch,
+                        par::tune_chunk(PAR_MIN_CHUNK),
+                        |offset, chunk| {
+                            fill(offset, chunk);
+                        },
+                    );
+                } else {
+                    fill(0, &mut scratch);
+                }
+            });
             for (&s, &v) in batch.iter().zip(&scratch) {
                 x[s as usize] = v;
             }

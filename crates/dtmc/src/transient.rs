@@ -12,12 +12,12 @@
 //! Every loop here follows the matrix module's buffer-reuse contract: two
 //! ping-pong buffers are allocated up front and swapped each step, so a
 //! sweep over `T` steps performs zero per-step allocation regardless of
-//! horizon. The kernels themselves parallelize for large chains, running
-//! as fork-join tasks on the persistent worker pool (see [`crate::matrix`]
-//! and [`crate::pool`]) — per-step dispatch onto parked workers is cheap
-//! enough that even moderate horizons over ≥4k-state chains benefit;
-//! nothing in this module changes shape between the sequential and
-//! parallel paths.
+//! horizon. Each step's product is a measured dispatch site (see
+//! [`crate::matrix`] and [`crate::par::Site`]): a step runs on the worker
+//! pool only where that has been timed to beat the sequential loop on the
+//! running host. A parallel step dispatches its own epoch, 5–55 µs on a
+//! 2-core host, so small chains' steps stay sequential. Nothing in this
+//! module changes shape between the sequential and parallel paths.
 
 use crate::bitvec::BitVec;
 use crate::dtmc::Dtmc;

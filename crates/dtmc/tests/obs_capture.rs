@@ -165,3 +165,20 @@ fn no_recorder_means_identical_results() {
     assert_eq!(plain.hi, recorded.hi);
     assert_eq!(plain.iterations, recorded.iterations);
 }
+
+/// The dispatch counter counts each call of at least the gate's floor in
+/// rows or in work, and skips the tiny sequential ones (a condensation
+/// walk makes one per level, cheaper than the event).
+#[test]
+fn dispatch_counter_skips_tiny_sequential_calls() {
+    static SITE: smg_dtmc::par::Site = smg_dtmc::par::Site::new("probe");
+    let floor = smg_dtmc::par::GATE_FLOOR;
+    let (cap, ()) = captured(|| {
+        SITE.run(2, 2, |_| ());
+        SITE.run(floor - 1, floor - 1, |_| ());
+        SITE.run(floor, 0, |parallel| assert!(!parallel));
+    });
+    assert_eq!(cap.counter("smg_par_dispatch_total"), 1);
+    assert_eq!(cap.counter_with("smg_par_dispatch_total", "probe"), 1);
+    assert_eq!(cap.counter_with("smg_par_dispatch_total", "seq"), 1);
+}

@@ -134,6 +134,11 @@ fn threaded_drivers_match_sequential_references() {
         );
         assert_eq!(smg_dtmc::par::max_threads(), 4);
     }
+    // `SMG_PAR_MIN_ROWS` pins the static rule: every dispatch follows it,
+    // whatever the gate would have measured.
+    for (rows, parallel) in [(511, false), (n, cfg!(feature = "parallel"))] {
+        assert_eq!(smg_dtmc::par::pinned(rows), Some(parallel));
+    }
 
     // Deterministic pseudo-random distribution and mask.
     let mut pi = vec![0.0; n];

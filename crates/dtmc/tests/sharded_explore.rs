@@ -189,6 +189,66 @@ proptest! {
     }
 }
 
+/// One initial state fanning out to `width` states, which rediscover a
+/// few thousand shared successors in a scrambled order that crosses slice
+/// boundaries, which all lead back to the start.
+struct Fan {
+    width: u32,
+}
+
+impl DtmcModel for Fan {
+    type State = u32;
+
+    fn initial_states(&self) -> Vec<(u32, f64)> {
+        vec![(0, 1.0)]
+    }
+
+    fn transitions(&self, &s: &u32) -> Vec<(u32, f64)> {
+        let w = self.width;
+        if s == 0 {
+            let p = 1.0 / f64::from(w);
+            (1..=w).map(|i| (i, p)).collect()
+        } else if s <= w {
+            vec![
+                (w + 1 + s.wrapping_mul(7_919) % 3_000, 0.5),
+                (w + 1 + s % 1_000, 0.5),
+            ]
+        } else {
+            vec![(0, 1.0)]
+        }
+    }
+}
+
+/// A level wider than one pipeline slice runs as consecutive slices, and
+/// the ids, rows and statistics still match sequential BFS — forced onto
+/// the pipeline by `par_min_level` and by a lane scope's static rule
+/// alike.
+#[test]
+fn levels_wider_than_one_slice_explore_identically() {
+    init_env();
+    let model = Fan {
+        width: 2 * smg_dtmc::explore::PAR_SLICE as u32 + 1_234,
+    };
+    let seq = explore(&model, &ExploreOptions::default().with_threads(1)).unwrap();
+    assert_eq!(seq.stats.reachability_iterations, 3);
+    for threads in [2usize, 4, 5] {
+        let par = explore(
+            &model,
+            &ExploreOptions::default()
+                .with_threads(threads)
+                .with_par_min_level(1),
+        )
+        .unwrap();
+        assert_bit_identical(&seq, &par, &format!("wide, threads={threads}"));
+    }
+    let scoped = smg_dtmc::par::with_lane_scope(4, || {
+        explore(&model, &ExploreOptions::default().with_threads(4)).unwrap()
+    });
+    assert_bit_identical(&seq, &scoped, "wide, lane scope");
+    let unpinned = explore(&model, &ExploreOptions::default()).unwrap();
+    assert_bit_identical(&seq, &unpinned, "wide, unpinned");
+}
+
 /// The state limit must abort with the same error through the parallel
 /// phases (ids are assigned in discovery order, so the limit hits at the
 /// same state either way).

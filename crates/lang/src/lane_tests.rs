@@ -6,15 +6,18 @@
 use crate::model::{explore_dtmc, explore_mdp, CompiledMdp, CompiledModel};
 use crate::{check, parse, ExpandOptions, LangError, LangModel};
 use proptest::prelude::*;
-use smg_dtmc::explore::PAR_MIN_LEVEL;
 use smg_dtmc::ExploreOptions;
 
 #[path = "../tests/programs/mod.rs"]
 mod programs;
 
-/// The wide fixture: three saturating counters whose BFS levels pass
-/// [`PAR_MIN_LEVEL`].
+/// The wide fixture: three saturating counters whose BFS levels reach
+/// [`WIDE_LEVEL`] states.
 const COUNTERS: &str = include_str!("../../../examples/models/counters.sm");
+
+/// A level width at which every chunk of a forced parallel level at 4
+/// lanes carries hundreds of states.
+const WIDE_LEVEL: usize = 1_024;
 
 /// One lane, then parallel levels forced at 2 and 4 lanes.
 fn lane_configs() -> [ExploreOptions; 3] {
@@ -142,7 +145,7 @@ fn wide_fixture_compiles_identically_at_every_lane_count() {
         .map(|l| states.iter().filter(|(_, level)| *level == l).count())
         .max()
         .unwrap();
-    assert!(widest >= PAR_MIN_LEVEL, "widest level has {widest} states");
+    assert!(widest >= WIDE_LEVEL, "widest level has {widest} states");
     let (dtmc, mdp) = compile_at_every_lane_count(COUNTERS);
     assert!(dtmc.is_ok() && mdp.is_ok());
 }
@@ -164,7 +167,7 @@ fn expansion_errors_in_a_wide_level_name_the_first_failing_state() {
         .filter(|(_, l)| *l == 20)
         .map(|(s, _)| s)
         .collect();
-    assert!(level.len() >= PAR_MIN_LEVEL);
+    assert!(level.len() >= WIDE_LEVEL);
     let per_chunk = level.len().div_ceil(4);
     let mut chunks: Vec<usize> = (0..level.len())
         .filter(|&i| faulty(level[i]))

@@ -12,13 +12,16 @@
 //!
 //! # Parallel exploration
 //!
-//! Levels of at least [`ExploreOptions::par_min_level`] states run as a
-//! three-phase pipeline on the persistent worker pool:
+//! As on the DTMC side, a level runs in parallel only when pinned: by an
+//! explicit [`ExploreOptions::par_min_level`], or by the static rule of a
+//! process or thread pin ([`smg_dtmc::par::pinned`]). A parallel level
+//! runs in consecutive slices of at most [`PAR_SLICE`] states, each
+//! through a three-phase pipeline on the persistent worker pool:
 //!
-//! 1. **Expand** (parallel) — the level is split into contiguous chunks;
+//! 1. **Expand** (parallel) — the slice is split into contiguous chunks;
 //!    each chunk calls the model's action function and validates every
 //!    action's distribution.
-//! 2. **Intern** (sequential) — one scan over the chunks in level order
+//! 2. **Intern** (sequential) — one scan over the chunks in slice order
 //!    resolves every successor to its id, assigning fresh ids in
 //!    first-occurrence order — exactly the order sequential BFS would have
 //!    used. (The DTMC explorer shards this phase too; MDP expansion is
@@ -38,7 +41,7 @@ use crate::mdp::{Mdp, MdpBuilder};
 use crate::model::MdpModel;
 use smg_dtmc::explore::{
     assemble_labels_rewards, clean_successors, intern_initial, ExploreOptions, Labelling,
-    StateIndex,
+    StateIndex, PAR_SLICE,
 };
 use smg_dtmc::matrix::merge_row_into;
 use smg_dtmc::{par, pool, BuildStats, DtmcError, StateId};
@@ -214,20 +217,30 @@ where
         let level_end = states.len();
         levels += 1;
         let level_len = level_end - level_start;
-        if workers > 1 && level_len >= options.par_min_level.max(1) {
-            let nchunks = workers.min(level_len);
-            if scratch.len() < nchunks {
-                scratch.resize_with(nchunks, ChunkScratch::new);
+        let parallel = workers > 1
+            && match options.par_min_level {
+                Some(min) => level_len >= min.max(1),
+                None => par::pinned(level_len).unwrap_or(false),
+            };
+        if parallel {
+            let mut lo = level_start;
+            while lo < level_end {
+                let slice = lo..level_end.min(lo + PAR_SLICE);
+                let nchunks = workers.min(slice.len());
+                if scratch.len() < nchunks {
+                    scratch.resize_with(nchunks, ChunkScratch::new);
+                }
+                lo = slice.end;
+                expand_level_parallel(
+                    &expand,
+                    options,
+                    &mut states,
+                    &mut index,
+                    &mut builder,
+                    slice,
+                    &mut scratch[..nchunks],
+                )?;
             }
-            expand_level_parallel(
-                &expand,
-                options,
-                &mut states,
-                &mut index,
-                &mut builder,
-                level_start..level_end,
-                &mut scratch[..nchunks],
-            )?;
         } else {
             for cur in level_start..level_end {
                 let actions = state_actions(&expand, &states[cur], options.prune_threshold)?;
@@ -284,7 +297,8 @@ where
     Ok(actions)
 }
 
-/// Expands one BFS level through the three-phase pipeline (module docs).
+/// Expands one slice of a BFS level through the three-phase pipeline
+/// (module docs).
 fn expand_level_parallel<S, E, F>(
     expand: &F,
     options: &ExploreOptions,
@@ -425,6 +439,64 @@ mod tests {
         assert_eq!(e.mdp.rewards()[corner], 1.0);
     }
 
+    /// One initial state fanning out to `width` states, each offering two
+    /// actions over a few thousand shared successors (scrambled so that
+    /// rediscoveries cross slice boundaries), which lead back to the start.
+    struct Fan {
+        width: u32,
+    }
+
+    impl MdpModel for Fan {
+        type State = u32;
+        fn initial_states(&self) -> Vec<(u32, f64)> {
+            vec![(0, 1.0)]
+        }
+        fn actions(&self, &s: &u32) -> Vec<Vec<(u32, f64)>> {
+            let w = self.width;
+            if s == 0 {
+                let p = 1.0 / f64::from(w);
+                vec![(1..=w).map(|i| (i, p)).collect()]
+            } else if s <= w {
+                vec![
+                    vec![(w + 1 + s.wrapping_mul(7_919) % 3_000, 1.0)],
+                    vec![(w + 1 + s % 1_000, 0.5), (0, 0.5)],
+                ]
+            } else {
+                vec![vec![(0, 1.0)]]
+            }
+        }
+        fn atomic_propositions(&self) -> Vec<&'static str> {
+            vec![]
+        }
+        fn holds(&self, _: &str, _: &u32) -> bool {
+            false
+        }
+    }
+
+    fn assert_same<S: Clone + Eq + Hash + Debug>(
+        seq: &ExploredMdp<S>,
+        par: &ExploredMdp<S>,
+        what: &str,
+    ) {
+        assert_eq!(par.states, seq.states, "{what}");
+        assert_eq!(par.mdp.n_choices(), seq.mdp.n_choices(), "{what}");
+        assert_eq!(par.mdp.n_transitions(), seq.mdp.n_transitions(), "{what}");
+        for s in 0..seq.mdp.n_states() {
+            assert_eq!(par.mdp.action_count(s), seq.mdp.action_count(s), "{what}");
+            for a in 0..seq.mdp.action_count(s) {
+                assert_eq!(
+                    par.mdp.action_row(s, a).collect::<Vec<_>>(),
+                    seq.mdp.action_row(s, a).collect::<Vec<_>>(),
+                    "{what} state={s} action={a}"
+                );
+            }
+        }
+        assert_eq!(
+            par.stats.reachability_iterations, seq.stats.reachability_iterations,
+            "{what}"
+        );
+    }
+
     #[test]
     fn parallel_exploration_bit_identical_to_sequential() {
         let seq = explore(&Grid { w: 16 }, &ExploreOptions::default().with_threads(1)).unwrap();
@@ -436,24 +508,30 @@ mod tests {
                     .with_par_min_level(1),
             )
             .unwrap();
-            assert_eq!(par.states, seq.states, "threads={threads}");
-            assert_eq!(par.mdp.n_choices(), seq.mdp.n_choices());
-            assert_eq!(par.mdp.n_transitions(), seq.mdp.n_transitions());
-            for s in 0..seq.mdp.n_states() {
-                assert_eq!(par.mdp.action_count(s), seq.mdp.action_count(s));
-                for a in 0..seq.mdp.action_count(s) {
-                    assert_eq!(
-                        par.mdp.action_row(s, a).collect::<Vec<_>>(),
-                        seq.mdp.action_row(s, a).collect::<Vec<_>>(),
-                        "threads={threads} state={s} action={a}"
-                    );
-                }
-            }
-            assert_eq!(
-                par.stats.reachability_iterations,
-                seq.stats.reachability_iterations
-            );
+            assert_same(&seq, &par, &format!("grid, threads={threads}"));
         }
+        // A level wider than one pipeline slice runs as consecutive
+        // slices, forced onto the pipeline by `par_min_level` and by a lane
+        // scope's static rule.
+        let fan = Fan {
+            width: 2 * PAR_SLICE as u32 + 1_234,
+        };
+        let seq = explore(&fan, &ExploreOptions::default().with_threads(1)).unwrap();
+        assert_eq!(seq.stats.reachability_iterations, 3);
+        for threads in [2usize, 4] {
+            let par = explore(
+                &fan,
+                &ExploreOptions::default()
+                    .with_threads(threads)
+                    .with_par_min_level(1),
+            )
+            .unwrap();
+            assert_same(&seq, &par, &format!("fan, threads={threads}"));
+        }
+        let scoped = par::with_lane_scope(4, || {
+            explore(&fan, &ExploreOptions::default().with_threads(4)).unwrap()
+        });
+        assert_same(&seq, &scoped, "fan, lane scope");
     }
 
     #[test]

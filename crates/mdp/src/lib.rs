@@ -22,9 +22,9 @@
 //!   is bit-identical to sequential BFS for every thread count.
 //! * [`vi`] implements min/max value iteration — bounded/unbounded until,
 //!   instantaneous/cumulative/reachability rewards — as masked Bellman
-//!   backups that run as dynamically dispatched chunks on the pool above
-//!   the engine's [`smg_dtmc::par::min_rows`] threshold, with a
-//!   bit-identical sequential fallback below it. The `certified_*`
+//!   backups that run as dynamically dispatched chunks on the pool where
+//!   their measured dispatch sites ([`smg_dtmc::par::Site`]) pick that,
+//!   with a bit-identical sequential fallback elsewhere. The `certified_*`
 //!   drivers replace the residual stopping test with interval iteration:
 //!   a `[lo, hi]` bracket that provably contains the exact optimum and
 //!   terminates only when its width drops below ε.

@@ -20,13 +20,14 @@
 //!
 //! # Parallelism and determinism
 //!
-//! Above the engine's sequential-fallback threshold
-//! ([`smg_dtmc::par::min_rows`], same knobs as the DTMC kernels) the backup
-//! runs as fixed-size output chunks **dynamically dispatched** over the
-//! persistent worker pool ([`smg_dtmc::pool::Pool::map_chunks_dynamic`]):
-//! action fan-out is often heavy-tailed (a few states carry most choices),
-//! so lanes claim chunks through an atomic cursor instead of a fixed
-//! stride. Each output state is computed by exactly one task from the same
+//! Where its measured dispatch site ([`smg_dtmc::par::Site`], work: stored
+//! transitions of the states that pass the mask; condensation batches
+//! count states) picks the parallel form, or an explicit pin asks for it,
+//! the backup runs as fixed-size output chunks **dynamically dispatched**
+//! over the persistent worker pool
+//! ([`smg_dtmc::pool::Pool::map_chunks_dynamic`]): action fan-out is often
+//! heavy-tailed (a few states carry most choices), so lanes claim chunks
+//! through an atomic cursor instead of a fixed stride. Each output state is computed by exactly one task from the same
 //! action walk the sequential loop performs, so results are **bit-identical
 //! to the sequential fallback for every thread count and chunk geometry**
 //! (property-tested in `tests/vi_properties.rs`).
@@ -108,14 +109,16 @@ pub struct ViOptions {
     /// Iteration budget for unbounded iterations.
     pub max_iter: usize,
     /// State-count threshold above which backups run on the worker pool.
-    /// `None` (the default) uses the engine-wide [`par::min_rows`] /
-    /// `SMG_PAR_MIN_ROWS` setting; explicit values let tests and benches
-    /// force either path. Results are identical either way.
+    /// `None` (the default) lets the backups' measured dispatch sites
+    /// decide ([`par::Site`]); explicit values let tests and benches force
+    /// either path. Results are identical either way.
     pub par_min_states: Option<usize>,
     /// States per dynamically dispatched chunk of a parallel backup.
     pub chunk: usize,
     /// Pool to dispatch on. `None` (the default) uses the engine's global
     /// pool; benches pass [`pool::with_lanes`] pools to sweep lane counts.
+    /// An explicit pool pins the static rule ([`par::should_parallelize`])
+    /// when `par_min_states` is unset.
     pub pool: Option<&'static pool::Pool>,
 }
 
@@ -139,10 +142,20 @@ impl ViOptions {
         self
     }
 
-    fn parallelize(&self, n: usize) -> bool {
-        match self.par_min_states {
-            Some(m) => n >= m,
-            None => par::should_parallelize(n),
+    /// Runs `f` with the form a call over `rows` states carrying `work`
+    /// units takes (`true` = parallel): the explicit pins first, `site`'s
+    /// measured choice otherwise.
+    fn dispatch<R>(
+        &self,
+        site: &par::Site,
+        rows: usize,
+        work: usize,
+        f: impl FnOnce(bool) -> R,
+    ) -> R {
+        match (self.par_min_states, self.pool) {
+            (Some(m), _) => f(rows >= m),
+            (None, Some(_)) => f(par::should_parallelize(rows)),
+            (None, None) => site.run(rows, work, f),
         }
     }
 }
@@ -192,12 +205,21 @@ pub fn optimal_step_into(
             *slot = best;
         }
     };
-    if vio.parallelize(n) {
-        let pool = vio.pool.unwrap_or_else(pool::global);
-        pool.map_chunks_dynamic(out, vio.chunk.max(1), &|offset, chunk| body(offset, chunk));
-    } else {
-        body(0, out);
-    }
+    // Work: the transitions of the states that pass the mask; both forms
+    // copy the other states through.
+    static STEP: par::Site = par::Site::new("vi_step");
+    let work = match active {
+        None => mdp.n_transitions(),
+        Some(mask) => par::live_work(mdp.n_transitions(), n, |s| mask.get(s)),
+    };
+    vio.dispatch(&STEP, n, work, |parallel| {
+        if parallel {
+            let pool = vio.pool.unwrap_or_else(pool::global);
+            pool.map_chunks_dynamic(out, vio.chunk.max(1), &|offset, chunk| body(offset, chunk));
+        } else {
+            body(0, out);
+        }
+    });
 }
 
 /// Tolerance within which an action's backup counts as attaining the
@@ -733,14 +755,17 @@ fn topo_driver<V: LevelValue>(
                     *slot = solved_state(mdp, s, r_of(s), opt, cur_ref);
                 }
             };
-            if vio.parallelize(batch.len()) {
-                let pool = vio.pool.unwrap_or_else(pool::global);
-                pool.map_chunks_dynamic(&mut scratch, vio.chunk.max(1), &|offset, chunk| {
-                    fill(offset, chunk);
-                });
-            } else {
-                fill(0, &mut scratch);
-            }
+            static BATCH: par::Site = par::Site::new("vi_batch");
+            vio.dispatch(&BATCH, batch.len(), batch.len(), |parallel| {
+                if parallel {
+                    let pool = vio.pool.unwrap_or_else(pool::global);
+                    pool.map_chunks_dynamic(&mut scratch, vio.chunk.max(1), &|offset, chunk| {
+                        fill(offset, chunk);
+                    });
+                } else {
+                    fill(0, &mut scratch);
+                }
+            });
             for (&s, &v) in batch.iter().zip(&scratch) {
                 cur[s as usize] = v;
             }

@@ -11,8 +11,8 @@ pub enum CapturedEvent {
     CounterAdd {
         /// Instrument name.
         name: &'static str,
-        /// Label pair, value owned.
-        label: Option<(&'static str, String)>,
+        /// Label pairs, values owned.
+        labels: Vec<(&'static str, String)>,
         /// Increment.
         value: u64,
     },
@@ -20,8 +20,8 @@ pub enum CapturedEvent {
     GaugeSet {
         /// Instrument name.
         name: &'static str,
-        /// Label pair, value owned.
-        label: Option<(&'static str, String)>,
+        /// Label pairs, values owned.
+        labels: Vec<(&'static str, String)>,
         /// New value.
         value: f64,
     },
@@ -29,8 +29,8 @@ pub enum CapturedEvent {
     Observe {
         /// Instrument name.
         name: &'static str,
-        /// Label pair, value owned.
-        label: Option<(&'static str, String)>,
+        /// Label pairs, values owned.
+        labels: Vec<(&'static str, String)>,
         /// Sample.
         value: f64,
     },
@@ -38,8 +38,8 @@ pub enum CapturedEvent {
     Trace(ConvergenceRecord),
 }
 
-fn own(label: Option<(&'static str, &str)>) -> Option<(&'static str, String)> {
-    label.map(|(k, v)| (k, v.to_string()))
+fn own(labels: crate::Labels<'_>) -> Vec<(&'static str, String)> {
+    labels.iter().map(|&(k, v)| (k, v.to_string())).collect()
 }
 
 /// Stores every event it sees; tests assert against the accessors.
@@ -74,17 +74,17 @@ impl Capture {
             .sum()
     }
 
-    /// Sum of increments to the counter `name` whose label value equals
-    /// `label_value`.
+    /// Sum of increments to the counter `name` with some label whose
+    /// value equals `label_value`.
     pub fn counter_with(&self, name: &str, label_value: &str) -> u64 {
         self.events()
             .iter()
             .filter_map(|e| match e {
                 CapturedEvent::CounterAdd {
                     name: n,
-                    label: Some((_, v)),
+                    labels,
                     value,
-                } if *n == name && v == label_value => Some(*value),
+                } if *n == name && labels.iter().any(|(_, v)| v == label_value) => Some(*value),
                 _ => None,
             })
             .sum()
@@ -132,19 +132,31 @@ impl Capture {
 impl Recorder for Capture {
     fn record(&self, event: &Event<'_>) {
         let owned = match *event {
-            Event::CounterAdd { name, label, value } => CapturedEvent::CounterAdd {
+            Event::CounterAdd {
                 name,
-                label: own(label),
+                labels,
+                value,
+            } => CapturedEvent::CounterAdd {
+                name,
+                labels: own(labels),
                 value,
             },
-            Event::GaugeSet { name, label, value } => CapturedEvent::GaugeSet {
+            Event::GaugeSet {
                 name,
-                label: own(label),
+                labels,
+                value,
+            } => CapturedEvent::GaugeSet {
+                name,
+                labels: own(labels),
                 value,
             },
-            Event::Observe { name, label, value } => CapturedEvent::Observe {
+            Event::Observe {
                 name,
-                label: own(label),
+                labels,
+                value,
+            } => CapturedEvent::Observe {
+                name,
+                labels: own(labels),
                 value,
             },
             Event::Trace(rec) => CapturedEvent::Trace(rec.clone()),
@@ -165,27 +177,27 @@ mod tests {
         let cap = Capture::new();
         cap.record(&Event::CounterAdd {
             name: "smg_a_total",
-            label: Some(("kind", "x")),
+            labels: &[("kind", "x")],
             value: 2,
         });
         cap.record(&Event::CounterAdd {
             name: "smg_a_total",
-            label: Some(("kind", "y")),
+            labels: &[("kind", "y")],
             value: 3,
         });
         cap.record(&Event::GaugeSet {
             name: "smg_g",
-            label: None,
+            labels: &[],
             value: 1.0,
         });
         cap.record(&Event::GaugeSet {
             name: "smg_g",
-            label: None,
+            labels: &[],
             value: 2.5,
         });
         cap.record(&Event::Observe {
             name: "smg_h_seconds",
-            label: None,
+            labels: &[],
             value: 0.25,
         });
         cap.record(&Event::Trace(&ConvergenceRecord {

@@ -206,17 +206,17 @@ mod tests {
         let reg = crate::Registry::new();
         reg.record(&crate::Event::CounterAdd {
             name: "smg_solve_sweeps_total",
-            label: Some(("driver", "interval")),
+            labels: &[("driver", "interval")],
             value: 3,
         });
         reg.record(&crate::Event::GaugeSet {
             name: "smg_pool_lanes",
-            label: None,
+            labels: &[],
             value: 2.0,
         });
         reg.record(&crate::Event::Observe {
             name: "smg_pctl_property_seconds",
-            label: Some(("solver", "value-iteration")),
+            labels: &[("solver", "value-iteration")],
             value: 0.004,
         });
         let summary = validate_exposition(&reg.render_text()).unwrap();

@@ -76,6 +76,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 use std::time::Instant;
 
+/// The label pairs of one event, borrowed from the call site.
+pub type Labels<'a> = &'a [(&'static str, &'a str)];
+
 /// One instrumentation event, borrowed from the call site. Recorders that
 /// need to keep an event own-copy it ([`CapturedEvent`]); the aggregating
 /// [`Registry`] folds it into its instruments instead.
@@ -85,8 +88,9 @@ pub enum Event<'a> {
     CounterAdd {
         /// Instrument name (`smg_*`, counters end in `_total`).
         name: &'static str,
-        /// Optional single `key="value"` label pair.
-        label: Option<(&'static str, &'a str)>,
+        /// `key="value"` label pairs, in rendering order (often none or
+        /// one).
+        labels: Labels<'a>,
         /// Increment (≥ 0 by construction).
         value: u64,
     },
@@ -94,8 +98,8 @@ pub enum Event<'a> {
     GaugeSet {
         /// Instrument name.
         name: &'static str,
-        /// Optional single label pair.
-        label: Option<(&'static str, &'a str)>,
+        /// Label pairs.
+        labels: Labels<'a>,
         /// New gauge value.
         value: f64,
     },
@@ -104,8 +108,8 @@ pub enum Event<'a> {
         /// Instrument name (`_seconds` names get latency buckets, `_ratio`
         /// names get unit-interval buckets — see [`Registry`]).
         name: &'static str,
-        /// Optional single label pair.
-        label: Option<(&'static str, &'a str)>,
+        /// Label pairs.
+        labels: Labels<'a>,
         /// Observed sample.
         value: f64,
     },
@@ -217,10 +221,21 @@ fn dispatch(event: &Event<'_>) {
 /// No-op unless a recorder is installed.
 #[inline]
 pub fn counter_add(name: &'static str, label: Option<(&'static str, &str)>, value: u64) {
+    counter_add_labels(name, label.as_slice(), value);
+}
+
+/// Adds `value` to the counter `name` under several label pairs (the
+/// series `name{k1="v1",k2="v2"}`). No-op unless a recorder is installed.
+#[inline]
+pub fn counter_add_labels(name: &'static str, labels: Labels<'_>, value: u64) {
     if !enabled() {
         return;
     }
-    dispatch(&Event::CounterAdd { name, label, value });
+    dispatch(&Event::CounterAdd {
+        name,
+        labels,
+        value,
+    });
 }
 
 /// Sets the gauge `name` to `value`. No-op unless a recorder is installed.
@@ -229,7 +244,11 @@ pub fn gauge_set(name: &'static str, label: Option<(&'static str, &str)>, value:
     if !enabled() {
         return;
     }
-    dispatch(&Event::GaugeSet { name, label, value });
+    dispatch(&Event::GaugeSet {
+        name,
+        labels: label.as_slice(),
+        value,
+    });
 }
 
 /// Observes `value` into the histogram `name`. No-op unless a recorder is
@@ -239,7 +258,11 @@ pub fn observe(name: &'static str, label: Option<(&'static str, &str)>, value: f
     if !enabled() {
         return;
     }
-    dispatch(&Event::Observe { name, label, value });
+    dispatch(&Event::Observe {
+        name,
+        labels: label.as_slice(),
+        value,
+    });
 }
 
 /// Emits one solver convergence record. No-op unless a recorder is

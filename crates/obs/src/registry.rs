@@ -45,6 +45,9 @@ fn help_for(name: &str) -> &'static str {
         "smg_pool_inline_runs_total" => "Pool runs executed inline (below the parallel threshold).",
         "smg_pool_lane_utilization_ratio" => "Fraction of pool lanes engaged per epoch.",
         "smg_pool_lanes" => "Configured worker-pool lane count.",
+        "smg_par_dispatch_total" => {
+            "Sequential-or-parallel decisions of the dispatch gate by site and path."
+        }
         "smg_pctl_property_seconds" => "Per-property check wall time by solver.",
         "smg_check_properties_total" => "Properties checked by `smg check` runs.",
         "smg_session_cache_hits_total" => "Check-session cache hits by cache kind.",
@@ -56,8 +59,11 @@ fn help_for(name: &str) -> &'static str {
     }
 }
 
-/// Instrument key: name plus the optional label pair, owned.
-type Key = (&'static str, Option<(&'static str, String)>);
+/// Owned label pairs of one series, in rendering order.
+type LabelSet = Vec<(&'static str, String)>;
+
+/// Instrument key: name plus its label pairs, owned.
+type Key = (&'static str, LabelSet);
 
 #[derive(Debug, Clone)]
 struct Hist {
@@ -113,9 +119,9 @@ pub struct Registry {
 
 /// One family's samples, flattened for rendering.
 enum Family<'a> {
-    Counter(Vec<(&'a Option<(&'static str, String)>, u64)>),
-    Gauge(Vec<(&'a Option<(&'static str, String)>, f64)>),
-    Hist(Vec<(&'a Option<(&'static str, String)>, &'a Hist)>),
+    Counter(Vec<(&'a LabelSet, u64)>),
+    Gauge(Vec<(&'a LabelSet, f64)>),
+    Hist(Vec<(&'a LabelSet, &'a Hist)>),
 }
 
 /// Renders a float the way the exposition and JSON writers both want:
@@ -132,19 +138,27 @@ fn fmt_f64(v: f64) -> String {
     }
 }
 
-fn label_str(label: &Option<(&'static str, String)>) -> String {
-    match label {
-        None => String::new(),
-        Some((k, v)) => format!("{{{k}=\"{v}\"}}"),
+/// `k="v"` pairs joined by commas.
+fn pairs(labels: &[(&'static str, String)]) -> String {
+    let pairs: Vec<String> = labels.iter().map(|(k, v)| format!("{k}=\"{v}\"")).collect();
+    pairs.join(",")
+}
+
+fn label_str(labels: &LabelSet) -> String {
+    if labels.is_empty() {
+        String::new()
+    } else {
+        format!("{{{}}}", pairs(labels))
     }
 }
 
-/// Label set for a histogram sample, merging the instrument label with an
+/// Label set for a histogram sample, merging the instrument labels with an
 /// extra `le` pair.
-fn label_le(label: &Option<(&'static str, String)>, le: &str) -> String {
-    match label {
-        None => format!("{{le=\"{le}\"}}"),
-        Some((k, v)) => format!("{{{k}=\"{v}\",le=\"{le}\"}}"),
+fn label_le(labels: &LabelSet, le: &str) -> String {
+    if labels.is_empty() {
+        format!("{{le=\"{le}\"}}")
+    } else {
+        format!("{{{},le=\"{le}\"}}", pairs(labels))
     }
 }
 
@@ -160,14 +174,18 @@ impl Registry {
         inner.counters.is_empty() && inner.gauges.is_empty() && inner.hists.is_empty()
     }
 
-    /// Current value of the counter `name` with the given label value
-    /// (`None` for the unlabelled instrument); 0 if never incremented.
+    /// Current value of the counter `name` with the given single label
+    /// value (`None` for the unlabelled instrument); 0 if never
+    /// incremented.
     pub fn counter_value(&self, name: &str, label_value: Option<&str>) -> u64 {
         let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        let values: Vec<&str> = label_value.into_iter().collect();
         inner
             .counters
             .iter()
-            .find(|((n, l), _)| *n == name && l.as_ref().map(|(_, v)| v.as_str()) == label_value)
+            .find(|((n, l), _)| {
+                *n == name && l.iter().map(|(_, v)| v.as_str()).eq(values.iter().copied())
+            })
             .map_or(0, |(_, v)| *v)
     }
 
@@ -262,11 +280,15 @@ impl Registry {
                 format!("\"{}\"", fmt_f64(v))
             }
         }
-        fn json_label(label: &Option<(&'static str, String)>) -> String {
-            match label {
-                None => "null".to_string(),
-                Some((k, v)) => format!("{{\"{k}\":\"{v}\"}}"),
+        fn json_label(labels: &LabelSet) -> String {
+            if labels.is_empty() {
+                return "null".to_string();
             }
+            let pairs: Vec<String> = labels
+                .iter()
+                .map(|(k, v)| format!("\"{k}\":\"{v}\""))
+                .collect();
+            format!("{{{}}}", pairs.join(","))
         }
         let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         let counters: Vec<String> = inner
@@ -318,25 +340,37 @@ impl Registry {
     }
 }
 
+/// The owned key labels of an event.
+fn own(labels: crate::Labels<'_>) -> LabelSet {
+    labels.iter().map(|&(k, v)| (k, v.to_string())).collect()
+}
+
 impl Recorder for Registry {
     fn record(&self, event: &Event<'_>) {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         match *event {
-            Event::CounterAdd { name, label, value } => {
-                *inner
-                    .counters
-                    .entry((name, label.map(|(k, v)| (k, v.to_string()))))
-                    .or_insert(0) += value;
+            Event::CounterAdd {
+                name,
+                labels,
+                value,
+            } => {
+                *inner.counters.entry((name, own(labels))).or_insert(0) += value;
             }
-            Event::GaugeSet { name, label, value } => {
-                inner
-                    .gauges
-                    .insert((name, label.map(|(k, v)| (k, v.to_string()))), value);
+            Event::GaugeSet {
+                name,
+                labels,
+                value,
+            } => {
+                inner.gauges.insert((name, own(labels)), value);
             }
-            Event::Observe { name, label, value } => {
+            Event::Observe {
+                name,
+                labels,
+                value,
+            } => {
                 inner
                     .hists
-                    .entry((name, label.map(|(k, v)| (k, v.to_string()))))
+                    .entry((name, own(labels)))
                     .or_insert_with(|| Hist::new(name))
                     .observe(value);
             }
@@ -355,27 +389,27 @@ mod tests {
         let reg = Registry::new();
         reg.record(&Event::CounterAdd {
             name: "smg_solve_sweeps_total",
-            label: Some(("driver", "interval")),
+            labels: &[("driver", "interval")],
             value: 12,
         });
         reg.record(&Event::CounterAdd {
             name: "smg_solve_sweeps_total",
-            label: Some(("driver", "gauss_seidel")),
+            labels: &[("driver", "gauss_seidel")],
             value: 4,
         });
         reg.record(&Event::GaugeSet {
             name: "smg_pool_lanes",
-            label: None,
+            labels: &[],
             value: 4.0,
         });
         reg.record(&Event::Observe {
             name: "smg_pool_dispatch_seconds",
-            label: None,
+            labels: &[],
             value: 3.0e-5,
         });
         reg.record(&Event::Observe {
             name: "smg_pool_dispatch_seconds",
-            label: None,
+            labels: &[],
             value: 2.0,
         });
         reg
@@ -435,6 +469,28 @@ mod tests {
         assert_eq!(reg.counter_value("smg_missing_total", None), 0);
         assert!(!reg.is_empty());
         assert!(Registry::new().is_empty());
+    }
+
+    #[test]
+    fn multi_label_series_render_every_pair() {
+        let reg = Registry::new();
+        for path in ["seq", "par", "seq"] {
+            reg.record(&Event::CounterAdd {
+                name: "smg_par_dispatch_total",
+                labels: &[("site", "spmv_forward"), ("path", path)],
+                value: 1,
+            });
+        }
+        let text = reg.render_text();
+        assert!(text.contains("smg_par_dispatch_total{site=\"spmv_forward\",path=\"seq\"} 2"));
+        assert!(text.contains("smg_par_dispatch_total{site=\"spmv_forward\",path=\"par\"} 1"));
+        assert!(text.contains("# HELP smg_par_dispatch_total Sequential-or-parallel"));
+        crate::validate_exposition(&text).unwrap();
+        assert!(reg
+            .render_json()
+            .contains("\"label\":{\"site\":\"spmv_forward\",\"path\":\"par\"},\"value\":1"));
+        // Single-label reads never match a multi-label series.
+        assert_eq!(reg.counter_value("smg_par_dispatch_total", Some("par")), 0);
     }
 
     #[test]

@@ -104,7 +104,7 @@ mod tests {
         let w = JsonLines::new(Vec::new());
         w.record(&Event::CounterAdd {
             name: "smg_x_total",
-            label: None,
+            labels: &[],
             value: 1,
         });
         w.record(&Event::Trace(&ConvergenceRecord {

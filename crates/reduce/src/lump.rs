@@ -11,6 +11,7 @@
 
 use crate::partition::Partition;
 use smg_dtmc::matrix::CsrMatrix;
+use smg_dtmc::par;
 use smg_dtmc::{BitVec, Dtmc, DtmcError, StateId, TransitionMatrix};
 use std::collections::BTreeMap;
 
@@ -60,16 +61,18 @@ fn signature(matrix: &TransitionMatrix, partition: &Partition, s: usize) -> Vec<
 /// The refinement loop itself is inherently sequential (each round reads
 /// the previous round's partition), but the per-state signature scan — the
 /// dominant cost, one row walk plus a `BTreeMap` fold per state per round
-/// — is embarrassingly parallel. Above the engine threshold each round
-/// batches it over the persistent worker pool
-/// ([`smg_dtmc::par::chunked_map`]); signatures are pure functions of
+/// — is embarrassingly parallel. Each round is a measured dispatch site
+/// ([`smg_dtmc::par::Site`], work: states) that batches the scan over the
+/// persistent worker pool ([`smg_dtmc::par::chunked_map`]) where that
+/// pays; signatures are pure functions of
 /// `(state, partition)` and are consumed in state order, so the resulting
 /// partition is identical to the sequential scan's for every thread count.
 pub fn coarsest_lumping(dtmc: &Dtmc) -> Partition {
-    let parallel = smg_dtmc::par::should_parallelize(dtmc.n_states());
+    static ROUND: par::Site = par::Site::new("lump_signatures");
+    let n = dtmc.n_states();
     let mut partition = initial_partition(dtmc);
     loop {
-        let next = refine_round(dtmc, &partition, parallel);
+        let next = ROUND.run(n, n, |parallel| refine_round(dtmc, &partition, parallel));
         if next.block_count() == partition.block_count() {
             return next;
         }
@@ -113,16 +116,16 @@ fn refine_round(dtmc: &Dtmc, partition: &Partition, parallel: bool) -> Partition
 /// # Transpose sharing
 ///
 /// The parallel forward kernel gathers over a per-matrix cached transpose
-/// (see `smg_dtmc::matrix`). A quotient big enough to take that parallel
-/// path gets its (much smaller) transpose rebuilt eagerly here, while the
-/// quotient map is at hand, instead of being derived lazily on the
-/// quotient's first parallel forward — so the first propagation sweep on a
-/// freshly lumped chain never stalls on a demand build, and quotient
-/// *chains* (repeated lump–quotient rounds) keep transpose availability
-/// end to end for as long as they stay in the parallel regime. Quotients
-/// below the parallel threshold are deliberately not primed: the cached
-/// value-transpose costs ~1.5x the matrix's memory and only the parallel
-/// gather ever reads it.
+/// (see `smg_dtmc::matrix`). When the source chain carries one — its
+/// forward products took the parallel gather — and the quotient's own
+/// forward products can take it too (a pin's static rule says so, or,
+/// unpinned, its stored nonzeros reach the gate's floor), the quotient gets
+/// its (much smaller) transpose built eagerly here, instead of lazily on
+/// its first parallel forward, so quotient *chains* (repeated
+/// lump–quotient rounds) keep transpose availability end to end for as
+/// long as they stay in the parallel regime. Other quotients are
+/// deliberately not primed: the cached value-transpose costs ~1.5x the
+/// matrix's memory and only the parallel gather ever reads it.
 ///
 /// # Errors
 ///
@@ -159,8 +162,10 @@ pub fn quotient(dtmc: &Dtmc, partition: &Partition) -> Result<Dtmc, DtmcError> {
         .map(|m| dtmc.rewards()[m[0] as usize])
         .collect();
 
-    let matrix = TransitionMatrix::Sparse(CsrMatrix::from_rows(rows)?);
-    if smg_dtmc::par::should_parallelize(k) {
+    let csr = CsrMatrix::from_rows(rows)?;
+    let gathers = par::pinned(k).unwrap_or(csr.nnz() >= par::GATE_FLOOR);
+    let matrix = TransitionMatrix::Sparse(csr);
+    if gathers && dtmc.matrix().has_cached_transpose() {
         matrix.prime_transpose();
     }
     Dtmc::new(
@@ -258,22 +263,61 @@ mod tests {
         }
     }
 
+    /// A line of `n` states, each stepping on or back to the start, with a
+    /// reward of its own, so nothing lumps.
+    struct Line {
+        n: u32,
+    }
+
+    impl DtmcModel for Line {
+        type State = u32;
+        fn initial_states(&self) -> Vec<(u32, f64)> {
+            vec![(0, 1.0)]
+        }
+        fn transitions(&self, &s: &u32) -> Vec<(u32, f64)> {
+            if s + 1 == self.n {
+                vec![(s, 1.0)]
+            } else {
+                vec![(s + 1, 0.5), (0, 0.5)]
+            }
+        }
+        fn state_reward(&self, &s: &u32) -> f64 {
+            f64::from(s)
+        }
+    }
+
     #[test]
     fn quotient_primes_transpose_iff_parallel_regime() {
         let e = explore(&Diamond, &ExploreOptions::default()).unwrap();
         let p = coarsest_lumping(&e.dtmc);
         let q = quotient(&e.dtmc, &p).unwrap();
-        // The cache exists exactly when the quotient would run its forward
-        // products on the parallel gather (environment-dependent via
-        // SMG_THREADS / SMG_PAR_MIN_ROWS, hence the derived expectation);
-        // tiny quotients like this one must NOT pin a dead transpose.
-        assert_eq!(
-            q.matrix().has_cached_transpose(),
-            smg_dtmc::par::should_parallelize(q.n_states())
-        );
+        // Tiny quotients like this one must NOT pin a dead transpose, not
+        // even when the source chain carries one.
         assert!(
             !q.matrix().has_cached_transpose(),
             "3-block quotient is tiny"
+        );
+        e.dtmc.matrix().prime_transpose();
+        assert!(
+            !quotient(&e.dtmc, &p)
+                .unwrap()
+                .matrix()
+                .has_cached_transpose(),
+            "3-block quotient of a primed source is tiny"
+        );
+        // A quotient whose forward products can take the gather inherits
+        // the source's cache, and only then.
+        let line = explore(&Line { n: 4_000 }, &ExploreOptions::default()).unwrap();
+        let blocks = coarsest_lumping(&line.dtmc);
+        assert_eq!(blocks.block_count(), 4_000);
+        let unprimed = quotient(&line.dtmc, &blocks).unwrap();
+        assert!(!unprimed.matrix().has_cached_transpose());
+        line.dtmc.matrix().prime_transpose();
+        let primed = quotient(&line.dtmc, &blocks).unwrap();
+        assert_eq!(
+            primed.matrix().has_cached_transpose(),
+            par::pinned(4_000).unwrap_or(true),
+            "7,999 stored nonzeros clear the gate's floor"
         );
         // Priming (when it happens) is invisible to analysis results: the
         // eager build and the demand build share one code path.

@@ -1,4 +1,4 @@
-//! Shared plumbing for the experiment binaries and Criterion benches.
+//! Shared plumbing for the experiment binaries.
 //!
 //! Every table and figure of the paper has a binary in `src/bin/`:
 //!

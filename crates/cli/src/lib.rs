@@ -20,16 +20,13 @@
 
 use smg_dtmc::{graph, par, transient, Dtmc};
 use smg_lang::{check, compile_any_with, parse};
-use smg_obs as obs;
-use smg_pctl::{
-    parse_property, AnyModel, CacheKind, CacheStats, CheckResult, CheckSession, Property,
-};
+use smg_obs::{self as obs, json};
+use smg_pctl::{parse_property, AnyModel, CacheStats, CheckResult, CheckSession, Property};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
 mod args;
-mod json;
 mod sim;
 
 pub use args::{parse_args, Cmd, Options, OutputFormat, USAGE};
@@ -526,11 +523,11 @@ fn render_table(properties: &[Property], results: &[CheckResult], certified: boo
     out
 }
 
-/// The stable-keyed JSON document of `check --format json`: model
-/// statistics, the session's per-kind cache telemetry, plus one record
-/// per property. Non-finite numbers are encoded as strings (see
-/// [`json::number`]); `verdict` and `interval` are `null` where the
-/// query carries none.
+/// The stable-keyed JSON document of `check --format json`: the
+/// `smg-check/1` header with the model statistics, then the session's
+/// per-kind cache telemetry and one record per property from
+/// [`smg_pctl::write_json_records`], the renderer the daemon's `/check`
+/// reply shares.
 fn render_json(
     model: &AnyModel,
     build_time: f64,
@@ -557,69 +554,9 @@ fn render_json(
         }
     }
     let _ = writeln!(out, "    \"build_s\": {}", json::number(build_time));
-    out.push_str("  },\n  \"cache\": {\n");
-    for (i, &kind) in CacheKind::ALL.iter().enumerate() {
-        let ks = cache.kind(kind);
-        let _ = writeln!(
-            out,
-            "    {}: {{\"hits\": {}, \"misses\": {}}}{}",
-            json::escape(kind.as_str()),
-            ks.hits,
-            ks.misses,
-            if i + 1 < CacheKind::ALL.len() {
-                ","
-            } else {
-                ""
-            }
-        );
-    }
-    out.push_str("  },\n  \"results\": [\n");
-    for (i, (property, result)) in properties.iter().zip(results).enumerate() {
-        out.push_str("    {\n");
-        let _ = writeln!(
-            out,
-            "      \"property\": {},",
-            json::escape(&property.to_string())
-        );
-        let _ = writeln!(out, "      \"value\": {},", json::number(result.value()));
-        let _ = writeln!(
-            out,
-            "      \"verdict\": {},",
-            match result.verdict() {
-                Some(v) => v.to_string(),
-                None => "null".to_string(),
-            }
-        );
-        match result.interval() {
-            Some((lo, hi)) => {
-                let _ = writeln!(
-                    out,
-                    "      \"interval\": [{}, {}],",
-                    json::number(lo),
-                    json::number(hi)
-                );
-            }
-            None => {
-                let _ = writeln!(out, "      \"interval\": null,");
-            }
-        }
-        let _ = writeln!(
-            out,
-            "      \"solver\": {},",
-            json::escape(&result.solver().to_string())
-        );
-        let _ = writeln!(
-            out,
-            "      \"time_s\": {}",
-            json::number(result.time.as_secs_f64())
-        );
-        let _ = writeln!(
-            out,
-            "    }}{}",
-            if i + 1 < results.len() { "," } else { "" }
-        );
-    }
-    out.push_str("  ]\n}\n");
+    out.push_str("  },\n");
+    smg_pctl::write_json_records(&mut out, cache, properties, results);
+    out.push_str("}\n");
     out
 }
 
@@ -1211,7 +1148,7 @@ mod tests {
             options: opts(),
         })
         .unwrap();
-        let doc = crate::json::parser::parse(&out).expect("valid JSON");
+        let doc = json::parse(&out).expect("valid JSON");
         assert_eq!(doc.get("schema").unwrap().as_str(), Some("smg-check/1"));
         let model = doc.get("model").unwrap();
         assert_eq!(model.get("type").unwrap().as_str(), Some("dtmc"));
@@ -1233,14 +1170,8 @@ mod tests {
         assert!((results[0].get("value").unwrap().as_f64().unwrap() - 1.0).abs() < 1e-9);
         assert!((results[1].get("value").unwrap().as_f64().unwrap() - 0.125).abs() < 1e-12);
         // The threshold query carries a boolean verdict; numeric ones null.
-        assert_eq!(
-            results[2].get("verdict"),
-            Some(&crate::json::parser::Value::Bool(true))
-        );
-        assert_eq!(
-            results[0].get("verdict"),
-            Some(&crate::json::parser::Value::Null)
-        );
+        assert_eq!(results[2].get("verdict"), Some(&json::Value::Bool(true)));
+        assert_eq!(results[0].get("verdict"), Some(&json::Value::Null));
         // Non-finite values survive the string encoding.
         assert_eq!(
             results[3].get("value").unwrap().as_f64(),
@@ -1258,7 +1189,7 @@ mod tests {
             options: opts(),
         })
         .unwrap();
-        let doc = crate::json::parser::parse(&out).expect("valid JSON");
+        let doc = json::parse(&out).expect("valid JSON");
         let r = &doc.get("results").unwrap().as_array().unwrap()[0];
         assert_eq!(
             r.get("solver").unwrap().as_str(),
@@ -1280,7 +1211,7 @@ mod tests {
             options: opts(),
         })
         .unwrap();
-        let doc = crate::json::parser::parse(&out).expect("valid JSON");
+        let doc = json::parse(&out).expect("valid JSON");
         assert_eq!(
             doc.get("model").unwrap().get("type").unwrap().as_str(),
             Some("mdp")
@@ -1382,7 +1313,7 @@ mod tests {
         // The check document and the appended metrics document are each
         // valid JSON (split at the blank line between them).
         let (check_doc, metrics_doc) = out.split_once("\n\n").expect("two documents");
-        let doc = crate::json::parser::parse(check_doc).expect("valid check JSON");
+        let doc = json::parse(check_doc).expect("valid check JSON");
         let cache = doc.get("cache").expect("cache block");
         for kind in ["sat", "values", "certified", "steady"] {
             let k = cache.get(kind).expect(kind);
@@ -1391,14 +1322,14 @@ mod tests {
                 "{out}"
             );
         }
-        let metrics = crate::json::parser::parse(metrics_doc).expect("valid metrics JSON");
+        let metrics = json::parse(metrics_doc).expect("valid metrics JSON");
         assert!(metrics.get("counters").is_some(), "{metrics_doc}");
         // The trace file carries one record per solver iteration, with
         // stable keys, and the certified run converged below epsilon.
         let trace = std::fs::read_to_string(&trace_path).unwrap();
         let records: Vec<_> = trace
             .lines()
-            .map(|l| crate::json::parser::parse(l).expect("valid trace line"))
+            .map(|l| json::parse(l).expect("valid trace line"))
             .collect();
         assert!(!records.is_empty(), "{trace}");
         for r in &records {
@@ -1593,18 +1524,29 @@ mod tests {
     #[test]
     fn property_errors_surface_with_context() {
         let path = write_model("channel_prop.sm", CHANNEL);
-        let err = run(&Cmd::Check {
-            model: path.to_string_lossy().into_owned(),
-            props: vec!["P=? [ H err ]".into()],
-            certified: None,
-            metrics: None,
-            trace_convergence: None,
-            prop_files: vec![],
-            format: OutputFormat::Text,
-            options: opts(),
-        })
-        .unwrap_err();
-        assert!(err.0.contains("property error"), "{err}");
+        // A property past the depth cap is a positioned parse error too.
+        let deep = format!("{}err{}", "(".repeat(5_000), ")".repeat(5_000));
+        for (prop, needle) in [
+            ("P=? [ H err ]", "expected a path formula"),
+            (
+                deep.as_str(),
+                "at byte 257: formula nested deeper than 256 levels",
+            ),
+        ] {
+            let err = run(&Cmd::Check {
+                model: path.to_string_lossy().into_owned(),
+                props: vec![prop.into()],
+                certified: None,
+                metrics: None,
+                trace_convergence: None,
+                prop_files: vec![],
+                format: OutputFormat::Text,
+                options: opts(),
+            })
+            .unwrap_err();
+            assert!(err.0.starts_with("property error: parse error"), "{err}");
+            assert!(err.0.contains(needle), "{err}");
+        }
     }
 
     #[test]

@@ -37,6 +37,7 @@
 use smg_lang::ast::{Expr, ModelType};
 use smg_lang::value::interval::{eval_abs, refine_box, AbsEnv, AbsVal};
 use smg_lang::{compile_any_with, eval, CheckedProgram, Env, ExpandOptions, Pos, Value};
+use smg_obs::json;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
@@ -257,13 +258,13 @@ impl LintReport {
             out.push_str(&format!("      \"col\": {},\n", d.pos.col));
             match &d.module {
                 Some(m) => {
-                    out.push_str(&format!("      \"module\": \"{}\",\n", json_escape(m)));
+                    out.push_str(&format!("      \"module\": {},\n", json::escape(m)));
                 }
                 None => out.push_str("      \"module\": null,\n"),
             }
             out.push_str(&format!(
-                "      \"message\": \"{}\"\n",
-                json_escape(&d.message)
+                "      \"message\": {}\n",
+                json::escape(&d.message)
             ));
             out.push_str("    }");
         }
@@ -281,22 +282,6 @@ fn plural(n: usize) -> &'static str {
     } else {
         "s"
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Lints a checked program with default [`LintOptions`].

@@ -1,15 +1,24 @@
-//! Vendored JSON support for the daemon's wire protocol.
+//! The workspace's one JSON module: an emitter ([`escape`], [`number`])
+//! and a small recursive-descent parser ([`parse`] into [`Value`]).
 //!
-//! The workspace is std-only by policy, so both halves are hand-rolled
-//! (the same way `smg-cli` rolls its `--format json` emitter, whose
-//! encoding this module matches byte for byte): an **emitter** with
-//! string escaping per RFC 8259 and numbers via Rust's shortest
-//! round-trip float formatting — non-finite numbers are encoded as the
-//! strings `"Infinity"` / `"-Infinity"` / `"NaN"` since JSON has no
-//! literals for them — and a small recursive-descent **parser** for the
-//! request bodies. Unlike the CLI (emit-only at runtime), the daemon
-//! needs the parser in the shipping binary, and clients of this crate
-//! (tests, the chaos daemon driver) reuse it to decode responses.
+//! The workspace is std-only by policy, so both halves are hand-rolled.
+//! Every JSON document the workspace writes (`smg check --format json`,
+//! the daemon's replies, `smg lint --format json`, `--metrics json` and
+//! `--trace-convergence`) encodes through this module: strings escaped
+//! per RFC 8259, finite numbers in Rust's shortest round-trip form
+//! (`{:?}`, so `4.0` and `1e-12`), and non-finite numbers as the strings
+//! `"Infinity"` / `"-Infinity"` / `"NaN"`, since JSON has no literals for
+//! them. [`Value::as_f64`] reads all three back. The daemon parses its
+//! request bodies with [`parse`]; tests and clients decode the documents
+//! with it.
+//!
+//! ```
+//! use smg_obs::json;
+//! let doc = format!("[{}, {}]", json::number(0.5), json::number(f64::INFINITY));
+//! assert_eq!(doc, "[0.5, \"Infinity\"]");
+//! let v = json::parse(&doc).unwrap();
+//! assert_eq!(v.as_array().unwrap()[1].as_f64(), Some(f64::INFINITY));
+//! ```
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -129,16 +138,23 @@ impl Value {
     }
 }
 
+/// The deepest nesting of arrays and objects [`parse`] accepts. The
+/// parser recurses once per level, so a request body of a few thousand
+/// `[` would otherwise overflow a thread's stack and abort the process;
+/// the deepest document the workspace writes nests 5 levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document (trailing whitespace allowed,
 /// trailing garbage rejected).
 ///
 /// # Errors
 ///
-/// A human-readable message naming the first offending byte.
+/// A human-readable message naming the first offending byte, also for a
+/// document nested deeper than [`MAX_DEPTH`].
 pub fn parse(src: &str) -> Result<Value, String> {
     let bytes = src.as_bytes();
     let mut pos = 0;
-    let v = parse_value(bytes, &mut pos)?;
+    let v = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing garbage at byte {pos}"));
@@ -161,10 +177,15 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// Parses one value inside `depth` enclosing arrays and objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".to_string()),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+            *pos
+        )),
         Some(b'{') => {
             *pos += 1;
             let mut map = BTreeMap::new();
@@ -178,7 +199,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
                 let key = parse_string(b, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, b':')?;
-                let val = parse_value(b, pos)?;
+                let val = parse_value(b, pos, depth + 1)?;
                 map.insert(key, val);
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -200,7 +221,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
                 return Ok(Value::Array(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -282,11 +303,14 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Advance one full UTF-8 scalar.
-                let s = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let c = s.chars().next().expect("non-empty by match");
-                out.push(c);
-                *pos += c.len_utf8();
+                // A run of plain characters up to the next quote or
+                // backslash, copied at once: both are ASCII, so the run
+                // ends on a character boundary of the `&str` input.
+                let start = *pos;
+                while b.get(*pos).is_some_and(|&c| c != b'"' && c != b'\\') {
+                    *pos += 1;
+                }
+                out.push_str(std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?);
             }
         }
     }
@@ -312,6 +336,22 @@ mod tests {
         }
     }
 
+    /// A string at the daemon's 4 MiB body cap once took minutes to
+    /// parse: every character re-validated the rest of the input.
+    #[test]
+    fn long_strings_parse_in_one_pass() {
+        let s = "plain é ∑ \"quoted\" back\\slash\n".repeat(1 << 13);
+        let started = std::time::Instant::now();
+        let parsed = parse(&escape(&s)).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(parsed.as_str(), Some(s.as_str()));
+        assert!(
+            elapsed.as_secs_f64() < 1.0,
+            "{elapsed:?} for {} bytes",
+            s.len()
+        );
+    }
+
     #[test]
     fn numbers_round_trip_including_non_finite() {
         for v in [0.0, 1.0, -2.5, 1e-12, 0.3333333333333333, 1e300] {
@@ -321,6 +361,10 @@ mod tests {
         assert_eq!(
             parse(&number(f64::INFINITY)).unwrap().as_f64(),
             Some(f64::INFINITY)
+        );
+        assert_eq!(
+            parse(&number(f64::NEG_INFINITY)).unwrap().as_f64(),
+            Some(f64::NEG_INFINITY)
         );
         assert!(parse(&number(f64::NAN)).unwrap().as_f64().unwrap().is_nan());
     }
@@ -338,12 +382,47 @@ mod tests {
     }
 
     #[test]
+    fn parser_handles_structures_and_rejects_garbage() {
+        let v = parse(r#"{"a": [1, 2.5, null], "b": {"c": true}, "d": "x"}"#).unwrap();
+        assert_eq!(v.get("a").unwrap().as_array().unwrap().len(), 3);
+        assert_eq!(v.get("b").unwrap().get("c"), Some(&Value::Bool(true)));
+        assert_eq!(v.get("d").unwrap().as_str(), Some("x"));
+        assert!(parse("{").is_err());
+        assert!(parse("[1,]").is_err());
+        assert!(parse("{} trailing").is_err());
+        assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
     fn parser_rejects_garbage() {
         assert!(parse("{").is_err());
         assert!(parse("[1,]").is_err());
         assert!(parse("{} trailing").is_err());
         assert!(parse("\"unterminated").is_err());
         assert!(parse("nul").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_the_byte_that_opens_one_level_too_many() {
+        let arrays = |levels: usize| format!("{}{}", "[".repeat(levels), "]".repeat(levels));
+        let objects =
+            |levels: usize| format!("{}1{}", "{\"k\": ".repeat(levels), "}".repeat(levels));
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        assert_eq!(
+            parse(&arrays(MAX_DEPTH + 1)).unwrap_err(),
+            format!("nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}")
+        );
+        assert_eq!(
+            parse(&objects(MAX_DEPTH + 1)).unwrap_err(),
+            format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                6 * MAX_DEPTH
+            )
+        );
+        // Far past the cap the parser stops at the cap, never near the
+        // stack's end.
+        assert!(parse(&"[".repeat(100_000)).is_err());
     }
 
     proptest! {

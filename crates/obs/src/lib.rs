@@ -29,6 +29,10 @@
 //! [`ConvergenceRecord`]s as JSON lines — the `check --trace-convergence`
 //! channel). [`Fanout`] composes them.
 //!
+//! The crate also holds the workspace's one JSON module, [`json`]: the
+//! escaper, float encoder and parser that every JSON document of the CLI,
+//! the daemon, the linter and this crate's own snapshots goes through.
+//!
 //! # Example
 //!
 //! ```
@@ -63,6 +67,7 @@
 
 mod capture;
 mod expo;
+pub mod json;
 mod registry;
 mod trace;
 
@@ -484,5 +489,71 @@ mod tests {
         });
         assert_eq!(a.gauge("smg_test_lanes"), Some(4.0));
         assert_eq!(b.gauge("smg_test_lanes"), Some(4.0));
+    }
+
+    /// Both JSON emitters of this crate write non-finite numbers the way
+    /// [`json::Value::as_f64`] reads them, so the workspace's own parser
+    /// can read an infinite residual back out of its own trace.
+    #[test]
+    fn metrics_and_trace_json_read_back_non_finite_values() {
+        let values = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 1e-12];
+        let same = |got: f64, want: f64| got == want || (got.is_nan() && want.is_nan());
+
+        let reg = Registry::new();
+        for (label, &value) in ["a", "b", "c", "d"].iter().zip(&values) {
+            reg.record(&Event::GaugeSet {
+                name: "smg_test_value",
+                labels: &[("k", label)],
+                value,
+            });
+        }
+        reg.record(&Event::Observe {
+            name: "smg_test_seconds",
+            labels: &[],
+            value: f64::INFINITY,
+        });
+        let doc = json::parse(&reg.render_json()).expect("valid metrics JSON");
+        let gauges = doc.get("gauges").and_then(json::Value::as_array).unwrap();
+        let read: Vec<f64> = gauges
+            .iter()
+            .map(|g| g.get("value").and_then(json::Value::as_f64).unwrap())
+            .collect();
+        assert_eq!(read.len(), values.len());
+        assert!(
+            read.iter().zip(&values).all(|(&g, &w)| same(g, w)),
+            "{read:?}"
+        );
+        let hist = &doc
+            .get("histograms")
+            .and_then(json::Value::as_array)
+            .unwrap()[0];
+        assert_eq!(
+            hist.get("sum").and_then(json::Value::as_f64),
+            Some(f64::INFINITY)
+        );
+
+        let mut sink = Vec::new();
+        let lines = JsonLines::new(&mut sink);
+        for pair in values.chunks(2) {
+            lines.record(&Event::Trace(&ConvergenceRecord {
+                driver: "topo_interval",
+                sweep: 1,
+                residual: Some(pair[0]),
+                width: Some(pair[1]),
+                component: None,
+            }));
+        }
+        let mut read = Vec::new();
+        for line in String::from_utf8(sink).unwrap().lines() {
+            let rec = json::parse(line).expect("valid trace line");
+            for key in ["residual", "width"] {
+                read.push(rec.get(key).and_then(json::Value::as_f64).unwrap());
+            }
+        }
+        assert_eq!(read.len(), values.len());
+        assert!(
+            read.iter().zip(&values).all(|(&g, &w)| same(g, w)),
+            "{read:?}"
+        );
     }
 }

@@ -1,7 +1,7 @@
 //! The aggregating recorder: counters, gauges and fixed-bucket histograms
 //! with Prometheus text exposition and a JSON snapshot.
 
-use crate::{Event, Recorder};
+use crate::{json, Event, Recorder};
 use std::collections::BTreeMap;
 use std::sync::{Mutex, PoisonError};
 
@@ -124,8 +124,9 @@ enum Family<'a> {
     Hist(Vec<(&'a LabelSet, &'a Hist)>),
 }
 
-/// Renders a float the way the exposition and JSON writers both want:
-/// plain decimal for finite values, Prometheus spellings otherwise.
+/// Renders a float for the text exposition: plain decimal for finite
+/// values, Prometheus spellings otherwise (the JSON snapshot uses
+/// [`json::number`]).
 fn fmt_f64(v: f64) -> String {
     if v.is_nan() {
         "NaN".to_string()
@@ -271,22 +272,16 @@ impl Registry {
     /// The registry as one JSON object:
     /// `{"counters": [...], "gauges": [...], "histograms": [...]}` with one
     /// `{"name", "label", "value"|…}` entry per instrument, sorted like the
-    /// text exposition. Non-finite numbers render as JSON strings.
+    /// text exposition. Strings and numbers use the [`json`] encoding, so
+    /// non-finite numbers render as `"Infinity"`, `"-Infinity"`, `"NaN"`.
     pub fn render_json(&self) -> String {
-        fn json_num(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v}")
-            } else {
-                format!("\"{}\"", fmt_f64(v))
-            }
-        }
         fn json_label(labels: &LabelSet) -> String {
             if labels.is_empty() {
                 return "null".to_string();
             }
             let pairs: Vec<String> = labels
                 .iter()
-                .map(|(k, v)| format!("\"{k}\":\"{v}\""))
+                .map(|(k, v)| format!("{}:{}", json::escape(k), json::escape(v)))
                 .collect();
             format!("{{{}}}", pairs.join(","))
         }
@@ -296,7 +291,8 @@ impl Registry {
             .iter()
             .map(|((name, label), value)| {
                 format!(
-                    "{{\"name\":\"{name}\",\"label\":{},\"value\":{value}}}",
+                    "{{\"name\":{},\"label\":{},\"value\":{value}}}",
+                    json::escape(name),
                     json_label(label)
                 )
             })
@@ -306,9 +302,10 @@ impl Registry {
             .iter()
             .map(|((name, label), value)| {
                 format!(
-                    "{{\"name\":\"{name}\",\"label\":{},\"value\":{}}}",
+                    "{{\"name\":{},\"label\":{},\"value\":{}}}",
+                    json::escape(name),
                     json_label(label),
-                    json_num(*value)
+                    json::number(*value)
                 )
             })
             .collect();
@@ -320,13 +317,14 @@ impl Registry {
                     .buckets
                     .iter()
                     .zip(&hist.counts)
-                    .map(|(le, c)| format!("{{\"le\":{},\"count\":{c}}}", json_num(*le)))
+                    .map(|(le, c)| format!("{{\"le\":{},\"count\":{c}}}", json::number(*le)))
                     .collect();
                 format!(
-                    "{{\"name\":\"{name}\",\"label\":{},\"count\":{},\"sum\":{},\"buckets\":[{}]}}",
+                    "{{\"name\":{},\"label\":{},\"count\":{},\"sum\":{},\"buckets\":[{}]}}",
+                    json::escape(name),
                     json_label(label),
                     hist.count,
-                    json_num(hist.sum),
+                    json::number(hist.sum),
                     buckets.join(",")
                 )
             })

@@ -2,7 +2,7 @@
 //! from the unbounded, certified and topological drivers, and a recorder
 //! that serializes them as JSON lines (`check --trace-convergence FILE`).
 
-use crate::{Event, Recorder};
+use crate::{json, Event, Recorder};
 use std::io::Write;
 use std::sync::{Mutex, PoisonError};
 
@@ -35,21 +35,16 @@ pub struct ConvergenceRecord {
 impl ConvergenceRecord {
     /// The record as one JSON object (no trailing newline). Keys are
     /// stable: `driver`, `sweep`, `residual`, `width`, `component`;
-    /// missing fields are `null`, non-finite numbers are JSON strings.
+    /// missing fields are `null`, and numbers use the [`json::number`]
+    /// encoding (non-finite ones as the strings `"Infinity"`,
+    /// `"-Infinity"`, `"NaN"`).
     pub fn to_json(&self) -> String {
-        fn num(v: Option<f64>) -> String {
-            match v {
-                None => "null".to_string(),
-                Some(x) if x.is_finite() => format!("{x}"),
-                Some(x) => format!("\"{x}\""),
-            }
-        }
         format!(
-            "{{\"driver\":\"{}\",\"sweep\":{},\"residual\":{},\"width\":{},\"component\":{}}}",
-            self.driver,
+            "{{\"driver\":{},\"sweep\":{},\"residual\":{},\"width\":{},\"component\":{}}}",
+            json::escape(self.driver),
             self.sweep,
-            num(self.residual),
-            num(self.width),
+            self.residual.map_or("null".to_string(), json::number),
+            self.width.map_or("null".to_string(), json::number),
             self.component.map_or("null".to_string(), |c| c.to_string()),
         )
     }
@@ -131,8 +126,8 @@ mod tests {
         );
         assert_eq!(
             lines[1],
-            "{\"driver\":\"topo_certified_vi\",\"sweep\":1,\"residual\":\"inf\",\
-             \"width\":0.000000000001,\"component\":7}"
+            "{\"driver\":\"topo_certified_vi\",\"sweep\":1,\"residual\":\"Infinity\",\
+             \"width\":1e-12,\"component\":7}"
         );
     }
 }

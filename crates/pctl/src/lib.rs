@@ -23,6 +23,9 @@
 //! * [`session`] — the batch-oriented [`CheckSession`]: one entry point
 //!   over both model families ([`AnyModel`]), with precomputation shared
 //!   across a whole property family.
+//! * [`write_json_records`] — the one renderer of a batch's `cache` and
+//!   `results` JSON members, shared by `smg check --format json` and the
+//!   daemon's `/check` reply.
 //!
 //! # Example
 //!
@@ -122,6 +125,7 @@ pub mod check;
 pub mod error;
 pub mod mdp;
 pub mod parser;
+mod record;
 pub mod session;
 
 pub use ast::{Cmp, Opt, PathFormula, Property, RewardQuery, StateFormula};
@@ -132,4 +136,5 @@ pub use check::{
 pub use error::PctlError;
 pub use mdp::{check_mdp_query, check_mdp_query_with, opt_path_values, sat_states_mdp};
 pub use parser::parse_property;
+pub use record::write_json_records;
 pub use session::{AnyModel, CacheKind, CacheStats, CheckSession, KindStats};

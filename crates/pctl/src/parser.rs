@@ -25,16 +25,30 @@
 //!
 //! The paper's properties parse verbatim:
 //! `P=? [ G<=300 !flag ]`, `R=? [ I=300 ]`, `P=? [ F<=300 count_exceeds ]`.
+//! A formula nested deeper than [`MAX_DEPTH`] levels is rejected.
 
 use crate::ast::{Cmp, Opt, PathFormula, Property, RewardQuery, StateFormula, TimeBound};
 use crate::error::PctlError;
+
+/// The deepest formula [`parse_property`] accepts. A property is
+/// rejected when its syntax tree stands more than `MAX_DEPTH` levels high
+/// (an atom is one level, and each operator, `!`, `&`, `|`, `=>`, `X`,
+/// `F`, `G`, `U` or `P⋈p [ … ]`, one above its highest operand, so a chain
+/// of n atoms joined by `&` stands n high), or when more than `MAX_DEPTH`
+/// parentheses, negations and `P⋈p [ … ]` groups are open at once. The
+/// parser, the checker and the formula's own `Display`, `Clone` and
+/// `Drop` recurse once per level or group, so the cap keeps a hostile
+/// property (thousands of `(`, or thousands of `&`) from overflowing a
+/// thread's stack. The printed form of an accepted property is accepted
+/// too: it opens at most one group per operator.
+pub const MAX_DEPTH: usize = 256;
 
 /// Parses a property string.
 ///
 /// # Errors
 ///
 /// Returns [`PctlError::Parse`] with a byte position and message when the
-/// input does not match the grammar.
+/// input does not match the grammar or nests deeper than [`MAX_DEPTH`].
 ///
 /// # Example
 ///
@@ -57,11 +71,43 @@ pub fn parse_property(input: &str) -> Result<Property, PctlError> {
 struct Parser<'a> {
     input: &'a str,
     pos: usize,
+    /// `(`, `!` and `P⋈p [` groups open at `pos`.
+    open: usize,
+    /// Height of the formula parsed last (see [`MAX_DEPTH`]).
+    height: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(input: &'a str) -> Self {
-        Parser { input, pos: 0 }
+        Parser {
+            input,
+            pos: 0,
+            open: 0,
+            height: 0,
+        }
+    }
+
+    /// Rejects a tree `height` levels high, or `height` nested groups,
+    /// past [`MAX_DEPTH`].
+    fn check_depth(&self, height: usize) -> Result<(), PctlError> {
+        if height > MAX_DEPTH {
+            return Err(self.err(&format!("formula nested deeper than {MAX_DEPTH} levels")));
+        }
+        Ok(())
+    }
+
+    /// Records that the formula just built stands one level above
+    /// operands of height `below`.
+    fn rise(&mut self, below: usize) -> Result<(), PctlError> {
+        self.height = below + 1;
+        self.check_depth(self.height)
+    }
+
+    /// Enters a `(`, `!` or `P⋈p [` group, before the parser recurses
+    /// into it.
+    fn descend(&mut self) -> Result<(), PctlError> {
+        self.open += 1;
+        self.check_depth(self.open)
     }
 
     fn err(&self, message: &str) -> PctlError {
@@ -296,26 +342,28 @@ impl<'a> Parser<'a> {
 
     fn path(&mut self) -> Result<PathFormula, PctlError> {
         if self.eat_keyword("X") {
-            return Ok(PathFormula::Next(self.state()?));
+            let inner = self.state()?;
+            self.rise(self.height)?;
+            return Ok(PathFormula::Next(inner));
         }
         if self.eat_keyword("F") {
             let bound = self.bound()?;
-            return Ok(PathFormula::Finally {
-                inner: self.state()?,
-                bound,
-            });
+            let inner = self.state()?;
+            self.rise(self.height)?;
+            return Ok(PathFormula::Finally { inner, bound });
         }
         if self.eat_keyword("G") {
             let bound = self.bound()?;
-            return Ok(PathFormula::Globally {
-                inner: self.state()?,
-                bound,
-            });
+            let inner = self.state()?;
+            self.rise(self.height)?;
+            return Ok(PathFormula::Globally { inner, bound });
         }
         let lhs = self.state()?;
         if self.eat_keyword("U") {
+            let below = self.height;
             let bound = self.bound()?;
             let rhs = self.state()?;
+            self.rise(below.max(self.height))?;
             return Ok(PathFormula::Until { lhs, rhs, bound });
         }
         Err(self.err("expected a path formula (X, F, G, or U)"))
@@ -324,7 +372,9 @@ impl<'a> Parser<'a> {
     fn state(&mut self) -> Result<StateFormula, PctlError> {
         let lhs = self.or()?;
         if self.eat("=>") {
+            let below = self.height;
             let rhs = self.or()?;
+            self.rise(below.max(self.height))?;
             return Ok(StateFormula::Implies(Box::new(lhs), Box::new(rhs)));
         }
         Ok(lhs)
@@ -338,7 +388,9 @@ impl<'a> Parser<'a> {
             self.rest().starts_with('|')
         } {
             self.pos += 1;
+            let below = self.height;
             let rhs = self.and()?;
+            self.rise(below.max(self.height))?;
             lhs = StateFormula::Or(Box::new(lhs), Box::new(rhs));
         }
         Ok(lhs)
@@ -351,7 +403,9 @@ impl<'a> Parser<'a> {
             self.rest().starts_with('&')
         } {
             self.pos += 1;
+            let below = self.height;
             let rhs = self.unary()?;
+            self.rise(below.max(self.height))?;
             lhs = StateFormula::And(Box::new(lhs), Box::new(rhs));
         }
         Ok(lhs)
@@ -359,17 +413,24 @@ impl<'a> Parser<'a> {
 
     fn unary(&mut self) -> Result<StateFormula, PctlError> {
         if self.eat("!") {
-            return Ok(StateFormula::Not(Box::new(self.unary()?)));
+            self.descend()?;
+            let inner = self.unary()?;
+            self.open -= 1;
+            self.rise(self.height)?;
+            return Ok(StateFormula::Not(Box::new(inner)));
         }
         self.atom()
     }
 
     fn atom(&mut self) -> Result<StateFormula, PctlError> {
         if self.eat("(") {
+            self.descend()?;
             let f = self.state()?;
             self.expect(")")?;
+            self.open -= 1;
             return Ok(f);
         }
+        self.height = 1;
         if self.eat_keyword("true") {
             return Ok(StateFormula::True);
         }
@@ -393,10 +454,13 @@ impl<'a> Parser<'a> {
             };
             match cmp {
                 Some(cmp) => {
+                    self.descend()?;
                     let threshold = self.number()?;
                     self.expect("[")?;
                     let path = self.path()?;
                     self.expect("]")?;
+                    self.open -= 1;
+                    self.rise(self.height)?;
                     return Ok(StateFormula::Prob {
                         cmp,
                         threshold,
@@ -552,6 +616,49 @@ mod tests {
             let msg = e.unwrap_err().to_string();
             assert!(msg.contains("parse error"), "{msg}");
         }
+    }
+
+    #[test]
+    fn depth_is_capped_for_nesting_and_chains_alike() {
+        let parens = |n: usize| format!("{}a{}", "(".repeat(n), ")".repeat(n));
+        let nots = |n: usize| format!("{}a", "!".repeat(n));
+        let chain = |op: &str, n: usize| vec!["a"; n].join(op);
+        let probs = |n: usize| format!("{}a{}", "P>0.5 [ X ".repeat(n), " ]".repeat(n));
+        let position = |src: &str| match parse_property(src) {
+            Err(PctlError::Parse { position, message }) => {
+                assert_eq!(
+                    message,
+                    format!("formula nested deeper than {MAX_DEPTH} levels")
+                );
+                position
+            }
+            other => panic!("{other:?}"),
+        };
+        // At the cap these parse, and so do their printed forms; one level
+        // more is rejected where it is seen.
+        for at_cap in [
+            parens(MAX_DEPTH),
+            nots(MAX_DEPTH - 1),
+            chain(" & ", MAX_DEPTH),
+            chain(" | ", MAX_DEPTH),
+            probs((MAX_DEPTH - 1) / 2),
+        ] {
+            round_trip(&at_cap);
+        }
+        assert_eq!(position(&parens(MAX_DEPTH + 1)), MAX_DEPTH + 1);
+        let long = nots(MAX_DEPTH);
+        assert_eq!(position(&long), long.len());
+        let long = chain(" & ", MAX_DEPTH + 1);
+        assert_eq!(position(&long), long.len());
+        position(&chain(" | ", MAX_DEPTH + 1));
+        position(&probs(MAX_DEPTH / 2));
+        // A chain's first operand sits deepest in its left-leaning tree:
+        // 200 negations under 55 `&` reach the cap, under 56 exceed it.
+        parse_property(&format!("{} & {}", nots(200), chain(" & ", 55))).unwrap();
+        position(&format!("{} & {}", nots(200), chain(" & ", 56)));
+        // What a hostile client sends stops at the cap, not the stack.
+        position(&parens(5_000));
+        position(&chain(" & ", 5_000));
     }
 
     #[test]

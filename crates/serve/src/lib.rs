@@ -4,15 +4,17 @@
 //! parse, expand, and then re-derive every satisfaction set, reachability
 //! solve and certified bracket from scratch. This crate keeps compiled
 //! models **resident**: a small hand-rolled HTTP/1.1 server (std-only —
-//! the JSON layer is vendored in [`json`], the protocol in `http`) holds
-//! an [`smg_pctl::CheckSession`] per model, so a family of related
-//! properties asked across many requests shares the session's memoized
-//! sat-sets, value vectors and certified brackets exactly as a single
-//! `smg check` batch would.
+//! the JSON layer is `smg-obs`'s [`json`] module, re-exported here, and
+//! the protocol lives in `http`) holds an [`smg_pctl::CheckSession`] per
+//! model, so a family of related properties asked across many requests
+//! shares the session's memoized sat-sets, value vectors and certified
+//! brackets exactly as a single `smg check` batch would.
 //!
 //! The answers are **bit-identical to the CLI**: the same checker, the
-//! same session memoization, the same JSON float encoding (shortest
-//! round-trip via `{:?}`), so a value that travels over HTTP parses back
+//! same session memoization, and the same renderer for the `cache` and
+//! `results` members of the reply ([`smg_pctl::write_json_records`], which
+//! `smg check --format json` calls too), with its shortest round-trip
+//! float encoding (`{:?}`), so a value that travels over HTTP parses back
 //! to the very bits a fresh in-process run produces.
 //!
 //! ## Protocol (see `docs/SERVE.md` for the full schemas)
@@ -64,17 +66,17 @@
 //! handle.shutdown();
 //! ```
 
-pub mod json;
 pub mod lruttl;
 
 mod http;
 
 pub use http::client;
+pub use smg_obs::json;
 
 use lruttl::{EvictReason, LruTtl};
 use smg_lang::{check, compile_any_with, parse, ExpandOptions};
 use smg_obs as obs;
-use smg_pctl::{parse_property, CacheKind, CheckOptions, CheckResult, CheckSession, Property};
+use smg_pctl::{parse_property, CheckOptions, CheckResult, CheckSession, Property};
 use std::fmt::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
@@ -671,86 +673,25 @@ fn handle_check(daemon: &Arc<Daemon>, req: &http::Request) -> RouteResult {
     Ok(("application/json", reply))
 }
 
-/// Renders the `/check` response. The `results` records are emitted with
-/// the exact field set, order, indentation and float encoding of
-/// `smg check --format json`, so "daemon ≡ CLI" can be asserted byte for
-/// byte (modulo `time_s`) by extracting the array from both documents.
+/// Renders the `/check` response: the `smg-serve-check/1` header, then
+/// the `cache` and `results` members from the renderer
+/// `smg check --format json` uses, so "daemon ≡ CLI" holds byte for byte
+/// (modulo `time_s`) on the extracted `results` arrays.
 fn check_reply(
     resident: &Resident,
     session: &CheckSession,
     properties: &[Property],
     results: &[CheckResult],
 ) -> String {
-    let cache = session.cache_stats();
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"schema\": \"smg-serve-check/1\",");
     let _ = writeln!(out, "  \"hash\": {},", json::escape(&resident.hash));
     out.push_str("  \"model\": {\n");
     let _ = writeln!(out, "    \"type\": {},", json::escape(&resident.kind));
     let _ = writeln!(out, "    \"states\": {}", resident.states);
-    out.push_str("  },\n  \"cache\": {\n");
-    for (i, &kind) in CacheKind::ALL.iter().enumerate() {
-        let ks = cache.kind(kind);
-        let _ = writeln!(
-            out,
-            "    {}: {{\"hits\": {}, \"misses\": {}}}{}",
-            json::escape(kind.as_str()),
-            ks.hits,
-            ks.misses,
-            if i + 1 < CacheKind::ALL.len() {
-                ","
-            } else {
-                ""
-            }
-        );
-    }
-    out.push_str("  },\n  \"results\": [\n");
-    for (i, (property, result)) in properties.iter().zip(results).enumerate() {
-        out.push_str("    {\n");
-        let _ = writeln!(
-            out,
-            "      \"property\": {},",
-            json::escape(&property.to_string())
-        );
-        let _ = writeln!(out, "      \"value\": {},", json::number(result.value()));
-        let _ = writeln!(
-            out,
-            "      \"verdict\": {},",
-            match result.verdict() {
-                Some(v) => v.to_string(),
-                None => "null".to_string(),
-            }
-        );
-        match result.interval() {
-            Some((lo, hi)) => {
-                let _ = writeln!(
-                    out,
-                    "      \"interval\": [{}, {}],",
-                    json::number(lo),
-                    json::number(hi)
-                );
-            }
-            None => {
-                let _ = writeln!(out, "      \"interval\": null,");
-            }
-        }
-        let _ = writeln!(
-            out,
-            "      \"solver\": {},",
-            json::escape(&result.solver().to_string())
-        );
-        let _ = writeln!(
-            out,
-            "      \"time_s\": {}",
-            json::number(result.time.as_secs_f64())
-        );
-        let _ = writeln!(
-            out,
-            "    }}{}",
-            if i + 1 < results.len() { "," } else { "" }
-        );
-    }
-    out.push_str("  ]\n}\n");
+    out.push_str("  },\n");
+    smg_pctl::write_json_records(&mut out, session.cache_stats(), properties, results);
+    out.push_str("}\n");
     out
 }
 

@@ -241,6 +241,56 @@ fn cyclic_formulas_are_400s_and_the_daemon_stays_up() {
 }
 
 #[test]
+fn hostile_nesting_is_a_400_and_the_daemon_stays_up() {
+    let (handle, addr) = daemon(ServerConfig::default());
+    let healthy = |addr: &str| {
+        let (s, _) = client::get(addr, "/healthz").unwrap();
+        assert_eq!(s, 200);
+    };
+    // 100,000 `[` used to overflow a handler thread's stack in the JSON
+    // parser, aborting the process and every resident session with it.
+    let brackets = "[".repeat(100_000);
+    for route in ["/check", "/models", "/lint"] {
+        let (s, b) = client::post(&addr, route, &brackets).unwrap();
+        assert_structured(s, &b, 400, "nesting deeper than 128 levels at byte 128");
+        healthy(&addr);
+    }
+    // So did a property nested 5,000 deep (parsed before the hash is
+    // looked up) and a 5,000-term `&` chain against a resident model.
+    let hash = compile(&addr, DTMC);
+    let deep = format!("{}done{}", "(".repeat(5_000), ")".repeat(5_000));
+    let chain = vec!["done"; 5_000].join(" & ");
+    for (target, prop) in [
+        ("0000", &deep),
+        (hash.as_str(), &deep),
+        (hash.as_str(), &chain),
+    ] {
+        let body = format!(
+            "{{\"hash\": {}, \"props\": [{}]}}",
+            json::escape(target),
+            json::escape(prop)
+        );
+        let (s, b) = client::post(&addr, "/check", &body).unwrap();
+        assert_structured(s, &b, 400, "nested deeper than 256 levels");
+        healthy(&addr);
+    }
+    // At the cap both shapes are checked like any other property.
+    let cap = smg_pctl::parser::MAX_DEPTH;
+    let at_cap = [
+        format!("{}done{}", "(".repeat(cap), ")".repeat(cap)),
+        vec!["done"; cap].join(" & "),
+    ];
+    let props: Vec<String> = at_cap.iter().map(|p| json::escape(p)).collect();
+    let body = format!(
+        "{{\"hash\": \"{hash}\", \"props\": [{}]}}",
+        props.join(", ")
+    );
+    let (s, b) = client::post(&addr, "/check", &body).unwrap();
+    assert_eq!(s, 200, "{b}");
+    handle.shutdown();
+}
+
+#[test]
 fn oversized_bodies_are_413_and_do_not_wedge_the_daemon() {
     let (handle, addr) = daemon(ServerConfig {
         max_body: 256,

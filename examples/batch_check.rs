@@ -63,19 +63,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect::<Result<Vec<_>, _>>()?;
     let results = session.check_all(&properties)?;
 
-    // The CLI's `--format json` record shape, printed one per line.
-    for (property, result) in properties.iter().zip(&results) {
-        let interval = match result.interval() {
-            Some((lo, hi)) => format!("[{lo}, {hi}]"),
-            None => "null".to_string(),
-        };
-        println!(
-            "{{\"property\": \"{property}\", \"value\": {}, \"interval\": {interval}, \
-             \"solver\": \"{}\"}}",
-            result.value(),
-            result.solver()
-        );
-    }
+    // The `cache` and `results` members of `smg check --format json`,
+    // from the renderer the CLI and the daemon share.
+    let mut doc = String::from("{\n");
+    statguard_mimo::pctl::write_json_records(
+        &mut doc,
+        session.cache_stats(),
+        &properties,
+        &results,
+    );
+    doc.push_str("}\n");
+    print!("{doc}");
 
     // The counter saturates almost surely, so the family's answers are
     // pinned: P(F fail) = 1, P(G !fail) = 0, the threshold holds, and the

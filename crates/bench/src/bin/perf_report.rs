@@ -7,11 +7,10 @@
 //!   at small/medium/large scale;
 //! * SpMV kernel latency (ns/iter) for the forward and backward products at
 //!   n ∈ {1e3, 1e5, 1e6};
-//! * Gauss–Seidel sweep timing at the same sizes;
 //! * for each kernel, a `seed_shape` reference measurement that reproduces
-//!   the seed engine's allocation behaviour (a fresh `Vec` per step, a
-//!   `successors()` allocation per row) so the report carries its own
-//!   before/after ratio on whatever machine it runs on;
+//!   the seed engine's allocation behaviour (a fresh `Vec` per step) so the
+//!   report carries its own before/after ratio on whatever machine it runs
+//!   on;
 //! * a `pool` section: fork-join dispatch latency of the persistent worker
 //!   pool timed back to back (`dispatch_ns`) and after the lanes have
 //!   parked (`parked_dispatch_ns`, the cost a kernel call between stretches
@@ -22,9 +21,9 @@
 //!   lane);
 //! * an `mdp` section: min/max Bellman-backup latency (ns per
 //!   value-iteration step) on a synthetic ~3-actions-per-state MDP at
-//!   n ∈ {1e3, 1e5}, swept over dedicated 1/2/4-lane pools (lanes = 1 is
-//!   the sequential fallback; multi-lane runs use the dynamically
-//!   dispatched chunk kernel and are bit-identical to it);
+//!   n ∈ {1e3, 1e5}, swept over 1/2/4-lane scopes (lanes = 1 is the
+//!   sequential fallback; multi-lane runs use the dynamically dispatched
+//!   chunk kernel and are bit-identical to it);
 //! * a `gate` section: the forward and backward products and the MDP
 //!   backup at n ∈ {1e4, 1e5}, each timed forced sequential (a 1-lane
 //!   scope), forced parallel (a scope of the engine's lane count) and
@@ -41,10 +40,9 @@
 //!   under-iterates);
 //! * a `topo` section: topological (SCC-ordered) solving on a layered
 //!   feed-forward chain ([`smg_dtmc::synthetic::layered_chain`], depth 100)
-//!   at the SpMV sizes — the default walk against global residual value
-//!   iteration, plus the certified walk's time. The chain is all trivial
-//!   SCCs, so both walks collapse to one backsubstitution pass where the
-//!   global solver iterates to convergence over the whole matrix;
+//!   at the SpMV sizes — the default walk's time and the certified walk's.
+//!   The chain is all trivial SCCs, so both walks collapse to one
+//!   backsubstitution pass;
 //! * a `session` section: a four-property family with shared targets
 //!   (`F target`, its threshold form, the reachability reward and
 //!   `G !target`) checked through one `CheckSession::check_all` against
@@ -224,37 +222,6 @@ fn engine_forward(dtmc: &smg_dtmc::Dtmc, steps: usize) -> Vec<f64> {
     pi
 }
 
-/// The seed engine's Gauss–Seidel row shape: one `successors()` allocation
-/// per row per sweep.
-fn seed_shape_gs_sweeps(dtmc: &smg_dtmc::Dtmc, target: &BitVec, sweeps: usize) -> Vec<f64> {
-    let n = dtmc.n_states();
-    let mut x: Vec<f64> = (0..n)
-        .map(|i| if target.get(i) { 1.0 } else { 0.0 })
-        .collect();
-    for _ in 0..sweeps {
-        for i in 0..n {
-            if target.get(i) {
-                continue;
-            }
-            let mut acc = 0.0;
-            let mut self_loop = 0.0;
-            for (c, p) in dtmc.matrix().successors(i) {
-                if c as usize == i {
-                    self_loop += p;
-                } else {
-                    acc += p * x[c as usize];
-                }
-            }
-            x[i] = if self_loop < 1.0 {
-                acc / (1.0 - self_loop)
-            } else {
-                0.0
-            };
-        }
-    }
-    x
-}
-
 /// One `gate` row: `call` timed forced sequential, forced parallel on
 /// `lanes` lanes, and through its measured site, interleaved best-of
 /// `reps` after a warm-up long enough for the site to finish its trials.
@@ -377,8 +344,8 @@ fn main() {
 
     // MDP value iteration: Bellman backups per step at 1/2/4 lanes.
     // Lanes = 1 runs the sequential fallback; multi-lane runs force the
-    // dynamically dispatched chunk kernel on a dedicated pool, so the
-    // sweep is meaningful whatever SMG_THREADS is set to.
+    // dynamically dispatched chunk kernel on the pool of a lane scope, so
+    // the sweep is meaningful whatever SMG_THREADS is set to.
     let mdp_sizes: &[usize] = &[1_000, 100_000];
     let mut mdp_entries: Vec<(usize, usize, f64)> = Vec::new();
     for &n in mdp_sizes {
@@ -388,24 +355,20 @@ fn main() {
         let steps = if n >= 100_000 { 8 } else { 32 };
         let reps = if n >= 100_000 { 7 } else { 25 };
         for lanes in [1usize, 2, 4] {
-            let vio = if lanes == 1 {
-                smg_mdp::ViOptions::default().with_par_min_states(usize::MAX)
-            } else {
-                smg_mdp::ViOptions {
-                    pool: Some(smg_dtmc::pool::with_lanes(lanes)),
-                    ..smg_mdp::ViOptions::default().with_par_min_states(0)
-                }
-            };
-            let ns = time_ns(reps, || {
-                smg_mdp::vi::bounded_until_values(
-                    &mdp,
-                    &all,
-                    &target,
-                    steps,
-                    smg_mdp::Opt::Max,
-                    &vio,
-                )
-                .expect("bounded VI")
+            let par_min = if lanes == 1 { usize::MAX } else { 0 };
+            let vio = smg_mdp::ViOptions::default().with_par_min_states(par_min);
+            let ns = smg_dtmc::par::with_lane_scope(lanes, || {
+                time_ns(reps, || {
+                    smg_mdp::vi::bounded_until_values(
+                        &mdp,
+                        &all,
+                        &target,
+                        steps,
+                        smg_mdp::Opt::Max,
+                        &vio,
+                    )
+                    .expect("bounded VI")
+                })
             }) / steps as f64;
             eprintln!("mdp_vi n={n} lanes={lanes}: {ns:.0} ns/iter");
             mdp_entries.push((n, lanes, ns));
@@ -488,18 +451,14 @@ fn main() {
         certified_entries.push((n, plain, interval));
     }
 
-    // Topological vs global solving on the layered chain: the shape the
-    // paper's pipeline models take (a DAG of trivial SCCs), where
-    // SCC-ordered backsubstitution replaces global convergence outright.
-    // Width scales with n at fixed depth 100, so the per-iteration matrix
-    // cost grows while the global solver's iteration count stays pinned
-    // by the diameter — the honest comparison for the speedup claim. The
-    // certified walk is timed alone: on trivial SCCs it is one dual
+    // Topological solving on the layered chain: the shape the paper's
+    // pipeline models take (a DAG of trivial SCCs), where SCC-ordered
+    // backsubstitution replaces iteration outright. Width scales with n at
+    // fixed depth 100. On trivial SCCs the certified walk is one dual
     // backsubstitution pass, so it should cost about what the default
     // walk does.
     struct TopoEntry {
         n: usize,
-        global_vi_ns: f64,
         topo_vi_ns: f64,
         topo_certified_ns: f64,
     }
@@ -516,23 +475,16 @@ fn main() {
         } else {
             5
         };
-        let (global_vi, topo_vi) = time_pair_ns(
-            reps,
-            || {
-                smg_dtmc::transient::unbounded_reach_values(&dtmc, &target, 1e-8, 1_000_000)
-                    .expect("global VI converges")
-            },
-            || {
-                smg_dtmc::solve::topo_reach_values(
-                    &dtmc,
-                    &smg_dtmc::graph::Condensation::new(&dtmc),
-                    &target,
-                    1e-8,
-                    1_000_000,
-                )
-                .expect("topological VI converges")
-            },
-        );
+        let topo_vi = time_ns(reps, || {
+            smg_dtmc::solve::topo_reach_values(
+                &dtmc,
+                &smg_dtmc::graph::Condensation::new(&dtmc),
+                &target,
+                1e-8,
+                1_000_000,
+            )
+            .expect("topological VI converges")
+        });
         let topo_cert = time_ns(reps, || {
             smg_dtmc::solve::topo_interval_reach_values(
                 &dtmc,
@@ -544,15 +496,13 @@ fn main() {
             .expect("topological interval iteration converges")
         });
         eprintln!(
-            "topo n={}: VI {global_vi:.0} -> {topo_vi:.0} ns ({:.2}x), \
-             certified {topo_cert:.0} ns ({:.2}x the default walk)",
+            "topo n={}: default walk {topo_vi:.0} ns, certified {topo_cert:.0} ns \
+             ({:.2}x the default walk)",
             dtmc.n_states(),
-            global_vi / topo_vi.max(1.0),
             topo_cert / topo_vi.max(1.0)
         );
         topo_entries.push(TopoEntry {
             n: dtmc.n_states(),
-            global_vi_ns: global_vi,
             topo_vi_ns: topo_vi,
             topo_certified_ns: topo_cert,
         });
@@ -641,7 +591,7 @@ fn main() {
         lang_entries.push((states, sm, native));
     }
 
-    // SpMV + Gauss-Seidel kernels.
+    // SpMV kernels.
     for &n in spmv_sizes {
         let dtmc = synthetic_chain(n);
         let steps = if n >= 1_000_000 { 4 } else { 16 };
@@ -678,21 +628,7 @@ fn main() {
             engine_ns: bwd,
             seed_shape_ns: bwd_seed,
         });
-
-        let target = BitVec::from_fn(n, |i| i % 97 == 0);
-        let sweeps = 4;
-        let (gs, gs_seed) = time_pair_ns(
-            reps,
-            || smg_dtmc::solve::gauss_seidel_reach(&dtmc, &target, 0.0, sweeps).ok(),
-            || seed_shape_gs_sweeps(&dtmc, &target, sweeps),
-        );
-        entries.push(Entry {
-            name: "gauss_seidel_sweep".into(),
-            n,
-            engine_ns: gs / sweeps as f64,
-            seed_shape_ns: gs_seed / sweeps as f64,
-        });
-        for e in entries.iter().rev().take(3) {
+        for e in entries.iter().rev().take(2) {
             eprintln!(
                 "{} n={}: engine {:.0} ns/iter, seed-shape {:.0} ns/iter ({:.2}x)",
                 e.name,
@@ -823,10 +759,8 @@ fn main() {
     for (i, e) in topo_entries.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{\"n\": {}, \"global_vi_ns\": {:.1}, \"topo_vi_ns\": {:.1}, \
-             \"topo_certified_ns\": {:.1}}}{}",
+            "    {{\"n\": {}, \"topo_vi_ns\": {:.1}, \"topo_certified_ns\": {:.1}}}{}",
             e.n,
-            e.global_vi_ns,
             e.topo_vi_ns,
             e.topo_certified_ns,
             if i + 1 < topo_entries.len() { "," } else { "" }

@@ -7,10 +7,7 @@
 //! comparison). All four production drivers are *bit-identical by
 //! construction*: the engine pins their parallel paths to the sequential
 //! results exactly, whatever the schedule, so under the chaos
-//! interleaver any digest drift is a real ordering bug. The block-hybrid
-//! Gauss–Seidel solver is deliberately **not** a driver — its results
-//! depend on block geometry by design, so it has no schedule-independent
-//! digest to pin.
+//! interleaver any digest drift is a real ordering bug.
 //!
 //! [`DriverKind::Buggy`] is the mutation check: a deliberately
 //! order-dependent prefix-sum that a correct harness *must* flag under
@@ -30,7 +27,8 @@ use smg_mdp::{vi, Mdp, MdpBuilder, Opt, ViOptions};
 pub enum DriverKind {
     /// Sharded parallel BFS exploration of a seeded layered model.
     Explore,
-    /// Parallel min/max value iteration on a seeded MDP.
+    /// Parallel min/max value iteration on a seeded MDP: bounded backups
+    /// past its depth, and the default and certified condensation walks.
     Vi,
     /// Certified reward brackets on the condensation walk: a wide layered
     /// chain, and `Rmin` with zero-reward end-component inflation on a
@@ -389,11 +387,12 @@ fn digest_explore(case: &CaseParams, parallel: bool) -> u64 {
 fn digest_vi(case: &CaseParams, parallel: bool) -> u64 {
     let m = seeded_mdp(case.seed);
     let goal = m.label("goal").expect("seeded MDP labels goal").clone();
+    let all = BitVec::ones(m.n_states());
+    let cond = smg_mdp::qual::condensation(&m);
     let vio = if parallel {
         ViOptions {
             par_min_states: Some(0),
             chunk: case.chunk,
-            pool: Some(pool::shared(case.lanes)),
             ..ViOptions::default()
         }
     } else {
@@ -402,21 +401,24 @@ fn digest_vi(case: &CaseParams, parallel: bool) -> u64 {
             ..ViOptions::default()
         }
     };
+    let lanes = if parallel { case.lanes } else { 1 };
     let mut d = Digest::new();
-    for opt in [Opt::Max, Opt::Min] {
-        let vals = vi::reach_values(&m, &goal, opt, &vio).expect("reach VI on seeded MDP");
-        d.mix_f64s(&vals);
-    }
-    let cert = vi::topo_certified_reach_values(
-        &m,
-        &smg_mdp::qual::condensation(&m),
-        &goal,
-        Opt::Max,
-        1e-9,
-        &vio,
-    )
-    .expect("certified VI on seeded MDP");
-    d.mix_cert(&cert);
+    par::with_lane_scope(lanes, || {
+        for opt in [Opt::Max, Opt::Min] {
+            // Every path runs strictly forward, so a horizon of the state
+            // count is past the DAG's depth: the whole-space backups reach
+            // the unbounded values.
+            let bounded = vi::bounded_until_values(&m, &all, &goal, m.n_states(), opt, &vio)
+                .expect("bounded VI on seeded MDP");
+            d.mix_f64s(&bounded);
+            let reach = vi::topo_reach_values(&m, &cond, &goal, opt, &vio)
+                .expect("topological VI on seeded MDP");
+            d.mix_f64s(&reach);
+        }
+        let cert = vi::topo_certified_reach_values(&m, &cond, &goal, Opt::Max, 1e-9, &vio)
+            .expect("certified VI on seeded MDP");
+        d.mix_cert(&cert);
+    });
     d.finish()
 }
 
@@ -428,6 +430,10 @@ fn digest_certified(case: &CaseParams, parallel: bool) -> u64 {
         .label("absorbing")
         .expect("layered_chain labels absorbing")
         .clone();
+    // `Rmin` to either absorber: twin pairs are zero-reward end
+    // components whose lower bounds must be inflated.
+    let m = layered_mdp(case.seed ^ 0x5A5A, 6, 12, true);
+    let done = BitVec::from_fn(m.n_states(), |i| i + 2 >= m.n_states());
     let lanes = if parallel { case.lanes } else { 1 };
     let mut d = Digest::new();
     par::with_lane_scope(lanes, || {
@@ -436,27 +442,23 @@ fn digest_certified(case: &CaseParams, parallel: bool) -> u64 {
             solve::topo_interval_reach_reward_values(&chain, &cond, &absorbing, 1e-9, 100_000)
                 .expect("topo interval reward on layered chain");
         d.mix_cert(&reward);
+        let cert = vi::topo_certified_reach_reward_values(
+            &m,
+            &smg_mdp::qual::condensation(&m),
+            &done,
+            Opt::Min,
+            1e-9,
+            &layered_vio(case, parallel),
+        )
+        .expect("topo certified Rmin");
+        d.mix_cert(&cert);
     });
-    // `Rmin` to either absorber: twin pairs are zero-reward end
-    // components whose lower bounds must be inflated.
-    let m = layered_mdp(case.seed ^ 0x5A5A, 6, 12, true);
-    let done = BitVec::from_fn(m.n_states(), |i| i + 2 >= m.n_states());
-    let cert = vi::topo_certified_reach_reward_values(
-        &m,
-        &smg_mdp::qual::condensation(&m),
-        &done,
-        Opt::Min,
-        1e-9,
-        &layered_vio(case, parallel),
-    )
-    .expect("topo certified Rmin");
-    d.mix_cert(&cert);
     d.finish()
 }
 
 /// Value-iteration options for the layered MDPs: every backup parallel
-/// with several chunks per `width`-state level batch, or the sequential
-/// reference.
+/// with several chunks per `width`-state level batch (on the pool of the
+/// caller's lane scope), or the sequential reference.
 fn layered_vio(case: &CaseParams, parallel: bool) -> ViOptions {
     if parallel {
         ViOptions {
@@ -464,7 +466,6 @@ fn layered_vio(case: &CaseParams, parallel: bool) -> ViOptions {
             // Per-level batches are `width` states; keep several chunks
             // per batch so the dispatch is genuinely multi-lane.
             chunk: case.chunk.min(6),
-            pool: Some(pool::shared(case.lanes)),
             ..ViOptions::default()
         }
     } else {
@@ -484,6 +485,8 @@ fn digest_topo(case: &CaseParams, parallel: bool) -> u64 {
         .label("target")
         .expect("layered_chain labels target")
         .clone();
+    let m = layered_mdp(case.seed ^ 0xA5A5, 6, 12, false);
+    let goal = m.label("goal").expect("layered MDP labels goal").clone();
     let lanes = if parallel { case.lanes } else { 1 };
     let mut d = Digest::new();
     par::with_lane_scope(lanes, || {
@@ -491,19 +494,17 @@ fn digest_topo(case: &CaseParams, parallel: bool) -> u64 {
         let cert = solve::topo_interval_reach_values(&chain, &cond, &target, 1e-9, 100_000)
             .expect("topo interval reach");
         d.mix_cert(&cert);
+        let cert = vi::topo_certified_reach_values(
+            &m,
+            &smg_mdp::qual::condensation(&m),
+            &goal,
+            Opt::Max,
+            1e-9,
+            &layered_vio(case, parallel),
+        )
+        .expect("topo certified VI");
+        d.mix_cert(&cert);
     });
-    let m = layered_mdp(case.seed ^ 0xA5A5, 6, 12, false);
-    let goal = m.label("goal").expect("layered MDP labels goal").clone();
-    let cert = vi::topo_certified_reach_values(
-        &m,
-        &smg_mdp::qual::condensation(&m),
-        &goal,
-        Opt::Max,
-        1e-9,
-        &layered_vio(case, parallel),
-    )
-    .expect("topo certified VI");
-    d.mix_cert(&cert);
     d.finish()
 }
 

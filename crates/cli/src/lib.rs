@@ -18,6 +18,7 @@
 //! The crate is a thin library ([`run`]) plus a `main` wrapper so that the
 //! command logic is unit-testable without spawning processes.
 
+use smg_dtmc::export::{to_lab, to_srew};
 use smg_dtmc::{graph, par, transient, Dtmc};
 use smg_lang::{check, compile_any_with, parse};
 use smg_obs::{self as obs, json};
@@ -258,13 +259,13 @@ pub fn run(cmd: &Cmd) -> Result<String, CliError> {
             let (compiled, _) = load(model, options)?;
             let text = match (&compiled.model, format.as_str()) {
                 (AnyModel::Dtmc(d), "tra") => smg_dtmc::export::to_tra(d),
-                (AnyModel::Dtmc(d), "lab") => smg_dtmc::export::to_lab(d),
-                (AnyModel::Dtmc(d), "srew") => smg_dtmc::export::to_srew(d),
+                (AnyModel::Dtmc(d), "lab") => to_lab(d.n_states(), d.initial(), d.labels()),
+                (AnyModel::Dtmc(d), "srew") => to_srew(d.rewards()),
                 (AnyModel::Dtmc(d), "pm") => smg_lang::program_text(d),
                 (AnyModel::Dtmc(d), "dot") => smg_dtmc::export::to_dot(d),
                 (AnyModel::Mdp(m), "tra") => smg_mdp::export::to_tra(m),
-                (AnyModel::Mdp(m), "lab") => smg_mdp::export::to_lab(m),
-                (AnyModel::Mdp(m), "srew") => smg_mdp::export::to_srew(m),
+                (AnyModel::Mdp(m), "lab") => to_lab(m.n_states(), m.initial(), m.labels()),
+                (AnyModel::Mdp(m), "srew") => to_srew(m.rewards()),
                 (AnyModel::Mdp(_), other @ ("pm" | "dot")) => {
                     return Err(CliError(format!(
                         "format {other:?} is not supported for mdp models \

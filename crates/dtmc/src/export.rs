@@ -11,8 +11,13 @@
 //!   (with PRISM's mandatory `init` label 0), then `state: idx...` rows;
 //! * `.srew` — state rewards: header then `state reward` rows for states
 //!   with non-zero reward.
+//!
+//! The `.lab` and `.srew` formats are the same for MDPs, so their writers
+//! take the parts both model classes share rather than a chain.
 
-use crate::dtmc::Dtmc;
+use crate::bitvec::BitVec;
+use crate::dtmc::{Dtmc, StateId};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Renders the `.tra` transitions file.
@@ -29,57 +34,50 @@ pub fn to_tra(dtmc: &Dtmc) -> String {
     out
 }
 
-/// Renders the `.lab` labels file. The initial states carry PRISM's
-/// built-in `init` label (index 0); the chain's own labels follow in
-/// sorted order starting at index 1.
-pub fn to_lab(dtmc: &Dtmc) -> String {
-    let names = dtmc.label_names();
-    let mut out = String::new();
-    let decls: Vec<String> = std::iter::once("0=\"init\"".to_string())
-        .chain(
-            names
-                .iter()
-                .enumerate()
-                .map(|(i, n)| format!("{}=\"{n}\"", i + 1)),
-        )
-        .collect();
-    let _ = writeln!(out, "{}", decls.join(" "));
-
-    let mut init = vec![false; dtmc.n_states()];
-    for &(s, p) in dtmc.initial() {
+/// Renders the `.lab` labels file of a chain or an MDP with `n_states`
+/// states, its initial distribution and its labels. The initial states
+/// carry PRISM's built-in `init` label (index 0); the model's own labels
+/// follow in sorted order starting at index 1.
+pub fn to_lab(
+    n_states: usize,
+    initial: &[(StateId, f64)],
+    labels: &BTreeMap<String, BitVec>,
+) -> String {
+    let mut out = String::from("0=\"init\"");
+    for (i, name) in labels.keys().enumerate() {
+        let _ = write!(out, " {}=\"{name}\"", i + 1);
+    }
+    out.push('\n');
+    let mut init = vec![false; n_states];
+    for &(s, p) in initial {
         if p > 0.0 {
             init[s as usize] = true;
         }
     }
     for (s, &is_init) in init.iter().enumerate() {
-        let mut idxs: Vec<usize> = Vec::new();
-        if is_init {
-            idxs.push(0);
-        }
-        for (i, name) in names.iter().enumerate() {
-            if dtmc.label(name).expect("label exists").get(s) {
-                idxs.push(i + 1);
-            }
-        }
+        let held = labels.values().enumerate().filter(|(_, bits)| bits.get(s));
+        let idxs: Vec<String> = is_init
+            .then_some(0)
+            .into_iter()
+            .chain(held.map(|(i, _)| i + 1))
+            .map(|i| i.to_string())
+            .collect();
         if !idxs.is_empty() {
-            let strs: Vec<String> = idxs.iter().map(|i| i.to_string()).collect();
-            let _ = writeln!(out, "{s}: {}", strs.join(" "));
+            let _ = writeln!(out, "{s}: {}", idxs.join(" "));
         }
     }
     out
 }
 
-/// Renders the `.srew` state-rewards file (non-zero rewards only).
-pub fn to_srew(dtmc: &Dtmc) -> String {
-    let nonzero: Vec<(usize, f64)> = dtmc
-        .rewards()
+/// Renders the `.srew` state-rewards file of a chain or an MDP from its
+/// state reward vector (non-zero rewards only).
+pub fn to_srew(rewards: &[f64]) -> String {
+    let nonzero: Vec<(usize, &f64)> = rewards
         .iter()
         .enumerate()
-        .filter(|&(_, &r)| r != 0.0)
-        .map(|(s, &r)| (s, r))
+        .filter(|(_, &r)| r != 0.0)
         .collect();
-    let mut out = String::new();
-    let _ = writeln!(out, "{} {}", dtmc.n_states(), nonzero.len());
+    let mut out = format!("{} {}\n", rewards.len(), nonzero.len());
     for (s, r) in nonzero {
         let _ = writeln!(out, "{s} {r}");
     }
@@ -181,7 +179,8 @@ mod tests {
 
     #[test]
     fn lab_format() {
-        let lab = to_lab(&chain());
+        let d = chain();
+        let lab = to_lab(d.n_states(), d.initial(), d.labels());
         let mut lines = lab.lines();
         assert_eq!(lines.next(), Some("0=\"init\" 1=\"done\""));
         let rest: Vec<&str> = lines.collect();
@@ -191,7 +190,7 @@ mod tests {
 
     #[test]
     fn srew_format() {
-        let srew = to_srew(&chain());
+        let srew = to_srew(chain().rewards());
         let lines: Vec<&str> = srew.lines().collect();
         assert_eq!(lines[0], "2 1");
         assert_eq!(lines[1], "1 1");

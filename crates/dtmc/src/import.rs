@@ -264,8 +264,12 @@ mod tests {
         let original = explore(&Chain, &ExploreOptions::default()).unwrap().dtmc;
         let back = from_explicit(
             &to_tra(&original),
-            Some(&to_lab(&original)),
-            Some(&to_srew(&original)),
+            Some(&to_lab(
+                original.n_states(),
+                original.initial(),
+                original.labels(),
+            )),
+            Some(&to_srew(original.rewards())),
         )
         .unwrap();
         assert_eq!(back.n_states(), original.n_states());

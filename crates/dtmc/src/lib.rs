@@ -19,8 +19,9 @@
 //! obtains from MTBDDs.
 //!
 //! Analysis entry points live in [`transient`] (forward probability
-//! propagation for time-bounded properties and instantaneous rewards) and
-//! [`graph`] (SCC/BSCC decomposition, used for steady-state arguments).
+//! propagation for time-bounded properties and instantaneous rewards),
+//! [`solve`] (every unbounded answer, one level walk over the SCC
+//! condensation) and [`graph`] (SCC/BSCC decomposition, reachability).
 //!
 //! # The sparse engine
 //!
@@ -39,13 +40,11 @@
 //!   cheaper), and calls below [`par::GATE_FLOOR`]
 //!   units of work never dispatch (`SMG_PAR_MIN_ROWS` restores a static
 //!   row threshold, `SMG_THREADS` sets the lane count). Under
-//!   `--no-default-features` the tuned sequential loops always run. The
-//!   parallel forward product gathers over a lazily cached transpose and
-//!   is bit-identical to the sequential scatter;
-//!   [`solve::gauss_seidel_reach`]'s parallel form is a block-hybrid sweep
-//!   (Gauss–Seidel within worker blocks, Jacobi across them), run only
-//!   when pinned ([`par::pinned`]) and held within tolerance of the serial
-//!   solver by property tests.
+//!   `--no-default-features` the tuned sequential loops always run. Every
+//!   parallel form is bit-identical to its sequential loop, so which form
+//!   a site picks never changes an answer: the parallel forward product,
+//!   for one, gathers over a lazily cached transpose and writes the bits
+//!   the sequential scatter writes.
 //! * **Exploration** — BFS interns states into a sharded
 //!   [`explore::StateIndex`] (an FxHash-style multiply hasher, [`hash`],
 //!   with the hash prefix selecting the shard) and assembles rows directly
@@ -58,7 +57,7 @@
 //!
 //! # Topological solving
 //!
-//! Unbounded solvers normally iterate the whole state space until the
+//! Iterating the whole state space would pay every sweep until the
 //! slowest state converges. The `topo_*` family in [`solve`] instead
 //! condenses the chain to its SCC DAG ([`graph::Condensation`]) and solves
 //! one component at a time in reverse topological order; on layered models
@@ -117,7 +116,6 @@
 #![deny(unsafe_code)]
 
 pub mod bitvec;
-pub mod compose;
 pub mod dtmc;
 pub mod error;
 pub mod explore;
@@ -138,7 +136,6 @@ pub mod transient;
 pub mod wrappers;
 
 pub use bitvec::BitVec;
-pub use compose::SyncProduct;
 pub use dtmc::{Dtmc, StateId};
 pub use error::DtmcError;
 pub use explore::{

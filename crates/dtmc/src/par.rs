@@ -32,13 +32,11 @@
 //! parallel when more than one lane is configured: `SMG_PAR_MIN_ROWS`
 //! (process-wide), [`with_lane_scope`] (and so `CheckSession::threads`),
 //! and the sim interleaver's threshold override ([`pinned`]). Callers with
-//! their own pins (`ViOptions::{par_min_states, pool}` in `smg-mdp`,
+//! their own thresholds (`ViOptions::par_min_states` in `smg-mdp`,
 //! `ExploreOptions::par_min_level`) apply them before reaching a site.
-//! Two parallel forms have no measured default and run only when pinned:
+//! One parallel form has no measured default and runs only when pinned:
 //! the explorers' level pipelines (a sharded level does ~1.7x the
-//! sequential loop's work and lost at every size measured on 2 cores) and
-//! the block-hybrid Gauss–Seidel sweep (its iterates differ from serial
-//! Gauss–Seidel's, so a timed choice would make them timing-dependent).
+//! sequential loop's work and lost at every size measured on 2 cores).
 //!
 //! # Determinism
 //!
@@ -46,12 +44,9 @@
 //! thread count, chunks are processed independently, and results are joined
 //! in slice order — so every `chunked_map` caller sees results that do not
 //! depend on scheduling. The kernels built on top (see [`crate::matrix`],
-//! [`crate::solve`], [`mod@crate::explore`]) are bit-identical to their
-//! sequential counterparts by construction, so which form a site picks
-//! never changes an answer. The one exception is the block-hybrid
-//! Gauss–Seidel sweep of [`crate::solve::gauss_seidel_reach`], a different
-//! iteration that converges to the same fixpoint within its tolerance; it
-//! runs only when pinned, never on a timed choice.
+//! [`crate::solve`], [`mod@crate::explore`], and `smg-mdp`'s backups) are
+//! bit-identical to their sequential counterparts by construction, with no
+//! exception, so which form a site picks never changes an answer.
 //!
 //! # Tuning knobs (environment variables, read once per process)
 //!
@@ -83,10 +78,9 @@ thread_local! {
 /// and the previous scope is restored on exit. Without the `parallel`
 /// feature this is a plain call.
 ///
-/// This is how [`smg-pctl`'s] `CheckSession::threads` pins the *chain*
-/// kernels (interval sweeps, backward products), which read the global
-/// configuration rather than taking a pool parameter the way the MDP
-/// value-iteration options do.
+/// This is how [`smg-pctl`'s] `CheckSession::threads` pins both engines:
+/// the chain kernels and `smg-mdp`'s backups and condensation batches all
+/// dispatch on [`scoped_pool`] and decide through [`pinned`].
 ///
 /// [`smg-pctl`'s]: https://docs.rs/smg-pctl
 pub fn with_lane_scope<R>(lanes: usize, f: impl FnOnce() -> R) -> R {

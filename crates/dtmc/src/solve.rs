@@ -1,49 +1,30 @@
-//! Linear-equation solvers for unbounded properties.
+//! Solvers for unbounded properties, on the chain's SCC condensation.
 //!
-//! PRISM's default engine for unbounded reachability is Gauss–Seidel
-//! iteration on the linear system `x = P·x` restricted to non-target,
-//! non-failure states; this module provides the same, converging
-//! markedly faster than the Jacobi-style value iteration in
-//! [`crate::transient::unbounded_reach_values`] (both are provided, and
-//! tests pin their agreement).
+//! Every unbounded `P`/`R`/`S` answer comes from one level walk over the
+//! chain's condensation ([`graph::Condensation`]): components are solved
+//! one at a time in reverse topological order (sinks first), with their
+//! already-solved successors folded in as constants. Trivial (singleton)
+//! components collapse to a closed-form backsubstitution; a level's batch
+//! of them is one measured dispatch site, and a parallel batch writes the
+//! same bits as the sequential loop. Non-trivial components run in-place
+//! (Gauss–Seidel order) sweeps restricted to their own states. See
+//! "Topological solving" below.
 //!
-//! # Sweep strategies
+//! # Default and certified modes
 //!
-//! Two sweeps share the per-row diagonal-solved update:
-//!
-//! * **Sequential Gauss–Seidel** — in-place, each row immediately sees the
-//!   values updated earlier in the same sweep. Runs unless a pin's static
-//!   rule ([`crate::par::pinned`]) asks for the hybrid, and always when the
-//!   `parallel` feature is off: the hybrid's iterates differ, so it is
-//!   never picked on a timed choice. The row loop walks the CSR arrays
-//!   directly (no per-row allocation).
-//!   The parallel sweep dispatches its blocks onto the persistent worker
-//!   pool ([`crate::pool`] via [`crate::par::chunked_map`]), one block per
-//!   lane.
-//! * **Block-hybrid sweep** (the red-black idea generalised to contiguous
-//!   colour blocks) — the state space is cut into one contiguous block per
-//!   worker; rows are Gauss–Seidel *within* their block (reading fresh
-//!   in-block values) and Jacobi *across* blocks (reading the previous
-//!   sweep's values for out-of-block columns). With one block this is
-//!   exactly sequential Gauss–Seidel; with `n` blocks it is exactly
-//!   Jacobi. Each sweep ping-pongs two buffers, so the solver allocates
-//!   nothing per iteration. Both sweeps converge to the same fixed point;
-//!   tests pin their agreement within tolerance.
-//!
-//! # Certified convergence: interval iteration
-//!
-//! Every iterative solver above stops on a *residual* test (`delta <
-//! tol`), which is well known to be unsound: a slow-mixing chain can make
-//! consecutive iterates arbitrarily close while both are arbitrarily far
-//! from the fixpoint (`slow_mixing_chain_fools_residual_vi` in the tests
-//! constructs one). The `topo_interval_*` family fixes this with
-//! **interval iteration** (Haddad & Monmege; Baier et al.): it maintains a
-//! *lower* bound iterated up from 0 and an *upper* bound iterated down
-//! from a sound seed, and terminates only when `upper − lower < ε`
-//! pointwise. Monotonicity of the Bellman operator keeps `lo ≤ x* ≤ hi` at
-//! every sweep, so the returned [`CertifiedValues`] is a machine-checked
-//! error certificate, not a heuristic. The iteration runs one SCC at a
-//! time on the chain's condensation (see "Topological solving" below).
+//! The walk is generic over the value kept per state ([`LevelValue`]).
+//! The default `topo_*` drivers keep one estimate and stop each component
+//! on a *residual* test (`delta < tol`), which is well known to be
+//! unsound: a slow-mixing chain can make consecutive iterates arbitrarily
+//! close while both are arbitrarily far from the fixpoint
+//! (`slow_mixing_chain_fools_residual_vi` in the tests constructs one).
+//! The `topo_interval_*` drivers fix this with **interval iteration**
+//! (Haddad & Monmege; Baier et al.): they keep a *lower* bound iterated up
+//! from 0 and an *upper* bound iterated down from a sound seed, and stop a
+//! component only when `upper − lower < ε` on it. Monotonicity of the
+//! Bellman operator keeps `lo ≤ x* ≤ hi` at every sweep, so the returned
+//! [`CertifiedValues`] is a machine-checked error certificate, not a
+//! heuristic.
 //!
 //! Soundness of the seeds is *qualitative*, not numerical: a graph
 //! pre-pass ([`graph::can_reach`]) pins states that cannot reach the
@@ -55,188 +36,18 @@ use crate::bitvec::BitVec;
 use crate::dtmc::Dtmc;
 use crate::error::DtmcError;
 use crate::graph;
-use crate::matrix::{CsrMatrix, TransitionMatrix};
+use crate::matrix::TransitionMatrix;
 use crate::par;
 use smg_obs as obs;
 
-/// Minimum rows per worker block in the hybrid sweep. Matches the matrix
-/// kernels' chunking (half of [`crate::par::PAR_MIN_ROWS`]), so a chain
-/// that clears the static threshold always gets at least two blocks.
+/// Minimum states per chunk of a parallel trivial-component batch.
+/// Matches the matrix kernels' chunking (half of
+/// [`crate::par::PAR_MIN_ROWS`]), so a batch that clears the static
+/// threshold always gets at least two chunks.
 const PAR_MIN_CHUNK: usize = 2_048;
 
 /// The condensation walk's trivial-batch site (work: batch states).
 static TOPO_BATCH: par::Site = par::Site::new("topo_batch");
-
-/// One diagonal-solved row update: `x_i = (Σ_{c≠i} p_c·x_c) / (1 - p_ii)`,
-/// with pure self-loops pinned to zero (they never reach the target).
-#[inline]
-fn row_update(m: &CsrMatrix, i: usize, read: impl Fn(usize) -> f64) -> f64 {
-    let mut acc = 0.0;
-    let mut self_loop = 0.0;
-    for (c, p) in m.row(i) {
-        if c as usize == i {
-            self_loop += p;
-        } else {
-            acc += p * read(c as usize);
-        }
-    }
-    if self_loop < 1.0 {
-        acc / (1.0 - self_loop)
-    } else {
-        0.0
-    }
-}
-
-/// One sequential Gauss–Seidel sweep in place; returns the max update delta.
-fn sweep_gauss_seidel(m: &CsrMatrix, target: &BitVec, x: &mut [f64]) -> f64 {
-    let mut delta: f64 = 0.0;
-    for i in 0..x.len() {
-        if target.get(i) {
-            continue;
-        }
-        let new = row_update(m, i, |c| x[c]);
-        delta = delta.max((new - x[i]).abs());
-        x[i] = new;
-    }
-    delta
-}
-
-/// The block kernel both hybrid drivers share: sweeps one block of rows
-/// `[offset, offset + block.len())` from `x_old` into `block`, returning
-/// the block's max delta.
-///
-/// Within the block, columns behind the cursor read the fresh value
-/// (Gauss–Seidel); all other columns read `x_old` (Jacobi).
-fn sweep_one_block(
-    m: &CsrMatrix,
-    target: &BitVec,
-    x_old: &[f64],
-    offset: usize,
-    block: &mut [f64],
-) -> f64 {
-    let mut delta: f64 = 0.0;
-    for j in 0..block.len() {
-        let i = offset + j;
-        if target.get(i) {
-            block[j] = x_old[i];
-            continue;
-        }
-        let new = row_update(m, i, |c| {
-            if c >= offset && c < i {
-                block[c - offset]
-            } else {
-                x_old[c]
-            }
-        });
-        delta = delta.max((new - x_old[i]).abs());
-        block[j] = new;
-    }
-    delta
-}
-
-/// One block-hybrid sweep from `x_old` into `x_new` across the parallel
-/// workers; returns the max delta.
-fn sweep_block_hybrid(m: &CsrMatrix, target: &BitVec, x_old: &[f64], x_new: &mut [f64]) -> f64 {
-    let deltas = par::chunked_map(x_new, par::tune_chunk(PAR_MIN_CHUNK), |offset, block| {
-        sweep_one_block(m, target, x_old, offset, block)
-    });
-    deltas.into_iter().fold(0.0, f64::max)
-}
-
-/// Sequential reference for the hybrid sweep with an explicit block length:
-/// semantically identical to [`sweep_block_hybrid`] partitioned into
-/// `block_len`-sized blocks, whatever the machine's thread count. Used by
-/// the property tests to pin the hybrid against serial Gauss–Seidel.
-#[cfg(test)]
-fn sweep_blocks(
-    m: &CsrMatrix,
-    target: &BitVec,
-    x_old: &[f64],
-    x_new: &mut [f64],
-    block_len: usize,
-) -> f64 {
-    let mut delta: f64 = 0.0;
-    let mut offset = 0;
-    for block in x_new.chunks_mut(block_len.max(1)) {
-        delta = delta.max(sweep_one_block(m, target, x_old, offset, block));
-        offset += block.len();
-    }
-    delta
-}
-
-/// Unbounded reachability probabilities `P(F target)` from every state,
-/// solved by Gauss–Seidel iteration (sequential in-place sweeps, or
-/// block-hybrid sweeps when a pin's static rule asks for them — see module
-/// docs).
-///
-/// # Errors
-///
-/// * [`DtmcError::DimensionMismatch`] if the target mask has the wrong
-///   length.
-/// * [`DtmcError::NoConvergence`] if `max_iter` sweeps do not reach the
-///   tolerance.
-pub fn gauss_seidel_reach(
-    dtmc: &Dtmc,
-    target: &BitVec,
-    tol: f64,
-    max_iter: usize,
-) -> Result<Vec<f64>, DtmcError> {
-    let n = dtmc.n_states();
-    if target.len() != n {
-        return Err(DtmcError::DimensionMismatch {
-            expected: n,
-            actual: target.len(),
-        });
-    }
-    let mut x: Vec<f64> = (0..n)
-        .map(|i| if target.get(i) { 1.0 } else { 0.0 })
-        .collect();
-
-    match dtmc.matrix() {
-        TransitionMatrix::RankOne(m) => {
-            // Every non-target state's value v satisfies
-            //   v = Σ_{c∈target} p_c + v · Σ_{c∉target} p_c
-            // (all rows identical), which has the closed form below.
-            let hit: f64 = m
-                .dist()
-                .iter()
-                .filter(|&&(c, _)| target.get(c as usize))
-                .map(|&(_, p)| p)
-                .sum();
-            let stay: f64 = 1.0 - hit;
-            let v = if stay >= 1.0 { 0.0 } else { hit / (1.0 - stay) };
-            for (i, slot) in x.iter_mut().enumerate() {
-                if !target.get(i) {
-                    *slot = v;
-                }
-            }
-            Ok(x)
-        }
-        TransitionMatrix::Sparse(m) => {
-            // The hybrid's iterates differ from serial Gauss–Seidel's, so it
-            // runs only when pinned, never on a timed choice.
-            let parallel = par::pinned(n).unwrap_or(false);
-            let mut x_new = if parallel { x.clone() } else { Vec::new() };
-            for it in 1..=max_iter {
-                let delta = if parallel {
-                    let delta = sweep_block_hybrid(m, target, &x, &mut x_new);
-                    std::mem::swap(&mut x, &mut x_new);
-                    delta
-                } else {
-                    sweep_gauss_seidel(m, target, &mut x)
-                };
-                f64::record_sweep("gauss_seidel", it, delta, None);
-                if delta < tol {
-                    return Ok(x);
-                }
-            }
-            Err(DtmcError::NoConvergence {
-                iterations: max_iter,
-                residual: tol,
-            })
-        }
-    }
-}
 
 /// A per-state value bracket `[lo, hi]` produced by interval iteration,
 /// with the guarantee `lo[s] ≤ x*[s] ≤ hi[s]` for the exact solution `x*`
@@ -342,9 +153,9 @@ fn hitting_probe(dtmc: &Dtmc, target: &BitVec, active: &BitVec) -> Result<(usize
 // Topological (SCC-ordered) solving
 // ---------------------------------------------------------------------------
 //
-// The residual solvers above iterate the *whole* state space until its
-// slowest state converges. The `topo_*` family instead walks the chain's
-// SCC condensation ([`graph::Condensation`]) one component at a time in
+// Iterating the *whole* state space pays every sweep until its slowest
+// state converges. The `topo_*` family instead walks the chain's SCC
+// condensation ([`graph::Condensation`]) one component at a time in
 // reverse topological order (sinks first), with already-solved successor
 // values folded in as constants:
 //
@@ -762,8 +573,8 @@ pub fn topo_until_values(
     topo_until(dtmc, cond, lhs, rhs, tol, max_iter).map(|(x, _)| x)
 }
 
-/// Unbounded reachability `P(F target)` by topological solving — the
-/// SCC-ordered replacement for [`gauss_seidel_reach`].
+/// Unbounded reachability `P(F target)` by topological solving —
+/// [`topo_until_values`] with an unrestricted left operand.
 ///
 /// # Errors
 ///
@@ -1049,11 +860,17 @@ mod tests {
         }
     }
 
+    /// The default walk's reachability values from every state.
+    fn reach(dtmc: &Dtmc, target: &BitVec, tol: f64) -> Result<Vec<f64>, DtmcError> {
+        let cond = graph::Condensation::new(dtmc);
+        topo_reach_values(dtmc, &cond, target, tol, 1_000_000)
+    }
+
     #[test]
     fn matches_closed_form_gambler() {
         let e = explore(&Ruin, &ExploreOptions::default()).unwrap();
         let rich = e.dtmc.label("rich").unwrap().clone();
-        let x = gauss_seidel_reach(&e.dtmc, &rich, 1e-14, 100_000).unwrap();
+        let x = reach(&e.dtmc, &rich, 1e-14).unwrap();
         // Closed form: with q/p ratio r = 0.6/0.4 = 1.5,
         // P(reach 4 from k) = (1 - r^k) / (1 - r^4).
         let r: f64 = 1.5;
@@ -1064,29 +881,19 @@ mod tests {
         }
     }
 
+    /// Whole-space value iteration for 500 steps (the transient block's
+    /// spectral radius is below 0.7, so the remainder is below 1e-70)
+    /// agrees with the walk's in-place component sweeps.
     #[test]
     fn agrees_with_value_iteration() {
         let e = explore(&Ruin, &ExploreOptions::default()).unwrap();
         let rich = e.dtmc.label("rich").unwrap().clone();
-        let gs = gauss_seidel_reach(&e.dtmc, &rich, 1e-13, 100_000).unwrap();
-        let vi = transient::unbounded_reach_values(&e.dtmc, &rich, 1e-13, 1_000_000).unwrap();
-        for (a, b) in gs.iter().zip(&vi) {
-            assert!((a - b).abs() < 1e-8, "{a} vs {b}");
+        let topo = reach(&e.dtmc, &rich, 1e-13).unwrap();
+        let all = BitVec::ones(e.dtmc.n_states());
+        let vi = transient::bounded_until_values(&e.dtmc, &all, &rich, 500).unwrap();
+        for (a, b) in topo.iter().zip(&vi) {
+            assert!((a - b).abs() < 1e-12, "{a} vs {b}");
         }
-    }
-
-    #[test]
-    fn gauss_seidel_needs_fewer_sweeps() {
-        // With a generous tolerance both converge; with a tight iteration
-        // budget only Gauss–Seidel makes it on this chain.
-        let e = explore(&Ruin, &ExploreOptions::default()).unwrap();
-        let rich = e.dtmc.label("rich").unwrap().clone();
-        let budget = 100;
-        let gs = gauss_seidel_reach(&e.dtmc, &rich, 1e-12, budget);
-        assert!(
-            gs.is_ok(),
-            "gauss-seidel should converge in {budget} sweeps"
-        );
     }
 
     struct Dice;
@@ -1110,7 +917,7 @@ mod tests {
     fn rank_one_closed_form() {
         let e = explore_memoryless(&Dice, &ExploreOptions::default()).unwrap();
         let six = e.dtmc.label("six").unwrap().clone();
-        let x = gauss_seidel_reach(&e.dtmc, &six, 1e-14, 10).unwrap();
+        let x = reach(&e.dtmc, &six, 1e-14).unwrap();
         // Geometric: the six is eventually rolled with probability 1.
         for (i, v) in x.iter().enumerate() {
             let expect = 1.0;
@@ -1142,7 +949,7 @@ mod tests {
         }
         let e = explore(&Split, &ExploreOptions::default()).unwrap();
         let goal = e.dtmc.label("goal").unwrap().clone();
-        let x = gauss_seidel_reach(&e.dtmc, &goal, 1e-14, 1000).unwrap();
+        let x = reach(&e.dtmc, &goal, 1e-14).unwrap();
         assert!((x[e.id_of(&0).unwrap() as usize] - 0.5).abs() < 1e-12);
         assert_eq!(x[e.id_of(&2).unwrap() as usize], 0.0);
         assert_eq!(x[e.id_of(&1).unwrap() as usize], 1.0);
@@ -1153,108 +960,9 @@ mod tests {
         let e = explore(&Ruin, &ExploreOptions::default()).unwrap();
         let bad = BitVec::zeros(2);
         assert!(matches!(
-            gauss_seidel_reach(&e.dtmc, &bad, 1e-9, 10),
+            reach(&e.dtmc, &bad, 1e-9),
             Err(DtmcError::DimensionMismatch { .. })
         ));
-    }
-
-    /// Larger ruin chain for sweeping the hybrid against the serial solver.
-    struct BigRuin {
-        n: u32,
-    }
-    impl DtmcModel for BigRuin {
-        type State = u32;
-        fn initial_states(&self) -> Vec<(u32, f64)> {
-            vec![(self.n / 2, 1.0)]
-        }
-        fn transitions(&self, s: &u32) -> Vec<(u32, f64)> {
-            if *s == 0 || *s == self.n {
-                vec![(*s, 1.0)]
-            } else {
-                vec![(s + 1, 0.45), (s - 1, 0.55)]
-            }
-        }
-        fn atomic_propositions(&self) -> Vec<&'static str> {
-            vec!["rich"]
-        }
-        fn holds(&self, ap: &str, s: &u32) -> bool {
-            ap == "rich" && *s == self.n
-        }
-    }
-
-    /// Drives the hybrid to its fixed point with an explicit block length.
-    fn hybrid_fixed_point(
-        dtmc: &crate::dtmc::Dtmc,
-        target: &BitVec,
-        block_len: usize,
-        tol: f64,
-    ) -> Option<Vec<f64>> {
-        let TransitionMatrix::Sparse(m) = dtmc.matrix() else {
-            panic!("hybrid needs a CSR matrix")
-        };
-        let n = dtmc.n_states();
-        let mut x: Vec<f64> = (0..n)
-            .map(|i| if target.get(i) { 1.0 } else { 0.0 })
-            .collect();
-        let mut x_new = x.clone();
-        for _ in 0..1_000_000 {
-            let delta = super::sweep_blocks(m, target, &x, &mut x_new, block_len);
-            std::mem::swap(&mut x, &mut x_new);
-            if delta < tol {
-                return Some(x);
-            }
-        }
-        None
-    }
-
-    /// The block-hybrid sweep must land on the same fixed point as
-    /// sequential Gauss–Seidel within tolerance, for every block geometry:
-    /// one block (= pure Gauss–Seidel), one row per block (= pure Jacobi),
-    /// and uneven splits in between.
-    #[test]
-    fn block_hybrid_matches_sequential_gauss_seidel() {
-        let e = explore(&BigRuin { n: 600 }, &ExploreOptions::default()).unwrap();
-        let rich = e.dtmc.label("rich").unwrap().clone();
-        let serial = gauss_seidel_reach(&e.dtmc, &rich, 1e-13, 1_000_000).unwrap();
-        let n = e.dtmc.n_states();
-        for block_len in [n, 150, 97, 1] {
-            let hybrid = hybrid_fixed_point(&e.dtmc, &rich, block_len, 1e-13)
-                .unwrap_or_else(|| panic!("no convergence at block_len {block_len}"));
-            for (i, (a, b)) in hybrid.iter().zip(&serial).enumerate() {
-                assert!(
-                    (a - b).abs() < 1e-9,
-                    "block_len {block_len}, state {i}: hybrid {a} vs serial {b}"
-                );
-            }
-        }
-    }
-
-    /// The parallel driver must agree with the explicit-block reference at
-    /// the driver's own geometry (one block per worker). On single-core
-    /// machines both degenerate to one block; on multi-core runners this
-    /// pins the scoped-thread execution itself.
-    #[test]
-    fn parallel_driver_matches_block_reference() {
-        let e = explore(&BigRuin { n: 700 }, &ExploreOptions::default()).unwrap();
-        let rich = e.dtmc.label("rich").unwrap().clone();
-        let TransitionMatrix::Sparse(m) = e.dtmc.matrix() else {
-            unreachable!("explore builds CSR")
-        };
-        let n = e.dtmc.n_states();
-        let x: Vec<f64> = (0..n)
-            .map(|i| if rich.get(i) { 1.0 } else { 0.0 })
-            .collect();
-        let mut via_driver = vec![0.0; n];
-        let d1 = super::sweep_block_hybrid(m, &rich, &x, &mut via_driver);
-        // chunked_map splits into ceil(n / threads)-sized blocks, except
-        // that fewer-than-two-chunk inputs stay whole.
-        let threads = crate::par::max_threads()
-            .min(n / super::PAR_MIN_CHUNK.max(1))
-            .max(1);
-        let mut via_blocks = vec![0.0; n];
-        let d2 = super::sweep_blocks(m, &rich, &x, &mut via_blocks, n.div_ceil(threads));
-        assert_eq!(via_driver, via_blocks);
-        assert_eq!(d1, d2);
     }
 
     /// A slow-mixing line: each of the `k` transient states mostly
@@ -1293,17 +1001,32 @@ mod tests {
         }
     }
 
-    /// The acceptance-criterion demonstration: plain residual VI declares
-    /// convergence while still ~0.5 away from the true probability; the
-    /// certified interval brackets the truth with width below ε on the
-    /// same chain.
+    /// The acceptance-criterion demonstration: plain residual VI (whole
+    /// space backward sweeps until consecutive iterates differ by less
+    /// than ε) declares convergence while still ~0.5 away from the true
+    /// probability; the certified interval brackets the truth with width
+    /// below ε on the same chain.
     #[test]
     fn slow_mixing_chain_fools_residual_vi() {
         let e = explore(&LazyLine { k: 4, p: 1e-4 }, &ExploreOptions::default()).unwrap();
         let goal = e.dtmc.label("goal").unwrap().clone();
         let eps = 1e-3;
         let near = e.id_of(&3).unwrap() as usize; // truth: 1/2
-        let plain = transient::unbounded_reach_values(&e.dtmc, &goal, eps, 1_000_000).unwrap();
+        let active = goal.not();
+        let mut plain: Vec<f64> = (0..e.dtmc.n_states())
+            .map(|i| if goal.get(i) { 1.0 } else { 0.0 })
+            .collect();
+        let mut next = vec![0.0; plain.len()];
+        loop {
+            e.dtmc
+                .matrix()
+                .backward_masked_into(&plain, Some(&active), &mut next);
+            std::mem::swap(&mut plain, &mut next);
+            let delta = plain.iter().zip(&next).map(|(a, b)| (a - b).abs());
+            if delta.fold(0.0, f64::max) < eps {
+                break;
+            }
+        }
         assert!(
             (plain[near] - 0.5).abs() > 0.4,
             "residual VI should stop early here, got {}",
@@ -1468,8 +1191,10 @@ mod tests {
 
     /// The walk's parallel path — a level's trivial components
     /// backsubstituted as one pool-dispatched batch — must produce the
-    /// single-lane bits, and bracket the serial Gauss–Seidel solution, on
-    /// a chain whose levels clear the engine's parallel threshold.
+    /// single-lane bits, and bracket the serial solution (bounded value
+    /// iteration at a horizon past the DAG's depth, which is exact on a
+    /// DAG), on a chain whose levels clear the engine's parallel
+    /// threshold.
     #[test]
     fn interval_parallel_path_brackets_serial_solution() {
         let d = crate::synthetic::layered_chain(3, 5_000);
@@ -1481,7 +1206,8 @@ mod tests {
         let single = crate::par::with_lane_scope(1, solve);
         assert_eq!((&cert.lo, &cert.hi), (&single.lo, &single.hi));
         assert!(cert.width() < eps);
-        let serial = gauss_seidel_reach(&d, &target, 1e-13, 10_000_000).unwrap();
+        let all = BitVec::ones(d.n_states());
+        let serial = transient::bounded_until_values(&d, &all, &target, cond.dag_depth()).unwrap();
         for (i, v) in serial.iter().enumerate() {
             assert!(
                 cert.lo[i] - 1e-9 <= *v && *v <= cert.hi[i] + 1e-9,
@@ -1498,7 +1224,8 @@ mod tests {
         // with a per-state escape to absorbing goal/fail states: the
         // condensation is 3 components, and the topological drivers run
         // exactly one non-trivial component solve. The answers must match
-        // the global Gauss–Seidel solver's.
+        // global value iteration's: 2,000 whole-space backward steps, each
+        // escaping the ring with probability 0.1 (remainder 0.9^2000).
         struct Ring;
         impl DtmcModel for Ring {
             type State = u8;
@@ -1530,7 +1257,8 @@ mod tests {
         assert_eq!(cond.n_components(), 3);
         assert_eq!(cond.largest(), 40);
         let goal = e.dtmc.label("goal").unwrap().clone();
-        let global = gauss_seidel_reach(&e.dtmc, &goal, 1e-13, 1_000_000).unwrap();
+        let all = BitVec::ones(e.dtmc.n_states());
+        let global = transient::bounded_until_values(&e.dtmc, &all, &goal, 2_000).unwrap();
         let topo =
             super::topo_interval_reach_values(&e.dtmc, &cond, &goal, 1e-10, 10_000_000).unwrap();
         assert!(topo.width() < 1e-10);
@@ -1578,7 +1306,6 @@ mod tests {
         use super::super::*;
         use crate::explore::{explore, ExploreOptions};
         use crate::model::DtmcModel;
-        use crate::transient;
         use proptest::prelude::*;
 
         /// A random absorbing chain: `n` transient states, each branching
@@ -1727,35 +1454,10 @@ mod tests {
         proptest! {
                     #![proptest_config(ProptestConfig::with_cases(48))]
 
-                    /// Hybrid sweeps of arbitrary block geometry agree with serial
-                    /// Gauss–Seidel and with Jacobi value iteration on random
-                    /// absorbing chains.
-                    #[test]
-                    fn hybrid_pinned_to_serial_on_random_chains(
-                        n in 8u32..60,
-                        edges in proptest::collection::vec((0u32..64, 0u32..64, 1u32..8), 60),
-                        block_len in 1usize..40,
-                    ) {
-                        let model = RandomAbsorbing { n, edges };
-                        let e = explore(&model, &ExploreOptions::default()).unwrap();
-                        let goal = e.dtmc.label("goal").unwrap().clone();
-                        // Some random chains place the goal out of reach of every
-                        // explored state; the solvers must still agree.
-                        let serial = gauss_seidel_reach(&e.dtmc, &goal, 1e-13, 1_000_000).unwrap();
-                        let jacobi =
-                            transient::unbounded_reach_values(&e.dtmc, &goal, 1e-13, 1_000_000).unwrap();
-                        let hybrid =
-                            super::hybrid_fixed_point(&e.dtmc, &goal, block_len, 1e-13).unwrap();
-                        for (i, ((h, s), j)) in hybrid.iter().zip(&serial).zip(&jacobi).enumerate() {
-                            prop_assert!((h - s).abs() < 1e-8, "state {i}: hybrid {h} vs serial {s}");
-                            prop_assert!((h - j).abs() < 1e-8, "state {i}: hybrid {h} vs jacobi {j}");
-                        }
-                    }
-
                     /// Topological (SCC-ordered) solving agrees with the global
-                    /// solvers on random absorbing chains: plain values within the
-                    /// solver tolerance, certified intervals still ε-wide and
-                    /// bracketing the exact linear-system solution.
+                    /// linear system on random absorbing chains: plain values within
+                    /// the solver tolerance of its dense solution, certified
+                    /// intervals ε-wide and bracketing it.
                     #[test]
                     fn topological_matches_global_on_random_chains(
                         n in 8u32..60,
@@ -1764,20 +1466,18 @@ mod tests {
                         let model = RandomAbsorbing { n, edges };
                         let e = explore(&model, &ExploreOptions::default()).unwrap();
                         let goal = e.dtmc.label("goal").unwrap().clone();
-                        let global =
-                            transient::unbounded_reach_values(&e.dtmc, &goal, 1e-12, 1_000_000).unwrap();
+                        let exact = exact_reach(&e.dtmc, &goal);
                         let topo =
                             super::super::topo_reach_values(
         &e.dtmc, &crate::graph::Condensation::new(&e.dtmc), &goal, 1e-12, 1_000_000).unwrap();
-                        for (i, (t, g)) in topo.iter().zip(&global).enumerate() {
-                            prop_assert!((t - g).abs() < 1e-8, "state {i}: topo {t} vs global {g}");
+                        for (i, (t, g)) in topo.iter().zip(&exact).enumerate() {
+                            prop_assert!((t - g).abs() < 1e-8, "state {i}: topo {t} vs exact {g}");
                         }
                         let eps = 1e-8;
                         let cert = super::super::topo_interval_reach_values(
         &e.dtmc, &crate::graph::Condensation::new(&e.dtmc), &goal, eps, 10_000_000,
                         ).unwrap();
                         prop_assert!(cert.width() < eps);
-                        let exact = exact_reach(&e.dtmc, &goal);
                         for (i, v) in exact.iter().enumerate() {
                             prop_assert!(
                                 cert.lo[i] - 1e-10 <= *v && *v <= cert.hi[i] + 1e-10,

@@ -22,7 +22,6 @@
 use crate::bitvec::BitVec;
 use crate::dtmc::Dtmc;
 use crate::error::DtmcError;
-use smg_obs as obs;
 
 /// The distribution over states after exactly `t` steps.
 pub fn distribution_at(dtmc: &Dtmc, t: usize) -> Vec<f64> {
@@ -148,50 +147,6 @@ pub fn bounded_until_values(
         std::mem::swap(&mut x, &mut next);
     }
     Ok(x)
-}
-
-/// Unbounded reachability probability from every state (`P=? [F target]`),
-/// computed by value iteration to the given tolerance.
-///
-/// # Errors
-///
-/// [`DtmcError::NoConvergence`] if the iteration budget is exhausted.
-pub fn unbounded_reach_values(
-    dtmc: &Dtmc,
-    target: &BitVec,
-    tol: f64,
-    max_iter: usize,
-) -> Result<Vec<f64>, DtmcError> {
-    check_len(dtmc, target)?;
-    let n = dtmc.n_states();
-    let active = target.not();
-    let mut x: Vec<f64> = (0..n)
-        .map(|i| if target.get(i) { 1.0 } else { 0.0 })
-        .collect();
-    let mut next = vec![0.0; n];
-    for it in 1..=max_iter {
-        dtmc.matrix()
-            .backward_masked_into(&x, Some(&active), &mut next);
-        let diff = max_abs_diff(&x, &next);
-        std::mem::swap(&mut x, &mut next);
-        if obs::enabled() {
-            obs::counter_add("smg_solve_sweeps_total", Some(("driver", "power")), 1);
-            obs::trace(&obs::ConvergenceRecord {
-                driver: "power",
-                sweep: it as u64,
-                residual: Some(diff),
-                width: None,
-                component: None,
-            });
-        }
-        if diff < tol {
-            return Ok(x);
-        }
-    }
-    Err(DtmcError::NoConvergence {
-        iterations: max_iter,
-        residual: tol,
-    })
 }
 
 /// A steady-state detection report.
@@ -361,24 +316,6 @@ mod tests {
             // Initial state is 0 with mass 1.
             assert!((fwd - vals[0]).abs() < 1e-12, "t={t}");
         }
-    }
-
-    #[test]
-    fn unbounded_reach() {
-        let d = chain();
-        let goal = d.label("goal").unwrap().clone();
-        let vals = unbounded_reach_values(&d, &goal, 1e-12, 10_000).unwrap();
-        for v in &vals {
-            assert!((v - 1.0).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn unbounded_reach_budget() {
-        let d = chain();
-        let goal = d.label("goal").unwrap().clone();
-        let err = unbounded_reach_values(&d, &goal, 1e-300, 3);
-        assert!(matches!(err, Err(DtmcError::NoConvergence { .. })));
     }
 
     #[test]

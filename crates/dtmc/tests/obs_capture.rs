@@ -8,7 +8,7 @@
 use smg_dtmc::bitvec::BitVec;
 use smg_dtmc::graph::Condensation;
 use smg_dtmc::matrix::{CsrMatrix, TransitionMatrix};
-use smg_dtmc::{solve, transient, Dtmc};
+use smg_dtmc::{solve, Dtmc};
 use smg_obs as obs;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -34,38 +34,32 @@ fn captured<R>(f: impl FnOnce() -> R) -> (Arc<obs::Capture>, R) {
     (cap, out)
 }
 
+/// The damped power iteration `S=?` runs on a chain that is one bottom
+/// SCC (driver `steady`).
 #[test]
 fn power_driver_emits_one_record_per_sweep() {
-    let d = chain();
-    let goal = d.label("goal").unwrap().clone();
-    let (cap, values) =
-        captured(|| transient::unbounded_reach_values(&d, &goal, 1e-12, 10_000).unwrap());
-    assert!((values[0] - 1.0).abs() < 1e-9);
-    let traces = cap.traces_for("power");
+    // 0 → 1 with probability ½, 1 → 0 with ¼: stationary mass 2/3 on 1.
+    let m = TransitionMatrix::Sparse(
+        CsrMatrix::from_rows(vec![vec![(0, 0.5), (1, 0.5)], vec![(0, 0.25), (1, 0.75)]]).unwrap(),
+    );
+    let mut labels = BTreeMap::new();
+    labels.insert("one".to_string(), BitVec::from_fn(2, |i| i == 1));
+    let d = Dtmc::new(m, vec![(0, 1.0)], labels, vec![0.0; 2]).unwrap();
+    let one = d.label("one").unwrap().clone();
+    let cond = Condensation::new(&d);
+    let (cap, value) =
+        captured(|| solve::steady_state_prob(&d, &cond, &one, 1e-12, 10_000).unwrap());
+    assert!((value - 2.0 / 3.0).abs() < 1e-9, "{value}");
+    let traces = cap.traces_for("steady");
     assert!(!traces.is_empty());
     assert_eq!(
-        cap.counter_with("smg_solve_sweeps_total", "power"),
+        cap.counter_with("smg_solve_sweeps_total", "steady"),
         traces.len() as u64
     );
     let last = traces.last().unwrap();
     assert_eq!(last.sweep as usize, traces.len(), "sweeps are 1-based");
     assert!(last.residual.unwrap() < 1e-12, "{last:?}");
     assert!(last.width.is_none() && last.component.is_none());
-}
-
-#[test]
-fn gauss_seidel_driver_emits_one_record_per_sweep() {
-    let d = chain();
-    let goal = d.label("goal").unwrap().clone();
-    let (cap, values) = captured(|| solve::gauss_seidel_reach(&d, &goal, 1e-12, 10_000).unwrap());
-    assert!((values[0] - 1.0).abs() < 1e-9);
-    let traces = cap.traces_for("gauss_seidel");
-    assert!(!traces.is_empty());
-    assert_eq!(
-        cap.counter_with("smg_solve_sweeps_total", "gauss_seidel"),
-        traces.len() as u64
-    );
-    assert!(traces.last().unwrap().residual.unwrap() < 1e-12);
 }
 
 #[test]

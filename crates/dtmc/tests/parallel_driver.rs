@@ -172,9 +172,14 @@ fn threaded_drivers_match_sequential_references() {
         "mass conserved"
     );
 
-    // Block-hybrid Gauss-Seidel (threaded when parallel) vs serial GS.
+    // The condensation walk (its trivial-component batches threaded when
+    // parallel) against a one-lane run bit for bit, and against a serial
+    // Gauss-Seidel reference within tolerance.
     let goal = d.label("goal").unwrap().clone();
-    let engine = solve::gauss_seidel_reach(&d, &goal, 1e-13, 1_000_000).unwrap();
+    let cond = smg_dtmc::graph::Condensation::new(&d);
+    let walk = || solve::topo_reach_values(&d, &cond, &goal, 1e-13, 1_000_000).unwrap();
+    let engine = walk();
+    assert_eq!(engine, smg_dtmc::par::with_lane_scope(1, walk));
     let reference = ref_serial_gauss_seidel(&d, &goal, 1e-13);
     for (i, (a, b)) in engine.iter().zip(&reference).enumerate() {
         assert!((a - b).abs() < 1e-8, "state {i}: engine {a} vs serial {b}");

@@ -16,8 +16,9 @@
 //! * **All modules step synchronously on every clock tick** and their
 //!   randomness is independent, so the joint transition probability is the
 //!   product over modules. This is the clocked-RTL semantics of the paper
-//!   (every DTMC transition is one clock cycle) and of
-//!   [`smg_dtmc::SyncProduct`]; it coincides with PRISM's DTMC semantics
+//!   (every DTMC transition is one clock cycle), pinned against a native
+//!   synchronous product of independent models in the workspace's
+//!   `tests/lang_composition.rs`; it coincides with PRISM's DTMC semantics
 //!   for single-module programs. Synchronization labels are parsed but do
 //!   not restrict stepping.
 //! * Within one module, if several commands are enabled in a state the

@@ -16,7 +16,8 @@
 //! explicit [`ExploreOptions::par_min_level`], or by the static rule of a
 //! process or thread pin ([`smg_dtmc::par::pinned`]). A parallel level
 //! runs in consecutive slices of at most [`PAR_SLICE`] states, each
-//! through a three-phase pipeline on the persistent worker pool:
+//! through a three-phase pipeline on the worker pool of the calling
+//! thread's lane scope ([`smg_dtmc::par::scoped_pool`]):
 //!
 //! 1. **Expand** (parallel) — the slice is split into contiguous chunks;
 //!    each chunk calls the model's action function and validates every
@@ -31,7 +32,7 @@
 //!    private flat segment, and segments concatenate in chunk order.
 //!
 //! Ids, rows and statistics are bit-identical to sequential BFS for every
-//! thread count (property-tested in `tests/vi_properties.rs`).
+//! thread count and lane scope (pinned by this module's tests).
 //!
 //! As on the DTMC side, [`explore`] is a thin call into one search core,
 //! [`try_explore`], whose action function may fail with the caller's own
@@ -44,7 +45,7 @@ use smg_dtmc::explore::{
     StateIndex, PAR_SLICE,
 };
 use smg_dtmc::matrix::merge_row_into;
-use smg_dtmc::{par, pool, BuildStats, DtmcError, StateId};
+use smg_dtmc::{par, BuildStats, DtmcError, StateId};
 use std::fmt::Debug;
 use std::hash::Hash;
 use std::time::Instant;
@@ -316,7 +317,9 @@ where
     let nchunks = scratch.len();
     let level_len = level.len();
     let per_chunk = level_len.div_ceil(nchunks);
-    let pool = pool::global();
+    // The scoped pool honours `par::with_lane_scope`, as the DTMC
+    // explorer's pipeline does.
+    let pool = par::scoped_pool();
 
     // Phase 1: expand + validate.
     {

@@ -1,9 +1,11 @@
-//! Export to PRISM's explicit-state MDP file formats.
+//! Export to PRISM's explicit-state MDP transition format.
 //!
 //! Same interop story as `smg_dtmc::export`, extended with the action
 //! column: an MDP `.tra` file carries a `states choices transitions`
 //! header and one `src choice dst prob` row per transition (`prism
-//! -importtrans model.tra -mdp ...` reads it back).
+//! -importtrans model.tra -mdp ...` reads it back). The `.lab` and
+//! `.srew` files have the DTMC formats, so `smg_dtmc::export::to_lab` and
+//! `to_srew` write them for MDPs too.
 
 use crate::mdp::Mdp;
 use std::fmt::Write as _;
@@ -19,63 +21,6 @@ pub fn to_tra(mdp: &Mdp) -> String {
                 let _ = writeln!(out, "{s} {a} {c} {p}");
             }
         }
-    }
-    out
-}
-
-/// Renders the `.lab` labels file (same format as the DTMC exporter: the
-/// initial states carry PRISM's built-in `init` label 0, the model's own
-/// labels follow in sorted order).
-pub fn to_lab(mdp: &Mdp) -> String {
-    let names = mdp.label_names();
-    let mut out = String::new();
-    let decls: Vec<String> = std::iter::once("0=\"init\"".to_string())
-        .chain(
-            names
-                .iter()
-                .enumerate()
-                .map(|(i, n)| format!("{}=\"{n}\"", i + 1)),
-        )
-        .collect();
-    let _ = writeln!(out, "{}", decls.join(" "));
-
-    let mut init = vec![false; mdp.n_states()];
-    for &(s, p) in mdp.initial() {
-        if p > 0.0 {
-            init[s as usize] = true;
-        }
-    }
-    for (s, &is_init) in init.iter().enumerate() {
-        let mut idxs: Vec<usize> = Vec::new();
-        if is_init {
-            idxs.push(0);
-        }
-        for (i, name) in names.iter().enumerate() {
-            if mdp.label(name).expect("label exists").get(s) {
-                idxs.push(i + 1);
-            }
-        }
-        if !idxs.is_empty() {
-            let strs: Vec<String> = idxs.iter().map(|i| i.to_string()).collect();
-            let _ = writeln!(out, "{s}: {}", strs.join(" "));
-        }
-    }
-    out
-}
-
-/// Renders the `.srew` state-rewards file (non-zero rewards only).
-pub fn to_srew(mdp: &Mdp) -> String {
-    let nonzero: Vec<(usize, f64)> = mdp
-        .rewards()
-        .iter()
-        .enumerate()
-        .filter(|&(_, &r)| r != 0.0)
-        .map(|(s, &r)| (s, r))
-        .collect();
-    let mut out = String::new();
-    let _ = writeln!(out, "{} {}", mdp.n_states(), nonzero.len());
-    for (s, r) in nonzero {
-        let _ = writeln!(out, "{s} {r}");
     }
     out
 }
@@ -122,12 +67,13 @@ mod tests {
 
     #[test]
     fn lab_and_srew_match_dtmc_shapes() {
+        use smg_dtmc::export::{to_lab, to_srew};
         let m = two_action();
-        let lab = to_lab(&m);
+        let lab = to_lab(m.n_states(), m.initial(), m.labels());
         assert!(lab.starts_with("0=\"init\" 1=\"done\""));
         assert!(lab.contains("0: 0"));
         assert!(lab.contains("1: 1"));
-        let srew = to_srew(&m);
+        let srew = to_srew(m.rewards());
         let lines: Vec<&str> = srew.lines().collect();
         assert_eq!(lines[0], "2 1");
         assert_eq!(lines[1], "1 2.5");

@@ -20,14 +20,15 @@
 //!   interning states through [`smg_dtmc::StateIndex`] and expanding large
 //!   levels in parallel on the engine's persistent worker pool; the result
 //!   is bit-identical to sequential BFS for every thread count.
-//! * [`vi`] implements min/max value iteration — bounded/unbounded until,
-//!   instantaneous/cumulative/reachability rewards — as masked Bellman
-//!   backups that run as dynamically dispatched chunks on the pool where
-//!   their measured dispatch sites ([`smg_dtmc::par::Site`]) pick that,
-//!   with a bit-identical sequential fallback elsewhere. The `certified_*`
-//!   drivers replace the residual stopping test with interval iteration:
-//!   a `[lo, hi]` bracket that provably contains the exact optimum and
-//!   terminates only when its width drops below ε.
+//! * [`vi`] implements min/max value iteration — bounded until,
+//!   instantaneous and cumulative rewards as masked Bellman backups that
+//!   run as dynamically dispatched chunks on the pool where their measured
+//!   dispatch sites ([`smg_dtmc::par::Site`]) pick that, with a
+//!   bit-identical sequential fallback elsewhere; unbounded until and
+//!   reachability rewards on the SCC condensation (below). The
+//!   `topo_certified_*` drivers replace the residual stopping test with
+//!   interval iteration: a `[lo, hi]` bracket that provably contains the
+//!   exact optimum and terminates only when its width drops below ε.
 //! * [`qual`] provides the graph-based qualitative machinery behind the
 //!   certificates — `Prob0`/`Prob1` sets, maximal end components, and a
 //!   provably proper scheduler — none of which trusts a numerically
@@ -39,8 +40,9 @@
 //!
 //! # Topological solving
 //!
-//! The `topo_*` drivers in [`vi`] walk the SCC condensation of the
-//! any-action graph ([`qual::condensation`]) sinks-first, solving each
+//! Every unbounded answer comes from the `topo_*` drivers in [`vi`]: they
+//! walk the SCC condensation of the any-action graph
+//! ([`qual::condensation`]) sinks-first, solving each
 //! component with its successors' values (or certified bounds, for the
 //! `topo_certified_*` family) as constants — end components never span
 //! SCCs, so deflation/inflation stays local. The default drivers keep one
@@ -110,9 +112,10 @@
 //!
 //! let e = explore(&Dispatch, &ExploreOptions::default())?;
 //! let done = e.mdp.label("done")?.clone();
+//! let cond = smg_mdp::qual::condensation(&e.mdp);
 //! let vio = ViOptions::default();
-//! let pmax = vi::reach_values(&e.mdp, &done, Opt::Max, &vio)?[0];
-//! let pmin = vi::reach_values(&e.mdp, &done, Opt::Min, &vio)?[0];
+//! let pmax = vi::topo_reach_values(&e.mdp, &cond, &done, Opt::Max, &vio)?[0];
+//! let pmin = vi::topo_reach_values(&e.mdp, &cond, &done, Opt::Min, &vio)?[0];
 //! assert!((pmax - 1.0).abs() < 1e-9); // slow unit always completes
 //! assert!((pmin - 0.9).abs() < 1e-9); // worst case: fast unit, one shot
 //! # Ok::<(), smg_dtmc::DtmcError>(())

@@ -211,6 +211,11 @@ impl Mdp {
         self.labels.keys().map(String::as_str).collect()
     }
 
+    /// Every label's state set, by name.
+    pub fn labels(&self) -> &BTreeMap<String, BitVec> {
+        &self.labels
+    }
+
     /// The state reward vector.
     pub fn rewards(&self) -> &[f64] {
         &self.rewards

@@ -488,7 +488,8 @@ mod tests {
         let sched = proper_scheduler(&m, &all, &goal);
         assert_eq!(sched[0], 1, "must take the safe action");
         let d = m.induced_dtmc(&sched).unwrap();
-        let v = smg_dtmc::transient::unbounded_reach_values(&d, &goal, 1e-12, 100_000).unwrap();
+        let cond = smg_dtmc::graph::Condensation::new(&d);
+        let v = smg_dtmc::solve::topo_reach_values(&d, &cond, &goal, 1e-12, 100_000).unwrap();
         assert!((v[0] - 1.0).abs() < 1e-9);
     }
 }

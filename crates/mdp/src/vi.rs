@@ -10,13 +10,13 @@
 //! with `opt` either `min` (worst case over the adversary, `Pmin`/`Rmin`)
 //! or `max` (best case, `Pmax`/`Rmax`). [`optimal_step_into`] implements
 //! one masked backup following the DTMC engine's buffer-reuse contract
-//! (caller-owned ping-pong buffers, zero per-step allocation); the bounded
-//! and global unbounded drivers ([`bounded_until_values`],
-//! [`unbounded_until_values`], ...) loop it. The checker's unbounded
-//! solvers — the default [`topo_until_values`] / [`topo_reach_reward_values`]
-//! and the certified [`topo_certified_until_values`] /
-//! [`topo_certified_reach_reward_values`] — walk the SCC condensation
-//! instead (see "Topological solving" below).
+//! (caller-owned ping-pong buffers, zero per-step allocation); the
+//! step-bounded drivers ([`bounded_until_values`],
+//! [`cumulative_reward_values`], ...) loop it. Every unbounded answer —
+//! the default [`topo_until_values`] / [`topo_reach_reward_values`] and
+//! the certified [`topo_certified_until_values`] /
+//! [`topo_certified_reach_reward_values`] — comes from one walk over the
+//! SCC condensation instead (see "Topological solving" below).
 //!
 //! # Parallelism and determinism
 //!
@@ -24,20 +24,22 @@
 //! transitions of the states that pass the mask; condensation batches
 //! count states) picks the parallel form, or an explicit pin asks for it,
 //! the backup runs as fixed-size output chunks **dynamically dispatched**
-//! over the persistent worker pool
-//! ([`smg_dtmc::pool::Pool::map_chunks_dynamic`]): action fan-out is often
+//! over the worker pool of the calling thread's lane scope
+//! ([`smg_dtmc::par::scoped_pool`], the chain kernels' pool;
+//! [`smg_dtmc::pool::Pool::map_chunks_dynamic`]): action fan-out is often
 //! heavy-tailed (a few states carry most choices), so lanes claim chunks
-//! through an atomic cursor instead of a fixed stride. Each output state is computed by exactly one task from the same
-//! action walk the sequential loop performs, so results are **bit-identical
-//! to the sequential fallback for every thread count and chunk geometry**
+//! through an atomic cursor instead of a fixed stride. Each output state
+//! is computed by exactly one task from the same action walk the
+//! sequential loop performs, so results are **bit-identical to the
+//! sequential fallback for every thread count and chunk geometry**
 //! (property-tested in `tests/vi_properties.rs`).
 //!
 //! # Certified convergence
 //!
-//! The unbounded drivers above stop on a residual test, which cannot bound
-//! the distance to the fixpoint. The `topo_certified_*` drivers replace it
-//! with **interval iteration**: a lower bound ascending from 0 and an
-//! upper bound descending from a qualitative seed ([`crate::qual`]),
+//! The default unbounded drivers stop on a residual test, which cannot
+//! bound the distance to the fixpoint. The `topo_certified_*` drivers
+//! replace it with **interval iteration**: a lower bound ascending from 0
+//! and an upper bound descending from a qualitative seed ([`crate::qual`]),
 //! advanced together by one action walk per state and terminated only when
 //! `upper − lower < ε` pointwise. End components — the structures that let
 //! plain upper iterates stall above the true `Pmax`, and lower `Rmin`
@@ -47,14 +49,13 @@
 //! to its cheapest exit backup), over maximal end components computed once
 //! per query. The result is a sound bracket for all four
 //! `Pmin`/`Pmax`/`Rmin`/`Rmax` forms, cross-checked in the tests against
-//! exhaustive memoryless-scheduler enumeration. Like the default drivers,
-//! they walk the SCC condensation (see "Topological solving" below).
+//! exhaustive memoryless-scheduler enumeration.
 
 use crate::mdp::Mdp;
 use crate::qual;
 use smg_dtmc::graph::Condensation;
 use smg_dtmc::solve::{split_level, CertifiedValues, LevelValue};
-use smg_dtmc::{par, pool, BitVec, DtmcError};
+use smg_dtmc::{par, BitVec, DtmcError};
 use smg_obs as obs;
 
 /// The optimization direction of a query: worst case (`Min`) or best case
@@ -110,16 +111,12 @@ pub struct ViOptions {
     pub max_iter: usize,
     /// State-count threshold above which backups run on the worker pool.
     /// `None` (the default) lets the backups' measured dispatch sites
-    /// decide ([`par::Site`]); explicit values let tests and benches force
-    /// either path. Results are identical either way.
+    /// decide ([`par::Site`]), or the static rule when the calling thread
+    /// is pinned ([`par::with_lane_scope`]); explicit values let tests and
+    /// benches force either path. Results are identical either way.
     pub par_min_states: Option<usize>,
     /// States per dynamically dispatched chunk of a parallel backup.
     pub chunk: usize,
-    /// Pool to dispatch on. `None` (the default) uses the engine's global
-    /// pool; benches pass [`pool::with_lanes`] pools to sweep lane counts.
-    /// An explicit pool pins the static rule ([`par::should_parallelize`])
-    /// when `par_min_states` is unset.
-    pub pool: Option<&'static pool::Pool>,
 }
 
 impl Default for ViOptions {
@@ -129,7 +126,6 @@ impl Default for ViOptions {
             max_iter: 1_000_000,
             par_min_states: None,
             chunk: 2_048,
-            pool: None,
         }
     }
 }
@@ -143,8 +139,8 @@ impl ViOptions {
     }
 
     /// Runs `f` with the form a call over `rows` states carrying `work`
-    /// units takes (`true` = parallel): the explicit pins first, `site`'s
-    /// measured choice otherwise.
+    /// units takes (`true` = parallel): the explicit threshold first,
+    /// `site`'s choice otherwise.
     fn dispatch<R>(
         &self,
         site: &par::Site,
@@ -152,10 +148,9 @@ impl ViOptions {
         work: usize,
         f: impl FnOnce(bool) -> R,
     ) -> R {
-        match (self.par_min_states, self.pool) {
-            (Some(m), _) => f(rows >= m),
-            (None, Some(_)) => f(par::should_parallelize(rows)),
-            (None, None) => site.run(rows, work, f),
+        match self.par_min_states {
+            Some(m) => f(rows >= m),
+            None => site.run(rows, work, f),
         }
     }
 }
@@ -214,8 +209,8 @@ pub fn optimal_step_into(
     };
     vio.dispatch(&STEP, n, work, |parallel| {
         if parallel {
-            let pool = vio.pool.unwrap_or_else(pool::global);
-            pool.map_chunks_dynamic(out, vio.chunk.max(1), &|offset, chunk| body(offset, chunk));
+            par::scoped_pool()
+                .map_chunks_dynamic(out, vio.chunk.max(1), &|offset, chunk| body(offset, chunk));
         } else {
             body(0, out);
         }
@@ -353,70 +348,6 @@ pub fn bounded_until_values(
         std::mem::swap(&mut x, &mut next);
     }
     Ok(x)
-}
-
-/// The optimal probability of `lhs U rhs` (unbounded) from every state,
-/// iterated to the fixpoint from below. Starting from 0 converges to the
-/// *least* fixpoint of the optimal backup, which is the exact `Pmin`/`Pmax`
-/// value in both directions.
-///
-/// # Errors
-///
-/// [`DtmcError::NoConvergence`] if `vio.max_iter` is exhausted;
-/// [`DtmcError::DimensionMismatch`] for wrong-length bit vectors.
-pub fn unbounded_until_values(
-    mdp: &Mdp,
-    lhs: &BitVec,
-    rhs: &BitVec,
-    opt: Opt,
-    vio: &ViOptions,
-) -> Result<Vec<f64>, DtmcError> {
-    check_len(mdp, lhs)?;
-    check_len(mdp, rhs)?;
-    let n = mdp.n_states();
-    let active = lhs.and(&rhs.not());
-    let mut x: Vec<f64> = (0..n).map(|i| if rhs.get(i) { 1.0 } else { 0.0 }).collect();
-    let mut next = vec![0.0; n];
-    for it in 1..=vio.max_iter {
-        optimal_step_into(mdp, &x, Some(&active), opt, &mut next, vio);
-        for (i, v) in next.iter_mut().enumerate() {
-            if rhs.get(i) {
-                *v = 1.0;
-            } else if !lhs.get(i) {
-                *v = 0.0;
-            }
-        }
-        let diff = x
-            .iter()
-            .zip(&next)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f64::max);
-        std::mem::swap(&mut x, &mut next);
-        f64::record_sweep("vi", it, diff, None);
-        if diff < vio.tol {
-            return Ok(x);
-        }
-    }
-    Err(DtmcError::NoConvergence {
-        iterations: vio.max_iter,
-        residual: vio.tol,
-    })
-}
-
-/// The optimal probability of reaching a `target` state (`Pmin`/`Pmax`
-/// `[F target]`) from every state.
-///
-/// # Errors
-///
-/// As for [`unbounded_until_values`].
-pub fn reach_values(
-    mdp: &Mdp,
-    target: &BitVec,
-    opt: Opt,
-    vio: &ViOptions,
-) -> Result<Vec<f64>, DtmcError> {
-    let all = BitVec::ones(mdp.n_states());
-    unbounded_until_values(mdp, &all, target, opt, vio)
 }
 
 /// The optimal expected instantaneous reward at exactly step `t` from
@@ -758,10 +689,11 @@ fn topo_driver<V: LevelValue>(
             static BATCH: par::Site = par::Site::new("vi_batch");
             vio.dispatch(&BATCH, batch.len(), batch.len(), |parallel| {
                 if parallel {
-                    let pool = vio.pool.unwrap_or_else(pool::global);
-                    pool.map_chunks_dynamic(&mut scratch, vio.chunk.max(1), &|offset, chunk| {
-                        fill(offset, chunk);
-                    });
+                    par::scoped_pool().map_chunks_dynamic(
+                        &mut scratch,
+                        vio.chunk.max(1),
+                        &|offset, chunk| fill(offset, chunk),
+                    );
                 } else {
                     fill(0, &mut scratch);
                 }
@@ -1153,13 +1085,24 @@ mod tests {
         assert_eq!(Opt::Max.to_string(), "max");
     }
 
+    /// The default walk's `Pmin`/`Pmax [F target]` from every state.
+    fn reach(m: &Mdp, target: &BitVec, opt: Opt, vio: &ViOptions) -> Vec<f64> {
+        topo_reach_values(m, &qual::condensation(m), target, opt, vio).unwrap()
+    }
+
+    /// `P [F target]` on a chain, by the chain's default walk.
+    fn chain_reach(d: &smg_dtmc::Dtmc, target: &BitVec) -> Vec<f64> {
+        let cond = Condensation::new(d);
+        smg_dtmc::solve::topo_reach_values(d, &cond, target, 1e-12, 100_000).unwrap()
+    }
+
     #[test]
     fn min_max_reach_on_tiny() {
         let m = tiny();
         let goal = m.label("goal").unwrap().clone();
         let vio = ViOptions::default();
-        let max = reach_values(&m, &goal, Opt::Max, &vio).unwrap();
-        let min = reach_values(&m, &goal, Opt::Min, &vio).unwrap();
+        let max = reach(&m, &goal, Opt::Max, &vio);
+        let min = reach(&m, &goal, Opt::Min, &vio);
         assert!((max[0] - 0.5).abs() < 1e-9, "Pmax = {}", max[0]);
         assert!((min[0] - 0.1).abs() < 1e-9, "Pmin = {}", min[0]);
         assert_eq!((max[1], min[1]), (1.0, 1.0));
@@ -1175,8 +1118,8 @@ mod tests {
         let m = tiny();
         let goal = m.label("goal").unwrap().clone();
         let vio = ViOptions::default();
-        let max_vals = reach_values(&m, &goal, Opt::Max, &vio).unwrap();
-        let min_vals = reach_values(&m, &goal, Opt::Min, &vio).unwrap();
+        let max_vals = reach(&m, &goal, Opt::Max, &vio);
+        let min_vals = reach(&m, &goal, Opt::Min, &vio);
         assert_eq!(
             extremal_scheduler(&m, &max_vals, Opt::Max, Some(&goal))[0],
             0
@@ -1186,7 +1129,7 @@ mod tests {
         let d = m
             .induced_dtmc(&extremal_scheduler(&m, &max_vals, Opt::Max, Some(&goal)))
             .unwrap();
-        let v = smg_dtmc::transient::unbounded_reach_values(&d, &goal, 1e-12, 100_000).unwrap();
+        let v = chain_reach(&d, &goal);
         assert!((v[0] - max_vals[0]).abs() < 1e-9);
     }
 
@@ -1207,12 +1150,12 @@ mod tests {
         let m = Mdp::new(b.finish(), vec![(0, 1.0)], labels, vec![0.0, 0.0]).unwrap();
         let goal = m.label("goal").unwrap().clone();
         let vio = ViOptions::default();
-        let vals = reach_values(&m, &goal, Opt::Max, &vio).unwrap();
+        let vals = reach(&m, &goal, Opt::Max, &vio);
         assert!((vals[0] - 1.0).abs() < 1e-9);
         let sched = extremal_scheduler(&m, &vals, Opt::Max, Some(&goal));
         assert_eq!(sched[0], 1, "must escape the value-preserving self-loop");
         let d = m.induced_dtmc(&sched).unwrap();
-        let v = smg_dtmc::transient::unbounded_reach_values(&d, &goal, 1e-12, 100_000).unwrap();
+        let v = chain_reach(&d, &goal);
         assert!((v[0] - 1.0).abs() < 1e-9);
     }
 
@@ -1626,10 +1569,12 @@ mod tests {
             chunk: 1,
             ..ViOptions::default().with_par_min_states(0)
         };
+        let all = BitVec::ones(m.n_states());
         for opt in [Opt::Min, Opt::Max] {
+            assert_eq!(reach(&m, &goal, opt, &seq), reach(&m, &goal, opt, &par));
             assert_eq!(
-                reach_values(&m, &goal, opt, &seq).unwrap(),
-                reach_values(&m, &goal, opt, &par).unwrap()
+                bounded_until_values(&m, &all, &goal, 5, opt, &seq).unwrap(),
+                bounded_until_values(&m, &all, &goal, 5, opt, &par).unwrap()
             );
         }
     }

@@ -1,8 +1,8 @@
 //! Capture-recorder coverage of the instrumented MDP value-iteration
-//! drivers: plain VI streams residual records, the certified walk streams
-//! width records that end below the requested ε, sweeps counted through
-//! `smg_solve_sweeps_total` always equal the traced record count, and
-//! end-component corrections are counted in both modes.
+//! drivers: the default walk streams residual records, the certified walk
+//! streams width records that end below the requested ε, sweeps counted
+//! through `smg_solve_sweeps_total` always equal the traced record count,
+//! and end-component corrections are counted in both modes.
 
 use smg_dtmc::BitVec;
 use smg_mdp::{vi, Mdp, MdpBuilder, Opt, ViOptions};
@@ -32,25 +32,6 @@ fn captured<R>(f: impl FnOnce() -> R) -> (Arc<obs::Capture>, R) {
     let cap = Arc::new(obs::Capture::new());
     let out = obs::with_recorder(cap.clone(), f);
     (cap, out)
-}
-
-#[test]
-fn vi_driver_emits_one_record_per_sweep() {
-    let m = tiny();
-    let goal = m.label("goal").unwrap().clone();
-    let vio = ViOptions::default();
-    let (cap, values) = captured(|| vi::reach_values(&m, &goal, Opt::Max, &vio).unwrap());
-    assert!((values[0] - 1.0).abs() < 1e-9);
-    let traces = cap.traces_for("vi");
-    assert!(!traces.is_empty());
-    assert_eq!(
-        cap.counter_with("smg_solve_sweeps_total", "vi"),
-        traces.len() as u64
-    );
-    let last = traces.last().unwrap();
-    assert_eq!(last.sweep as usize, traces.len(), "sweeps are 1-based");
-    assert!(last.residual.unwrap() <= vio.tol, "{last:?}");
-    assert!(last.width.is_none());
 }
 
 #[test]

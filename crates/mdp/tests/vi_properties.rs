@@ -4,12 +4,12 @@
 //!    unbounded reachability must equal the min/max over *every*
 //!    memoryless deterministic scheduler, computed by exhaustively
 //!    enumerating the schedulers and solving each induced DTMC with the
-//!    (independently tested) DTMC engine. Memoryless schedulers are
-//!    optimal for unbounded reachability, so the enumeration is exact.
+//!    (independently tested) certified DTMC walk. Memoryless schedulers
+//!    are optimal for unbounded reachability, so the enumeration is exact.
 //! 2. **Against itself** — the parallel Bellman backup (dynamic chunks on
 //!    the worker pool) must be **bit-identical** to the sequential
-//!    fallback for every pool lane count (1, 2, 4, and the global pool)
-//!    and chunk geometry.
+//!    fallback for every lane scope (1, 2 and 4 lanes, and none: the
+//!    global pool) and chunk geometry.
 //!
 //! This file is its own process, so `SMG_THREADS` is pinned before the
 //! engine's `OnceLock`s are read and the global pool really runs 4
@@ -17,7 +17,8 @@
 //! covering the degenerate inline path as well.
 
 use proptest::prelude::*;
-use smg_dtmc::{pool, BitVec, ExploreOptions};
+use smg_dtmc::graph::Condensation;
+use smg_dtmc::{par, solve, BitVec, Dtmc, ExploreOptions};
 use smg_mdp::{explore, vi, Mdp, MdpModel, Opt, ViOptions};
 
 /// Sets `SMG_THREADS=4` exactly once, before any engine `OnceLock` is
@@ -25,20 +26,6 @@ use smg_mdp::{explore, vi, Mdp, MdpModel, Opt, ViOptions};
 fn init_env() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| std::env::set_var("SMG_THREADS", "4"));
-}
-
-/// Dedicated pools with 1, 2 and 4 lanes (created once; pool workers are
-/// persistent). Together with the 4-lane global pool these drive the
-/// parallel backup at every thread count the acceptance criteria name.
-fn lane_pools() -> &'static [&'static pool::Pool; 3] {
-    static POOLS: std::sync::OnceLock<[&'static pool::Pool; 3]> = std::sync::OnceLock::new();
-    POOLS.get_or_init(|| {
-        [
-            pool::with_lanes(1),
-            pool::with_lanes(2),
-            pool::with_lanes(4),
-        ]
-    })
 }
 
 /// A deterministic pseudo-random MDP: `n` states, 1–3 actions each, 1–3
@@ -115,6 +102,14 @@ fn explore_mdp(n: u32, seed: u64) -> Mdp {
         .mdp
 }
 
+/// `P [F target]` from every state of a chain: the midpoints of the
+/// certified DTMC walk's brackets, each within 5e-11 of the truth.
+fn chain_reach(d: &Dtmc, target: &BitVec) -> Vec<f64> {
+    solve::topo_interval_reach_values(d, &Condensation::new(d), target, 1e-10, 10_000_000)
+        .unwrap()
+        .midpoints()
+}
+
 /// Enumerates every memoryless deterministic scheduler (odometer over the
 /// per-state action counts) and returns the per-state min and max of the
 /// induced DTMCs' reachability values.
@@ -125,8 +120,7 @@ fn enumerate_schedulers(mdp: &Mdp, target: &BitVec) -> (Vec<f64>, Vec<f64>) {
     let mut max = vec![f64::NEG_INFINITY; n];
     loop {
         let d = mdp.induced_dtmc(&sched).expect("valid scheduler");
-        let vals =
-            smg_dtmc::transient::unbounded_reach_values(&d, target, 1e-13, 1_000_000).unwrap();
+        let vals = chain_reach(&d, target);
         for i in 0..n {
             min[i] = min[i].min(vals[i]);
             max[i] = max[i].max(vals[i]);
@@ -162,11 +156,10 @@ fn enumerate_scheduler_rewards(mdp: &Mdp, target: &BitVec) -> (Vec<f64>, Vec<f64
         // ε leaves headroom above the f64 rounding floor: expected rewards
         // on these chains can reach ~1e5, where a 1e-11 width is not
         // representably closable.
-        let cond = smg_dtmc::graph::Condensation::new(&d);
-        let vals =
-            smg_dtmc::solve::topo_interval_reach_reward_values(&d, &cond, target, 1e-9, 10_000_000)
-                .unwrap()
-                .midpoints();
+        let cond = Condensation::new(&d);
+        let vals = solve::topo_interval_reach_reward_values(&d, &cond, target, 1e-9, 10_000_000)
+            .unwrap()
+            .midpoints();
         for i in 0..n {
             min[i] = min[i].min(vals[i]);
             max[i] = max[i].max(vals[i]);
@@ -189,9 +182,11 @@ fn enumerate_scheduler_rewards(mdp: &Mdp, target: &BitVec) -> (Vec<f64>, Vec<f64
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// Pmin/Pmax unbounded reachability equals the exhaustive
-    /// memoryless-scheduler envelope (memoryless schedulers are optimal
-    /// for unbounded reachability).
+    /// Pmin/Pmax unbounded reachability by value iteration (the default
+    /// condensation walk) equals the exhaustive memoryless-scheduler
+    /// envelope (memoryless schedulers are optimal for unbounded
+    /// reachability), and the schedulers extracted from its values attain
+    /// it.
     #[test]
     fn value_iteration_matches_scheduler_enumeration(
         n in 2u32..6,
@@ -201,8 +196,9 @@ proptest! {
         let mdp = explore_mdp(n, seed);
         let target = mdp.label("target").unwrap().clone();
         let vio = ViOptions::default();
-        let vmin = vi::reach_values(&mdp, &target, Opt::Min, &vio).unwrap();
-        let vmax = vi::reach_values(&mdp, &target, Opt::Max, &vio).unwrap();
+        let cond = smg_mdp::qual::condensation(&mdp);
+        let vmin = vi::topo_reach_values(&mdp, &cond, &target, Opt::Min, &vio).unwrap();
+        let vmax = vi::topo_reach_values(&mdp, &cond, &target, Opt::Max, &vio).unwrap();
         let (emin, emax) = enumerate_schedulers(&mdp, &target);
         for s in 0..mdp.n_states() {
             prop_assert!(
@@ -219,9 +215,7 @@ proptest! {
         // The extracted extremal schedulers attain the optima.
         for (opt, expect) in [(Opt::Min, &vmin), (Opt::Max, &vmax)] {
             let sched = vi::extremal_scheduler(&mdp, expect, opt, Some(&target));
-            let d = mdp.induced_dtmc(&sched).unwrap();
-            let vals = smg_dtmc::transient::unbounded_reach_values(&d, &target, 1e-13, 1_000_000)
-                .unwrap();
+            let vals = chain_reach(&mdp.induced_dtmc(&sched).unwrap(), &target);
             for s in 0..mdp.n_states() {
                 prop_assert!(
                     (vals[s] - expect[s]).abs() < 1e-6,
@@ -323,66 +317,10 @@ proptest! {
         }
     }
 
-    /// Topological (SCC-ordered) certified solving agrees with global
-    /// value iteration on random MDPs: the brackets are ε-wide, hold the
-    /// global iterate (which climbs to the value from below, so it sits
-    /// under `hi` and at most its 1e-6 convergence gap under `lo`), and
-    /// bracket the exhaustive scheduler envelope — for probabilities and
-    /// rewards (∞ regions pinned identically), in both optimization
-    /// directions.
-    #[test]
-    fn topological_certified_matches_global_on_random_mdps(
-        n in 2u32..6,
-        seed in 0u64..u64::MAX,
-    ) {
-        init_env();
-        let mdp = explore_mdp(n, seed);
-        let target = mdp.label("target").unwrap().clone();
-        let vio = ViOptions::default();
-        let eps = 1e-7;
-        let cond = smg_mdp::qual::condensation(&mdp);
-        let (emin, emax) = enumerate_schedulers(&mdp, &target);
-        for (opt, envelope) in [(Opt::Min, &emin), (Opt::Max, &emax)] {
-            let global = vi::reach_values(&mdp, &target, opt, &vio).unwrap();
-            let topo = vi::topo_certified_reach_values(&mdp, &cond, &target, opt, eps, &vio).unwrap();
-            prop_assert!(topo.width() < eps, "{opt:?} width {}", topo.width());
-            for (s, &env) in envelope.iter().enumerate() {
-                prop_assert!(
-                    topo.lo[s] - 1e-9 <= env && env <= topo.hi[s] + 1e-9,
-                    "state {s}: P{opt} {} outside topo [{}, {}] (n={n}, seed={seed:#x})",
-                    env, topo.lo[s], topo.hi[s]
-                );
-                prop_assert!(
-                    topo.lo[s] - 1e-6 <= global[s] && global[s] <= topo.hi[s] + 1e-12,
-                    "state {s}: P{opt} global {} outside topo [{}, {}] (n={n}, seed={seed:#x})",
-                    global[s], topo.lo[s], topo.hi[s]
-                );
-            }
-        }
-        let (rmin, rmax) = enumerate_scheduler_rewards(&mdp, &target);
-        for (opt, envelope) in [(Opt::Min, &rmin), (Opt::Max, &rmax)] {
-            let topo =
-                vi::topo_certified_reach_reward_values(&mdp, &cond, &target, opt, eps, &vio).unwrap();
-            prop_assert!(topo.width() < eps, "{opt:?} width {}", topo.width());
-            for (s, &env) in envelope.iter().enumerate() {
-                if env.is_infinite() {
-                    prop_assert_eq!(topo.lo[s], f64::INFINITY, "state {} (R{:?})", s, opt);
-                } else {
-                    let slack = 1e-6 * (1.0 + env.abs());
-                    prop_assert!(
-                        topo.lo[s] - slack <= env && env <= topo.hi[s] + slack,
-                        "state {s}: R{opt} {} outside topo [{}, {}] (n={n}, seed={seed:#x})",
-                        env, topo.lo[s], topo.hi[s]
-                    );
-                }
-            }
-        }
-    }
-
     /// The parallel Bellman backup is bit-identical to the sequential
-    /// fallback — across 1/2/4-lane pools, the (4-lane) global pool, and
-    /// randomized chunk geometry, for bounded and unbounded queries in
-    /// both directions.
+    /// fallback — in 1/2/4-lane scopes, unscoped on the (4-lane) global
+    /// pool, and over randomized chunk geometry, for bounded and unbounded
+    /// queries in both directions.
     #[test]
     fn parallel_vi_bit_identical_across_lane_counts(
         n in 2u32..60,
@@ -394,33 +332,27 @@ proptest! {
         let mdp = explore_mdp(n, seed);
         let target = mdp.label("target").unwrap().clone();
         let lhs = BitVec::from_fn(mdp.n_states(), |i| i % 3 != 1);
+        let cond = smg_mdp::qual::condensation(&mdp);
+        let run = |opt, vio: &ViOptions| {
+            (
+                vi::topo_reach_values(&mdp, &cond, &target, opt, vio).unwrap(),
+                vi::bounded_until_values(&mdp, &lhs, &target, horizon, opt, vio).unwrap(),
+                vi::cumulative_reward_values(&mdp, horizon, opt, vio),
+            )
+        };
         let seq = ViOptions::default().with_par_min_states(usize::MAX);
-        let mut parallel_variants: Vec<ViOptions> = lane_pools()
-            .iter()
-            .map(|&p| ViOptions {
-                chunk,
-                pool: Some(p),
-                ..ViOptions::default().with_par_min_states(0)
-            })
-            .collect();
-        // The process-global pool (4 lanes here; 1 in the SMG_THREADS=1 CI leg).
-        parallel_variants.push(ViOptions {
+        let par = ViOptions {
             chunk,
             ..ViOptions::default().with_par_min_states(0)
-        });
+        };
         for opt in [Opt::Min, Opt::Max] {
-            let reach_seq = vi::reach_values(&mdp, &target, opt, &seq).unwrap();
-            let bounded_seq =
-                vi::bounded_until_values(&mdp, &lhs, &target, horizon, opt, &seq).unwrap();
-            let reward_seq = vi::cumulative_reward_values(&mdp, horizon, opt, &seq);
-            for (k, vio) in parallel_variants.iter().enumerate() {
-                let reach = vi::reach_values(&mdp, &target, opt, vio).unwrap();
-                prop_assert_eq!(&reach, &reach_seq, "reach variant {} ({:?})", k, opt);
-                let bounded =
-                    vi::bounded_until_values(&mdp, &lhs, &target, horizon, opt, vio).unwrap();
-                prop_assert_eq!(&bounded, &bounded_seq, "bounded variant {} ({:?})", k, opt);
-                let reward = vi::cumulative_reward_values(&mdp, horizon, opt, vio);
-                prop_assert_eq!(&reward, &reward_seq, "reward variant {} ({:?})", k, opt);
+            let want = run(opt, &seq);
+            // No scope: the process-global pool (4 lanes here; 1 in the
+            // SMG_THREADS=1 CI leg).
+            prop_assert_eq!(&run(opt, &par), &want, "global pool ({:?})", opt);
+            for lanes in [1usize, 2, 4] {
+                let got = par::with_lane_scope(lanes, || run(opt, &par));
+                prop_assert_eq!(&got, &want, "{} lanes ({:?})", lanes, opt);
             }
         }
     }

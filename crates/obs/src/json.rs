@@ -286,17 +286,23 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| "truncated \\u escape".to_string())?;
-                        let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| "bad \\u escape".to_string())?;
-                        out.push(
-                            char::from_u32(code)
-                                .ok_or_else(|| "non-scalar \\u escape".to_string())?,
-                        );
+                        let mut code = hex4(b, *pos + 1)?;
                         *pos += 4;
+                        // A high surrogate and the `\u` low surrogate after
+                        // it spell one character (RFC 8259 §7); a lone
+                        // surrogate of either kind is no character.
+                        if (0xD800..0xDC00).contains(&code)
+                            && b.get(*pos + 1..*pos + 3) == Some(&b"\\u"[..])
+                        {
+                            let low = hex4(b, *pos + 3)?;
+                            if (0xDC00..0xE000).contains(&low) {
+                                code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                                *pos += 6;
+                            }
+                        }
+                        out.push(char::from_u32(code).ok_or_else(|| {
+                            format!("lone surrogate \\u escape at byte {}", *pos - 3)
+                        })?);
                     }
                     _ => return Err(format!("bad escape at byte {}", *pos)),
                 }
@@ -314,6 +320,20 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
             }
         }
     }
+}
+
+/// The code unit of the four hex digits at `at` (a `\u` escape takes
+/// exactly four, no sign); errors name the byte of the first.
+fn hex4(b: &[u8], at: usize) -> Result<u32, String> {
+    let digits = b
+        .get(at..at + 4)
+        .ok_or_else(|| "truncated \\u escape".to_string())?;
+    digits.iter().try_fold(0, |code, &d| {
+        let digit = char::from(d).to_digit(16);
+        digit
+            .map(|v| code * 16 + v)
+            .ok_or_else(|| format!("bad \\u escape at byte {at}"))
+    })
 }
 
 #[cfg(test)]
@@ -391,6 +411,28 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{} trailing").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn unicode_escapes_take_four_hex_digits_and_pair_surrogates() {
+        // Python's `json.dumps` spells U+1F600 as a surrogate pair.
+        let pair = parse(r#""\ud83d\ude00 \u0041\u00e9""#).unwrap();
+        assert_eq!(pair.as_str(), Some("\u{1F600} Aé"));
+        for lone in [
+            r#""\ud83d""#,
+            r#""\ud83d x""#,
+            r#""\ud83d\u0041""#,
+            r#""\ude00""#,
+        ] {
+            let err = parse(lone).unwrap_err();
+            assert!(err.starts_with("lone surrogate"), "{lone}: {err}");
+        }
+        // `u32::from_str_radix` would read "+041" as 0x41.
+        assert_eq!(
+            parse(r#""\u+041""#).unwrap_err(),
+            "bad \\u escape at byte 3"
+        );
+        assert!(parse(r#""\u00""#).is_err());
     }
 
     #[test]

@@ -889,8 +889,8 @@ mod tests {
         let mut vals = Vec::new();
         for a0 in 0..2u32 {
             let d = m.induced_dtmc(&[a0, 0, 0, 0]).unwrap();
-            let v =
-                smg_dtmc::transient::unbounded_reach_values(&d, &goal, 1e-12, 1_000_000).unwrap();
+            let cond = smg_dtmc::graph::Condensation::new(&d);
+            let v = smg_dtmc::solve::topo_reach_values(&d, &cond, &goal, 1e-12, 1_000_000).unwrap();
             let p: f64 = d.initial().iter().map(|&(s, w)| w * v[s as usize]).sum();
             vals.push(p);
             assert!(p >= pmin - 1e-9 && p <= pmax + 1e-9, "a0={a0}: {p}");

@@ -223,9 +223,9 @@ impl<'a> Parser<'a> {
         let start = self.pos;
         let mut first = true;
         while let Some(c) = self.rest().chars().next() {
-            // Dots are allowed mid-identifier: composed models namespace
-            // their atomic propositions as `l.<ap>` / `r.<ap>`
-            // (see `smg_dtmc::SyncProduct`).
+            // Dots are allowed mid-identifier: a synchronous product of two
+            // models namespaces their atomic propositions as `l.<ap>` /
+            // `r.<ap>`.
             let ok = if first {
                 c.is_alphabetic() || c == '_'
             } else {
@@ -507,7 +507,7 @@ mod tests {
         round_trip("R=? [ C<=50 ]");
         round_trip("R=? [ F done ]");
         round_trip("R=? [ F (converged & !flag) ]");
-        // Namespaced APs from composed models (SyncProduct).
+        // Namespaced APs from composed models (`l.<ap>` / `r.<ap>`).
         round_trip("P=? [ F<=8 (l.err & r.err) ]");
         round_trip("S=? [ l.flag ]");
         // Interval bounds.

@@ -26,7 +26,7 @@ use crate::ast::{Property, StateFormula};
 use crate::check::{CheckOptions, CheckResult, DtmcCache, Evaluator};
 use crate::error::PctlError;
 use crate::mdp::{MdpCache, MdpEvaluator};
-use smg_dtmc::{pool, BitVec, Dtmc, DtmcError};
+use smg_dtmc::{BitVec, Dtmc, DtmcError};
 use smg_mdp::{Mdp, ViOptions};
 use smg_obs as obs;
 use std::cell::RefCell;
@@ -116,13 +116,6 @@ impl From<Mdp> for AnyModel {
     fn from(m: Mdp) -> AnyModel {
         AnyModel::Mdp(m)
     }
-}
-
-/// The dedicated pool for a lane count, created once per count per
-/// process — [`pool::shared`]'s memoized registry, so a session-per-model
-/// parameter sweep never accumulates parked OS threads without bound.
-fn shared_pool(lanes: usize) -> &'static pool::Pool {
-    pool::shared(lanes)
 }
 
 /// The kinds of memoized work a session's caches distinguish. Each memo
@@ -298,10 +291,9 @@ impl CacheStats {
 pub struct CheckSession {
     model: AnyModel,
     opts: CheckOptions,
-    vio: ViOptions,
     /// Explicit worker-lane pin from [`CheckSession::threads`]; queries run
-    /// inside [`smg_dtmc::par::with_lane_scope`] when set, so the chain
-    /// kernels follow the same pin as the MDP value-iteration pool.
+    /// inside [`smg_dtmc::par::with_lane_scope`] when set, which pins the
+    /// chain kernels and the MDP backups alike.
     lanes: Option<usize>,
     dtmc_cache: RefCell<DtmcCache>,
     mdp_cache: RefCell<MdpCache>,
@@ -314,7 +306,6 @@ impl CheckSession {
         CheckSession {
             model: model.into(),
             opts: CheckOptions::default(),
-            vio: ViOptions::default(),
             lanes: None,
             dtmc_cache: RefCell::new(DtmcCache::default()),
             mdp_cache: RefCell::new(MdpCache::default()),
@@ -337,23 +328,20 @@ impl CheckSession {
         self
     }
 
-    /// Dispatches this session's solver kernels on a dedicated persistent
-    /// pool of `n` worker lanes (a lane count of 1 is the sequential
-    /// fallback; results are bit-identical for every lane count). The pin
-    /// covers **both** engines: MDP value-iteration backups take the pool
-    /// through their options, and the DTMC chain kernels (the condensation
-    /// walk's batches of trivial components, backward products) are pinned
-    /// through a thread-local lane scope
-    /// ([`smg_dtmc::par::with_lane_scope`]) wrapped around every query, so
-    /// `SMG_THREADS` no longer leaks through for chains. Pools are
-    /// process-wide resources shared by every session requesting the same
-    /// lane count, so building sessions in a loop does not accumulate
-    /// threads.
+    /// Dispatches this session's solver kernels on a persistent pool of
+    /// `n` worker lanes (a lane count of 1 is the sequential fallback;
+    /// results are bit-identical for every lane count). One thread-local
+    /// lane scope ([`smg_dtmc::par::with_lane_scope`]) wrapped around every
+    /// query pins **both** engines: the DTMC chain kernels (the
+    /// condensation walk's batches of trivial components, backward
+    /// products) and the MDP value-iteration backups and batches all
+    /// dispatch on [`smg_dtmc::par::scoped_pool`], so `SMG_THREADS` does
+    /// not leak through. Pools are process-wide resources shared by every
+    /// scope requesting the same lane count, so building sessions in a
+    /// loop does not accumulate threads.
     #[must_use]
     pub fn threads(mut self, n: usize) -> CheckSession {
-        let n = n.max(1);
-        self.vio.pool = Some(shared_pool(n));
-        self.lanes = Some(n);
+        self.lanes = Some(n.max(1));
         self
     }
 
@@ -372,23 +360,13 @@ impl CheckSession {
 
     /// Sets or clears the worker-lane pin in place — the non-consuming
     /// form of [`threads`](CheckSession::threads). `Some(n)` pins both
-    /// engines to a dedicated `n`-lane pool (clamped to at least one);
-    /// `None` restores the default dispatch (`SMG_THREADS` / core count).
-    /// Like [`set_options`](CheckSession::set_options), this is safe on a
+    /// engines to an `n`-lane pool (clamped to at least one); `None`
+    /// restores the default dispatch (`SMG_THREADS` / core count). Like
+    /// [`set_options`](CheckSession::set_options), this is safe on a
     /// session whose caches are already warm: lane count never changes
     /// results, only where the sweeps run.
     pub fn set_threads(&mut self, n: Option<usize>) {
-        match n {
-            Some(n) => {
-                let n = n.max(1);
-                self.vio.pool = Some(shared_pool(n));
-                self.lanes = Some(n);
-            }
-            None => {
-                self.vio.pool = None;
-                self.lanes = None;
-            }
-        }
+        self.lanes = n.map(|n| n.max(1));
     }
 
     /// Runs `f` under this session's lane pin, if one was requested.
@@ -427,7 +405,7 @@ impl CheckSession {
             AnyModel::Dtmc(d) => {
                 Evaluator::cached(d, &self.dtmc_cache).check_query_with(property, &self.opts)
             }
-            AnyModel::Mdp(m) => MdpEvaluator::cached(m, self.vio, &self.mdp_cache)
+            AnyModel::Mdp(m) => MdpEvaluator::cached(m, ViOptions::default(), &self.mdp_cache)
                 .check_mdp_query_with(property, &self.opts),
         })
     }
@@ -452,9 +430,8 @@ impl CheckSession {
     pub fn sat(&self, formula: &StateFormula) -> Result<BitVec, PctlError> {
         self.with_lanes(|| match &self.model {
             AnyModel::Dtmc(d) => Evaluator::cached(d, &self.dtmc_cache).sat_states(formula),
-            AnyModel::Mdp(m) => {
-                MdpEvaluator::cached(m, self.vio, &self.mdp_cache).sat_states_mdp(formula)
-            }
+            AnyModel::Mdp(m) => MdpEvaluator::cached(m, ViOptions::default(), &self.mdp_cache)
+                .sat_states_mdp(formula),
         })
     }
 
@@ -666,9 +643,13 @@ mod tests {
 
     #[test]
     fn shared_pools_are_reused_per_lane_count() {
-        let a = super::shared_pool(3);
-        let b = super::shared_pool(3);
-        assert!(std::ptr::eq(a, b), "same lane count must share one pool");
+        // A session's lane pin dispatches on the scope's pool, which is
+        // created once per lane count and shared.
+        let pool = || smg_dtmc::par::with_lane_scope(3, smg_dtmc::par::scoped_pool);
+        assert!(
+            std::ptr::eq(pool(), pool()),
+            "same lane count must share one pool"
+        );
     }
 
     #[test]
@@ -740,7 +721,7 @@ mod tests {
                 assert_eq!(a.interval(), b.interval());
             }
         }
-        // `Some(n)` pins a shared pool, `None` clears the pin again.
+        // `Some(n)` pins a lane scope, `None` clears the pin again.
         session.set_threads(Some(3));
         assert!(session.options().certify.is_some());
         session.set_threads(None);

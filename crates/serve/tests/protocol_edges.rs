@@ -482,3 +482,32 @@ fn lint_route_matches_cli_json_and_model_replies_carry_the_summary() {
 
     handle.shutdown();
 }
+
+/// Python's `json.dumps` escapes every non-ASCII character and writes one
+/// outside the basic plane as a UTF-16 surrogate pair: `/lint` must read
+/// the pair as one character.
+#[test]
+fn surrogate_pair_escapes_are_one_character() {
+    let (handle, addr) = daemon(ServerConfig::default());
+    let source = format!(
+        "{}// \u{1F600}\n",
+        include_str!("../../../examples/models/walk.sm")
+    );
+    let mut body = String::from("{\"source\": ");
+    for c in json::escape(&source).chars() {
+        if c.is_ascii() {
+            body.push(c);
+        } else {
+            for unit in c.encode_utf16(&mut [0; 2]) {
+                body.push_str(&format!("\\u{unit:04x}"));
+            }
+        }
+    }
+    body.push('}');
+    assert!(body.contains("// \\ud83d\\ude00"), "{body}");
+    let (s, b) = client::post(&addr, "/lint", &body).unwrap();
+    assert_eq!(s, 200, "{b}");
+    let plain = format!("{{\"source\": {}}}", json::escape(&source));
+    assert_eq!(client::post(&addr, "/lint", &plain).unwrap(), (s, b));
+    handle.shutdown();
+}

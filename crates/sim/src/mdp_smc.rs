@@ -211,7 +211,8 @@ mod tests {
         // optimal choice in state 0 is time-independent).
         let goal = m.label("goal").unwrap().clone();
         let vio = ViOptions::default();
-        let vmax = vi::reach_values(&m, &goal, Opt::Max, &vio).unwrap();
+        let cond = smg_mdp::qual::condensation(&m);
+        let vmax = vi::topo_reach_values(&m, &cond, &goal, Opt::Max, &vio).unwrap();
         let smax = vi::extremal_scheduler(&m, &vmax, Opt::Max, Some(&goal));
         let est = estimate_mdp(&m, &path, Scheduler::Memoryless(&smax), 0.02, 0.01, 7).unwrap();
         assert!(
@@ -219,7 +220,7 @@ mod tests {
             "{}",
             est.estimate
         );
-        let vmin = vi::reach_values(&m, &goal, Opt::Min, &vio).unwrap();
+        let vmin = vi::topo_reach_values(&m, &cond, &goal, Opt::Min, &vio).unwrap();
         let smin = vi::extremal_scheduler(&m, &vmin, Opt::Min, None);
         let est = estimate_mdp(&m, &path, Scheduler::Memoryless(&smin), 0.02, 0.01, 7).unwrap();
         assert!(

@@ -1,8 +1,11 @@
 //! The paper's §III steady-state argument, checked rather than assumed,
 //! plus interop (PRISM export) and composition on the real case studies.
 
-use statguard_mimo::dtmc::{explore, export, graph, transient, ExploreOptions, SyncProduct};
+mod support;
+
+use statguard_mimo::dtmc::{explore, export, graph, transient, ExploreOptions};
 use statguard_mimo::viterbi::{ConvergenceModel, ReducedModel, ViterbiConfig};
+use support::SyncProduct;
 
 /// "All finite, irreducible, aperiodic DTMC models are guaranteed to reach
 /// a steady state" — our chains have a transient reset prefix, so the
@@ -80,9 +83,10 @@ fn prism_export_of_viterbi_chain_is_well_formed() {
         assert!((total - 1.0).abs() < 1e-9, "row {s} sums to {total}");
     }
 
-    let lab = export::to_lab(&e.dtmc);
+    let d = &e.dtmc;
+    let lab = export::to_lab(d.n_states(), d.initial(), d.labels());
     assert!(lab.starts_with("0=\"init\" 1=\"flag\""));
-    let srew = export::to_srew(&e.dtmc);
+    let srew = export::to_srew(d.rewards());
     assert!(srew.lines().count() >= 1);
 }
 

@@ -3,14 +3,17 @@
 //! two independent ways:
 //!
 //! 1. the language's multi-module synchronous semantics against the
-//!    native [`SyncProduct`] combinator, transition-for-transition;
+//!    native [`SyncProduct`] test helper, transition-for-transition;
 //! 2. the automatic coarsest-lumping engine against the symmetry that
 //!    synchronous composition of identical components creates.
 
-use statguard_mimo::dtmc::{explore, transient, DtmcModel, ExploreOptions, SyncProduct};
+mod support;
+
+use statguard_mimo::dtmc::{explore, transient, DtmcModel, ExploreOptions};
 use statguard_mimo::lang;
 use statguard_mimo::pctl::{check_query, parse_property};
 use statguard_mimo::reduce::{coarsest_lumping, quotient};
+use support::SyncProduct;
 
 /// A one-bit noisy channel as a native model.
 #[derive(Clone)]

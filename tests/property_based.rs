@@ -162,8 +162,8 @@ proptest! {
         use statguard_mimo::dtmc::{export, import};
         let back = import::from_explicit(
             &export::to_tra(&d),
-            Some(&export::to_lab(&d)),
-            Some(&export::to_srew(&d)),
+            Some(&export::to_lab(d.n_states(), d.initial(), d.labels())),
+            Some(&export::to_srew(d.rewards())),
         )
         .unwrap();
         prop_assert_eq!(back.n_states(), d.n_states());

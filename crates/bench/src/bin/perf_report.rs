@@ -14,11 +14,7 @@
 //! * a `pool` section: fork-join dispatch latency of the persistent worker
 //!   pool timed back to back (`dispatch_ns`) and after the lanes have
 //!   parked (`parked_dispatch_ns`, the cost a kernel call between stretches
-//!   of sequential work pays), against the scoped-spawn baseline, plus
-//!   exploration throughput at 1, 2, and 4 worker shards (states/sec on
-//!   the largest lattice — the scaling is real on multicore machines and
-//!   ~1.0x on single-core ones, where the shards still run but share one
-//!   lane);
+//!   of sequential work pays), against the scoped-spawn baseline;
 //! * an `mdp` section: min/max Bellman-backup latency (ns per
 //!   value-iteration step) on a synthetic ~3-actions-per-state MDP at
 //!   n ∈ {1e3, 1e5}, swept over 1/2/4-lane scopes (lanes = 1 is the
@@ -265,7 +261,7 @@ fn main() {
     let mut entries: Vec<Entry> = Vec::new();
     let mut explore_rates: Vec<(usize, f64)> = Vec::new();
 
-    // Exploration throughput (sequential path: one shard).
+    // Exploration throughput.
     for w in if quick {
         vec![100u32]
     } else {
@@ -273,15 +269,14 @@ fn main() {
     } {
         let model = Lattice { w };
         let start = Instant::now();
-        let e =
-            explore(&model, &ExploreOptions::default().with_threads(1)).expect("lattice explores");
+        let e = explore(&model, &ExploreOptions::default()).expect("lattice explores");
         let secs = start.elapsed().as_secs_f64();
         let states = e.dtmc.n_states();
         explore_rates.push((states, states as f64 / secs));
         eprintln!("explore n={states}: {:.0} states/sec", states as f64 / secs);
     }
 
-    // Pool section: dispatch latency + sharded-exploration scaling.
+    // Pool section: dispatch latency.
     // A dedicated 4-lane pool keeps the dispatch numbers comparable across
     // machines whatever SMG_THREADS / the core count happen to be.
     let dispatch_pool = smg_dtmc::pool::with_lanes(4);
@@ -320,27 +315,6 @@ fn main() {
          spawn {scoped_spawn_ns:.0} ns ({:.1}x cheaper)",
         scoped_spawn_ns / dispatch_ns.max(1.0)
     );
-    let pool_w = if quick { 100u32 } else { 1000 };
-    // The parallel pipeline is pinned on levels of at least this many
-    // states; in quick mode the lattice's BFS levels are small, so the pin
-    // drops to keep the sharded pipeline exercised in CI.
-    let pool_min_level = if quick { 32 } else { 1_024 };
-    let mut pool_explore: Vec<(usize, usize, f64)> = Vec::new();
-    for threads in [1usize, 2, 4] {
-        let model = Lattice { w: pool_w };
-        let options = ExploreOptions::default()
-            .with_threads(threads)
-            .with_par_min_level(pool_min_level);
-        let start = Instant::now();
-        let e = explore(&model, &options).expect("lattice explores");
-        let secs = start.elapsed().as_secs_f64();
-        let states = e.dtmc.n_states();
-        pool_explore.push((threads, states, states as f64 / secs));
-        eprintln!(
-            "explore n={states} threads={threads}: {:.0} states/sec",
-            states as f64 / secs
-        );
-    }
 
     // MDP value iteration: Bellman backups per step at 1/2/4 lanes.
     // Lanes = 1 runs the sequential fallback; multi-lane runs force the
@@ -713,17 +687,8 @@ fn main() {
     let _ = writeln!(json, "    \"workers\": {},", smg_dtmc::par::max_threads());
     let _ = writeln!(json, "    \"dispatch_ns\": {dispatch_ns:.1},");
     let _ = writeln!(json, "    \"parked_dispatch_ns\": {parked_dispatch_ns:.1},");
-    let _ = writeln!(json, "    \"scoped_spawn_ns\": {scoped_spawn_ns:.1},");
-    json.push_str("    \"explore\": [\n");
-    for (i, (threads, states, rate)) in pool_explore.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "      {{\"threads\": {threads}, \"states\": {states}, \
-             \"states_per_sec\": {rate:.1}}}{}",
-            if i + 1 < pool_explore.len() { "," } else { "" }
-        );
-    }
-    json.push_str("    ]\n  },\n  \"mdp\": [\n");
+    let _ = writeln!(json, "    \"scoped_spawn_ns\": {scoped_spawn_ns:.1}");
+    json.push_str("  },\n  \"mdp\": [\n");
     for (i, (n, lanes, ns)) in mdp_entries.iter().enumerate() {
         let _ = writeln!(
             json,

@@ -1,11 +1,10 @@
 //! The real consumers the harness sweeps, each reduced to a digest.
 //!
-//! A driver runs one of the engine's parallel workloads — sharded BFS
-//! exploration, parallel value iteration, certified reward brackets,
-//! per-SCC topological batching — and folds every numeric result into a
-//! 64-bit FNV digest, **bit by bit** (`f64::to_bits`, not an epsilon
-//! comparison). All four production drivers are *bit-identical by
-//! construction*: the engine pins their parallel paths to the sequential
+//! A driver runs one of the engine's parallel workloads — parallel value
+//! iteration, certified reward brackets, per-SCC topological batching —
+//! and folds every numeric result into a 64-bit FNV digest, **bit by bit**
+//! (`f64::to_bits`, not an epsilon comparison). All three production
+//! drivers are *bit-identical by construction*: the engine pins their parallel paths to the sequential
 //! results exactly, whatever the schedule, so under the chaos
 //! interleaver any digest drift is a real ordering bug.
 //!
@@ -19,14 +18,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use crate::harness::CaseParams;
 use smg_dtmc::solve;
 use smg_dtmc::synthetic::layered_chain;
-use smg_dtmc::{explore, par, pool, BitVec, Dtmc, DtmcModel, ExploreOptions};
+use smg_dtmc::{par, pool, BitVec};
 use smg_mdp::{vi, Mdp, MdpBuilder, Opt, ViOptions};
 
 /// The workloads the harness can drive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DriverKind {
-    /// Sharded parallel BFS exploration of a seeded layered model.
-    Explore,
     /// Parallel min/max value iteration on a seeded MDP: bounded backups
     /// past its depth, and the default and certified condensation walks.
     Vi,
@@ -49,17 +46,11 @@ pub enum DriverKind {
 impl DriverKind {
     /// The production drivers a sweep covers by default (excludes the
     /// mutation check).
-    pub const ALL: [DriverKind; 4] = [
-        DriverKind::Explore,
-        DriverKind::Vi,
-        DriverKind::Certified,
-        DriverKind::Topo,
-    ];
+    pub const ALL: [DriverKind; 3] = [DriverKind::Vi, DriverKind::Certified, DriverKind::Topo];
 
     /// The driver's CLI name.
     pub fn name(&self) -> &'static str {
         match self {
-            DriverKind::Explore => "explore",
             DriverKind::Vi => "vi",
             DriverKind::Certified => "certified",
             DriverKind::Topo => "topo",
@@ -71,7 +62,6 @@ impl DriverKind {
     /// Parses a CLI name.
     pub fn from_name(name: &str) -> Option<DriverKind> {
         match name {
-            "explore" => Some(DriverKind::Explore),
             "vi" => Some(DriverKind::Vi),
             "certified" => Some(DriverKind::Certified),
             "topo" => Some(DriverKind::Topo),
@@ -89,7 +79,6 @@ impl DriverKind {
 /// sim interleaver installed, which is what makes the run adversarial.
 pub fn digest(kind: DriverKind, case: &CaseParams, parallel: bool) -> u64 {
     match kind {
-        DriverKind::Explore => digest_explore(case, parallel),
         DriverKind::Vi => digest_vi(case, parallel),
         DriverKind::Certified => digest_certified(case, parallel),
         DriverKind::Topo => digest_topo(case, parallel),
@@ -120,27 +109,6 @@ impl Digest {
             self.mix(v.to_bits());
         }
     }
-    fn mix_bits(&mut self, bits: &BitVec) {
-        self.mix(bits.len() as u64);
-        for i in bits.iter_ones() {
-            self.mix(i as u64);
-        }
-    }
-    fn mix_dtmc(&mut self, d: &Dtmc) {
-        self.mix(d.n_states() as u64);
-        let m = d.matrix();
-        for r in 0..d.n_states() {
-            for (c, v) in m.row_iter(r) {
-                self.mix(u64::from(c));
-                self.mix(v.to_bits());
-            }
-        }
-        for name in d.label_names() {
-            self.mix(name.len() as u64);
-            self.mix_bits(d.label(name).expect("label just listed"));
-        }
-        self.mix_f64s(d.rewards());
-    }
     fn mix_cert(&mut self, c: &solve::CertifiedValues) {
         self.mix_f64s(&c.lo);
         self.mix_f64s(&c.hi);
@@ -160,55 +128,6 @@ fn mash(parts: &[u64]) -> u64 {
         h = h.rotate_left(29).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     }
     h ^ (h >> 31)
-}
-
-/// A seeded layered DAG model for the exploration driver: `width` states
-/// per layer, pseudo-random forward fan-out, an absorbing final layer.
-/// Layers are wide enough that every BFS level takes the parallel
-/// owner-computes path once `par_min_level` is 1.
-struct Web {
-    seed: u64,
-    depth: u32,
-    width: u32,
-}
-
-impl DtmcModel for Web {
-    type State = (u32, u32);
-
-    fn initial_states(&self) -> Vec<((u32, u32), f64)> {
-        vec![((0, 0), 1.0)]
-    }
-
-    fn transitions(&self, &(layer, idx): &(u32, u32)) -> Vec<((u32, u32), f64)> {
-        if layer >= self.depth {
-            return vec![((layer, idx), 1.0)];
-        }
-        let h = mash(&[self.seed, u64::from(layer), u64::from(idx)]);
-        let fan = 2 + (h % 3) as u32;
-        let mut succ: Vec<(u32, u64)> = Vec::new();
-        for k in 0..fan {
-            let hk = mash(&[self.seed, u64::from(layer), u64::from(idx), u64::from(k)]);
-            let j = (hk % u64::from(self.width)) as u32;
-            let w = 1 + (hk >> 32) % 7;
-            match succ.iter_mut().find(|(c, _)| *c == j) {
-                Some((_, wc)) => *wc += w,
-                None => succ.push((j, w)),
-            }
-        }
-        let total: u64 = succ.iter().map(|&(_, w)| w).sum();
-        succ.sort_by_key(|&(c, _)| c);
-        succ.into_iter()
-            .map(|(j, w)| ((layer + 1, j), w as f64 / total as f64))
-            .collect()
-    }
-
-    fn atomic_propositions(&self) -> Vec<&'static str> {
-        vec!["goal"]
-    }
-
-    fn holds(&self, ap: &str, &(layer, idx): &(u32, u32)) -> bool {
-        ap == "goal" && layer == self.depth && idx % 2 == 0
-    }
 }
 
 /// A seeded forward-chained MDP: every action moves strictly toward two
@@ -361,28 +280,6 @@ fn layered_mdp(seed: u64, layers: u32, width: u32, twins: bool) -> Mdp {
 }
 
 // --- drivers -------------------------------------------------------------
-
-fn digest_explore(case: &CaseParams, parallel: bool) -> u64 {
-    let model = Web {
-        seed: case.seed,
-        depth: 6,
-        width: 24,
-    };
-    let opts = if parallel {
-        ExploreOptions::default()
-            .with_threads(case.lanes)
-            .with_par_min_level(1)
-    } else {
-        ExploreOptions::default().with_threads(1)
-    };
-    let lanes = if parallel { case.lanes } else { 1 };
-    let explored =
-        par::with_lane_scope(lanes, || explore(&model, &opts)).expect("seeded model explores");
-    let mut d = Digest::new();
-    d.mix_dtmc(&explored.dtmc);
-    d.mix(explored.stats.reachability_iterations as u64);
-    d.finish()
-}
 
 fn digest_vi(case: &CaseParams, parallel: bool) -> u64 {
     let m = seeded_mdp(case.seed);
@@ -592,10 +489,6 @@ mod tests {
         }
         // The seeded workloads actually vary with the seed.
         assert_ne!(
-            digest(DriverKind::Explore, &case(1), false),
-            digest(DriverKind::Explore, &case(2), false)
-        );
-        assert_ne!(
             digest(DriverKind::Vi, &case(1), false),
             digest(DriverKind::Vi, &case(2), false)
         );
@@ -638,21 +531,5 @@ mod tests {
         });
         assert!(cert.width() < 1e-9);
         assert!(cap.counter("smg_vi_inflations_total") > 0);
-    }
-
-    #[test]
-    fn web_model_explores_to_a_layered_chain() {
-        let ex = explore(
-            &Web {
-                seed: 5,
-                depth: 6,
-                width: 24,
-            },
-            &ExploreOptions::default().with_threads(1),
-        )
-        .unwrap();
-        // Reachable subset of 6 layers × ≤24 states plus absorbers.
-        assert!(ex.dtmc.n_states() > 30);
-        assert!(ex.dtmc.n_states() <= 6 * 24 + 25);
     }
 }

@@ -2,9 +2,8 @@
 //! concurrency layer.
 //!
 //! Every parallel subsystem in this workspace promises results
-//! **bit-identical to sequential** — sharded BFS exploration, parallel
-//! value iteration, certified reward brackets, per-SCC topological
-//! batching. Ordinary tests only witness the schedules the operating
+//! **bit-identical to sequential** — parallel value iteration, certified
+//! reward brackets, per-SCC topological batching. Ordinary tests only witness the schedules the operating
 //! system happens to produce; this crate instead drives the worker
 //! pool's scheduling seam (`smg-dtmc`'s `sim` feature) from a
 //! seed-derived interleaver that single-steps *virtual* lanes in

@@ -156,7 +156,7 @@ fn torn_and_skew_faults_report_their_counters() {
                 min_rows: 2,
             },
         );
-        smg_chaos::drivers::digest(DriverKind::Explore, &case, true);
+        smg_chaos::drivers::digest(DriverKind::Topo, &case, true);
     });
     assert!(cap.counter("smg_chaos_torn_latches_total") >= 1);
     assert!(cap.counter("smg_chaos_epoch_skews_total") >= 1);

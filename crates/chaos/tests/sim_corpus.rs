@@ -18,7 +18,7 @@ use smg_chaos::harness::{
     panic_probe, params_for_seed, replay, run_case, sweep, CaseParams, SweepOptions,
 };
 
-/// Seeds 0..32 × all four production drivers, benign faults on, panic
+/// Seeds 0..32 × all three production drivers, benign faults on, panic
 /// probes on — the engine's schedule-independence must hold throughout.
 #[test]
 fn fixed_corpus_passes_across_all_drivers() {
@@ -116,7 +116,10 @@ fn panic_probes_keep_the_pool_consistent() {
 /// bit-identical to sequential.
 #[test]
 fn nested_scope_and_oversubscription_stay_bit_identical() {
-    use smg_dtmc::{explore, par, DtmcModel, ExploreOptions};
+    use smg_chaos::interleave::ChaosInterleaver;
+    use smg_dtmc::{explore, par, transient, DtmcModel, ExploreOptions};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     // Oversubscribed: every-17th seed derives a 32-lane virtual pool.
     for &seed in &[0u64, 17, 34] {
@@ -130,8 +133,8 @@ fn nested_scope_and_oversubscription_stay_bit_identical() {
     }
 
     // Nested lane scopes under the sim: outer scope 4 lanes, inner
-    // scope 2, the workload explored inside the inner scope must equal
-    // the plain sequential exploration bit for bit.
+    // scope 2, a bounded transient product computed inside the inner
+    // scope must equal the plain sequential one bit for bit.
     struct Grid;
     impl DtmcModel for Grid {
         type State = (u8, u8);
@@ -152,33 +155,42 @@ fn nested_scope_and_oversubscription_stay_bit_identical() {
         }
     }
 
-    let opts = ExploreOptions::default().with_par_min_level(1);
-    let sequential = explore(&Grid, &ExploreOptions::default().with_threads(1)).unwrap();
+    let grid = explore(&Grid, &ExploreOptions::default()).unwrap().dtmc;
+    let edge = grid.label("edge").unwrap().clone();
+    let product = || {
+        let pi = transient::distribution_at(&grid, 30);
+        let reach = transient::bounded_reach_prob(&grid, &edge, 30).unwrap();
+        let mut bits: Vec<u64> = pi.iter().map(|p| p.to_bits()).collect();
+        bits.push(reach.to_bits());
+        bits
+    };
+    let sequential = par::with_lane_scope(1, product);
     let case = params_for_seed(2);
-    let il: std::rc::Rc<std::cell::RefCell<dyn smg_dtmc::sim::Interleaver>> = std::rc::Rc::new(
-        std::cell::RefCell::new(smg_chaos::interleave::ChaosInterleaver::new(
-            case.seed,
-            case.policy,
-            FaultPlan::none(),
-            u64::MAX,
-        )),
-    );
-    let _guard = smg_dtmc::sim::install(
-        il,
+    let il = Rc::new(RefCell::new(ChaosInterleaver::new(
+        case.seed,
+        case.policy,
+        FaultPlan::none(),
+        u64::MAX,
+    )));
+    let il_dyn: Rc<RefCell<dyn smg_dtmc::sim::Interleaver>> = il.clone();
+    let guard = smg_dtmc::sim::install(
+        il_dyn,
         smg_dtmc::sim::SimConfig {
             kernel_chunk: Some(8),
             min_rows: 2,
         },
     );
-    let nested = par::with_lane_scope(4, || {
-        par::with_lane_scope(2, || explore(&Grid, &opts.clone().with_threads(2)).unwrap())
-    });
-    assert_eq!(
-        nested.dtmc.matrix(),
-        sequential.dtmc.matrix(),
-        "nested scoped exploration under the sim must be bit-identical"
+    let nested = par::with_lane_scope(4, || par::with_lane_scope(2, product));
+    drop(guard);
+    assert!(
+        il.borrow().steps_taken() > 0,
+        "the nested product never reached the simulated scheduler"
     );
-    assert_eq!(nested.dtmc.n_states(), sequential.dtmc.n_states());
+    assert_eq!(
+        nested, sequential,
+        "nested scoped transient product under the sim must be bit-identical"
+    );
+    assert_eq!(nested.len(), grid.n_states() + 1);
 }
 
 /// The corpus is not vacuous: under the harness's kernel-chunk and
@@ -229,7 +241,7 @@ fn drivers_actually_exercise_simulated_epochs() {
 fn cases_replay_deterministically() {
     for seed in [0u64, 5, 13, 21] {
         let case: CaseParams = params_for_seed(seed);
-        for kind in [DriverKind::Explore, DriverKind::Certified] {
+        for kind in [DriverKind::Topo, DriverKind::Certified] {
             let a = run_case(kind, &case).is_ok();
             let b = run_case(kind, &case).is_ok();
             assert_eq!(a, b, "{} seed {seed} must replay identically", kind.name());

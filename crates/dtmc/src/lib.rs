@@ -45,15 +45,11 @@
 //!   a site picks never changes an answer: the parallel forward product,
 //!   for one, gathers over a lazily cached transpose and writes the bits
 //!   the sequential scatter writes.
-//! * **Exploration** — BFS interns states into a sharded
-//!   [`explore::StateIndex`] (an FxHash-style multiply hasher, [`hash`],
-//!   with the hash prefix selecting the shard) and assembles rows directly
-//!   into a flat [`CsrBuilder`], level by level. When pinned
-//!   ([`ExploreOptions::par_min_level`], [`par::pinned`]), wide levels run
-//!   in parallel on the pool, in bounded slices, with an owner-computes
-//!   discipline per shard; state ids, rows, and the matrix are
-//!   bit-identical to the sequential BFS whatever the shard or thread
-//!   count.
+//! * **Exploration** — BFS interns states into a flat
+//!   [`explore::StateIndex`] (an FxHash-style multiply hasher, [`hash`])
+//!   and assembles rows directly into a flat [`CsrBuilder`], level by
+//!   level, on the calling thread; only the label and reward scans after
+//!   the fixpoint go through measured dispatch sites.
 //!
 //! # Topological solving
 //!

@@ -168,24 +168,6 @@ impl CsrBuilder {
         Ok(())
     }
 
-    /// Appends a pre-assembled CSR segment of rows whose per-row entry
-    /// counts are `lens` (entries already validated, sorted and merged with
-    /// [`merge_row_into`]). This is the parallel explorer's flat merge: each
-    /// worker builds its chunk's rows independently and the segments are
-    /// concatenated here in chunk order, which reproduces exactly what
-    /// sequential [`CsrBuilder::push_row`] calls would have produced.
-    pub(crate) fn append_segment(&mut self, lens: &[u32], cols: &[u32], vals: &[f64]) {
-        debug_assert_eq!(lens.iter().map(|&l| l as usize).sum::<usize>(), cols.len());
-        debug_assert_eq!(cols.len(), vals.len());
-        let mut acc = self.cols.len();
-        for &len in lens {
-            acc += len as usize;
-            self.row_ptr.push(acc);
-        }
-        self.cols.extend_from_slice(cols);
-        self.vals.extend_from_slice(vals);
-    }
-
     /// Finishes the square matrix; its dimension is the number of rows.
     pub fn finish(self) -> CsrMatrix {
         let n = self.rows();
@@ -206,9 +188,9 @@ impl CsrBuilder {
 /// Sorts one row's `(column, value)` scratch in place and appends it to the
 /// flat `cols`/`vals` arrays, summing duplicate columns and dropping
 /// non-positive entries — the single row-assembly primitive shared by
-/// [`CsrBuilder::push_row`], the parallel explorer's per-chunk segment
-/// builder, and the MDP builder's shared distribution pool in `smg-mdp`,
-/// so all of them produce byte-identical flat data for the same input.
+/// [`CsrBuilder::push_row`] and the MDP builder's shared distribution pool
+/// in `smg-mdp`, so both produce byte-identical flat data for the same
+/// input.
 pub fn merge_row_into(cols: &mut Vec<u32>, vals: &mut Vec<f64>, row: &mut [(u32, f64)]) {
     row.sort_by_key(|&(c, _)| c);
     let row_start = cols.len();
@@ -1059,28 +1041,6 @@ mod tests {
         let r1 = TransitionMatrix::RankOne(RankOneMatrix::new(2, vec![(0, 1.0)]).unwrap());
         r1.prime_transpose(); // no-op
         assert!(!r1.has_cached_transpose());
-    }
-
-    #[test]
-    fn append_segment_matches_push_row() {
-        let rows = vec![
-            vec![(1u32, 0.5), (0, 0.25), (1, 0.25)],
-            vec![(0, 1.0)],
-            vec![(2, 0.0), (0, 0.5), (1, 0.5)],
-        ];
-        let reference = CsrMatrix::from_rows(rows.clone()).unwrap();
-        // Assemble the same rows through the parallel explorer's primitives:
-        // merge each row into a flat segment, then append in one shot.
-        let (mut cols, mut vals, mut lens) = (Vec::new(), Vec::new(), Vec::new());
-        for mut row in rows {
-            let before = cols.len();
-            merge_row_into(&mut cols, &mut vals, &mut row);
-            lens.push((cols.len() - before) as u32);
-        }
-        let mut b = CsrBuilder::default();
-        b.append_segment(&lens, &cols, &vals);
-        assert_eq!(b.rows(), 3);
-        assert_eq!(b.finish(), reference);
     }
 
     #[test]

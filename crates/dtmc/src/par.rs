@@ -32,11 +32,10 @@
 //! parallel when more than one lane is configured: `SMG_PAR_MIN_ROWS`
 //! (process-wide), [`with_lane_scope`] (and so `CheckSession::threads`),
 //! and the sim interleaver's threshold override ([`pinned`]). Callers with
-//! their own thresholds (`ViOptions::par_min_states` in `smg-mdp`,
-//! `ExploreOptions::par_min_level`) apply them before reaching a site.
-//! One parallel form has no measured default and runs only when pinned:
-//! the explorers' level pipelines (a sharded level does ~1.7x the
-//! sequential loop's work and lost at every size measured on 2 cores).
+//! their own thresholds (`ViOptions::par_min_states` in `smg-mdp`) apply
+//! them before reaching a site. State-space exploration has no parallel
+//! form: its BFS runs on the calling thread, and only the label and
+//! reward scans after it dispatch, through sites.
 //!
 //! # Determinism
 //!
@@ -44,7 +43,7 @@
 //! thread count, chunks are processed independently, and results are joined
 //! in slice order — so every `chunked_map` caller sees results that do not
 //! depend on scheduling. The kernels built on top (see [`crate::matrix`],
-//! [`crate::solve`], [`mod@crate::explore`], and `smg-mdp`'s backups) are
+//! [`crate::solve`], the label and reward scans, and `smg-mdp`'s backups) are
 //! bit-identical to their sequential counterparts by construction, with no
 //! exception, so which form a site picks never changes an answer.
 //!
@@ -282,8 +281,7 @@ pub fn should_parallelize(rows: usize) -> bool {
 
 /// The static rule for a call over `rows` rows when the calls of this
 /// thread are pinned (see the module docs), `None` when they go through
-/// the measured gate. Parallel forms without a measured default run only
-/// when this says so.
+/// the measured gate.
 pub fn pinned(rows: usize) -> Option<bool> {
     (!measured()).then(|| should_parallelize(rows))
 }

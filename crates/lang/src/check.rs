@@ -10,7 +10,8 @@
 //! * every name referenced anywhere resolves to a variable, constant or
 //!   formula (typos surface at compile time, not at some unlucky state);
 //! * no formula is defined in terms of itself, directly or through other
-//!   formulas;
+//!   formulas, and none stands more than [`MAX_DEPTH`] levels high with
+//!   the formulas it names inlined;
 //! * commands only assign to variables owned by their module;
 //! * label names are unique.
 //!
@@ -20,6 +21,7 @@
 
 use crate::ast::{DeclType, Expr, FormulaDecl, Program};
 use crate::error::{LangError, Pos};
+use crate::parser::MAX_DEPTH;
 use crate::value::{eval, Env, Value};
 use std::collections::{HashMap, HashSet};
 
@@ -237,7 +239,19 @@ pub fn check(program: Program) -> Result<CheckedProgram, LangError> {
     for f in &program.formulas {
         resolve(&f.body)?;
     }
-    formula_order(&program.formulas)?;
+    // Heights with referenced formulas inlined, dependencies first.
+    let mut heights: HashMap<&str, usize> = HashMap::new();
+    for i in formula_order(&program.formulas)? {
+        let f = &program.formulas[i];
+        let h = inlined_height(&f.body, &heights);
+        if h > MAX_DEPTH {
+            return Err(LangError::TooDeep {
+                formula: Some(f.name.clone()),
+                pos: f.pos,
+            });
+        }
+        heights.insert(&f.name, h);
+    }
     for (mi, m) in program.modules.iter().enumerate() {
         for cmd in &m.commands {
             resolve(&cmd.guard)?;
@@ -350,6 +364,23 @@ pub(crate) fn formula_order(formulas: &[FormulaDecl]) -> Result<Vec<usize>, Lang
         }
     }
     Ok(order)
+}
+
+/// The height of `e`'s tree with the formulas it names inlined: a literal
+/// or a variable or constant name stands one level, the name of a formula
+/// in `heights` one above that formula's inlined body (evaluating the name
+/// descends into the body), and each operator one above its highest
+/// operand.
+fn inlined_height(e: &Expr, heights: &HashMap<&str, usize>) -> usize {
+    let h = |a: &Expr| inlined_height(a, heights);
+    match e {
+        Expr::Int(_) | Expr::Double(_) | Expr::Bool(_) => 1,
+        Expr::Name(n, _) => heights.get(n.as_str()).map_or(1, |g| g + 1),
+        Expr::Neg(a) | Expr::Not(a) => 1 + h(a),
+        Expr::Bin(_, a, b) => 1 + h(a).max(h(b)),
+        Expr::Ite(c, a, b) => 1 + h(c).max(h(a)).max(h(b)),
+        Expr::Apply(_, args) => 1 + args.iter().map(h).max().unwrap_or(0),
+    }
 }
 
 /// Calls `f` for every name reference in `e`.
@@ -563,6 +594,59 @@ mod tests {
             .map(|&i| cp.program.formulas[i].name.as_str())
             .collect();
         assert_eq!(names, ["a", "b", "c", "d"]);
+    }
+
+    /// `n` formulas, each naming the one declared before it (declared in
+    /// reverse, so dependency order is not declaration order).
+    fn reference_chain(n: usize) -> String {
+        let mut src: String = (1..n)
+            .rev()
+            .map(|i| format!("formula f{i} = f{};\n", i - 1))
+            .collect();
+        src.push_str(&format!(
+            "formula f0 = x;\n{BODY}\nlabel \"l\" = f{};\n",
+            n - 1
+        ));
+        src
+    }
+
+    #[test]
+    fn formula_depth_through_references_is_capped() {
+        // `f0` stands one level high and each reference one above the
+        // formula it names: `f{k}` stands k + 1.
+        checked(&reference_chain(MAX_DEPTH)).unwrap();
+        let err = checked(&reference_chain(MAX_DEPTH + 1)).unwrap_err();
+        let LangError::TooDeep {
+            formula: Some(ref name),
+            pos,
+        } = err
+        else {
+            panic!("{err:?}");
+        };
+        assert_eq!(name, &format!("f{MAX_DEPTH}"));
+        assert_eq!(pos.line, 1, "the deepest formula is declared first");
+        assert!(err
+            .to_string()
+            .contains("nests deeper than 256 levels through the formulas it names"));
+        // Operators count too: `g` is a 200-atom chain, so a reference to
+        // it stands 201 high, and `h` puts k negations and one `&` on top.
+        let g = vec!["x"; 200].join(" & ");
+        let h = |k: usize| {
+            format!(
+                "formula g = {g};\nformula h = {}g & g;\n{BODY}",
+                "!".repeat(k)
+            )
+        };
+        checked(&h(MAX_DEPTH - 202)).unwrap();
+        assert!(matches!(
+            checked(&h(MAX_DEPTH - 201)).unwrap_err(),
+            LangError::TooDeep { formula: Some(ref n), .. } if n == "h"
+        ));
+        // A hostile chain stops at the cap, not the stack.
+        assert!(matches!(
+            checked(&reference_chain(5_000)).unwrap_err(),
+            LangError::TooDeep { .. }
+        ));
     }
 
     #[test]

@@ -64,6 +64,16 @@ pub enum LangError {
         /// Where.
         pos: Pos,
     },
+    /// An expression nests deeper than [`crate::parser::MAX_DEPTH`] levels:
+    /// its tree stands higher or opens more groups at once, or (for a
+    /// `formula`) its body stands higher with the formulas it names
+    /// inlined.
+    TooDeep {
+        /// The formula rejected by the checker; `None` for the parser.
+        formula: Option<String>,
+        /// Where the parser stopped, or where the formula is declared.
+        pos: Pos,
+    },
     /// A name was declared twice (variable, constant, formula, module or
     /// label).
     DuplicateName {
@@ -193,6 +203,17 @@ impl fmt::Display for LangError {
                 found,
                 pos,
             } => write!(f, "{pos}: expected {expected}, found {found}"),
+            LangError::TooDeep { formula, pos } => {
+                let cap = crate::parser::MAX_DEPTH;
+                match formula {
+                    None => write!(f, "{pos}: expression nested deeper than {cap} levels"),
+                    Some(name) => write!(
+                        f,
+                        "{pos}: formula {name:?} nests deeper than {cap} levels \
+                         through the formulas it names"
+                    ),
+                }
+            }
             LangError::DuplicateName { name, pos } => {
                 write!(f, "{pos}: duplicate declaration of {name:?}")
             }

@@ -10,8 +10,7 @@
 //! Pipeline: [`parse`] → [`check()`](check()) → [`compile`]. Compilation
 //! runs the program's state expansion ([`LangModel`], whose errors are
 //! values) through the engine explorers, so a `.sm` model is built by the
-//! same breadth-first search, with the same parallel levels, as a native
-//! Rust model. Callers that don't care which model family a file declares
+//! same breadth-first search as a native Rust model. Callers that don't care which model family a file declares
 //! use [`compile_any`], which dispatches on the `dtmc`/`mdp` header and
 //! returns an [`smg_pctl::AnyModel`] ready for a
 //! [`smg_pctl::CheckSession`].

@@ -5,9 +5,8 @@
 //! distributions and range violations as [`LangError`] values; [`compile`]
 //! and [`compile_mdp`] hand that expansion to the engine explorers
 //! ([`smg_dtmc::try_explore`], [`smg_mdp::try_explore`]), so `.sm` programs
-//! are built by the same breadth-first search, sharded interning and
-//! parallel levels as every native model, and number their states the same
-//! way whatever the lane count.
+//! are built by the same breadth-first search and interning as every native
+//! model, and number their states the same way whatever the lane count.
 //!
 //! # Semantics
 //!
@@ -69,15 +68,6 @@ impl Default for ExpandOptions {
     }
 }
 
-impl ExpandOptions {
-    /// The explorer configuration these options map onto: the same state
-    /// cap, and the engine's lane count (`SMG_THREADS`), as on every other
-    /// engine path.
-    pub(crate) fn explore_options(&self) -> ExploreOptions {
-        ExploreOptions::default().with_max_states(self.max_states)
-    }
-}
-
 /// The result of compiling a program: the explicit chain plus the
 /// name↔state bookkeeping a client needs to interpret it.
 #[derive(Debug, Clone)]
@@ -133,7 +123,7 @@ fn render_assignment(names: &[String], vals: &[i64]) -> String {
 /// Every expression is lowered once, when the model is built: variables
 /// resolve to state slots, constants fold, and formulas resolve to a
 /// shared table. Expanding a state then evaluates over the state vector
-/// directly and gathers its branches in per-lane buffers reused from
+/// directly and gathers its branches in per-thread buffers reused from
 /// state to state, so the successor vectors handed to the explorer are
 /// the only allocations.
 #[derive(Debug, Clone)]
@@ -144,7 +134,7 @@ pub struct LangModel {
 }
 
 /// A state's enabled commands and kept update branches, in evaluation
-/// order, reused from state to state on each lane. Ranges are `end`
+/// order, reused from state to state on each thread. Ranges are `end`
 /// offsets: item `i` spans from the previous item's end (0 for the first)
 /// to its own.
 #[derive(Debug, Default)]
@@ -577,16 +567,6 @@ pub fn compile_with(
     checked: CheckedProgram,
     options: ExpandOptions,
 ) -> Result<CompiledModel, LangError> {
-    explore_dtmc(checked, options, &options.explore_options())
-}
-
-/// [`compile_with`] on an explicit explorer configuration; tests use it to
-/// force parallel levels at a chosen lane count.
-pub(crate) fn explore_dtmc(
-    checked: CheckedProgram,
-    options: ExpandOptions,
-    explore: &ExploreOptions,
-) -> Result<CompiledModel, LangError> {
     if checked.program.model_type == ModelType::Mdp {
         return Err(LangError::WrongModelType {
             declared: "mdp",
@@ -599,7 +579,7 @@ pub(crate) fn explore_dtmc(
         vec![(model.initial_state(), 1.0)],
         |s: &Vec<i64>| model.transitions_checked(s),
         |states| model.labelling(states, &mut named_rewards),
-        explore,
+        &ExploreOptions::default().with_max_states(options.max_states),
     )?;
     Ok(CompiledModel {
         dtmc: explored.dtmc,
@@ -689,23 +669,13 @@ pub fn compile_mdp_with(
     checked: CheckedProgram,
     options: ExpandOptions,
 ) -> Result<CompiledMdp, LangError> {
-    explore_mdp(checked, options, &options.explore_options())
-}
-
-/// [`compile_mdp_with`] on an explicit explorer configuration; tests use
-/// it to force parallel levels at a chosen lane count.
-pub(crate) fn explore_mdp(
-    checked: CheckedProgram,
-    options: ExpandOptions,
-    explore: &ExploreOptions,
-) -> Result<CompiledMdp, LangError> {
     let model = LangModel::with_options(checked, options);
     let mut named_rewards = BTreeMap::new();
     let explored = smg_mdp::try_explore(
         vec![(model.initial_state(), 1.0)],
         |s: &Vec<i64>| model.actions_checked(s),
         |states| model.labelling(states, &mut named_rewards),
-        explore,
+        &ExploreOptions::default().with_max_states(options.max_states),
     )?;
     Ok(CompiledMdp {
         mdp: explored.mdp,

@@ -20,17 +20,33 @@
 //! Expression precedence, loosest first: `? :`, `=>`, `|`, `&`, `!`,
 //! relational (`= != < <= > >=`, non-associative), `+ -`, `* /`, unary `-`,
 //! atoms. This matches PRISM except that PRISM's `<->` is omitted.
+//! An expression nested deeper than [`MAX_DEPTH`] levels is rejected.
 
 use crate::ast::*;
 use crate::error::{LangError, Pos};
 use crate::token::{lex, Spanned, Tok};
 
+/// The deepest expression [`parse`] accepts. An expression is rejected
+/// when its syntax tree stands more than `MAX_DEPTH` levels high (a
+/// literal or a name is one level, and each operator or function call one
+/// above its highest operand, so a chain of n atoms joined by `&` stands n
+/// high), or when more than `MAX_DEPTH` parentheses, function calls, `!`,
+/// unary `-`, `? :` and `=>` are open at once. [`crate::check()`] applies
+/// the same cap to a `formula` with the formulas it names inlined. The
+/// parser, the checker, the linter, the evaluators and the tree's own
+/// `Display`, `Clone` and `Drop` recurse once per level or group, so the
+/// cap keeps a hostile source (thousands of `(`, or thousands of `&`) from
+/// overflowing a thread's stack. It is the cap `smg-pctl` puts on
+/// properties.
+pub const MAX_DEPTH: usize = 256;
+
 /// Parses a program from source text.
 ///
 /// # Errors
 ///
-/// Any lexing error, or [`LangError::UnexpectedToken`] with the position of
-/// the first token that does not fit the grammar.
+/// Any lexing error, [`LangError::UnexpectedToken`] with the position of
+/// the first token that does not fit the grammar, or [`LangError::TooDeep`]
+/// where an expression nests deeper than [`MAX_DEPTH`].
 ///
 /// # Example
 ///
@@ -50,7 +66,7 @@ use crate::token::{lex, Spanned, Tok};
 /// ```
 pub fn parse(src: &str) -> Result<Program, LangError> {
     let toks = lex(src)?;
-    let mut p = Parser { toks, i: 0 };
+    let mut p = Parser::new(toks);
     p.program()
 }
 
@@ -62,18 +78,85 @@ pub fn parse(src: &str) -> Result<Program, LangError> {
 /// As for [`parse`]; trailing tokens after the expression are rejected.
 pub fn parse_expr(src: &str) -> Result<Expr, LangError> {
     let toks = lex(src)?;
-    let mut p = Parser { toks, i: 0 };
+    let mut p = Parser::new(toks);
     let e = p.expr()?;
     p.expect_eof()?;
     Ok(e)
 }
 
+/// Binding levels of the binary operators and `!`, loosest first.
+const IMPLIES: u8 = 1;
+const OR: u8 = 2;
+const AND: u8 = 3;
+const NOT: u8 = 4;
+const REL: u8 = 5;
+const ADD: u8 = 6;
+const MUL: u8 = 7;
+
+/// The binary operator `t` spells, with its binding level.
+fn binary_op(t: &Tok) -> Option<(BinOp, u8)> {
+    Some(match t {
+        Tok::Implies => (BinOp::Implies, IMPLIES),
+        Tok::Pipe => (BinOp::Or, OR),
+        Tok::Amp => (BinOp::And, AND),
+        Tok::Eq => (BinOp::Eq, REL),
+        Tok::Neq => (BinOp::Neq, REL),
+        Tok::Lt => (BinOp::Lt, REL),
+        Tok::Le => (BinOp::Le, REL),
+        Tok::Gt => (BinOp::Gt, REL),
+        Tok::Ge => (BinOp::Ge, REL),
+        Tok::Plus => (BinOp::Add, ADD),
+        Tok::Minus => (BinOp::Sub, ADD),
+        Tok::Star => (BinOp::Mul, MUL),
+        Tok::Slash => (BinOp::Div, MUL),
+        _ => return None,
+    })
+}
+
 struct Parser {
     toks: Vec<Spanned>,
     i: usize,
+    /// Groups open at `i` (see [`MAX_DEPTH`]).
+    open: usize,
+    /// Height of the expression parsed last (see [`MAX_DEPTH`]).
+    height: usize,
 }
 
 impl Parser {
+    fn new(toks: Vec<Spanned>) -> Self {
+        Parser {
+            toks,
+            i: 0,
+            open: 0,
+            height: 0,
+        }
+    }
+
+    /// Rejects a tree `height` levels high, or `height` open groups, past
+    /// [`MAX_DEPTH`].
+    fn check_depth(&self, height: usize) -> Result<(), LangError> {
+        if height > MAX_DEPTH {
+            return Err(LangError::TooDeep {
+                formula: None,
+                pos: self.pos(),
+            });
+        }
+        Ok(())
+    }
+
+    /// Records that the expression just built stands one level above
+    /// operands of height `below`.
+    fn rise(&mut self, below: usize) -> Result<(), LangError> {
+        self.height = below + 1;
+        self.check_depth(self.height)
+    }
+
+    /// Enters a group, before the parser recurses into it.
+    fn descend(&mut self) -> Result<(), LangError> {
+        self.open += 1;
+        self.check_depth(self.open)
+    }
+
     fn peek(&self) -> &Tok {
         &self.toks[self.i].tok
     }
@@ -399,110 +482,85 @@ impl Parser {
 
     // ---- expressions ----
 
-    fn expr(&mut self) -> Result<Expr, LangError> {
-        self.ite()
-    }
+    // Every function that recurses keeps its frame small: a debug build
+    // must nest [`MAX_DEPTH`] groups within a 2 MiB thread stack, so the
+    // rarer shapes (`? :`, `!`, parentheses, function calls) parse in
+    // helpers that are on the stack only while their shape nests.
 
-    fn ite(&mut self) -> Result<Expr, LangError> {
-        let cond = self.implies()?;
+    fn expr(&mut self) -> Result<Expr, LangError> {
+        let cond = self.binary(IMPLIES)?;
         if matches!(self.peek(), Tok::Question) {
-            self.bump();
-            let then = self.ite()?;
-            self.expect(&Tok::Colon, "`:` in conditional")?;
-            let els = self.ite()?;
-            return Ok(Expr::Ite(Box::new(cond), Box::new(then), Box::new(els)));
+            return self.conditional(cond);
         }
         Ok(cond)
     }
 
-    fn implies(&mut self) -> Result<Expr, LangError> {
-        let lhs = self.or()?;
-        if matches!(self.peek(), Tok::Implies) {
-            self.bump();
-            // Right-associative.
-            let rhs = self.implies()?;
-            return Ok(Expr::Bin(BinOp::Implies, Box::new(lhs), Box::new(rhs)));
-        }
-        Ok(lhs)
-    }
-
-    fn or(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.and()?;
-        while matches!(self.peek(), Tok::Pipe) {
-            self.bump();
-            let rhs = self.and()?;
-            lhs = Expr::Bin(BinOp::Or, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn and(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.not()?;
-        while matches!(self.peek(), Tok::Amp) {
-            self.bump();
-            let rhs = self.not()?;
-            lhs = Expr::Bin(BinOp::And, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn not(&mut self) -> Result<Expr, LangError> {
-        if matches!(self.peek(), Tok::Not) {
-            self.bump();
-            let inner = self.not()?;
-            return Ok(Expr::Not(Box::new(inner)));
-        }
-        self.rel()
-    }
-
-    fn rel(&mut self) -> Result<Expr, LangError> {
-        let lhs = self.add()?;
-        let op = match self.peek() {
-            Tok::Eq => BinOp::Eq,
-            Tok::Neq => BinOp::Neq,
-            Tok::Lt => BinOp::Lt,
-            Tok::Le => BinOp::Le,
-            Tok::Gt => BinOp::Gt,
-            Tok::Ge => BinOp::Ge,
-            _ => return Ok(lhs),
-        };
+    /// `cond ? then : else`, from the `?` on.
+    fn conditional(&mut self, cond: Expr) -> Result<Expr, LangError> {
         self.bump();
-        let rhs = self.add()?;
-        Ok(Expr::Bin(op, Box::new(lhs), Box::new(rhs)))
+        let mut below = self.height;
+        self.descend()?;
+        let then = self.expr()?;
+        below = below.max(self.height);
+        self.expect(&Tok::Colon, "`:` in conditional")?;
+        let els = self.expr()?;
+        self.open -= 1;
+        self.rise(below.max(self.height))?;
+        Ok(Expr::Ite(Box::new(cond), Box::new(then), Box::new(els)))
     }
 
-    fn add(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.mul()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Plus => BinOp::Add,
-                Tok::Minus => BinOp::Sub,
-                _ => return Ok(lhs),
-            };
+    /// An expression of the operators that bind at level `min` or tighter
+    /// (precedence climbing): `=>` groups to the right, a relational
+    /// operator takes no second one, the other binary operators group to
+    /// the left, and `!` applies to a relational expression.
+    fn binary(&mut self, min: u8) -> Result<Expr, LangError> {
+        // Past a relational operator (or `!`, which took one in) no further
+        // relational operator binds at this level.
+        let negated = min <= NOT && matches!(self.peek(), Tok::Not);
+        let mut related = negated;
+        let mut lhs = if negated {
+            self.negation()?
+        } else {
+            self.unary()?
+        };
+        while let Some((op, level)) = binary_op(self.peek()) {
+            if level < min || (level == REL && related) {
+                break;
+            }
             self.bump();
-            let rhs = self.mul()?;
+            let below = self.height;
+            let rhs = if level == IMPLIES {
+                self.descend()?;
+                let rhs = self.binary(IMPLIES)?;
+                self.open -= 1;
+                rhs
+            } else {
+                self.binary(level + 1)?
+            };
+            self.rise(below.max(self.height))?;
+            related |= level == REL;
             lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
         }
+        Ok(lhs)
     }
 
-    fn mul(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.unary()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Star => BinOp::Mul,
-                Tok::Slash => BinOp::Div,
-                _ => return Ok(lhs),
-            };
-            self.bump();
-            let rhs = self.unary()?;
-            lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
-        }
+    /// `!` and the relational expression it applies to.
+    fn negation(&mut self) -> Result<Expr, LangError> {
+        self.bump();
+        self.descend()?;
+        let inner = self.binary(NOT)?;
+        self.open -= 1;
+        self.rise(self.height)?;
+        Ok(Expr::Not(Box::new(inner)))
     }
 
     fn unary(&mut self) -> Result<Expr, LangError> {
         if matches!(self.peek(), Tok::Minus) {
             self.bump();
+            self.descend()?;
             let inner = self.unary()?;
+            self.open -= 1;
+            self.rise(self.height)?;
             return Ok(Expr::Neg(Box::new(inner)));
         }
         self.atom()
@@ -510,6 +568,7 @@ impl Parser {
 
     fn atom(&mut self) -> Result<Expr, LangError> {
         let pos = self.pos();
+        self.height = 1;
         match self.peek().clone() {
             Tok::Int(v) => {
                 self.bump();
@@ -519,12 +578,7 @@ impl Parser {
                 self.bump();
                 Ok(Expr::Double(v))
             }
-            Tok::LParen => {
-                self.bump();
-                let e = self.expr()?;
-                self.expect(&Tok::RParen, "`)`")?;
-                Ok(e)
-            }
+            Tok::LParen => self.group(),
             Tok::Ident(name) => {
                 self.bump();
                 if name == "true" {
@@ -533,39 +587,64 @@ impl Parser {
                 if name == "false" {
                     return Ok(Expr::Bool(false));
                 }
-                if let Some(func) = Func::from_name(&name) {
-                    if matches!(self.peek(), Tok::LParen) {
-                        self.bump();
-                        let mut args = vec![self.expr()?];
-                        while matches!(self.peek(), Tok::Comma) {
-                            self.bump();
-                            args.push(self.expr()?);
-                        }
-                        self.expect(&Tok::RParen, "`)`")?;
-                        let (lo, hi) = func.arity();
-                        if args.len() < lo || hi.is_some_and(|h| args.len() > h) {
-                            return Err(LangError::UnexpectedToken {
-                                expected: format!(
-                                    "{} arguments to {}",
-                                    match hi {
-                                        Some(h) if h == lo => format!("{lo}"),
-                                        Some(h) => format!("{lo}..{h}"),
-                                        None => format!("at least {lo}"),
-                                    },
-                                    func.name()
-                                ),
-                                found: format!("{}", args.len()),
-                                pos,
-                            });
-                        }
-                        return Ok(Expr::Apply(func, args));
-                    }
+                match Func::from_name(&name) {
+                    Some(func) if matches!(self.peek(), Tok::LParen) => self.call(func, pos),
+                    _ => Ok(Expr::Name(name, pos)),
                 }
-                Ok(Expr::Name(name, pos))
             }
             _ => self.err("expression"),
         }
     }
+
+    /// A parenthesized expression, at the `(`.
+    fn group(&mut self) -> Result<Expr, LangError> {
+        self.bump();
+        self.descend()?;
+        let e = self.expr()?;
+        self.expect(&Tok::RParen, "`)`")?;
+        self.open -= 1;
+        Ok(e)
+    }
+
+    /// The arguments of a call to `func` (named at `pos`), at the `(`.
+    fn call(&mut self, func: Func, pos: Pos) -> Result<Expr, LangError> {
+        self.bump();
+        self.descend()?;
+        let mut args = vec![self.expr()?];
+        let mut below = self.height;
+        while matches!(self.peek(), Tok::Comma) {
+            self.bump();
+            args.push(self.expr()?);
+            below = below.max(self.height);
+        }
+        self.expect(&Tok::RParen, "`)`")?;
+        self.open -= 1;
+        self.rise(below)?;
+        check_arity(func, args.len(), pos)?;
+        Ok(Expr::Apply(func, args))
+    }
+}
+
+/// Rejects a call to `func` (named at `pos`) with `n` arguments when its
+/// arity does not allow that many.
+fn check_arity(func: Func, n: usize, pos: Pos) -> Result<(), LangError> {
+    let (lo, hi) = func.arity();
+    if n < lo || hi.is_some_and(|h| n > h) {
+        return Err(LangError::UnexpectedToken {
+            expected: format!(
+                "{} arguments to {}",
+                match hi {
+                    Some(h) if h == lo => format!("{lo}"),
+                    Some(h) => format!("{lo}..{h}"),
+                    None => format!("at least {lo}"),
+                },
+                func.name()
+            ),
+            found: format!("{n}"),
+            pos,
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -720,5 +799,72 @@ mod tests {
     #[test]
     fn trailing_garbage_in_expr_is_rejected() {
         assert!(parse_expr("1 + 2 )").is_err());
+    }
+
+    #[test]
+    fn depth_is_capped_for_nesting_and_chains_alike() {
+        let parens = |n: usize| format!("{}x{}", "(".repeat(n), ")".repeat(n));
+        let prefix = |op: &str, n: usize| format!("{}x", op.repeat(n));
+        let chain = |op: &str, n: usize| vec!["x"; n].join(op);
+        let calls = |n: usize| format!("{}x{}", "floor(".repeat(n), ")".repeat(n));
+        let ites = |n: usize| format!("{}0", "b ? 1 : ".repeat(n));
+        // Where each shape is rejected: the column just past the token at
+        // which the cap is crossed.
+        let column = |src: &str| match parse_expr(src) {
+            Err(LangError::TooDeep { formula: None, pos }) => {
+                assert_eq!(pos.line, 1);
+                pos.col as usize
+            }
+            other => panic!("{other:?}"),
+        };
+        // At the cap every shape parses; one level more is rejected where
+        // it is seen.
+        for at_cap in [
+            parens(MAX_DEPTH),
+            prefix("!", MAX_DEPTH - 1),
+            prefix("-", MAX_DEPTH - 1),
+            chain(" & ", MAX_DEPTH),
+            chain(" | ", MAX_DEPTH),
+            chain(" + ", MAX_DEPTH),
+            chain(" * ", MAX_DEPTH),
+            chain(" => ", MAX_DEPTH),
+            calls(MAX_DEPTH - 1),
+            ites(MAX_DEPTH - 1),
+        ] {
+            parse_expr(&at_cap).unwrap_or_else(|e| panic!("{e}"));
+        }
+        assert_eq!(column(&parens(MAX_DEPTH + 1)), MAX_DEPTH + 2);
+        let long = prefix("!", MAX_DEPTH);
+        assert_eq!(column(&long), long.len() + 1);
+        let long = chain(" & ", MAX_DEPTH + 1);
+        assert_eq!(column(&long), long.len() + 1);
+        for past in [
+            prefix("-", MAX_DEPTH),
+            chain(" | ", MAX_DEPTH + 1),
+            chain(" * ", MAX_DEPTH + 1),
+            chain(" => ", MAX_DEPTH + 1),
+            calls(MAX_DEPTH),
+            ites(MAX_DEPTH),
+        ] {
+            column(&past);
+        }
+        // A chain's first operand sits deepest in its left-leaning tree:
+        // 200 negations under 55 `&` reach the cap, under 56 exceed it.
+        parse_expr(&format!("{} & {}", prefix("!", 200), chain(" & ", 55))).unwrap();
+        column(&format!("{} & {}", prefix("!", 200), chain(" & ", 56)));
+        // What a hostile source holds stops at the cap, not the stack.
+        column(&parens(100_000));
+        column(&chain(" & ", 200_000));
+        // Inside a program the error names its line.
+        let src = format!(
+            "module m\n  x : bool;\n  [] {} -> true;\nendmodule\n",
+            parens(MAX_DEPTH + 1)
+        );
+        let err = parse(&src).unwrap_err();
+        assert!(
+            matches!(err, LangError::TooDeep { pos, .. } if pos.line == 3),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("nested deeper than 256 levels"));
     }
 }

@@ -17,9 +17,9 @@
 //!   DTMC engine ([`smg_dtmc::matrix::merge_row_into`]) — identical inputs
 //!   yield byte-identical pool data.
 //! * [`explore()`] enumerates an implicit [`MdpModel`] breadth-first,
-//!   interning states through [`smg_dtmc::StateIndex`] and expanding large
-//!   levels in parallel on the engine's persistent worker pool; the result
-//!   is bit-identical to sequential BFS for every thread count.
+//!   interning states through the DTMC explorer's
+//!   [`smg_dtmc::explore::intern`] into the same [`smg_dtmc::StateIndex`],
+//!   so both engines number states the same way.
 //! * [`vi`] implements min/max value iteration — bounded until,
 //!   instantaneous and cumulative rewards as masked Bellman backups that
 //!   run as dynamically dispatched chunks on the pool where their measured

@@ -392,45 +392,6 @@ impl MdpBuilder {
         Ok(())
     }
 
-    /// Appends pre-assembled states: `action_counts[i]` actions for the
-    /// `i`-th appended state, each action's merged entry count in
-    /// `act_lens` (flat, in order), entries in `cols`/`vals`. This is the
-    /// parallel explorer's flat segment merge — each worker builds its
-    /// chunk's rows with [`merge_row_into`] and the segments concatenate
-    /// here in chunk order, reproducing exactly what sequential
-    /// [`MdpBuilder::push_action`]/[`MdpBuilder::finish_state`] calls
-    /// would have produced.
-    pub fn append_segment(
-        &mut self,
-        action_counts: &[u32],
-        act_lens: &[u32],
-        cols: &[u32],
-        vals: &[f64],
-    ) {
-        debug_assert_eq!(
-            action_counts.iter().map(|&c| c as usize).sum::<usize>(),
-            act_lens.len()
-        );
-        debug_assert_eq!(
-            act_lens.iter().map(|&l| l as usize).sum::<usize>(),
-            cols.len()
-        );
-        debug_assert_eq!(cols.len(), vals.len());
-        debug_assert!(action_counts.iter().all(|&c| c > 0), "deadlocked state");
-        let mut nnz = self.cols.len();
-        for &len in act_lens {
-            nnz += len as usize;
-            self.act_ptr.push(nnz);
-        }
-        let mut acts = *self.state_ptr.last().expect("state_ptr non-empty");
-        for &count in action_counts {
-            acts += count as usize;
-            self.state_ptr.push(acts);
-        }
-        self.cols.extend_from_slice(cols);
-        self.vals.extend_from_slice(vals);
-    }
-
     /// Finishes the transition structure; the state count is the number of
     /// closed states.
     pub fn finish(self) -> MdpTransitions {
@@ -508,42 +469,6 @@ mod tests {
         let row: Vec<_> = m.action_row(0, 0).collect();
         assert_eq!(row.len(), 1);
         assert!((row[0].1 - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn append_segment_matches_incremental() {
-        // Assemble the tiny MDP's rows through the parallel explorer's
-        // primitives and compare the flat arrays against push_action.
-        let rows: Vec<Vec<Vec<(u32, f64)>>> = vec![
-            vec![vec![(1, 0.5), (0, 0.5)], vec![(2, 0.9), (1, 0.1)]],
-            vec![vec![(1, 1.0)]],
-            vec![vec![(2, 1.0)]],
-        ];
-        let mut reference = MdpBuilder::default();
-        for state in &rows {
-            for action in state {
-                reference.push_action(&mut action.clone()).unwrap();
-            }
-            reference.finish_state().unwrap();
-        }
-        let (mut counts, mut lens, mut cols, mut vals) =
-            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-        for state in &rows {
-            counts.push(state.len() as u32);
-            for action in state {
-                let before = cols.len();
-                merge_row_into(&mut cols, &mut vals, &mut action.clone());
-                lens.push((cols.len() - before) as u32);
-            }
-        }
-        let mut seg = MdpBuilder::default();
-        seg.append_segment(&counts, &lens, &cols, &vals);
-        let a = reference.finish();
-        let b = seg.finish();
-        assert_eq!(a.state_ptr, b.state_ptr);
-        assert_eq!(a.act_ptr, b.act_ptr);
-        assert_eq!(a.cols, b.cols);
-        assert_eq!(a.vals, b.vals);
     }
 
     #[test]

@@ -22,7 +22,7 @@ use smg_dtmc::{par, solve, BitVec, Dtmc, ExploreOptions};
 use smg_mdp::{explore, vi, Mdp, MdpModel, Opt, ViOptions};
 
 /// Sets `SMG_THREADS=4` exactly once, before any engine `OnceLock` is
-/// read (same discipline as `smg-dtmc/tests/sharded_explore.rs`).
+/// read, so every test in this process sees the same 4-lane pool.
 fn init_env() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| std::env::set_var("SMG_THREADS", "4"));

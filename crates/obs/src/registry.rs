@@ -55,9 +55,25 @@ fn help_for(name: &str) -> &'static str {
         "smg_chaos_epochs_total" => "Simulated pool epochs replayed by the chaos harness.",
         "smg_chaos_stalls_total" => "Lane stalls injected by the chaos interleaver.",
         "smg_chaos_injected_panics_total" => "Task panics injected by the chaos interleaver.",
-        _ => "Instrument recorded by smg-obs.",
+        "smg_chaos_torn_latches_total" => {
+            "Torn result-latch updates injected by the chaos interleaver."
+        }
+        "smg_chaos_epoch_skews_total" => "Epoch-counter skews injected by the chaos interleaver.",
+        "smg_lint_runs_total" => "Lint runs over checked .sm programs.",
+        "smg_lint_diagnostics_total" => "Lint diagnostics reported, by severity.",
+        "smg_serve_requests_total" => "Daemon requests by route.",
+        "smg_serve_request_seconds" => "Daemon request latency, read to response.",
+        "smg_serve_http_errors_total" => "Daemon error responses by HTTP status.",
+        "smg_serve_compiles_total" => "Models compiled by POST /models (cache misses).",
+        "smg_serve_model_hits_total" => "POST /models requests answered by a resident model.",
+        "smg_serve_evictions_total" => "Resident models evicted, by reason.",
+        "smg_serve_models" => "Models currently resident in the daemon.",
+        _ => GENERIC_HELP,
     }
 }
+
+/// The HELP line of an instrument [`help_for`] has no entry for.
+const GENERIC_HELP: &str = "Instrument recorded by smg-obs.";
 
 /// Owned label pairs of one series, in rendering order.
 type LabelSet = Vec<(&'static str, String)>;
@@ -382,6 +398,33 @@ impl Recorder for Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every instrument the inventory in `docs/OBSERVABILITY.md` lists
+    /// renders its own HELP line, not the generic one.
+    #[test]
+    fn every_documented_instrument_has_its_own_help() {
+        let inventory = include_str!("../../../docs/OBSERVABILITY.md");
+        let listed: Vec<&str> = inventory
+            .lines()
+            .filter_map(|l| l.strip_prefix("| `")?.split('`').next())
+            .filter(|name| name.starts_with("smg_"))
+            .collect();
+        assert!(listed.len() >= 30, "inventory rows: {listed:?}");
+        let generic: Vec<&str> = listed
+            .into_iter()
+            .filter(|name| {
+                let reg = Registry::new();
+                reg.record(&Event::CounterAdd {
+                    name,
+                    labels: &[],
+                    value: 1,
+                });
+                reg.render_text()
+                    .contains(&format!("# HELP {name} {GENERIC_HELP}\n"))
+            })
+            .collect();
+        assert!(generic.is_empty(), "generic HELP for {generic:?}");
+    }
 
     fn sample_registry() -> Registry {
         let reg = Registry::new();

@@ -290,6 +290,68 @@ fn hostile_nesting_is_a_400_and_the_daemon_stays_up() {
     handle.shutdown();
 }
 
+/// The `.sm` front end behind `/models` and `/lint` caps nesting as the
+/// property parser does. Each hostile source below used to overflow a
+/// handler thread's stack, aborting the daemon and every resident session
+/// with it.
+#[test]
+fn hostile_sm_nesting_is_a_400_and_the_daemon_stays_up() {
+    let (handle, addr) = daemon(ServerConfig::default());
+    let program = |formulas: &str, guard: &str| {
+        format!(
+            "dtmc\n{formulas}module m\n  x : [0..1] init 0;\n  [] {guard} -> (x'=1-x);\n  [] x = 1 -> (x'=0);\n\
+             endmodule\nlabel \"zero\" = x = 0;\n"
+        )
+    };
+    let parens = |n: usize| format!("{}x = 0{}", "(".repeat(n), ")".repeat(n));
+    let chain = |n: usize| vec!["x = 0"; n].join(" & ");
+    // `n` formulas, each two levels above the one before it (`f{n-1}`
+    // stands 2n high); the guard names the last.
+    let references = |n: usize| {
+        let mut formulas: String = (1..n)
+            .map(|i| format!("formula f{i} = f{} & x = 0;\n", i - 1))
+            .collect();
+        formulas.push_str("formula f0 = x = 0;\n");
+        program(&formulas, &format!("f{}", n - 1))
+    };
+    let post = |route: &str, source: &str| {
+        let body = format!("{{\"source\": {}}}", json::escape(source));
+        client::post(&addr, route, &body).unwrap()
+    };
+    for (source, needle) in [
+        (
+            program("", &parens(1_000)),
+            "expression nested deeper than 256 levels",
+        ),
+        (
+            program("", &chain(20_000)),
+            "expression nested deeper than 256 levels",
+        ),
+        (references(5_000), "nests deeper than 256 levels"),
+    ] {
+        for route in ["/models", "/lint"] {
+            let (s, b) = post(route, &source);
+            assert_structured(s, &b, 400, needle);
+            let (s, _) = client::get(&addr, "/healthz").unwrap();
+            assert_eq!(s, 200);
+        }
+    }
+    // At the cap each shape compiles and lints like any other model: the
+    // atom `x = 0` stands two levels high.
+    let cap = smg_lang::parser::MAX_DEPTH;
+    for source in [
+        program("", &parens(cap)),
+        program("", &chain(cap - 1)),
+        references(cap / 2),
+    ] {
+        for route in ["/models", "/lint"] {
+            let (s, b) = post(route, &source);
+            assert_eq!(s, 200, "{route}: {b}");
+        }
+    }
+    handle.shutdown();
+}
+
 #[test]
 fn oversized_bodies_are_413_and_do_not_wedge_the_daemon() {
     let (handle, addr) = daemon(ServerConfig {

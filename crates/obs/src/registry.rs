@@ -61,8 +61,17 @@ fn help_for(name: &str) -> &'static str {
         "smg_chaos_epoch_skews_total" => "Epoch-counter skews injected by the chaos interleaver.",
         "smg_lint_runs_total" => "Lint runs over checked .sm programs.",
         "smg_lint_diagnostics_total" => "Lint diagnostics reported, by severity.",
-        "smg_serve_requests_total" => "Daemon requests by route.",
-        "smg_serve_request_seconds" => "Daemon request latency, read to response.",
+        "smg_serve_requests_total" => {
+            "Daemon requests by route: healthz, metrics, models_list, models_post, \
+             models_delete, check, lint, other."
+        }
+        "smg_serve_request_seconds" => {
+            "Daemon request dispatch time, from the request read to the reply ready \
+             (the socket write excluded)."
+        }
+        "smg_serve_session_wait_seconds" => {
+            "Time a /check request waited for its model's session lock."
+        }
         "smg_serve_http_errors_total" => "Daemon error responses by HTTP status.",
         "smg_serve_compiles_total" => "Models compiled by POST /models (cache misses).",
         "smg_serve_model_hits_total" => "POST /models requests answered by a resident model.",

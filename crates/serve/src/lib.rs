@@ -34,10 +34,13 @@
 //! * `GET /healthz` — liveness.
 //!
 //! Residency is bounded by a capped LRU with optional TTL
-//! ([`lruttl::LruTtl`]); shutdown drains in-flight requests before the
-//! listener thread exits. Requests against *different* models check in
-//! parallel; requests against the *same* model serialize through its
-//! session lock.
+//! ([`lruttl::LruTtl`]). The listener thread blocks in `accept()` and
+//! hands each connection to a thread of its own; [`Handle::shutdown`]
+//! wakes it with a loopback connection, and it then answers every
+//! connection already queued in the listen backlog and waits for the
+//! in-flight ones, for up to 10 s, before it exits. Requests against
+//! *different* models check in parallel; requests against the *same*
+//! model serialize through its session lock.
 //!
 //! ```
 //! let handle = smg_serve::spawn(smg_serve::ServerConfig::default()).unwrap();
@@ -78,10 +81,10 @@ use smg_lang::{check, compile_any_with, parse, ExpandOptions};
 use smg_obs as obs;
 use smg_pctl::{parse_property, CheckOptions, CheckResult, CheckSession, Property};
 use std::fmt::Write as _;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// A daemon-level error (bind failures, shutdown problems) with a
@@ -156,8 +159,9 @@ impl Handle {
         self.registry.clone()
     }
 
-    /// Graceful shutdown: stop accepting, let in-flight requests finish,
-    /// then join the listener thread.
+    /// Graceful shutdown: stop accepting, answer the connections already
+    /// queued and let in-flight requests finish (for up to 10 s), then
+    /// join the listener thread.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
@@ -165,6 +169,14 @@ impl Handle {
     fn stop_and_join(&mut self) {
         if let Some(join) = self.join.take() {
             self.stop.store(true, Ordering::SeqCst);
+            // The accept loop blocks in `accept()`: a connection of our own
+            // wakes it to see the flag. It lands in the backlog even if the
+            // loop is busy, so one that connects is never missed; retry
+            // only while no connection can be made (a full fd table).
+            let wake = wake_addr(self.addr);
+            while !join.is_finished() && TcpStream::connect_timeout(&wake, WAKE_TIMEOUT).is_err() {
+                std::thread::sleep(ACCEPT_BACKOFF);
+            }
             let _ = join.join();
             if self.installed_global {
                 let _ = obs::clear_global();
@@ -177,6 +189,18 @@ impl Drop for Handle {
     fn drop(&mut self) {
         self.stop_and_join();
     }
+}
+
+/// The address that reaches a daemon bound to `addr`: itself, or the
+/// loopback address of the same family for a wildcard bind (`0.0.0.0`,
+/// `[::]`), which is not an address anyone can connect to.
+fn wake_addr(addr: SocketAddr) -> SocketAddr {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, addr.port())
 }
 
 /// One resident model: immutable compile-time facts plus the warm
@@ -227,7 +251,6 @@ pub fn spawn(config: ServerConfig) -> Result<Handle, ServeError> {
     let listener = TcpListener::bind(&config.addr)
         .map_err(|e| ServeError(format!("cannot bind {}: {e}", config.addr)))?;
     let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
     let registry = Arc::new(obs::Registry::new());
     if config.install_global {
         obs::set_global(registry.clone());
@@ -318,44 +341,82 @@ mod signal {
     }
 }
 
-/// How long the accept loop sleeps between polls (nonblocking accept is
-/// the shutdown lever: no extra fd machinery, bounded stop latency).
-const ACCEPT_POLL: Duration = Duration::from_millis(2);
-/// How long shutdown waits for in-flight requests before giving up.
+/// Back-off after a failed `accept()` (`EMFILE` and the like), so a full
+/// fd table does not spin the accept loop.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(2);
+/// How long the shutdown wake-up connection may take to connect.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+/// How long shutdown spends answering queued and in-flight requests
+/// before giving up on them.
 const DRAIN_LIMIT: Duration = Duration::from_secs(10);
 
-fn accept_loop(listener: &TcpListener, daemon: &Arc<Daemon>, stop: &Arc<AtomicBool>) {
-    let inflight = Arc::new(AtomicUsize::new(0));
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-                let _ = stream.set_nodelay(true);
-                inflight.fetch_add(1, Ordering::SeqCst);
-                let daemon = daemon.clone();
-                let inflight = inflight.clone();
-                std::thread::spawn(move || {
-                    struct Guard(Arc<AtomicUsize>);
-                    impl Drop for Guard {
-                        fn drop(&mut self) {
-                            self.0.fetch_sub(1, Ordering::SeqCst);
-                        }
-                    }
-                    let _guard = Guard(inflight);
-                    handle_conn(&daemon, stream);
-                });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
+/// The number of running handler threads; the last one to finish
+/// signals `idle`.
+#[derive(Default)]
+struct Inflight {
+    count: Mutex<usize>,
+    idle: Condvar,
+}
+
+/// Counts a handler out of [`Inflight`] however it ends, panics included.
+struct HandlerDone(Arc<Inflight>);
+
+impl Drop for HandlerDone {
+    fn drop(&mut self) {
+        let mut count = lock(&self.0.count);
+        *count -= 1;
+        if *count == 0 {
+            self.0.idle.notify_all();
         }
     }
-    // Drain: the listener no longer accepts, in-flight requests finish.
-    let deadline = Instant::now() + DRAIN_LIMIT;
-    while inflight.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-        std::thread::sleep(ACCEPT_POLL);
+}
+
+/// Accepts until the stop flag is seen, then drains: every connection
+/// already queued in the listen backlog is accepted and answered, and the
+/// handlers are awaited, all within [`DRAIN_LIMIT`].
+fn accept_loop(listener: &TcpListener, daemon: &Arc<Daemon>, stop: &Arc<AtomicBool>) {
+    let inflight = Arc::new(Inflight::default());
+    while !stop.load(Ordering::SeqCst) {
+        match listener.accept() {
+            Ok((stream, _)) => spawn_handler(stream, daemon, &inflight),
+            Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
+        }
     }
+    let deadline = Instant::now() + DRAIN_LIMIT;
+    if listener.set_nonblocking(true).is_ok() {
+        while Instant::now() < deadline {
+            match listener.accept() {
+                // BSD sockets inherit the listener's nonblocking flag; the
+                // handler's reads and writes expect a blocking socket.
+                Ok((stream, _)) => {
+                    if stream.set_nonblocking(false).is_ok() {
+                        spawn_handler(stream, daemon, &inflight);
+                    }
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
+            }
+        }
+    }
+    let count = lock(&inflight.count);
+    let _ = inflight.idle.wait_timeout_while(
+        count,
+        deadline.saturating_duration_since(Instant::now()),
+        |n| *n > 0,
+    );
+}
+
+/// Hands one accepted connection to a thread of its own.
+fn spawn_handler(stream: TcpStream, daemon: &Arc<Daemon>, inflight: &Arc<Inflight>) {
+    let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
+    let _ = stream.set_nodelay(true);
+    *lock(&inflight.count) += 1;
+    let done = HandlerDone(inflight.clone());
+    let daemon = daemon.clone();
+    std::thread::spawn(move || {
+        let _done = done;
+        handle_conn(&daemon, stream);
+    });
 }
 
 /// One connection, one request, one response. The daemon's registry is
@@ -489,15 +550,29 @@ fn handle_models_post(daemon: &Arc<Daemon>, req: &http::Request) -> RouteResult 
         .get("source")
         .and_then(json::Value::as_str)
         .ok_or_else(|| (400, "missing string field \"source\"".to_string()))?;
+    // The CLI's default expansion cap is also the daemon's ceiling: a
+    // client may ask for a smaller state space, never a larger one.
     let defaults = ExpandOptions::default();
     let max_states = match body.get("max_states") {
         None | Some(json::Value::Null) => defaults.max_states,
-        Some(v) => v.as_u64().map(|n| n as usize).ok_or_else(|| {
-            (
-                400,
-                "\"max_states\" must be a non-negative integer".to_string(),
-            )
-        })?,
+        Some(v) => {
+            let n = v.as_u64().ok_or_else(|| {
+                (
+                    400,
+                    "\"max_states\" must be a non-negative integer".to_string(),
+                )
+            })?;
+            if n > defaults.max_states as u64 {
+                return Err((
+                    400,
+                    format!(
+                        "\"max_states\" {n} exceeds the daemon's ceiling of {}",
+                        defaults.max_states
+                    ),
+                ));
+            }
+            n as usize
+        }
     };
     let allow_stutter = match body.get("allow_stutter") {
         None | Some(json::Value::Null) => defaults.allow_stutter,
@@ -663,7 +738,13 @@ fn handle_check(daemon: &Arc<Daemon>, req: &http::Request) -> RouteResult {
     // never interleave half-configured. A checker error (unknown label,
     // scheduler-ambiguous query on an MDP, …) only aborts *this* batch —
     // the session and its memoized results stay valid.
+    let waiting = Instant::now();
     let session = &mut *lock_session(&resident.session);
+    obs::observe(
+        "smg_serve_session_wait_seconds",
+        None,
+        waiting.elapsed().as_secs_f64(),
+    );
     session.set_options(CheckOptions { certify: certified });
     session.set_threads(threads);
     let results = session
@@ -771,6 +852,19 @@ mod tests {
         assert_ne!(a, content_hash("dtmc\n", 101, false));
         assert_ne!(a, content_hash("dtmc\n", 100, true));
         assert_eq!(a.len(), 16);
+    }
+
+    #[test]
+    fn wildcard_binds_are_woken_through_loopback() {
+        for (bound, wake) in [
+            ("0.0.0.0:7178", "127.0.0.1:7178"),
+            ("[::]:7178", "[::1]:7178"),
+            ("127.0.0.1:7178", "127.0.0.1:7178"),
+            ("[::1]:7178", "[::1]:7178"),
+            ("10.1.2.3:80", "10.1.2.3:80"),
+        ] {
+            assert_eq!(wake_addr(bound.parse().unwrap()), wake.parse().unwrap());
+        }
     }
 
     #[test]

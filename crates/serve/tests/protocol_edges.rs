@@ -4,7 +4,7 @@
 
 use smg_serve::json;
 use smg_serve::{client, spawn, Handle, ServerConfig};
-use std::io::Write as _;
+use std::io::{Read as _, Write as _};
 use std::time::Duration;
 
 const DTMC: &str = "dtmc\n\
@@ -409,7 +409,9 @@ fn shutdown_drains_an_inflight_request() {
         )
         .unwrap()
     });
-    // Let the request reach the daemon, then stop accepting.
+    // Give the client thread time to connect. Once it has, the request is
+    // answered whether the daemon accepted it before shutdown or drains it
+    // from the listen backlog afterwards.
     std::thread::sleep(Duration::from_millis(5));
     handle.shutdown();
     let (s, b) = inflight.join().unwrap();
@@ -417,6 +419,74 @@ fn shutdown_drains_an_inflight_request() {
     // The listener is gone now.
     std::thread::sleep(Duration::from_millis(20));
     assert!(client::get(&addr, "/healthz").is_err());
+}
+
+/// Connections queued in the listen backlog when shutdown begins are
+/// accepted and answered, not reset when the listener closes.
+#[test]
+fn shutdown_answers_every_queued_connection() {
+    let (handle, addr) = daemon(ServerConfig::default());
+    let mut streams: Vec<std::net::TcpStream> = (0..16)
+        .map(|_| {
+            let mut stream = std::net::TcpStream::connect(&addr).unwrap();
+            stream
+                .write_all(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+                .unwrap();
+            stream
+        })
+        .collect();
+    handle.shutdown();
+    for (i, stream) in streams.iter_mut().enumerate() {
+        let mut reply = String::new();
+        stream
+            .read_to_string(&mut reply)
+            .unwrap_or_else(|e| panic!("connection {i}: {e}"));
+        assert!(
+            reply.starts_with("HTTP/1.1 200"),
+            "connection {i}: {reply:?}"
+        );
+    }
+}
+
+/// A daemon bound to the wildcard address is woken for shutdown through
+/// loopback: the wildcard itself is no address to connect to.
+#[test]
+fn wildcard_bind_shuts_down_promptly() {
+    let (handle, _) = daemon(ServerConfig {
+        addr: "0.0.0.0:0".to_string(),
+        ..ServerConfig::default()
+    });
+    let (done, finished) = std::sync::mpsc::channel();
+    let stopper = std::thread::spawn(move || {
+        handle.shutdown();
+        done.send(()).unwrap();
+    });
+    finished
+        .recv_timeout(Duration::from_secs(2))
+        .expect("shutdown of a daemon bound to 0.0.0.0 took more than 2 s");
+    stopper.join().unwrap();
+}
+
+/// `max_states` may lower the expansion cap, never raise it past the
+/// CLI's default; the ceiling is checked before the source is parsed.
+#[test]
+fn max_states_above_the_ceiling_is_a_400() {
+    let (handle, addr) = daemon(ServerConfig::default());
+    let body = |source: &str, max_states: u64| {
+        format!(
+            "{{\"source\": {}, \"max_states\": {max_states}}}",
+            json::escape(source)
+        )
+    };
+    for source in [DTMC, "dtmc garbage"] {
+        let (s, b) = client::post(&addr, "/models", &body(source, 4_000_001)).unwrap();
+        assert_structured(s, &b, 400, "exceeds the daemon's ceiling of 4000000");
+        let (s, _) = client::get(&addr, "/healthz").unwrap();
+        assert_eq!(s, 200);
+    }
+    let (s, b) = client::post(&addr, "/models", &body(DTMC, 4_000_000)).unwrap();
+    assert_eq!(s, 200, "{b}");
+    handle.shutdown();
 }
 
 #[test]

@@ -162,6 +162,33 @@ fn two_resident_models_answer_certified_families_from_warm_sessions() {
     handle.shutdown();
 }
 
+/// Each `/check` that reaches its model's session lock observes its wait
+/// there once; a request for a model that is not resident observes
+/// nothing.
+#[test]
+fn every_check_observes_its_session_lock_wait() {
+    let (handle, addr) = daemon(ServerConfig::default());
+    let hash = compile(&addr, &channel_model(40, 0.02));
+    let n = 5;
+    for _ in 0..n {
+        check_family(&addr, &hash, "");
+    }
+    let (status, _) = client::post(
+        &addr,
+        "/check",
+        "{\"hash\": \"0000\", \"props\": [\"P=? [ F err ]\"]}",
+    )
+    .unwrap();
+    assert_eq!(status, 404);
+    let (status, text) = client::get(&addr, "/metrics").unwrap();
+    assert_eq!(status, 200);
+    assert!(
+        text.contains(&format!("\nsmg_serve_session_wait_seconds_count {n}\n")),
+        "{text}"
+    );
+    handle.shutdown();
+}
+
 #[test]
 fn evict_then_recompile_lands_on_the_same_hash_and_the_same_bits() {
     let (handle, addr) = daemon(ServerConfig::default());

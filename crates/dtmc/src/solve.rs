@@ -1,13 +1,17 @@
-//! Solvers for unbounded properties, on the chain's SCC condensation.
+//! Solvers for unbounded properties, on the SCC condensation.
 //!
-//! Every unbounded `P`/`R`/`S` answer comes from one level walk over the
-//! chain's condensation ([`graph::Condensation`]): components are solved
-//! one at a time in reverse topological order (sinks first), with their
-//! already-solved successors folded in as constants. Trivial (singleton)
-//! components collapse to a closed-form backsubstitution; a level's batch
-//! of them is one measured dispatch site, and a parallel batch writes the
-//! same bits as the sequential loop. Non-trivial components run in-place
-//! (Gauss–Seidel order) sweeps restricted to their own states. See
+//! Every unbounded `P`/`R`/`S` answer, on chains and on MDPs, comes from
+//! one level walk over a condensation ([`graph::Condensation`]),
+//! [`topo_walk`]: components are solved one at a time in reverse
+//! topological order (sinks first), with their already-solved successors
+//! folded in as constants. Trivial (singleton) components collapse to a
+//! closed-form backsubstitution; a level's batch of them is one measured
+//! dispatch site, and a parallel batch writes the same bits as the
+//! sequential loop. Non-trivial components run in-place (Gauss–Seidel
+//! order) sweeps restricted to their own states. The walk is generic over
+//! a [`RowBackup`], which supplies what differs per engine: this module's
+//! drivers back up a chain's rows, and `smg-mdp`'s `vi::topo_*` drivers
+//! back up one min/max query with its end-component correction. See
 //! "Topological solving" below.
 //!
 //! # Default and certified modes
@@ -169,10 +173,14 @@ fn hitting_probe(dtmc: &Dtmc, target: &BitVec, active: &BitVec) -> Result<(usize
 //   concentrates on the components that need it instead of being paid
 //   globally.
 //
-// One level walk ([`topo_walk`]) serves both modes, generic over the value
-// kept per state ([`LevelValue`]): the checker's default mode keeps one
-// estimate per state and stops each component on a residual test; the
-// certified mode keeps an `(lo, hi)` bracket and stops on its width.
+// One level walk ([`topo_walk`]) serves both modes and both engines. It is
+// generic over the value kept per state ([`LevelValue`]): the default mode
+// keeps one estimate per state and stops each component on a residual
+// test; the certified mode keeps an `(lo, hi)` bracket and stops on its
+// width. It is also generic over the row backup ([`RowBackup`]): a chain
+// solves each row for its own state ([`solved_row`]), and `smg-mdp` backs
+// up the best action of a min/max query and corrects end components after
+// each sweep.
 //
 // Soundness of the certified variants is per-component: every active state
 // of a component leaves it almost surely (active states reach the target,
@@ -186,7 +194,6 @@ fn hitting_probe(dtmc: &Dtmc, target: &BitVec, active: &BitVec) -> Result<(usize
 /// (`f64`, the default mode, tested on its residual) or a certified
 /// `(lo, hi)` bracket (tested on its width). Arithmetic is slot-wise; a
 /// single estimate is its own lower slot and has no upper slot to move.
-/// Shared with `smg-mdp`'s topological drivers.
 pub trait LevelValue: Copy + Send + Sync {
     /// Whether this is the certified bracket (its progress measure is a
     /// width, reported as such in convergence records).
@@ -344,11 +351,76 @@ fn solved_terms<V: LevelValue>(
     }
 }
 
+/// The engine half of [`topo_walk`]: how a state's value follows from
+/// its successors' values, what corrects a component after a sweep, and
+/// how a level's batch of trivial states is dispatched. A chain's rows
+/// implement it here (`ChainRows`); `smg-mdp` implements it for one
+/// min/max query.
+pub trait RowBackup: Sync {
+    /// The `smg_solve_sweeps_total` driver labels of the default and the
+    /// certified walk, in that order.
+    const DRIVERS: [&'static str; 2];
+
+    /// The closed form of state `s` when it is a trivial component: every
+    /// successor other than `s` is already solved in `x`.
+    fn solved<V: LevelValue>(&self, s: usize, x: &[V]) -> V;
+
+    /// One in-place sweep update of state `s` inside a non-trivial
+    /// component, reading the freshest values in `x`.
+    fn update<V: LevelValue>(&self, s: usize, x: &[V]) -> V;
+
+    /// Whether [`correct`](RowBackup::correct) acts on component `ci`. Its
+    /// sweeps then measure progress against the values they started from,
+    /// after the correction.
+    fn corrects(&self, _ci: u32) -> bool {
+        false
+    }
+
+    /// Corrects component `ci` in place after each of its sweeps.
+    fn correct<V: LevelValue>(&self, _ci: u32, _x: &mut [V]) {}
+
+    /// Fills a level's trivial batch: runs `fill(offset, chunk)` over
+    /// `out`, on the calling thread or on the worker pool.
+    fn batch<V: LevelValue>(&self, out: &mut [V], fill: impl Fn(usize, &mut [V]) + Sync);
+}
+
+/// A chain's rows as the walk's backup: the closed form and the sweep
+/// update both solve the row for its own state ([`solved_row`]), and a
+/// trivial batch is the `topo_batch` dispatch site.
+struct ChainRows<'a> {
+    matrix: &'a TransitionMatrix,
+    rewards: Option<&'a [f64]>,
+}
+
+impl RowBackup for ChainRows<'_> {
+    const DRIVERS: [&'static str; 2] = ["topo", "topo_interval"];
+
+    fn solved<V: LevelValue>(&self, s: usize, x: &[V]) -> V {
+        let reward = self.rewards.map_or(0.0, |r| r[s]);
+        solved_row(self.matrix, s, reward, |c| x[c])
+    }
+
+    fn update<V: LevelValue>(&self, s: usize, x: &[V]) -> V {
+        self.solved(s, x)
+    }
+
+    fn batch<V: LevelValue>(&self, out: &mut [V], fill: impl Fn(usize, &mut [V]) + Sync) {
+        TOPO_BATCH.run(out.len(), out.len(), |parallel| {
+            if parallel {
+                par::chunked_map(out, par::tune_chunk(PAR_MIN_CHUNK), |offset, chunk| {
+                    fill(offset, chunk);
+                });
+            } else {
+                fill(0, out);
+            }
+        });
+    }
+}
+
 /// Splits one DAG level into the batch of trivial (singleton) active states
 /// and the ids of non-trivial components that contain active states.
 /// Components with no active state are already fully pinned and skipped.
-/// Shared with `smg-mdp`'s topological drivers.
-pub fn split_level(
+fn split_level(
     cond: &graph::Condensation,
     level: usize,
     active: &BitVec,
@@ -369,33 +441,34 @@ pub fn split_level(
     }
 }
 
-/// The level walk of every topological solver on a chain: walks the
-/// condensation level by level (sinks first), backsubstituting trivial
-/// components in pool-dispatched batches and running component-local
-/// in-place sweeps on the rest until each one's [`LevelValue::progress`]
-/// drops below `stop`. `x` arrives with all inactive states pinned.
-/// Returns the number of sweeps performed (each trivial-batch level counts
-/// as one; each non-trivial component contributes its own sweeps).
-/// `max_iter` bounds the sweeps of each individual component.
-fn topo_walk<V: LevelValue>(
-    matrix: &TransitionMatrix,
+/// The level walk of every topological solver, on both engines: walks the
+/// condensation level by level (sinks first), filling each level's trivial
+/// components in one [`RowBackup::batch`] and running component-local
+/// in-place sweeps on the rest, each followed by the backup's correction,
+/// until each component's [`LevelValue::progress`] drops below `stop`. `x`
+/// arrives with all inactive states pinned. Returns the number of sweeps
+/// performed (each trivial-batch level counts as one; each non-trivial
+/// component contributes its own sweeps). `max_iter` bounds the sweeps of
+/// each individual component.
+///
+/// # Errors
+///
+/// [`DtmcError::NoConvergence`] if a component misses `stop` within
+/// `max_iter` sweeps.
+pub fn topo_walk<V: LevelValue, B: RowBackup>(
+    backup: &B,
     cond: &graph::Condensation,
     active: &BitVec,
-    rewards: Option<&[f64]>,
     x: &mut [V],
     stop: f64,
     max_iter: usize,
 ) -> Result<usize, DtmcError> {
-    let driver = if V::CERTIFIED {
-        "topo_interval"
-    } else {
-        "topo"
-    };
-    let r_of = |i: usize| rewards.map_or(0.0, |r| r[i]);
+    let driver = B::DRIVERS[usize::from(V::CERTIFIED)];
     let mut iterations = 0usize;
     let mut batch: Vec<u32> = Vec::new();
     let mut nontrivial: Vec<u32> = Vec::new();
     let mut scratch: Vec<V> = Vec::new();
+    let mut old: Vec<V> = Vec::new();
     for level in 0..cond.dag_depth() {
         split_level(cond, level, active, &mut batch, &mut nontrivial);
         if !batch.is_empty() {
@@ -404,23 +477,9 @@ fn topo_walk<V: LevelValue>(
             scratch.resize(batch.len(), V::splat(0.0));
             let xr: &[V] = x;
             let batch_ref: &[u32] = &batch;
-            let fill = |offset: usize, chunk: &mut [V]| {
+            backup.batch(&mut scratch, |offset, chunk| {
                 for (j, slot) in chunk.iter_mut().enumerate() {
-                    let s = batch_ref[offset + j] as usize;
-                    *slot = solved_row(matrix, s, r_of(s), |c| xr[c]);
-                }
-            };
-            TOPO_BATCH.run(batch.len(), batch.len(), |parallel| {
-                if parallel {
-                    par::chunked_map(
-                        &mut scratch,
-                        par::tune_chunk(PAR_MIN_CHUNK),
-                        |offset, chunk| {
-                            fill(offset, chunk);
-                        },
-                    );
-                } else {
-                    fill(0, &mut scratch);
+                    *slot = backup.solved(batch_ref[offset + j] as usize, xr);
                 }
             });
             for (&s, &v) in batch.iter().zip(&scratch) {
@@ -430,18 +489,32 @@ fn topo_walk<V: LevelValue>(
         }
         for &ci in &nontrivial {
             let comp = cond.comp(ci as usize);
+            let corrects = backup.corrects(ci);
             let mut converged = false;
             for local in 1..=max_iter {
                 iterations += 1;
+                if corrects {
+                    old.clear();
+                    old.extend(comp.iter().map(|&s| x[s as usize]));
+                }
                 let mut progress: f64 = 0.0;
                 for &s in comp {
                     let i = s as usize;
                     if !active.get(i) {
                         continue;
                     }
-                    let new = solved_row(matrix, i, r_of(i), |c| x[c]);
+                    let new = backup.update(i, x);
                     progress = progress.max(V::progress(x[i], new));
                     x[i] = new;
+                }
+                if corrects {
+                    backup.correct(ci, x);
+                    progress = comp
+                        .iter()
+                        .zip(&old)
+                        .filter(|&(&s, _)| active.get(s as usize))
+                        .map(|(&s, &was)| V::progress(was, x[s as usize]))
+                        .fold(0.0, f64::max);
                 }
                 V::record_sweep(driver, local, progress, Some(ci));
                 if progress < stop {
@@ -499,7 +572,11 @@ fn topo_until<V: LevelValue>(
             }
         })
         .collect();
-    let iterations = topo_walk(dtmc.matrix(), cond, &active, None, &mut x, stop, max_iter)?;
+    let rows = ChainRows {
+        matrix: dtmc.matrix(),
+        rewards: None,
+    };
+    let iterations = topo_walk(&rows, cond, &active, &mut x, stop, max_iter)?;
     Ok((x, iterations))
 }
 
@@ -534,15 +611,11 @@ fn topo_reach_reward<V: LevelValue>(
             }
         })
         .collect();
-    let iterations = topo_walk(
-        dtmc.matrix(),
-        cond,
-        &active,
-        Some(dtmc.rewards()),
-        &mut x,
-        stop,
-        max_iter,
-    )?;
+    let rows = ChainRows {
+        matrix: dtmc.matrix(),
+        rewards: Some(dtmc.rewards()),
+    };
+    let iterations = topo_walk(&rows, cond, &active, &mut x, stop, max_iter)?;
     Ok((x, iterations))
 }
 
@@ -746,7 +819,11 @@ pub fn steady_state_prob(
             transient.set(s as usize, false);
         }
     }
-    topo_walk(dtmc.matrix(), cond, &transient, None, &mut x, tol, max_iter)?;
+    let rows = ChainRows {
+        matrix: dtmc.matrix(),
+        rewards: None,
+    };
+    topo_walk(&rows, cond, &transient, &mut x, tol, max_iter)?;
     Ok(dtmc.initial().iter().map(|&(s, p)| p * x[s as usize]).sum())
 }
 

@@ -15,8 +15,10 @@
 //! [`cumulative_reward_values`], ...) loop it. Every unbounded answer —
 //! the default [`topo_until_values`] / [`topo_reach_reward_values`] and
 //! the certified [`topo_certified_until_values`] /
-//! [`topo_certified_reach_reward_values`] — comes from one walk over the
-//! SCC condensation instead (see "Topological solving" below).
+//! [`topo_certified_reach_reward_values`] — comes from the chain engine's
+//! level walk over the SCC condensation instead
+//! ([`smg_dtmc::solve::topo_walk`]), with this module's row backup for one
+//! min/max query (see "Topological solving" below).
 //!
 //! # Parallelism and determinism
 //!
@@ -54,9 +56,10 @@
 use crate::mdp::Mdp;
 use crate::qual;
 use smg_dtmc::graph::Condensation;
-use smg_dtmc::solve::{split_level, CertifiedValues, LevelValue};
+use smg_dtmc::solve::{topo_walk, CertifiedValues, LevelValue, RowBackup};
 use smg_dtmc::{par, BitVec, DtmcError};
 use smg_obs as obs;
+use std::collections::BTreeMap;
 
 /// The optimization direction of a query: worst case (`Min`) or best case
 /// (`Max`) over the resolution of all nondeterminism.
@@ -471,25 +474,28 @@ fn min_hitting_probe(
 // Topological (SCC-ordered) solving
 // ---------------------------------------------------------------------------
 //
-// The `topo_*` drivers walk the SCC condensation of the any-action graph
-// ([`qual::condensation`]) level by level (sinks first), solving each
+// The `topo_*` drivers run the one level walk of both engines
+// ([`topo_walk`]) over the SCC condensation of the any-action graph
+// ([`qual::condensation`]), level by level (sinks first), solving each
 // component with its successors' already-solved values folded in as
-// constants. Because an end component is strongly connected, it never
-// spans two SCCs, so deflation (Pmax) and inflation (Rmin) stay
-// component-local. Trivial components — a single state, the dominant case
-// in layered models — collapse to one closed-form backsubstitution; all
-// trivial components of a DAG level are independent and are evaluated as
-// one batch dispatched onto the worker pool.
+// constants. This module supplies the walk's [`RowBackup`] for one min/max
+// query (`OptRows`): the closed form of a trivial state, the optimal
+// backup of a sweep, and the end-component correction after each sweep.
+// Because an end component is strongly connected, it never spans two SCCs,
+// so deflation (Pmax) and inflation (Rmin) stay component-local. Trivial
+// components — a single state, the dominant case in layered models —
+// collapse to one closed-form backsubstitution; all trivial components of
+// a DAG level are independent and are evaluated as one batch on the
+// `vi_batch` dispatch site.
 //
-// One level walk ([`topo_driver`]) serves both modes, generic over the
-// value kept per state ([`LevelValue`]): the certified `topo_certified_*`
-// drivers keep an `(lo, hi)` bracket and stop each component on its width;
-// the default `topo_*` drivers keep only the lower value, iterated up from
-// 0 and stopped on a residual. The lower side needs no upper seed, no
-// hitting probe and no proper scheduler: it converges to the least
-// fixpoint, which is `Pmin`/`Pmax` and `Rmax` exactly, and `Rmin` once
-// zero-reward end components are inflated (a stall there costs nothing
-// per backup but never reaches the target).
+// The walk is generic over the value kept per state ([`LevelValue`]): the
+// certified `topo_certified_*` drivers keep an `(lo, hi)` bracket and stop
+// each component on its width; the default `topo_*` drivers keep only the
+// lower value, iterated up from 0 and stopped on a residual. The lower
+// side needs no upper seed, no hitting probe and no proper scheduler: it
+// converges to the least fixpoint, which is `Pmin`/`Pmax` and `Rmax`
+// exactly, and `Rmin` once zero-reward end components are inflated (a
+// stall there costs nothing per backup but never reaches the target).
 
 /// Which end-component correction a query needs: cap upper bounds at the
 /// best exit (certified `Pmax`) or raise lower bounds to the cheapest exit
@@ -500,231 +506,155 @@ enum EcMode {
     InflateLo,
 }
 
-/// Closed-form solve of a trivial (single-state) component: the optimal
-/// fixpoint of `x = opt_a (r + Σ_c P(s,a,c)·x_c)` with every non-self
-/// successor already solved. Per action, the self-loop mass is eliminated
-/// algebraically (`x_a = (r + Σ_{c≠s} p_c·x_c) / Σ_{c≠s} p_c`, dividing by
-/// the stored off-diagonal mass rather than `1 − p_ss`, which loses the
-/// digits of a sticky self-loop); actions keeping all mass on `s` are
-/// skipped — staying forever never reaches a target (`P` forms:
-/// contributes the already-seeded 0; reward forms: exactly what
-/// deflation/inflation would enforce, since the state is then a singleton
-/// end component whose exits are the remaining actions).
-fn solved_state<V: LevelValue>(mdp: &Mdp, s: usize, reward: f64, opt: Opt, cur: &[V]) -> V {
-    let mut best: Option<V> = None;
-    for a in 0..mdp.action_count(s) {
-        let mut off = 0.0;
-        let mut acc = V::splat(reward);
-        for (c, p) in mdp.action_row(s, a) {
-            if c as usize != s {
-                off += p;
-                acc = acc.add_scaled(p, cur[c as usize]);
-            }
-        }
-        if off <= 0.0 {
-            continue;
-        }
-        let cand = acc.div(off);
-        best = Some(match best {
-            None => cand,
-            Some(b) => b.zip(cand, |b, c| if opt.better(c, b) { c } else { b }),
-        });
-    }
-    // Active states always have at least one mass-moving action (they reach
-    // a target outside themselves), so this fallback is never taken.
-    best.unwrap_or(V::splat(0.0))
+/// A query's end components, their correction, and the end components of
+/// each condensation component (an end component never spans SCCs).
+struct EcCorrection {
+    ecs: EcIndex,
+    mode: EcMode,
+    by_comp: BTreeMap<u32, Vec<usize>>,
 }
 
-/// Solves one non-trivial component in place: optimal backups restricted
-/// to the component's active states (reading the freshest values,
-/// Gauss–Seidel style), then the component-local end-component correction,
-/// then a component-local [`LevelValue::progress`] test against the values
-/// the sweep started from (`old`, scratch). Returns the sweeps used. Every
-/// state whose bound a correction moves in a sweep adds one to
-/// `smg_vi_deflations_total` or `smg_vi_inflations_total`.
-///
-/// In-place updates are sound because the optimal backup is monotone: any
-/// read vector satisfying `lo ≤ x* ≤ hi` pointwise produces an update that
-/// still satisfies it. They converge at least as fast as Jacobi sweeps: a
-/// fresher (already tighter) read can only tighten the update, so each
-/// in-place sweep is bracketed by the corresponding Jacobi sweep and the
-/// truth.
-#[allow(clippy::too_many_arguments)]
-fn solve_component<V: LevelValue>(
-    mdp: &Mdp,
-    driver: &'static str,
-    ci: u32,
-    comp: &[u32],
-    active: &BitVec,
-    opt: Opt,
-    rewards: Option<&[f64]>,
-    ec: Option<(&EcIndex, &[usize], EcMode)>,
-    cur: &mut [V],
-    old: &mut Vec<V>,
-    stop: f64,
-    max_iter: usize,
-) -> Result<usize, DtmcError> {
-    let pick = |b: f64, c: f64| if opt.better(c, b) { c } else { b };
-    for it in 1..=max_iter {
-        old.clear();
-        old.extend(comp.iter().map(|&s| cur[s as usize]));
-        for &s in comp {
-            let s = s as usize;
-            if !active.get(s) {
-                continue;
-            }
-            let mut best = V::splat(0.0);
-            for a in 0..mdp.action_count(s) {
-                let mut acc = V::splat(0.0);
-                for (c, p) in mdp.action_row(s, a) {
-                    acc = acc.add_scaled(p, cur[c as usize]);
-                }
-                best = if a == 0 { acc } else { best.zip(acc, pick) };
-            }
-            if let Some(r) = rewards {
-                best = best.add_scaled(1.0, V::splat(r[s]));
-            }
-            cur[s] = best;
-        }
-        if let Some((ecs, ids, mode)) = ec {
-            let mut moved = 0u64;
-            for &k in ids {
-                match mode {
-                    EcMode::DeflateHi => {
-                        let cap = ecs.best_exit(mdp, k, |c| cur[c].hi(), Opt::Max);
-                        for &s in &ecs.members[k] {
-                            let was = cur[s as usize];
-                            cur[s as usize] = was.map_hi(|hi| hi.min(cap));
-                            moved += u64::from(cur[s as usize].hi() < was.hi());
-                        }
-                    }
-                    EcMode::InflateLo => {
-                        let floor = ecs.best_exit(mdp, k, |c| cur[c].lo(), Opt::Min);
-                        for &s in &ecs.members[k] {
-                            let was = cur[s as usize];
-                            cur[s as usize] = was.map_lo(|lo| lo.max(floor));
-                            moved += u64::from(cur[s as usize].lo() > was.lo());
-                        }
-                    }
-                }
-            }
-            if moved > 0 {
-                let counter = match mode {
-                    EcMode::DeflateHi => "smg_vi_deflations_total",
-                    EcMode::InflateLo => "smg_vi_inflations_total",
-                };
-                obs::counter_add(counter, None, moved);
-            }
-        }
-        let progress = comp
-            .iter()
-            .zip(old.iter())
-            .filter(|&(&s, _)| active.get(s as usize))
-            .map(|(&s, &was)| V::progress(was, cur[s as usize]))
-            .fold(0.0, f64::max);
-        V::record_sweep(driver, it, progress, Some(ci));
-        if progress < stop {
-            return Ok(it);
-        }
-    }
-    Err(DtmcError::NoConvergence {
-        iterations: max_iter,
-        residual: stop,
-    })
-}
-
-/// The level walk of every topological MDP driver: per DAG level,
-/// backsubstitute all trivial active components as one pool batch, then
-/// solve each non-trivial component to its local `stop` target.
-/// `vio.max_iter` bounds the sweeps of each individual component. Returns
-/// the total sweeps (a trivial batch counts as one).
-#[allow(clippy::too_many_arguments)]
-fn topo_driver<V: LevelValue>(
-    mdp: &Mdp,
-    cond: &Condensation,
-    active: &BitVec,
-    opt: Opt,
-    rewards: Option<&[f64]>,
-    ec: Option<(EcIndex, EcMode)>,
-    cur: &mut [V],
-    stop: f64,
-    vio: &ViOptions,
-) -> Result<usize, DtmcError> {
-    let driver = if V::CERTIFIED {
-        "topo_certified_vi"
-    } else {
-        "topo_vi"
-    };
-    // End components per condensation component (an EC never spans SCCs).
-    let mut ec_by_comp: std::collections::BTreeMap<u32, Vec<usize>> =
-        std::collections::BTreeMap::new();
-    if let Some((ecs, _)) = &ec {
+impl EcCorrection {
+    fn new(ecs: EcIndex, mode: EcMode, cond: &Condensation) -> EcCorrection {
+        let mut by_comp: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
         for (k, members) in ecs.members.iter().enumerate() {
-            ec_by_comp
+            by_comp
                 .entry(cond.comp_of()[members[0] as usize])
                 .or_default()
                 .push(k);
         }
+        EcCorrection { ecs, mode, by_comp }
     }
-    let r_of = |i: usize| rewards.map_or(0.0, |r| r[i]);
-    let mut iterations = 0usize;
-    let mut batch: Vec<u32> = Vec::new();
-    let mut nontrivial: Vec<u32> = Vec::new();
-    let mut scratch: Vec<V> = Vec::new();
-    let mut old: Vec<V> = Vec::new();
-    for level in 0..cond.dag_depth() {
-        split_level(cond, level, active, &mut batch, &mut nontrivial);
-        if !batch.is_empty() {
-            iterations += 1;
-            scratch.clear();
-            scratch.resize(batch.len(), V::splat(0.0));
-            let cur_ref: &[V] = cur;
-            let batch_ref: &[u32] = &batch;
-            let fill = |offset: usize, chunk: &mut [V]| {
-                for (j, slot) in chunk.iter_mut().enumerate() {
-                    let s = batch_ref[offset + j] as usize;
-                    *slot = solved_state(mdp, s, r_of(s), opt, cur_ref);
+}
+
+/// One min/max query as the walk's [`RowBackup`]: optimal backups over the
+/// action pool, rewards added per state, and an optional end-component
+/// correction. Trivial batches run on the `vi_batch` site through
+/// [`ViOptions::dispatch`] with dynamic chunks.
+struct OptRows<'a> {
+    mdp: &'a Mdp,
+    opt: Opt,
+    rewards: Option<&'a [f64]>,
+    ec: Option<EcCorrection>,
+    vio: &'a ViOptions,
+}
+
+impl RowBackup for OptRows<'_> {
+    const DRIVERS: [&'static str; 2] = ["topo_vi", "topo_certified_vi"];
+
+    /// The optimal fixpoint of `x = opt_a (r + Σ_c P(s,a,c)·x_c)` with every
+    /// non-self successor already solved. Per action, the self-loop mass is
+    /// eliminated algebraically (`x_a = (r + Σ_{c≠s} p_c·x_c) / Σ_{c≠s}
+    /// p_c`, dividing by the stored off-diagonal mass rather than `1 − p_ss`,
+    /// which loses the digits of a sticky self-loop); actions keeping all
+    /// mass on `s` are skipped — staying forever never reaches a target
+    /// (`P` forms: contributes the already-seeded 0; reward forms: exactly
+    /// what deflation/inflation would enforce, since the state is then a
+    /// singleton end component whose exits are the remaining actions).
+    fn solved<V: LevelValue>(&self, s: usize, x: &[V]) -> V {
+        let reward = self.rewards.map_or(0.0, |r| r[s]);
+        let mut best: Option<V> = None;
+        for a in 0..self.mdp.action_count(s) {
+            let mut off = 0.0;
+            let mut acc = V::splat(reward);
+            for (c, p) in self.mdp.action_row(s, a) {
+                if c as usize != s {
+                    off += p;
+                    acc = acc.add_scaled(p, x[c as usize]);
                 }
-            };
-            static BATCH: par::Site = par::Site::new("vi_batch");
-            vio.dispatch(&BATCH, batch.len(), batch.len(), |parallel| {
-                if parallel {
-                    par::scoped_pool().map_chunks_dynamic(
-                        &mut scratch,
-                        vio.chunk.max(1),
-                        &|offset, chunk| fill(offset, chunk),
-                    );
-                } else {
-                    fill(0, &mut scratch);
-                }
-            });
-            for (&s, &v) in batch.iter().zip(&scratch) {
-                cur[s as usize] = v;
             }
-            V::record_sweep(driver, iterations, 0.0, None);
-        }
-        for &ci in &nontrivial {
-            let local = ec.as_ref().map(|(ecs, mode)| {
-                let ids = ec_by_comp.get(&ci).map_or(&[] as &[usize], Vec::as_slice);
-                (ecs, ids, *mode)
+            if off <= 0.0 {
+                continue;
+            }
+            let cand = acc.div(off);
+            best = Some(match best {
+                None => cand,
+                Some(b) => b.zip(cand, |b, c| if self.opt.better(c, b) { c } else { b }),
             });
-            iterations += solve_component(
-                mdp,
-                driver,
-                ci,
-                cond.comp(ci as usize),
-                active,
-                opt,
-                rewards,
-                local,
-                cur,
-                &mut old,
-                stop,
-                vio.max_iter,
-            )?;
+        }
+        // Active states always have at least one mass-moving action (they
+        // reach a target outside themselves), so this fallback is never
+        // taken.
+        best.unwrap_or(V::splat(0.0))
+    }
+
+    /// The optimal backup of `s`, reading the freshest values. In-place
+    /// updates are sound because the backup is monotone: any read vector
+    /// satisfying `lo ≤ x* ≤ hi` pointwise produces an update that still
+    /// satisfies it. They converge at least as fast as Jacobi sweeps: a
+    /// fresher (already tighter) read can only tighten the update.
+    fn update<V: LevelValue>(&self, s: usize, x: &[V]) -> V {
+        let pick = |b: f64, c: f64| if self.opt.better(c, b) { c } else { b };
+        let mut best = V::splat(0.0);
+        for a in 0..self.mdp.action_count(s) {
+            let mut acc = V::splat(0.0);
+            for (c, p) in self.mdp.action_row(s, a) {
+                acc = acc.add_scaled(p, x[c as usize]);
+            }
+            best = if a == 0 { acc } else { best.zip(acc, pick) };
+        }
+        if let Some(r) = self.rewards {
+            best = best.add_scaled(1.0, V::splat(r[s]));
+        }
+        best
+    }
+
+    fn corrects(&self, ci: u32) -> bool {
+        self.ec
+            .as_ref()
+            .is_some_and(|ec| ec.by_comp.contains_key(&ci))
+    }
+
+    /// Deflates or inflates the end components inside component `ci`.
+    /// Every state whose bound moves adds one to `smg_vi_deflations_total`
+    /// or `smg_vi_inflations_total`.
+    fn correct<V: LevelValue>(&self, ci: u32, x: &mut [V]) {
+        let Some(EcCorrection { ecs, mode, by_comp }) = &self.ec else {
+            return;
+        };
+        let Some(ids) = by_comp.get(&ci) else {
+            return;
+        };
+        let mut moved = 0u64;
+        for &k in ids {
+            match mode {
+                EcMode::DeflateHi => {
+                    let cap = ecs.best_exit(self.mdp, k, |c| x[c].hi(), Opt::Max);
+                    for &s in &ecs.members[k] {
+                        let was = x[s as usize];
+                        x[s as usize] = was.map_hi(|hi| hi.min(cap));
+                        moved += u64::from(x[s as usize].hi() < was.hi());
+                    }
+                }
+                EcMode::InflateLo => {
+                    let floor = ecs.best_exit(self.mdp, k, |c| x[c].lo(), Opt::Min);
+                    for &s in &ecs.members[k] {
+                        let was = x[s as usize];
+                        x[s as usize] = was.map_lo(|lo| lo.max(floor));
+                        moved += u64::from(x[s as usize].lo() > was.lo());
+                    }
+                }
+            }
+        }
+        if moved > 0 {
+            let counter = match mode {
+                EcMode::DeflateHi => "smg_vi_deflations_total",
+                EcMode::InflateLo => "smg_vi_inflations_total",
+            };
+            obs::counter_add(counter, None, moved);
         }
     }
-    Ok(iterations)
+
+    fn batch<V: LevelValue>(&self, out: &mut [V], fill: impl Fn(usize, &mut [V]) + Sync) {
+        static BATCH: par::Site = par::Site::new("vi_batch");
+        self.vio.dispatch(&BATCH, out.len(), out.len(), |parallel| {
+            if parallel {
+                par::scoped_pool().map_chunks_dynamic(out, self.vio.chunk.max(1), &fill);
+            } else {
+                fill(0, out);
+            }
+        });
+    }
 }
 
 /// Checks that `cond` is a condensation of this MDP's graph.
@@ -760,7 +690,11 @@ fn topo_until<V: LevelValue>(
     };
     let active = lhs.and(&rhs.not()).and(&zero.not());
     let ec = match opt {
-        Opt::Max if V::CERTIFIED => Some((EcIndex::new(mdp, &active), EcMode::DeflateHi)),
+        Opt::Max if V::CERTIFIED => Some(EcCorrection::new(
+            EcIndex::new(mdp, &active),
+            EcMode::DeflateHi,
+            cond,
+        )),
         // Every end component has Pmin = 0 (pinned already), and a lower
         // value iterated from 0 reaches the least fixpoint unaided.
         _ => None,
@@ -776,7 +710,14 @@ fn topo_until<V: LevelValue>(
             }
         })
         .collect();
-    let iterations = topo_driver(mdp, cond, &active, opt, None, ec, &mut cur, stop, vio)?;
+    let rows = OptRows {
+        mdp,
+        opt,
+        rewards: None,
+        ec,
+        vio,
+    };
+    let iterations = topo_walk(&rows, cond, &active, &mut cur, stop, vio.max_iter)?;
     Ok((cur, iterations))
 }
 
@@ -814,7 +755,11 @@ fn topo_reach_reward<V: LevelValue>(
     let ec = match opt {
         Opt::Min => {
             let zero_reward = BitVec::from_fn(n, |i| active.get(i) && rewards[i] == 0.0);
-            Some((EcIndex::new(mdp, &zero_reward), EcMode::InflateLo))
+            Some(EcCorrection::new(
+                EcIndex::new(mdp, &zero_reward),
+                EcMode::InflateLo,
+                cond,
+            ))
         }
         Opt::Max => None, // no end components survive inside a Pmin = 1 region
     };
@@ -829,17 +774,14 @@ fn topo_reach_reward<V: LevelValue>(
             }
         })
         .collect();
-    let iterations = topo_driver(
+    let rows = OptRows {
         mdp,
-        cond,
-        &active,
         opt,
-        Some(rewards),
+        rewards: Some(rewards),
         ec,
-        &mut cur,
-        stop,
         vio,
-    )?;
+    };
+    let iterations = topo_walk(&rows, cond, &active, &mut cur, stop, vio.max_iter)?;
     Ok((cur, iterations))
 }
 

@@ -1,53 +1,74 @@
-//! The pCTL model checker.
+//! The pCTL model checker, one evaluator for chains and MDPs.
 //!
 //! Two evaluation styles are provided, mirroring how PRISM separates
 //! satisfaction sets from numerical queries:
 //!
-//! * [`sat_states`] computes, for any state formula, the set of satisfying
-//!   states (bounded `P⋈p` operators are resolved by backward value
-//!   iteration so the operator can be nested).
-//! * [`check_query`] evaluates a top-level [`Property`] against the chain's
-//!   initial distribution. For `P=? [...]` it uses the *forward* transient
-//!   engine (one pass, no per-state vectors), which is how the paper's
-//!   single-initial-state experiments are computed.
+//! * [`sat_states`] / [`sat_states_mdp`] compute, for a state formula, the
+//!   set of satisfying states. On a chain, bounded and unbounded `P⋈p`
+//!   operators are resolved by backward value iteration, so the operator
+//!   can be nested; on an MDP their satisfaction set would depend on the
+//!   scheduler quantifier, so they are rejected.
+//! * [`check_query`] / [`check_mdp_query`] evaluate a top-level
+//!   [`Property`] against the model's initial distribution. On a chain a
+//!   bounded `P=? [...]`, `R=? [I=t]` or `R=? [C<=t]` runs the *forward*
+//!   transient engine (one pass, no per-state vectors), which is how the
+//!   paper's single-initial-state experiments are computed. Everything
+//!   else — and every MDP query — folds per-state values over the initial
+//!   distribution. (A scheduler observes the state, including the initial
+//!   draw, so the optimal value of a distribution is the expectation of
+//!   the per-state optima; there is no MDP analogue of the forward pass.)
 //!
 //! The two styles agree; `forward_backward_agree` in the tests pins this.
 //!
-//! Internally every algorithm is a method on an evaluator (`Evaluator`):
-//! the public free functions run an *uncached* evaluator, while a
+//! Quantitative queries over an MDP must say *which* resolution of the
+//! nondeterminism they mean: the `Pmin=?` / `Pmax=?` / `Rmin=?` / `Rmax=?`
+//! forms quantify over all schedulers via `smg-mdp`'s min/max value
+//! iteration, and the scheduler-ambiguous plain `P=?` / `R=?` / `S=?`
+//! forms are rejected with a pointed [`PctlError::Unsupported`]. On a
+//! chain every scheduler sees the same chain, so the min/max forms
+//! collapse to the plain ones.
+//!
+//! Internally every algorithm is a method on one evaluator (`Evaluator`)
+//! over a borrowed model view (a `&Dtmc` or a `&Mdp`). The per-state path
+//! values (`X`, `U<=t`, `U[a,b]`, `F`, `G`) run over a per-engine one-step
+//! backup — the chain's backward product, the MDP's optimal backup — and
+//! every unbounded solve walks the SCC condensation (`smg_dtmc::solve`).
+//! The public free functions run an *uncached* evaluator, while a
 //! [`crate::session::CheckSession`] runs a *cached* one whose cache
-//! (`DtmcCache`) memoizes satisfaction sets and the expensive iterative
+//! (`Cache`) memoizes satisfaction sets and the expensive iterative
 //! solves across a whole property family. Both run the identical code
 //! path, so the cache can never change an answer — only skip recomputing
 //! it.
 
-use crate::ast::{PathFormula, Property, RewardQuery, StateFormula, TimeBound};
+use crate::ast::{Opt, PathFormula, Property, RewardQuery, StateFormula, TimeBound};
 use crate::error::PctlError;
 use crate::session::{CacheKind, CacheStats};
 use smg_dtmc::graph::Condensation;
-use smg_dtmc::{solve, transient, BitVec, Dtmc};
+use smg_dtmc::solve::{self, CertifiedValues};
+use smg_dtmc::{transient, BitVec, Dtmc, DtmcError, StateId};
+use smg_mdp::{qual, vi, Mdp, ViOptions};
 use smg_obs as obs;
 use std::cell::{OnceCell, RefCell};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Residual tolerance of the default unbounded solvers (per SCC).
+/// Residual tolerance of the default unbounded chain solvers (per SCC;
+/// MDPs use [`ViOptions::default`], which matches it).
 const UNBOUNDED_TOL: f64 = 1e-12;
-/// Iteration budget for unbounded queries (per SCC).
+/// Iteration budget for unbounded chain queries (per SCC).
 const UNBOUNDED_MAX_ITER: usize = 1_000_000;
-/// Iteration budget for certified interval iteration (dual sweeps close a
-/// width, not a residual, so slow-mixing models legitimately need more
-/// sweeps than the heuristic test would have taken). Shared with the MDP
-/// checker.
-pub(crate) const CERTIFIED_MAX_ITER: usize = 50_000_000;
+/// Iteration budget for certified interval iteration on both engines (dual
+/// sweeps close a width, not a residual, so slow-mixing models
+/// legitimately need more sweeps than the heuristic test would have
+/// taken).
+const CERTIFIED_MAX_ITER: usize = 50_000_000;
 /// Tolerance for steady-state detection.
 const STEADY_TOL: f64 = 1e-13;
 /// Step budget for steady-state detection.
 const STEADY_MAX_STEPS: usize = 1_000_000;
 
-/// Options shared by [`check_query_with`] and
-/// [`crate::mdp::check_mdp_query_with`].
+/// Options shared by [`check_query_with`] and [`check_mdp_query_with`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CheckOptions {
     /// When set, unbounded reachability/until/globally probabilities and
@@ -78,6 +99,10 @@ impl CheckOptions {
 
 /// The numerical engine that produced a [`CheckResult`] — reported so a
 /// user can tell a certified answer from a heuristically converged one.
+/// A result takes the tag of the weakest engine its formula used: a
+/// bounded query or a boolean verdict whose formula nests an unbounded
+/// `P⋈p` operator is [`Iterative`](Solver::Iterative), since residual
+/// iteration decided that operator's satisfaction set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Solver {
     /// Exact finite-horizon arithmetic (forward transient propagation or
@@ -118,9 +143,8 @@ impl std::fmt::Display for Solver {
 }
 
 /// A query engine's verdict: the point value, the engine that produced
-/// it, and the value bracket where one exists (shared between the DTMC
-/// and MDP checkers).
-pub(crate) type EngineValue = (f64, Solver, Option<(f64, f64)>);
+/// it, and the value bracket where one exists.
+type EngineValue = (f64, Solver, Option<(f64, f64)>);
 
 /// The outcome of checking a property, together with the wall-clock time
 /// spent (the paper's tables report "time (seconds), accounting for both
@@ -137,28 +161,6 @@ pub struct CheckResult {
 }
 
 impl CheckResult {
-    /// Assembles a result (shared with the MDP checker in [`crate::mdp`]).
-    pub(crate) fn assemble(value: f64, boolean: Option<bool>, time: Duration) -> CheckResult {
-        CheckResult {
-            value,
-            boolean,
-            interval: None,
-            solver: Solver::Transient,
-            time,
-        }
-    }
-
-    /// Attaches the engine report (shared with the MDP checker).
-    pub(crate) fn with_engine(
-        mut self,
-        solver: Solver,
-        interval: Option<(f64, f64)>,
-    ) -> CheckResult {
-        self.solver = solver;
-        self.interval = interval;
-        self
-    }
-
     /// The numeric value of the query (for boolean queries, 1.0 or 0.0;
     /// for certified queries, the interval midpoint).
     pub fn value(&self) -> f64 {
@@ -217,43 +219,204 @@ pub fn check_query_with(
     property: &Property,
     opts: &CheckOptions,
 ) -> Result<CheckResult, PctlError> {
-    Evaluator::uncached(dtmc).check_query_with(property, opts)
+    Evaluator::uncached(Model::Dtmc(dtmc)).check(property, opts)
+}
+
+/// Evaluates a top-level property against the MDP's initial distribution.
+///
+/// # Errors
+///
+/// * [`PctlError::Unsupported`] for query forms that are ambiguous on an
+///   MDP (`P=?`, `R=?`, `S=?`, and threshold operators `P⋈p [...]`).
+/// * [`PctlError::Dtmc`] for unknown labels or non-convergence.
+///
+/// # Example
+///
+/// ```
+/// use smg_mdp::{Mdp, MdpBuilder};
+/// use smg_pctl::{check_mdp_query, parse_property};
+/// use std::collections::BTreeMap;
+///
+/// // One state choosing between a safe loop and a risky exit to "err".
+/// let mut b = MdpBuilder::default();
+/// b.push_action(&mut [(0, 1.0)]).unwrap();
+/// b.push_action(&mut [(0, 0.2), (1, 0.8)]).unwrap();
+/// b.finish_state().unwrap();
+/// b.push_action(&mut [(1, 1.0)]).unwrap();
+/// b.finish_state().unwrap();
+/// let mut labels = BTreeMap::new();
+/// labels.insert("err".into(), smg_dtmc::BitVec::from_fn(2, |i| i == 1));
+/// let mdp = Mdp::new(b.finish(), vec![(0, 1.0)], labels, vec![0.0, 0.0]).unwrap();
+///
+/// let worst = check_mdp_query(&mdp, &parse_property("Pmax=? [ F err ]")?)?;
+/// let best = check_mdp_query(&mdp, &parse_property("Pmin=? [ F err ]")?)?;
+/// assert!((worst.value() - 1.0).abs() < 1e-9); // adversary keeps trying
+/// assert_eq!(best.value(), 0.0);               // or never tries at all
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+pub fn check_mdp_query(mdp: &Mdp, property: &Property) -> Result<CheckResult, PctlError> {
+    check_mdp_query_with(mdp, property, &CheckOptions::default())
+}
+
+/// Evaluates a top-level property against the MDP's initial distribution.
+/// With [`CheckOptions::certified`], unbounded `Pmin`/`Pmax` and
+/// reachability `Rmin`/`Rmax` queries run certified interval iteration
+/// (`smg-mdp`'s `topo_certified_*` drivers) and the result carries a sound
+/// `[lo, hi]` bracket.
+///
+/// To check a *family* of properties against one MDP, prefer a
+/// [`crate::session::CheckSession`], which runs this exact code path with
+/// a precomputation cache shared across the batch.
+///
+/// # Errors
+///
+/// As for [`check_mdp_query`].
+pub fn check_mdp_query_with(
+    mdp: &Mdp,
+    property: &Property,
+    opts: &CheckOptions,
+) -> Result<CheckResult, PctlError> {
+    Evaluator::uncached(Model::Mdp(mdp)).check(property, opts)
+}
+
+/// The set of states satisfying a state formula. Nested `P⋈p` operators are
+/// resolved by backward value iteration.
+///
+/// # Errors
+///
+/// [`PctlError::Dtmc`] for unknown labels or non-convergence.
+pub fn sat_states(dtmc: &Dtmc, formula: &StateFormula) -> Result<BitVec, PctlError> {
+    Evaluator::uncached(Model::Dtmc(dtmc)).sat_states(formula)
+}
+
+/// The set of states satisfying a (boolean) state formula over an MDP's
+/// labels. Threshold operators `P⋈p [...]` are rejected: their satisfaction
+/// set on an MDP depends on the scheduler quantifier, which this syntax
+/// does not carry.
+///
+/// # Errors
+///
+/// [`PctlError::Dtmc`] for unknown labels; [`PctlError::Unsupported`] for
+/// nested probability operators.
+pub fn sat_states_mdp(mdp: &Mdp, formula: &StateFormula) -> Result<BitVec, PctlError> {
+    Evaluator::uncached(Model::Mdp(mdp)).sat_states(formula)
+}
+
+/// A borrowed view of the model an evaluator checks.
+#[derive(Clone, Copy)]
+pub(crate) enum Model<'a> {
+    /// A discrete-time Markov chain.
+    Dtmc(&'a Dtmc),
+    /// A Markov decision process.
+    Mdp(&'a Mdp),
+}
+
+impl<'a> Model<'a> {
+    fn n_states(self) -> usize {
+        match self {
+            Model::Dtmc(d) => d.n_states(),
+            Model::Mdp(m) => m.n_states(),
+        }
+    }
+
+    fn label(self, name: &str) -> Result<&'a BitVec, DtmcError> {
+        match self {
+            Model::Dtmc(d) => d.label(name),
+            Model::Mdp(m) => m.label(name),
+        }
+    }
+
+    fn initial(self) -> &'a [(StateId, f64)] {
+        match self {
+            Model::Dtmc(d) => d.initial(),
+            Model::Mdp(m) => m.initial(),
+        }
+    }
+
+    /// The SCC condensation every unbounded solve walks (of the any-action
+    /// graph, on an MDP).
+    fn condensation(self) -> Condensation {
+        match self {
+            Model::Dtmc(d) => Condensation::new(d),
+            Model::Mdp(m) => qual::condensation(m),
+        }
+    }
+}
+
+/// The engine one query runs on: a chain, or an MDP under the query's
+/// optimization direction.
+#[derive(Clone, Copy)]
+enum Engine<'a> {
+    Chain(&'a Dtmc),
+    Mdp(&'a Mdp, Opt),
+}
+
+impl Engine<'_> {
+    /// The direction, as cache keys carry it (`None` on a chain).
+    fn opt(self) -> Option<Opt> {
+        match self {
+            Engine::Chain(_) => None,
+            Engine::Mdp(_, opt) => Some(opt),
+        }
+    }
+
+    /// The engine of `G φ = ¬F ¬φ`: on an MDP the scheduler maximizing the
+    /// invariant minimizes the violation, so the direction flips.
+    fn dual(self) -> Self {
+        match self {
+            Engine::Mdp(m, opt) => Engine::Mdp(m, opt.dual()),
+            chain => chain,
+        }
+    }
+
+    /// One backup `out = step(x)`, masked: states outside `mask` keep
+    /// their current value. The chain's backward product, or the MDP's
+    /// optimal backup.
+    fn step(self, x: &[f64], mask: Option<&BitVec>, out: &mut [f64]) {
+        match self {
+            Engine::Chain(d) => d.matrix().backward_masked_into(x, mask, out),
+            Engine::Mdp(m, opt) => {
+                vi::optimal_step_into(m, x, mask, opt, out, &ViOptions::default());
+            }
+        }
+    }
 }
 
 /// Memoized precomputation shared by every query of a
-/// [`crate::session::CheckSession`] over one immutable chain.
+/// [`crate::session::CheckSession`] over one immutable model.
 ///
 /// Cache keys are chosen so a hit can only return exactly what
 /// recomputation would have produced: satisfaction sets are keyed by a
 /// collision-free formula serialization ([`sat_key`] — *not* `Display`,
 /// which is readable but not injective over arbitrary label names),
-/// numeric solves by the **exact operand bit-sets** (plus the
-/// certification width's bit pattern where one applies), and every solver
-/// is deterministic. The chain itself is owned by the session and
-/// immutable, so entries never need invalidation.
+/// numeric solves by the **exact operand bit-sets** plus the optimization
+/// direction (`None` on a chain) and the certification width's bit pattern
+/// where one applies, and every solver is deterministic. The model itself
+/// is owned by the session and immutable, so entries never need
+/// invalidation. The qualitative work inside the MDP's certified drivers
+/// (`Prob0`/`Prob1` sets, MEC decompositions, proper schedulers) is
+/// amortized through these entries: it runs once per distinct
+/// `(operands, direction, ε)` triple per session instead of once per query.
 #[derive(Debug, Default)]
-pub(crate) struct DtmcCache {
+pub(crate) struct Cache {
     /// Satisfaction sets, one entry per distinct (sub)formula
     /// ([`sat_key`]-keyed).
     sat: HashMap<String, BitVec>,
-    /// The chain's SCC condensation, built on the first unbounded query
+    /// The model's SCC condensation, built on the first unbounded query
     /// and handed to every topological solve after it. Query-independent,
     /// so one per session; sessions that only run bounded queries never
     /// build it.
     cond: OnceCell<Arc<Condensation>>,
-    /// Unbounded reachability value vectors keyed by the target set
-    /// (shared by `F φ`, `G ¬φ` and nested `P⋈p [F φ]` operators).
-    reach: HashMap<BitVec, Arc<Vec<f64>>>,
-    /// Unbounded until value vectors keyed by `(lhs, rhs)`.
-    until: HashMap<(BitVec, BitVec), Arc<Vec<f64>>>,
-    /// Reachability-reward value vectors keyed by the target set.
-    reach_reward: HashMap<BitVec, Arc<Vec<f64>>>,
-    /// Certified reachability brackets keyed by `(target, ε bits)`.
-    cert_reach: HashMap<(BitVec, u64), Arc<solve::CertifiedValues>>,
-    /// Certified until brackets keyed by `(lhs, rhs, ε bits)`.
-    cert_until: HashMap<(BitVec, BitVec, u64), Arc<solve::CertifiedValues>>,
-    /// Certified reachability-reward brackets, keyed as [`Self::cert_reach`].
-    cert_reach_reward: HashMap<(BitVec, u64), Arc<solve::CertifiedValues>>,
+    /// Unbounded until value vectors keyed by `(lhs, rhs, direction)`
+    /// (`F φ` and `G ¬φ` route through this with an all-ones `lhs`).
+    until: HashMap<(BitVec, BitVec, Option<Opt>), Arc<Vec<f64>>>,
+    /// Reachability-reward value vectors keyed by `(target, direction)`.
+    reach_reward: HashMap<(BitVec, Option<Opt>), Arc<Vec<f64>>>,
+    /// Certified until brackets keyed by `(lhs, rhs, direction, ε bits)`.
+    cert_until: HashMap<(BitVec, BitVec, Option<Opt>, u64), Arc<CertifiedValues>>,
+    /// Certified reachability-reward brackets keyed by
+    /// `(target, direction, ε bits)`.
+    cert_reach_reward: HashMap<(BitVec, Option<Opt>, u64), Arc<CertifiedValues>>,
     /// Long-run probabilities (from the initial distribution) keyed by
     /// the satisfaction set.
     steady: HashMap<BitVec, f64>,
@@ -261,12 +424,12 @@ pub(crate) struct DtmcCache {
     pub(crate) stats: CacheStats,
 }
 
-/// The DTMC query engine: every checking algorithm as a method over a
-/// chain plus an optional session cache. The public free functions run an
+/// The query engine: every checking algorithm as a method over a model
+/// view plus an optional session cache. The public free functions run an
 /// uncached evaluator; [`crate::session::CheckSession`] runs a cached one.
 pub(crate) struct Evaluator<'a> {
-    dtmc: &'a Dtmc,
-    cache: Option<&'a RefCell<DtmcCache>>,
+    model: Model<'a>,
+    cache: Option<&'a RefCell<Cache>>,
     /// An uncached evaluator's own condensation (one per free-function
     /// call), built on its first unbounded solve.
     cond: OnceCell<Arc<Condensation>>,
@@ -274,28 +437,28 @@ pub(crate) struct Evaluator<'a> {
 
 impl<'a> Evaluator<'a> {
     /// An evaluator that recomputes everything (the free-function path).
-    pub(crate) fn uncached(dtmc: &'a Dtmc) -> Self {
+    pub(crate) fn uncached(model: Model<'a>) -> Self {
         Evaluator {
-            dtmc,
+            model,
             cache: None,
             cond: OnceCell::new(),
         }
     }
 
     /// An evaluator sharing a session's cache.
-    pub(crate) fn cached(dtmc: &'a Dtmc, cache: &'a RefCell<DtmcCache>) -> Self {
+    pub(crate) fn cached(model: Model<'a>, cache: &'a RefCell<Cache>) -> Self {
         Evaluator {
-            dtmc,
+            model,
             cache: Some(cache),
             cond: OnceCell::new(),
         }
     }
 
-    /// The chain's SCC condensation: the session's single copy in cached
+    /// The model's SCC condensation: the session's single copy in cached
     /// mode, this evaluator's own otherwise — built on first use either
     /// way.
     fn condensation(&self) -> Arc<Condensation> {
-        let build = || Arc::new(Condensation::new(self.dtmc));
+        let build = || Arc::new(self.model.condensation());
         match self.cache {
             Some(cell) => cell.borrow().cond.get_or_init(build).clone(),
             None => self.cond.get_or_init(build).clone(),
@@ -311,8 +474,8 @@ impl<'a> Evaluator<'a> {
     fn memo<V: Clone>(
         &self,
         kind: CacheKind,
-        lookup: impl Fn(&DtmcCache) -> Option<V>,
-        store: impl FnOnce(&mut DtmcCache, V),
+        lookup: impl Fn(&Cache) -> Option<V>,
+        store: impl FnOnce(&mut Cache, V),
         compute: impl FnOnce(&Self) -> Result<V, PctlError>,
     ) -> Result<V, PctlError> {
         let Some(cell) = self.cache else {
@@ -330,52 +493,70 @@ impl<'a> Evaluator<'a> {
         Ok(v)
     }
 
-    /// See [`check_query_with`].
-    pub(crate) fn check_query_with(
+    /// See [`check_query_with`] and [`check_mdp_query_with`].
+    pub(crate) fn check(
         &self,
         property: &Property,
         opts: &CheckOptions,
     ) -> Result<CheckResult, PctlError> {
         let start = Instant::now();
-        let (value, boolean, solver, interval) = match property {
+        let unsupported = |construct: &str| {
+            Err(PctlError::Unsupported {
+                construct: construct.into(),
+            })
+        };
+        let ((value, solver, interval), boolean) = match (property, self.model) {
             // On a DTMC there is no nondeterminism to optimize over: every
             // scheduler sees the same chain, so Pmin = Pmax = P and
             // Rmin = Rmax = R. Accepting the min/max forms here lets
             // property files be shared between a design's DTMC and MDP
-            // variants (and lets tests pin the MDP checker against this
-            // one on single-action models).
-            Property::ProbQuery(path) | Property::OptProbQuery(_, path) => {
-                let (v, solver, interval) = self.path_prob_query(path, opts)?;
-                (v, None, solver, interval)
+            // variants (and lets tests pin the MDP side against the chain
+            // side on single-action models).
+            (Property::ProbQuery(path) | Property::OptProbQuery(_, path), Model::Dtmc(d)) => {
+                (self.path_query(path, Engine::Chain(d), opts)?, None)
             }
-            Property::Bool(f) => {
+            (Property::OptProbQuery(opt, path), Model::Mdp(m)) => {
+                (self.path_query(path, Engine::Mdp(m, *opt), opts)?, None)
+            }
+            (Property::RewardQuery(q) | Property::OptRewardQuery(_, q), Model::Dtmc(d)) => {
+                (self.reward_query(q, Engine::Chain(d), opts)?, None)
+            }
+            (Property::OptRewardQuery(opt, q), Model::Mdp(m)) => {
+                (self.reward_query(q, Engine::Mdp(m, *opt), opts)?, None)
+            }
+            (Property::Bool(f), _) => {
                 // A certified run must not return a verdict that hinges on
                 // residual-converged iteration (e.g. `P>=0.5 [ F goal ]`).
-                if opts.certify.is_some() {
-                    certify_operands(&[f])?;
-                }
+                self.certify_operands(opts, &[f])?;
                 let sat = self.sat_states(f)?;
-                // A chain satisfies a state formula iff all initial states
+                // A model satisfies a state formula iff all initial states
                 // with positive mass satisfy it.
                 let ok = self
-                    .dtmc
+                    .model
                     .initial()
                     .iter()
                     .all(|&(s, p)| p == 0.0 || sat.get(s as usize));
-                (
-                    if ok { 1.0 } else { 0.0 },
-                    Some(ok),
-                    Solver::Transient,
-                    None,
+                let solver = if nests_unbounded_prob(f) {
+                    Solver::Iterative
+                } else {
+                    Solver::Transient
+                };
+                ((if ok { 1.0 } else { 0.0 }, solver, None), Some(ok))
+            }
+            (Property::SteadyQuery(f), Model::Dtmc(d)) => {
+                let sat = self.sat_states(f)?;
+                ((self.steady_prob(d, &sat)?, Solver::Iterative, None), None)
+            }
+            (Property::ProbQuery(_), Model::Mdp(_)) => {
+                return unsupported(
+                    "P=? on an MDP (use Pmin=? / Pmax=? to fix the scheduler quantification)",
                 )
             }
-            Property::RewardQuery(q) | Property::OptRewardQuery(_, q) => {
-                let (v, solver, interval) = self.reward_query(q, opts)?;
-                (v, None, solver, interval)
+            (Property::RewardQuery(_), Model::Mdp(_)) => {
+                return unsupported("R=? on an MDP (use Rmin=? / Rmax=?)")
             }
-            Property::SteadyQuery(f) => {
-                let sat = self.sat_states(f)?;
-                (self.steady_prob(&sat)?, None, Solver::Iterative, None)
+            (Property::SteadyQuery(_), Model::Mdp(_)) => {
+                return unsupported("S=? on an MDP (long-run averages are scheduler-dependent)")
             }
         };
         let elapsed = start.elapsed();
@@ -384,30 +565,54 @@ impl<'a> Evaluator<'a> {
             Some(("solver", solver.as_str())),
             elapsed.as_secs_f64(),
         );
-        Ok(CheckResult::assemble(value, boolean, elapsed).with_engine(solver, interval))
+        Ok(CheckResult {
+            value,
+            boolean,
+            interval,
+            solver,
+            time: elapsed,
+        })
+    }
+
+    /// In certified mode on a chain, rejects operand formulas that nest an
+    /// unbounded probability operator (see [`nests_unbounded_prob`]). On an
+    /// MDP every nested `P⋈p` is rejected by [`Self::sat_states`] instead,
+    /// with its own error.
+    fn certify_operands(
+        &self,
+        opts: &CheckOptions,
+        formulas: &[&StateFormula],
+    ) -> Result<(), PctlError> {
+        if opts.certify.is_none() || matches!(self.model, Model::Mdp(_)) {
+            return Ok(());
+        }
+        if formulas.iter().any(|f| nests_unbounded_prob(f)) {
+            return Err(PctlError::Unsupported {
+                construct: "a nested unbounded P operator inside a certified query (its \
+                            satisfaction set comes from residual-test iteration, which would \
+                            void the certificate; drop --certified or bound the nested \
+                            operator)"
+                    .into(),
+            });
+        }
+        Ok(())
     }
 
     /// Evaluates a probability path query from the initial distribution,
     /// reporting which engine ran and the value bracket where one exists.
-    fn path_prob_query(
+    fn path_query(
         &self,
         path: &PathFormula,
+        engine: Engine<'_>,
         opts: &CheckOptions,
     ) -> Result<EngineValue, PctlError> {
-        if opts.certify.is_some() {
-            // Guard every operand formula, whatever the outer bound: a
-            // bounded outer query is exact arithmetic only if its
-            // satisfaction sets are, too.
-            match path {
-                PathFormula::Next(f) => certify_operands(&[f])?,
-                PathFormula::Until { lhs, rhs, .. } => certify_operands(&[lhs, rhs])?,
-                PathFormula::Finally { inner, .. } | PathFormula::Globally { inner, .. } => {
-                    certify_operands(&[inner])?
-                }
-            }
-        }
+        // Guard every operand formula, whatever the outer bound: a bounded
+        // outer query is exact arithmetic only if its satisfaction sets
+        // are, too.
+        self.certify_operands(opts, &operands(path))?;
         if let Some(eps) = opts.certify {
-            match path {
+            let n = self.model.n_states();
+            let cert = match path {
                 PathFormula::Until {
                     lhs,
                     rhs,
@@ -415,107 +620,87 @@ impl<'a> Evaluator<'a> {
                 } => {
                     let l = self.sat_states(lhs)?;
                     let r = self.sat_states(rhs)?;
-                    let cert = self.cert_until(&l, &r, eps)?;
-                    return Ok(fold_certificate(self.dtmc.initial(), &cert, false));
+                    Some((self.cert_until(&l, &r, engine, eps)?, false))
                 }
                 PathFormula::Finally {
                     inner,
                     bound: TimeBound::None,
                 } => {
                     let f = self.sat_states(inner)?;
-                    let cert = self.cert_reach(&f, eps)?;
-                    return Ok(fold_certificate(self.dtmc.initial(), &cert, false));
+                    let all = BitVec::ones(n);
+                    Some((self.cert_until(&all, &f, engine, eps)?, false))
                 }
                 PathFormula::Globally {
                     inner,
                     bound: TimeBound::None,
                 } => {
-                    // G φ = ¬F ¬φ; the bracket complements with its ends
-                    // swapped.
+                    // G φ = ¬F ¬φ (dual optimum on an MDP); the bracket
+                    // complements with its ends swapped.
                     let bad = self.sat_states(inner)?.not();
-                    let cert = self.cert_reach(&bad, eps)?;
-                    return Ok(fold_certificate(self.dtmc.initial(), &cert, true));
+                    let all = BitVec::ones(n);
+                    Some((self.cert_until(&all, &bad, engine.dual(), eps)?, true))
                 }
-                _ => {} // finite-horizon forms are exact arithmetic below
+                _ => None, // finite-horizon forms are exact arithmetic below
+            };
+            if let Some((cert, complement)) = cert {
+                return Ok(fold_certificate(self.model.initial(), &cert, complement));
             }
         }
-        let v = self.path_prob_from_initial(path)?;
-        if is_unbounded_path(path) {
+        let v = match engine {
+            Engine::Chain(d) => self.chain_path_prob(d, path)?,
+            Engine::Mdp(..) => expectation(self.model.initial(), &self.path_values(path, engine)?),
+        };
+        if path_iterates(path) {
             Ok((v, Solver::Iterative, None))
         } else {
             Ok((v, Solver::Transient, Some((v, v))))
         }
     }
 
-    /// See [`path_prob_from_initial`].
-    pub(crate) fn path_prob_from_initial(&self, path: &PathFormula) -> Result<f64, PctlError> {
-        let dtmc = self.dtmc;
-        match path {
+    /// The probability of a path formula from a chain's initial
+    /// distribution: bounded forms by the forward transient engine, the
+    /// rest by folding per-state values.
+    fn chain_path_prob(&self, dtmc: &Dtmc, path: &PathFormula) -> Result<f64, PctlError> {
+        Ok(match path {
             PathFormula::Next(f) => {
                 let sat = self.sat_states(f)?;
                 let pi1 = transient::distribution_at(dtmc, 1);
-                Ok(sat.iter_ones().map(|i| pi1[i]).sum())
+                sat.iter_ones().map(|i| pi1[i]).sum()
             }
-            PathFormula::Until { lhs, rhs, bound } => {
+            PathFormula::Until {
+                lhs,
+                rhs,
+                bound: TimeBound::Upper(t),
+            } => {
                 let l = self.sat_states(lhs)?;
                 let r = self.sat_states(rhs)?;
-                match bound {
-                    TimeBound::Upper(t) => {
-                        Ok(transient::bounded_until_prob(dtmc, &l, &r, *t as usize)?)
-                    }
-                    TimeBound::Interval(a, b) => {
-                        let vals = interval_until_values(dtmc, &l, &r, *a, *b)?;
-                        Ok(initial_expectation(dtmc, &vals))
-                    }
-                    TimeBound::None => {
-                        let vals = self.unbounded_until(&l, &r)?;
-                        Ok(initial_expectation(dtmc, &vals))
-                    }
-                }
+                transient::bounded_until_prob(dtmc, &l, &r, *t as usize)?
             }
-            PathFormula::Finally { inner, bound } => {
-                let f = self.sat_states(inner)?;
-                match bound {
-                    TimeBound::Upper(t) => {
-                        Ok(transient::bounded_reach_prob(dtmc, &f, *t as usize)?)
-                    }
-                    TimeBound::Interval(a, b) => {
-                        let all = BitVec::ones(dtmc.n_states());
-                        let vals = interval_until_values(dtmc, &all, &f, *a, *b)?;
-                        Ok(initial_expectation(dtmc, &vals))
-                    }
-                    TimeBound::None => {
-                        let vals = self.unbounded_reach(&f)?;
-                        Ok(initial_expectation(dtmc, &vals))
-                    }
-                }
-            }
+            PathFormula::Finally {
+                inner,
+                bound: TimeBound::Upper(t),
+            } => transient::bounded_reach_prob(dtmc, &self.sat_states(inner)?, *t as usize)?,
+            PathFormula::Globally {
+                inner,
+                bound: TimeBound::Upper(t),
+            } => transient::bounded_globally_prob(dtmc, &self.sat_states(inner)?, *t as usize)?,
             PathFormula::Globally { inner, bound } => {
-                let f = self.sat_states(inner)?;
-                match bound {
-                    TimeBound::Upper(t) => {
-                        Ok(transient::bounded_globally_prob(dtmc, &f, *t as usize)?)
-                    }
-                    TimeBound::Interval(a, b) => {
-                        // G[a,b] φ = ¬ F[a,b] ¬φ.
-                        let all = BitVec::ones(dtmc.n_states());
-                        let vals = interval_until_values(dtmc, &all, &f.not(), *a, *b)?;
-                        Ok(1.0 - initial_expectation(dtmc, &vals))
-                    }
-                    TimeBound::None => {
-                        // G φ = ¬F ¬φ.
-                        let bad = f.not();
-                        let vals = self.unbounded_reach(&bad)?;
-                        Ok(1.0 - initial_expectation(dtmc, &vals))
-                    }
-                }
+                // G φ = ¬F ¬φ, complemented after the fold.
+                let bad = self.sat_states(inner)?.not();
+                let all = BitVec::ones(dtmc.n_states());
+                let reach = self.until_values(&all, &bad, bound, Engine::Chain(dtmc))?;
+                1.0 - expectation(dtmc.initial(), &reach)
             }
-        }
+            _ => expectation(
+                dtmc.initial(),
+                &self.path_values(path, Engine::Chain(dtmc))?,
+            ),
+        })
     }
 
-    /// See [`sat_states`]. Every node of the formula is memoized (keyed
-    /// by [`sat_key`]), so subformulas shared across a session's property
-    /// family resolve once.
+    /// See [`sat_states`] and [`sat_states_mdp`]. Every node of the
+    /// formula is memoized (keyed by [`sat_key`]), so subformulas shared
+    /// across a session's property family resolve once.
     pub(crate) fn sat_states(&self, formula: &StateFormula) -> Result<BitVec, PctlError> {
         self.memo(
             CacheKind::Sat,
@@ -528,11 +713,11 @@ impl<'a> Evaluator<'a> {
     }
 
     fn sat_states_raw(&self, formula: &StateFormula) -> Result<BitVec, PctlError> {
-        let n = self.dtmc.n_states();
+        let n = self.model.n_states();
         match formula {
             StateFormula::True => Ok(BitVec::ones(n)),
             StateFormula::False => Ok(BitVec::zeros(n)),
-            StateFormula::Ap(name) => Ok(self.dtmc.label(name)?.clone()),
+            StateFormula::Ap(name) => Ok(self.model.label(name)?.clone()),
             StateFormula::Not(f) => Ok(self.sat_states(f)?.not()),
             StateFormula::And(a, b) => Ok(self.sat_states(a)?.and(&self.sat_states(b)?)),
             StateFormula::Or(a, b) => Ok(self.sat_states(a)?.or(&self.sat_states(b)?)),
@@ -541,138 +726,150 @@ impl<'a> Evaluator<'a> {
                 cmp,
                 threshold,
                 path,
-            } => {
-                let vals = self.path_values(path)?;
-                Ok(BitVec::from_fn(n, |i| cmp.eval(vals[i], *threshold)))
-            }
+            } => match self.model {
+                Model::Dtmc(d) => {
+                    let vals = self.path_values(path, Engine::Chain(d))?;
+                    Ok(BitVec::from_fn(n, |i| cmp.eval(vals[i], *threshold)))
+                }
+                Model::Mdp(_) => Err(PctlError::Unsupported {
+                    construct: "nested P⋈p operator inside an MDP formula (its satisfaction set \
+                                depends on the scheduler quantifier)"
+                        .into(),
+                }),
+            },
         }
     }
 
-    /// See [`path_values`].
-    pub(crate) fn path_values(&self, path: &PathFormula) -> Result<Vec<f64>, PctlError> {
-        let dtmc = self.dtmc;
-        let n = dtmc.n_states();
+    /// The probability of the path formula *from every state*, by backward
+    /// iteration over the engine's one-step backup (optimal on an MDP).
+    fn path_values(
+        &self,
+        path: &PathFormula,
+        engine: Engine<'_>,
+    ) -> Result<Arc<Vec<f64>>, PctlError> {
+        let all = || BitVec::ones(self.model.n_states());
         match path {
             PathFormula::Next(f) => {
                 let sat = self.sat_states(f)?;
-                let x: Vec<f64> = (0..n).map(|i| if sat.get(i) { 1.0 } else { 0.0 }).collect();
-                Ok(dtmc.matrix().backward(&x))
+                let x: Vec<f64> = (0..sat.len())
+                    .map(|i| if sat.get(i) { 1.0 } else { 0.0 })
+                    .collect();
+                let mut out = vec![0.0; x.len()];
+                engine.step(&x, None, &mut out);
+                Ok(Arc::new(out))
             }
             PathFormula::Until { lhs, rhs, bound } => {
                 let l = self.sat_states(lhs)?;
                 let r = self.sat_states(rhs)?;
-                match bound {
-                    TimeBound::Upper(t) => {
-                        Ok(transient::bounded_until_values(dtmc, &l, &r, *t as usize)?)
-                    }
-                    TimeBound::Interval(a, b) => interval_until_values(dtmc, &l, &r, *a, *b),
-                    TimeBound::None => self.unbounded_until(&l, &r).map(arc_to_vec),
-                }
+                self.until_values(&l, &r, bound, engine)
             }
             PathFormula::Finally { inner, bound } => {
                 let f = self.sat_states(inner)?;
-                let all = BitVec::ones(n);
-                match bound {
-                    TimeBound::Upper(t) => Ok(transient::bounded_until_values(
-                        dtmc,
-                        &all,
-                        &f,
-                        *t as usize,
-                    )?),
-                    TimeBound::Interval(a, b) => interval_until_values(dtmc, &all, &f, *a, *b),
-                    TimeBound::None => self.unbounded_reach(&f).map(arc_to_vec),
-                }
+                self.until_values(&all(), &f, bound, engine)
             }
             PathFormula::Globally { inner, bound } => {
-                // G φ = ¬F ¬φ (also for the bounded cases).
-                let f = self.sat_states(inner)?;
-                let bad = f.not();
-                let all = BitVec::ones(n);
-                let reach = match bound {
-                    TimeBound::Upper(t) => {
-                        transient::bounded_until_values(dtmc, &all, &bad, *t as usize)?
-                    }
-                    TimeBound::Interval(a, b) => interval_until_values(dtmc, &all, &bad, *a, *b)?,
-                    TimeBound::None => arc_to_vec(self.unbounded_reach(&bad)?),
-                };
-                Ok(reach.into_iter().map(|p| 1.0 - p).collect())
+                // G φ = ¬F ¬φ (also for the bounded cases), with the dual
+                // optimum on an MDP.
+                let bad = self.sat_states(inner)?.not();
+                let reach = self.until_values(&all(), &bad, bound, engine.dual())?;
+                Ok(Arc::new(reach.iter().map(|p| 1.0 - p).collect()))
             }
         }
     }
 
-    /// Per-state unbounded reachability probabilities of the target set,
-    /// memoized on the exact set. Shared by `F φ`, `G φ` (via the
-    /// complement set) and the reachability-reward pre-pass.
-    fn unbounded_reach(&self, target: &BitVec) -> Result<Arc<Vec<f64>>, PctlError> {
-        self.memo(
-            CacheKind::Values,
-            |c| c.reach.get(target).cloned(),
-            |c, v| {
-                c.reach.insert(target.clone(), v);
-            },
-            |ev| {
-                Ok(Arc::new(solve::topo_reach_values(
-                    ev.dtmc,
-                    &ev.condensation(),
-                    target,
-                    UNBOUNDED_TOL,
-                    UNBOUNDED_MAX_ITER,
-                )?))
-            },
-        )
-    }
-
-    /// Per-state unbounded until probabilities, memoized on the operand
-    /// sets.
-    fn unbounded_until(&self, lhs: &BitVec, rhs: &BitVec) -> Result<Arc<Vec<f64>>, PctlError> {
-        self.memo(
-            CacheKind::Values,
-            |c| c.until.get(&(lhs.clone(), rhs.clone())).cloned(),
-            |c, v| {
-                c.until.insert((lhs.clone(), rhs.clone()), v);
-            },
-            |ev| {
-                Ok(Arc::new(solve::topo_until_values(
-                    ev.dtmc,
-                    &ev.condensation(),
-                    lhs,
-                    rhs,
-                    UNBOUNDED_TOL,
-                    UNBOUNDED_MAX_ITER,
-                )?))
-            },
-        )
-    }
-
-    fn reward_query(&self, q: &RewardQuery, opts: &CheckOptions) -> Result<EngineValue, PctlError> {
-        let dtmc = self.dtmc;
-        match q {
-            RewardQuery::Instantaneous(t) => {
-                let v = transient::instantaneous_reward(dtmc, *t as usize);
-                Ok((v, Solver::Transient, Some((v, v))))
+    /// Per-state until values for every [`TimeBound`] variant. Interval
+    /// bounds follow PRISM's semantics: `rhs` is reached at some step in
+    /// the inclusive window `[a,b]`, with `lhs` holding at every earlier
+    /// step (including the pre-window prefix). Computed backwards: first
+    /// the plain bounded until over the window (`b - a` steps), then `a`
+    /// prefix steps in which only `lhs`-states survive and reaching `rhs`
+    /// does not yet count.
+    fn until_values(
+        &self,
+        lhs: &BitVec,
+        rhs: &BitVec,
+        bound: &TimeBound,
+        engine: Engine<'_>,
+    ) -> Result<Arc<Vec<f64>>, PctlError> {
+        let (window, prefix) = match *bound {
+            TimeBound::None => return self.until(lhs, rhs, engine),
+            TimeBound::Upper(t) => (t, 0),
+            TimeBound::Interval(a, b) => {
+                debug_assert!(a <= b, "parser enforces non-empty intervals");
+                (b - a, a)
             }
-            RewardQuery::Cumulative(t) => {
+        };
+        let active = lhs.and(&rhs.not());
+        let mut x: Vec<f64> = (0..lhs.len())
+            .map(|i| if rhs.get(i) { 1.0 } else { 0.0 })
+            .collect();
+        let mut next = vec![0.0; x.len()];
+        for _ in 0..window {
+            engine.step(&x, Some(&active), &mut next);
+            // rhs states stay 1, failure states stay 0.
+            for (i, v) in next.iter_mut().enumerate() {
+                if rhs.get(i) {
+                    *v = 1.0;
+                } else if !lhs.get(i) {
+                    *v = 0.0;
+                }
+            }
+            std::mem::swap(&mut x, &mut next);
+        }
+        for _ in 0..prefix {
+            engine.step(&x, Some(lhs), &mut next);
+            // Non-lhs states die during the prefix (rhs does not absorb yet).
+            for (i, v) in next.iter_mut().enumerate() {
+                if !lhs.get(i) {
+                    *v = 0.0;
+                }
+            }
+            std::mem::swap(&mut x, &mut next);
+        }
+        Ok(Arc::new(x))
+    }
+
+    fn reward_query(
+        &self,
+        q: &RewardQuery,
+        engine: Engine<'_>,
+        opts: &CheckOptions,
+    ) -> Result<EngineValue, PctlError> {
+        let exact = |v: f64| Ok((v, Solver::Transient, Some((v, v))));
+        let vio = ViOptions::default();
+        match (q, engine) {
+            (RewardQuery::Instantaneous(t), Engine::Chain(d)) => {
+                exact(transient::instantaneous_reward(d, *t as usize))
+            }
+            (RewardQuery::Cumulative(t), Engine::Chain(d)) => {
                 // Σ_{k=0}^{t-1} expected reward at step k (reward of the
                 // state occupied at each of the first t steps).
-                let v =
-                    transient::instantaneous_reward_series(dtmc, (*t as usize).saturating_sub(1))
+                exact(
+                    transient::instantaneous_reward_series(d, (*t as usize).saturating_sub(1))
                         .iter()
-                        .sum();
-                Ok((v, Solver::Transient, Some((v, v))))
+                        .sum(),
+                )
             }
-            RewardQuery::Reach(phi) => {
-                if opts.certify.is_some() {
-                    certify_operands(&[phi])?;
-                }
+            (RewardQuery::Instantaneous(t), Engine::Mdp(m, opt)) => {
+                let vals = vi::instantaneous_reward_values(m, *t as usize, opt, &vio);
+                exact(expectation(m.initial(), &vals))
+            }
+            (RewardQuery::Cumulative(t), Engine::Mdp(m, opt)) => {
+                let vals = vi::cumulative_reward_values(m, *t as usize, opt, &vio);
+                exact(expectation(m.initial(), &vals))
+            }
+            (RewardQuery::Reach(phi), _) => {
+                self.certify_operands(opts, &[phi])?;
                 let target = self.sat_states(phi)?;
                 if let Some(eps) = opts.certify {
-                    let cert = self.cert_reach_reward(&target, eps)?;
-                    return Ok(fold_certificate(dtmc.initial(), &cert, false));
+                    let cert = self.cert_reach_reward(&target, engine, eps)?;
+                    return Ok(fold_certificate(self.model.initial(), &cert, false));
                 }
-                let vals = self.reach_reward_values(&target)?;
+                let vals = self.reach_reward(&target, engine)?;
                 // Skip zero-mass initial states so `0 × ∞` cannot poison
                 // the expectation with NaN.
-                let v = dtmc
+                let v = self
+                    .model
                     .initial()
                     .iter()
                     .filter(|&&(_, p)| p > 0.0)
@@ -683,109 +880,151 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// See [`reach_reward_values`]; memoized on the target set.
-    pub(crate) fn reach_reward_values(&self, target: &BitVec) -> Result<Arc<Vec<f64>>, PctlError> {
+    /// Per-state unbounded until values, memoized on the operand sets and
+    /// the direction. `F φ` and `G ¬φ` pass an all-ones `lhs`.
+    fn until(
+        &self,
+        lhs: &BitVec,
+        rhs: &BitVec,
+        engine: Engine<'_>,
+    ) -> Result<Arc<Vec<f64>>, PctlError> {
+        let key = || (lhs.clone(), rhs.clone(), engine.opt());
         self.memo(
             CacheKind::Values,
-            |c| c.reach_reward.get(target).cloned(),
+            |c| c.until.get(&key()).cloned(),
             |c, v| {
-                c.reach_reward.insert(target.clone(), v);
+                c.until.insert(key(), v);
             },
             |ev| {
-                Ok(Arc::new(solve::topo_reach_reward_values(
-                    ev.dtmc,
-                    &ev.condensation(),
-                    target,
-                    UNBOUNDED_TOL,
-                    UNBOUNDED_MAX_ITER,
-                )?))
+                let cond = ev.condensation();
+                Ok(Arc::new(match engine {
+                    Engine::Chain(d) => solve::topo_until_values(
+                        d,
+                        &cond,
+                        lhs,
+                        rhs,
+                        UNBOUNDED_TOL,
+                        UNBOUNDED_MAX_ITER,
+                    )?,
+                    Engine::Mdp(m, opt) => {
+                        vi::topo_until_values(m, &cond, lhs, rhs, opt, &ViOptions::default())?
+                    }
+                }))
             },
         )
     }
 
-    /// Certified unbounded reachability on the condensation, memoized on
-    /// `(target, ε)`.
-    fn cert_reach(
+    /// The expected reward accumulated strictly before first reaching a
+    /// `target`-state, *from every state* (PRISM's `R=? [ F φ ]`
+    /// semantics: the target state's own reward is not counted, and states
+    /// from which the target is not reached almost surely — under the
+    /// query's quantifier on an MDP — get `f64::INFINITY`, decided on the
+    /// graph). Memoized on the target set and the direction.
+    fn reach_reward(
         &self,
         target: &BitVec,
-        eps: f64,
-    ) -> Result<Arc<solve::CertifiedValues>, PctlError> {
+        engine: Engine<'_>,
+    ) -> Result<Arc<Vec<f64>>, PctlError> {
+        let key = || (target.clone(), engine.opt());
         self.memo(
-            CacheKind::Certified,
-            |c| c.cert_reach.get(&(target.clone(), eps.to_bits())).cloned(),
+            CacheKind::Values,
+            |c| c.reach_reward.get(&key()).cloned(),
             |c, v| {
-                c.cert_reach.insert((target.clone(), eps.to_bits()), v);
+                c.reach_reward.insert(key(), v);
             },
             |ev| {
-                Ok(Arc::new(solve::topo_interval_reach_values(
-                    ev.dtmc,
-                    &ev.condensation(),
-                    target,
-                    eps,
-                    CERTIFIED_MAX_ITER,
-                )?))
+                let cond = ev.condensation();
+                Ok(Arc::new(match engine {
+                    Engine::Chain(d) => solve::topo_reach_reward_values(
+                        d,
+                        &cond,
+                        target,
+                        UNBOUNDED_TOL,
+                        UNBOUNDED_MAX_ITER,
+                    )?,
+                    Engine::Mdp(m, opt) => {
+                        vi::topo_reach_reward_values(m, &cond, target, opt, &ViOptions::default())?
+                    }
+                }))
             },
         )
     }
 
     /// Certified unbounded until on the condensation, memoized on
-    /// `(lhs, rhs, ε)`.
+    /// `(lhs, rhs, direction, ε)`.
     fn cert_until(
         &self,
         lhs: &BitVec,
         rhs: &BitVec,
+        engine: Engine<'_>,
         eps: f64,
-    ) -> Result<Arc<solve::CertifiedValues>, PctlError> {
+    ) -> Result<Arc<CertifiedValues>, PctlError> {
+        let key = || (lhs.clone(), rhs.clone(), engine.opt(), eps.to_bits());
         self.memo(
             CacheKind::Certified,
-            |c| {
-                c.cert_until
-                    .get(&(lhs.clone(), rhs.clone(), eps.to_bits()))
-                    .cloned()
-            },
+            |c| c.cert_until.get(&key()).cloned(),
             |c, v| {
-                c.cert_until
-                    .insert((lhs.clone(), rhs.clone(), eps.to_bits()), v);
+                c.cert_until.insert(key(), v);
             },
             |ev| {
-                Ok(Arc::new(solve::topo_interval_until_values(
-                    ev.dtmc,
-                    &ev.condensation(),
-                    lhs,
-                    rhs,
-                    eps,
-                    CERTIFIED_MAX_ITER,
-                )?))
+                let cond = ev.condensation();
+                Ok(Arc::new(match engine {
+                    Engine::Chain(d) => solve::topo_interval_until_values(
+                        d,
+                        &cond,
+                        lhs,
+                        rhs,
+                        eps,
+                        CERTIFIED_MAX_ITER,
+                    )?,
+                    Engine::Mdp(m, opt) => vi::topo_certified_until_values(
+                        m,
+                        &cond,
+                        lhs,
+                        rhs,
+                        opt,
+                        eps,
+                        &certified_vi(),
+                    )?,
+                }))
             },
         )
     }
 
     /// Certified reachability reward on the condensation, memoized on
-    /// `(target, ε)`.
+    /// `(target, direction, ε)`.
     fn cert_reach_reward(
         &self,
         target: &BitVec,
+        engine: Engine<'_>,
         eps: f64,
-    ) -> Result<Arc<solve::CertifiedValues>, PctlError> {
+    ) -> Result<Arc<CertifiedValues>, PctlError> {
+        let key = || (target.clone(), engine.opt(), eps.to_bits());
         self.memo(
             CacheKind::Certified,
-            |c| {
-                c.cert_reach_reward
-                    .get(&(target.clone(), eps.to_bits()))
-                    .cloned()
-            },
+            |c| c.cert_reach_reward.get(&key()).cloned(),
             |c, v| {
-                c.cert_reach_reward
-                    .insert((target.clone(), eps.to_bits()), v);
+                c.cert_reach_reward.insert(key(), v);
             },
             |ev| {
-                Ok(Arc::new(solve::topo_interval_reach_reward_values(
-                    ev.dtmc,
-                    &ev.condensation(),
-                    target,
-                    eps,
-                    CERTIFIED_MAX_ITER,
-                )?))
+                let cond = ev.condensation();
+                Ok(Arc::new(match engine {
+                    Engine::Chain(d) => solve::topo_interval_reach_reward_values(
+                        d,
+                        &cond,
+                        target,
+                        eps,
+                        CERTIFIED_MAX_ITER,
+                    )?,
+                    Engine::Mdp(m, opt) => vi::topo_certified_reach_reward_values(
+                        m,
+                        &cond,
+                        target,
+                        opt,
+                        eps,
+                        &certified_vi(),
+                    )?,
+                }))
             },
         )
     }
@@ -794,40 +1033,43 @@ impl<'a> Evaluator<'a> {
     /// limit, which exists for periodic chains too), memoized on the set:
     /// `Σ_B P(◇B)·π_B(sat)` over the bottom SCCs of the session's
     /// condensation ([`solve::steady_state_prob`]).
-    fn steady_prob(&self, sat: &BitVec) -> Result<f64, PctlError> {
+    fn steady_prob(&self, dtmc: &Dtmc, sat: &BitVec) -> Result<f64, PctlError> {
         self.memo(
             CacheKind::Steady,
             |c| c.steady.get(sat).copied(),
             |c, v| {
                 c.steady.insert(sat.clone(), v);
             },
-            |ev| ev.steady_prob_raw(sat),
+            |ev| {
+                Ok(solve::steady_state_prob(
+                    dtmc,
+                    &ev.condensation(),
+                    sat,
+                    STEADY_TOL,
+                    STEADY_MAX_STEPS,
+                )?)
+            },
         )
-    }
-
-    fn steady_prob_raw(&self, sat: &BitVec) -> Result<f64, PctlError> {
-        Ok(solve::steady_state_prob(
-            self.dtmc,
-            &self.condensation(),
-            sat,
-            STEADY_TOL,
-            STEADY_MAX_STEPS,
-        )?)
     }
 }
 
-/// Unwraps a cache handle into an owned vector. Uncached evaluators hold
-/// the only reference, so this is free; in a cached session the cache
-/// retains its `Arc` and the vector is copied — but callers reach this
-/// only through [`Evaluator::sat_states`]' memoization, so the copy
-/// happens at most once per *distinct* formula per session, which is
-/// noise next to the iterative solve it fronts.
-fn arc_to_vec(rc: Arc<Vec<f64>>) -> Vec<f64> {
-    Arc::try_unwrap(rc).unwrap_or_else(|rc| (*rc).clone())
+/// The MDP value-iteration options of a certified solve: the defaults with
+/// the certified iteration budget (interval iteration closes a width, not
+/// a residual).
+fn certified_vi() -> ViOptions {
+    ViOptions {
+        max_iter: CERTIFIED_MAX_ITER,
+        ..ViOptions::default()
+    }
+}
+
+/// The expectation of per-state values under an initial distribution.
+fn expectation(initial: &[(StateId, f64)], vals: &[f64]) -> f64 {
+    initial.iter().map(|&(s, p)| p * vals[s as usize]).sum()
 }
 
 /// A collision-free serialization of a state formula, used as the
-/// satisfaction-set cache key (shared with the MDP evaluator).
+/// satisfaction-set cache key.
 ///
 /// `Display` would be the obvious key but is **not injective**: label
 /// names are arbitrary strings (`Dtmc::new` accepts any map key and
@@ -837,7 +1079,7 @@ fn arc_to_vec(rc: Arc<Vec<f64>>) -> Vec<f64> {
 /// with `\`-escaping, and probability thresholds are serialized by bit
 /// pattern (two textual spellings of one float cannot diverge, and two
 /// different floats cannot collide).
-pub(crate) fn sat_key(formula: &StateFormula) -> String {
+fn sat_key(formula: &StateFormula) -> String {
     use std::fmt::Write as _;
 
     fn push_state(f: &StateFormula, out: &mut String) {
@@ -929,15 +1171,15 @@ pub(crate) fn sat_key(formula: &StateFormula) -> String {
     out
 }
 
-/// Folds a per-state certificate over an initial distribution (shared by
-/// the DTMC and MDP checkers): both bounds fold linearly (the expectation
-/// of a bracketed value stays inside the folded bracket), zero-mass states
-/// are skipped so `0 × ∞` cannot poison reward expectations, and the
-/// reported point value is the interval midpoint. `complement` maps a
-/// bracket of `F ¬φ` to one of `G φ`, swapping the ends.
-pub(crate) fn fold_certificate(
-    initial: &[(smg_dtmc::StateId, f64)],
-    cert: &solve::CertifiedValues,
+/// Folds a per-state certificate over an initial distribution: both
+/// bounds fold linearly (the expectation of a bracketed value stays inside
+/// the folded bracket), zero-mass states are skipped so `0 × ∞` cannot
+/// poison reward expectations, and the reported point value is the
+/// interval midpoint. `complement` maps a bracket of `F ¬φ` to one of
+/// `G φ`, swapping the ends.
+fn fold_certificate(
+    initial: &[(StateId, f64)],
+    cert: &CertifiedValues,
     complement: bool,
 ) -> EngineValue {
     let fold = |vals: &[f64]| -> f64 {
@@ -958,7 +1200,7 @@ pub(crate) fn fold_certificate(
 /// Whether a path formula is an unbounded until-family operator — the
 /// forms that need an iterative (residual or certified) solver. Everything
 /// else is exact finite-horizon arithmetic.
-pub(crate) fn is_unbounded_path(path: &PathFormula) -> bool {
+fn is_unbounded_path(path: &PathFormula) -> bool {
     matches!(
         path,
         PathFormula::Until {
@@ -974,11 +1216,23 @@ pub(crate) fn is_unbounded_path(path: &PathFormula) -> bool {
     )
 }
 
+/// The state formulas a path formula is built from.
+fn operands(path: &PathFormula) -> Vec<&StateFormula> {
+    match path {
+        PathFormula::Until { lhs, rhs, .. } => vec![lhs, rhs],
+        PathFormula::Next(f)
+        | PathFormula::Finally { inner: f, .. }
+        | PathFormula::Globally { inner: f, .. } => vec![f],
+    }
+}
+
 /// Whether a state formula nests a `P⋈p [...]` operator over an
 /// *unbounded* path formula. Such a satisfaction set can only be computed
-/// by residual-test value iteration, so a certified run must reject it —
-/// otherwise the outer "sound" interval would be built on an uncertified
-/// target set. Bounded nested operators are exact arithmetic and fine.
+/// by residual-test value iteration: a certified run rejects it
+/// (otherwise the outer "sound" interval would be built on an uncertified
+/// target set), and a default run tags the result with the iterative
+/// solver and no interval. Bounded nested operators are exact arithmetic
+/// and fine.
 fn nests_unbounded_prob(formula: &StateFormula) -> bool {
     match formula {
         StateFormula::True | StateFormula::False | StateFormula::Ap(_) => false,
@@ -986,131 +1240,16 @@ fn nests_unbounded_prob(formula: &StateFormula) -> bool {
         StateFormula::And(a, b) | StateFormula::Or(a, b) | StateFormula::Implies(a, b) => {
             nests_unbounded_prob(a) || nests_unbounded_prob(b)
         }
-        StateFormula::Prob { path, .. } => {
-            if is_unbounded_path(path) {
-                return true;
-            }
-            match &**path {
-                PathFormula::Next(f) => nests_unbounded_prob(f),
-                PathFormula::Until { lhs, rhs, .. } => {
-                    nests_unbounded_prob(lhs) || nests_unbounded_prob(rhs)
-                }
-                PathFormula::Finally { inner, .. } | PathFormula::Globally { inner, .. } => {
-                    nests_unbounded_prob(inner)
-                }
-            }
-        }
+        StateFormula::Prob { path, .. } => path_iterates(path),
     }
 }
 
-/// Guards a certified query's operand formulas: rejects any that nest an
-/// unbounded probability operator (see [`nests_unbounded_prob`]).
-pub(crate) fn certify_operands(formulas: &[&StateFormula]) -> Result<(), PctlError> {
-    if formulas.iter().any(|f| nests_unbounded_prob(f)) {
-        return Err(PctlError::Unsupported {
-            construct: "a nested unbounded P operator inside a certified query (its \
-                        satisfaction set comes from residual-test iteration, which would \
-                        void the certificate; drop --certified or bound the nested \
-                        operator)"
-                .into(),
-        });
-    }
-    Ok(())
+/// Whether a path formula's value comes from unbounded iteration: it is
+/// an unbounded operator itself, or one of its operands nests one.
+fn path_iterates(path: &PathFormula) -> bool {
+    is_unbounded_path(path) || operands(path).iter().any(|f| nests_unbounded_prob(f))
 }
 
-/// The probability, from the initial distribution, of the path formula —
-/// computed with the forward transient engine.
-///
-/// # Errors
-///
-/// [`PctlError::Dtmc`] for unknown labels or non-convergence of unbounded
-/// operators.
-pub fn path_prob_from_initial(dtmc: &Dtmc, path: &PathFormula) -> Result<f64, PctlError> {
-    Evaluator::uncached(dtmc).path_prob_from_initial(path)
-}
-
-/// Per-state probabilities of `lhs U[a,b] rhs`: `rhs` is reached at some
-/// step in the inclusive window `[a,b]`, with `lhs` holding at every
-/// earlier step (including the pre-window prefix — PRISM's interval-until
-/// semantics).
-///
-/// Computed backwards: first the plain bounded until over the window
-/// (`b - a` steps), then `a` prefix steps in which only `lhs`-states
-/// survive and reaching `rhs` does not yet count.
-///
-/// # Errors
-///
-/// [`PctlError::Dtmc`] on dimension mismatches from the matrix layer.
-pub fn interval_until_values(
-    dtmc: &Dtmc,
-    lhs: &BitVec,
-    rhs: &BitVec,
-    a: u64,
-    b: u64,
-) -> Result<Vec<f64>, PctlError> {
-    debug_assert!(a <= b, "parser enforces non-empty intervals");
-    let mut x = transient::bounded_until_values(dtmc, lhs, rhs, (b - a) as usize)?;
-    let mut next = vec![0.0; x.len()];
-    for _ in 0..a {
-        dtmc.matrix().backward_masked_into(&x, Some(lhs), &mut next);
-        // Non-lhs states die during the prefix (rhs does not absorb yet).
-        for (i, v) in next.iter_mut().enumerate() {
-            if !lhs.get(i) {
-                *v = 0.0;
-            }
-        }
-        std::mem::swap(&mut x, &mut next);
-    }
-    Ok(x)
-}
-
-/// The set of states satisfying a state formula. Nested `P⋈p` operators are
-/// resolved by backward value iteration.
-///
-/// # Errors
-///
-/// [`PctlError::Dtmc`] for unknown labels or non-convergence.
-pub fn sat_states(dtmc: &Dtmc, formula: &StateFormula) -> Result<BitVec, PctlError> {
-    Evaluator::uncached(dtmc).sat_states(formula)
-}
-
-/// The probability of the path formula *from every state* (backward
-/// algorithms).
-///
-/// # Errors
-///
-/// [`PctlError::Dtmc`] for unknown labels or non-convergence.
-pub fn path_values(dtmc: &Dtmc, path: &PathFormula) -> Result<Vec<f64>, PctlError> {
-    Evaluator::uncached(dtmc).path_values(path)
-}
-
-/// The expected reward accumulated strictly before first reaching a
-/// `target`-state, *from every state* (PRISM's `R=? [ F φ ]` semantics:
-/// the target state's own reward is not counted, and states from which the
-/// target is reached with probability < 1 get `f64::INFINITY`).
-///
-/// The finite region is decided on the graph (the states from which every
-/// path keeps the target reachable), and `x = r + P·x` is solved on it
-/// topologically ([`solve::topo_reach_reward_values`]); from such states
-/// every successor is again in the region (or the target), so infinities
-/// never enter the solve.
-///
-/// # Errors
-///
-/// [`PctlError::Dtmc`] if the reachability pre-pass or the reward
-/// iteration fails to converge.
-pub fn reach_reward_values(dtmc: &Dtmc, target: &BitVec) -> Result<Vec<f64>, PctlError> {
-    Evaluator::uncached(dtmc)
-        .reach_reward_values(target)
-        .map(arc_to_vec)
-}
-
-fn initial_expectation(dtmc: &Dtmc, vals: &[f64]) -> f64 {
-    dtmc.initial()
-        .iter()
-        .map(|&(s, p)| p * vals[s as usize])
-        .sum()
-}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1156,6 +1295,15 @@ mod tests {
         check_query(dtmc, &parse_property(prop).unwrap())
             .unwrap()
             .value()
+    }
+
+    /// The path formula's probability from the initial distribution by the
+    /// backward evaluator (per-state values, folded).
+    fn backward(dtmc: &Dtmc, path: &PathFormula) -> f64 {
+        let vals = Evaluator::uncached(Model::Dtmc(dtmc))
+            .path_values(path, Engine::Chain(dtmc))
+            .unwrap();
+        expectation(dtmc.initial(), &vals)
     }
 
     #[test]
@@ -1267,8 +1415,7 @@ mod tests {
             let Property::ProbQuery(path) = parse_property(&prop).unwrap() else {
                 unreachable!()
             };
-            let vals = path_values(&d, &path).unwrap();
-            let bwd = initial_expectation(&d, &vals);
+            let bwd = backward(&d, &path);
             assert!((fwd - bwd).abs() < 1e-12, "{prop}: {fwd} vs {bwd}");
         }
     }
@@ -1347,7 +1494,9 @@ mod tests {
         }
         let d = explore(&Line, &ExploreOptions::default()).unwrap().dtmc;
         let target = d.label("end").unwrap().clone();
-        let vals = reach_reward_values(&d, &target).unwrap();
+        let vals = Evaluator::uncached(Model::Dtmc(&d))
+            .reach_reward(&target, Engine::Chain(&d))
+            .unwrap();
         assert!((vals[0] - 2.0).abs() < 1e-9);
         assert!((vals[1] - 1.0).abs() < 1e-9);
         assert_eq!(vals[2], 0.0);
@@ -1587,8 +1736,7 @@ mod tests {
                     Property::ProbQuery(p) => p,
                     _ => unreachable!(),
                 };
-                let vals = path_values(&d, &path).unwrap();
-                let bwd = initial_expectation(&d, &vals);
+                let bwd = backward(&d, &path);
                 assert!(
                     (fwd - bwd).abs() < 1e-12,
                     "{lhs} U<={t} {rhs}: fwd={fwd} bwd={bwd}"
@@ -1657,5 +1805,71 @@ mod tests {
             .unwrap();
         let s = q(&d2, "S=? [ zero ]");
         assert!((s - 1.0 / 3.0).abs() < 1e-5, "s = {s}");
+    }
+
+    /// The reset counter: `x < n` moves up or back to 0 with ½ each, `x = n`
+    /// is the absorbing `goal`. Escaping the loop takes ~2^n attempts, so
+    /// residual iteration stops near 0 while the truth is 1.
+    fn reset_counter(n: u32) -> Dtmc {
+        let rows = (0..=n)
+            .map(|x| {
+                if x < n {
+                    vec![(x + 1, 0.5), (0, 0.5)]
+                } else {
+                    vec![(x, 1.0)]
+                }
+            })
+            .collect();
+        chain(rows, &[("goal", &[n as usize])], vec![0.0; n as usize + 1])
+    }
+
+    /// walk.sm's layered channel at `n` ticks: state `2t + e` holds tick
+    /// `t` and the latched error flag `e`, which latches with probability
+    /// `5e-4` per tick.
+    fn layered_channel(n: u32) -> Dtmc {
+        let id = |t: u32, e: u32| 2 * t + e;
+        let mut rows = Vec::new();
+        for t in 0..=n {
+            for e in 0..2 {
+                rows.push(if t == n {
+                    vec![(id(t, e), 1.0)]
+                } else if e == 0 {
+                    vec![(id(t + 1, 1), 5e-4), (id(t + 1, 0), 1.0 - 5e-4)]
+                } else {
+                    vec![(id(t + 1, 1), 1.0)]
+                });
+            }
+        }
+        let err: Vec<usize> = (0..=n).map(|t| id(t, 1) as usize).collect();
+        chain(rows, &[("err", &err)], vec![0.0; 2 * n as usize + 2])
+    }
+
+    /// Results whose formula nests an unbounded `P⋈p` come from residual
+    /// iteration, whatever the outer operator: they are tagged
+    /// `value-iteration` and claim no interval. Values and verdicts are
+    /// the residual answers (the reset counter's verdict and nested value
+    /// are wrong; the tag now says so).
+    #[test]
+    fn nested_unbounded_prob_is_tagged_iterative() {
+        let check = |d: &Dtmc, prop: &str| check_query(d, &parse_property(prop).unwrap()).unwrap();
+        let reset = reset_counter(200);
+        let r = check(&reset, "P>=1 [ F goal ]");
+        assert_eq!(r.verdict(), Some(false));
+        assert_eq!(r.solver(), Solver::Iterative);
+        assert_eq!(r.interval(), None);
+        let r = check(&reset, "P=? [ F<=10 P>=0.5 [ F goal ] ]");
+        assert_eq!(r.value(), 0.0);
+        assert_eq!(r.solver(), Solver::Iterative);
+        assert_eq!(r.interval(), None);
+        let r = check(&layered_channel(40), "P<0.9 [ F err ]");
+        assert_eq!(r.verdict(), Some(true));
+        assert_eq!(r.solver(), Solver::Iterative);
+        // Bounded nesting and plain labels stay exact.
+        let d = gadget();
+        let r = check(&d, "P=? [ F<=3 P>=0.4 [ F<=2 goal ] ]");
+        assert_eq!(r.solver(), Solver::Transient);
+        assert_eq!(r.interval(), Some((r.value(), r.value())));
+        assert_eq!(check(&d, "P>=0.2 [ X bad ]").solver(), Solver::Transient);
+        assert_eq!(check(&d, "!goal").solver(), Solver::Transient);
     }
 }

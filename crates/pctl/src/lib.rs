@@ -11,15 +11,14 @@
 //! * [`parser`] — a PRISM-flavoured concrete syntax, so the paper's
 //!   properties can be written verbatim: `P=? [ G<=300 !flag ]`,
 //!   `R=? [ I=300 ]`, `P=? [ F<=300 count_exceeds ]`.
-//! * [`check`] — the model-checking algorithms over [`smg_dtmc::Dtmc`]:
-//!   forward transient propagation for initial-state queries and backward
-//!   value iteration for per-state satisfaction (both provided; they agree,
-//!   and the tests enforce it).
-//! * [`mdp`] — the checker for nondeterministic models
-//!   ([`smg_mdp::Mdp`]): the `Pmin=?`/`Pmax=?`/`Rmin=?`/`Rmax=?` query
-//!   forms quantify over all resolutions of the nondeterminism via
-//!   `smg-mdp`'s min/max value iteration, giving worst-case design
-//!   guarantees where the DTMC forms give probabilistic ones.
+//! * [`check`] — the one model checker, over chains ([`smg_dtmc::Dtmc`])
+//!   and MDPs ([`smg_mdp::Mdp`]) alike: forward transient propagation for
+//!   a chain's bounded initial-state queries, backward iteration over a
+//!   per-engine one-step backup for per-state values, and the SCC
+//!   condensation walk for every unbounded query. On an MDP the
+//!   `Pmin=?`/`Pmax=?`/`Rmin=?`/`Rmax=?` forms quantify over all
+//!   resolutions of the nondeterminism, giving worst-case design
+//!   guarantees where the chain forms give probabilistic ones.
 //! * [`session`] — the batch-oriented [`CheckSession`]: one entry point
 //!   over both model families ([`AnyModel`]), with precomputation shared
 //!   across a whole property family.
@@ -87,7 +86,7 @@
 //!
 //! Real workloads check a *family* of properties against one model. A
 //! [`CheckSession`] owns the model (chain or MDP — an [`AnyModel`]),
-//! dispatches each query to the right checker, and memoizes shared
+//! runs each query through the one checker, and memoizes shared
 //! precomputation — satisfaction sets, unbounded solves, certified
 //! brackets — so a batch pays the graph work once. The cache is keyed on
 //! exact solver inputs and both paths run the same code, so batch results
@@ -123,18 +122,19 @@
 pub mod ast;
 pub mod check;
 pub mod error;
-pub mod mdp;
 pub mod parser;
 mod record;
 pub mod session;
 
+#[cfg(test)]
+mod mdp;
+
 pub use ast::{Cmp, Opt, PathFormula, Property, RewardQuery, StateFormula};
 pub use check::{
-    check_query, check_query_with, path_prob_from_initial, sat_states, CheckOptions, CheckResult,
-    Solver,
+    check_mdp_query, check_mdp_query_with, check_query, check_query_with, sat_states,
+    sat_states_mdp, CheckOptions, CheckResult, Solver,
 };
 pub use error::PctlError;
-pub use mdp::{check_mdp_query, check_mdp_query_with, opt_path_values, sat_states_mdp};
 pub use parser::parse_property;
 pub use record::write_json_records;
 pub use session::{AnyModel, CacheKind, CacheStats, CheckSession, KindStats};

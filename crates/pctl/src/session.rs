@@ -4,8 +4,9 @@
 //! The paper's workload is never "one property, once" — every table checks
 //! a family of properties (P1/P2/P3, BER-style metrics) against the same
 //! model. [`CheckSession`] packages that batch shape: it owns an
-//! [`AnyModel`] (chain or MDP), dispatches each [`Property`] to the right
-//! checker, and memoizes the work that related properties share —
+//! [`AnyModel`] (chain or MDP), runs each [`Property`] through the one
+//! checker ([`crate::check`]), and memoizes the work that related
+//! properties share in one cache —
 //! satisfaction sets of common subformulas, unbounded
 //! reachability/until/reward value vectors, and certified interval
 //! brackets (whose qualitative `Prob0`/`Prob1`/MEC pre-passes dominate
@@ -23,11 +24,10 @@
 //! randomized models and batches, in both plain and certified modes.
 
 use crate::ast::{Property, StateFormula};
-use crate::check::{CheckOptions, CheckResult, DtmcCache, Evaluator};
+use crate::check::{Cache, CheckOptions, CheckResult, Evaluator, Model};
 use crate::error::PctlError;
-use crate::mdp::{MdpCache, MdpEvaluator};
 use smg_dtmc::{BitVec, Dtmc, DtmcError};
-use smg_mdp::{Mdp, ViOptions};
+use smg_mdp::Mdp;
 use smg_obs as obs;
 use std::cell::RefCell;
 
@@ -104,6 +104,14 @@ impl AnyModel {
             AnyModel::Mdp(m) => Some(m),
         }
     }
+
+    /// The borrowed view the checker evaluates over.
+    fn view(&self) -> Model<'_> {
+        match self {
+            AnyModel::Dtmc(d) => Model::Dtmc(d),
+            AnyModel::Mdp(m) => Model::Mdp(m),
+        }
+    }
 }
 
 impl From<Dtmc> for AnyModel {
@@ -118,8 +126,8 @@ impl From<Mdp> for AnyModel {
     }
 }
 
-/// The kinds of memoized work a session's caches distinguish. Each memo
-/// lookup in the DTMC and MDP evaluators is tagged with one of these, so
+/// The kinds of memoized work a session's cache distinguishes. Each memo
+/// lookup of the checker is tagged with one of these, so
 /// telemetry can attribute hits to the family of precomputation they
 /// saved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -230,19 +238,6 @@ impl CacheStats {
             1,
         );
     }
-
-    /// The element-wise sum of two stats (the session merges its DTMC and
-    /// MDP cache telemetry; exactly one side is ever non-zero).
-    pub(crate) fn merged(self, other: CacheStats) -> CacheStats {
-        let mut out = self;
-        for kind in CacheKind::ALL {
-            let add = other.kind(kind);
-            let slot = out.slot(kind);
-            slot.hits += add.hits;
-            slot.misses += add.misses;
-        }
-        out
-    }
 }
 
 /// A batch-oriented checking session over one immutable model.
@@ -295,8 +290,7 @@ pub struct CheckSession {
     /// inside [`smg_dtmc::par::with_lane_scope`] when set, which pins the
     /// chain kernels and the MDP backups alike.
     lanes: Option<usize>,
-    dtmc_cache: RefCell<DtmcCache>,
-    mdp_cache: RefCell<MdpCache>,
+    cache: RefCell<Cache>,
 }
 
 impl CheckSession {
@@ -307,8 +301,7 @@ impl CheckSession {
             model: model.into(),
             opts: CheckOptions::default(),
             lanes: None,
-            dtmc_cache: RefCell::new(DtmcCache::default()),
-            mdp_cache: RefCell::new(MdpCache::default()),
+            cache: RefCell::new(Cache::default()),
         }
     }
 
@@ -401,12 +394,8 @@ impl CheckSession {
     /// non-convergence, scheduler-ambiguous query forms on MDPs,
     /// uncertifiable formulas in certified mode.
     pub fn check(&self, property: &Property) -> Result<CheckResult, PctlError> {
-        self.with_lanes(|| match &self.model {
-            AnyModel::Dtmc(d) => {
-                Evaluator::cached(d, &self.dtmc_cache).check_query_with(property, &self.opts)
-            }
-            AnyModel::Mdp(m) => MdpEvaluator::cached(m, ViOptions::default(), &self.mdp_cache)
-                .check_mdp_query_with(property, &self.opts),
+        self.with_lanes(|| {
+            Evaluator::cached(self.model.view(), &self.cache).check(property, &self.opts)
         })
     }
 
@@ -428,25 +417,21 @@ impl CheckSession {
     /// As for [`crate::sat_states`] (chains) and [`crate::sat_states_mdp`]
     /// (MDPs; nested `P⋈p` operators are rejected there).
     pub fn sat(&self, formula: &StateFormula) -> Result<BitVec, PctlError> {
-        self.with_lanes(|| match &self.model {
-            AnyModel::Dtmc(d) => Evaluator::cached(d, &self.dtmc_cache).sat_states(formula),
-            AnyModel::Mdp(m) => MdpEvaluator::cached(m, ViOptions::default(), &self.mdp_cache)
-                .sat_states_mdp(formula),
-        })
+        self.with_lanes(|| Evaluator::cached(self.model.view(), &self.cache).sat_states(formula))
     }
 
     /// Cache telemetry accumulated so far, per cache kind.
     pub fn cache_stats(&self) -> CacheStats {
-        let (d, m) = (self.dtmc_cache.borrow(), self.mdp_cache.borrow());
-        d.stats.merged(m.stats)
+        self.cache.borrow().stats
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::check::{check_query, check_query_with, Solver};
-    use crate::mdp::{check_mdp_query, check_mdp_query_with};
+    use crate::check::{
+        check_mdp_query, check_mdp_query_with, check_query, check_query_with, Solver,
+    };
     use crate::parser::parse_property;
     use smg_mdp::MdpBuilder;
     use std::collections::BTreeMap;

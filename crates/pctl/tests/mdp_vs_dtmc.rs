@@ -1,15 +1,19 @@
 //! A single-action MDP *is* a DTMC: embedding a chain through
 //! `smg_mdp::DtmcAsMdp` and checking it with the MDP engine's
-//! `Pmin`/`Pmax`/`Rmin`/`Rmax` queries must reproduce the DTMC checker's
+//! `Pmin`/`Pmax`/`Rmin`/`Rmax` queries must reproduce the chain's
 //! `P=?`/`R=?` answers — min, max and plain all coincide when there is
-//! nothing to optimize over. This pins the two checkers (forward transient
-//! vs backward optimal value iteration) against each other across the
-//! whole query surface.
+//! nothing to optimize over. This pins the checker's two engines (forward
+//! transient vs backward optimal value iteration, the chain's and the
+//! MDP's condensation walks) against each other across the whole query
+//! surface, in default and certified mode.
 
 use proptest::prelude::*;
 use smg_dtmc::{DtmcModel, ExploreOptions};
 use smg_mdp::DtmcAsMdp;
-use smg_pctl::{check_mdp_query, check_query, parse_property};
+use smg_pctl::{
+    check_mdp_query, check_mdp_query_with, check_query, check_query_with, parse_property,
+    CheckOptions,
+};
 
 /// A deterministic pseudo-random chain with an absorbing "target" state
 /// and an "odd" labelling, rich in self-loops and duplicate successors.
@@ -79,13 +83,31 @@ const PATHS: &[&str] = &[
     "odd U<=5 target",
     "odd U target",
     "F[2,4] target",
+    "odd U[1,4] target",
+    "G[1,3] !target",
 ];
 
 /// Reward query bodies: `R=?` vs `Rmin=?`/`Rmax=?`.
 const REWARDS: &[&str] = &["I=0", "I=3", "C<=4", "F target", "F (target | odd)"];
 
+/// The unbounded bodies of the certified pass, each with its query form on
+/// the chain and its two forms on the embedded MDP.
+const CERTIFIED: &[(&str, [&str; 2], &str)] = &[
+    ("P", ["Pmin", "Pmax"], "F target"),
+    ("P", ["Pmin", "Pmax"], "G !target"),
+    ("P", ["Pmin", "Pmax"], "odd U target"),
+    ("R", ["Rmin", "Rmax"], "F target"),
+    ("R", ["Rmin", "Rmax"], "F (target | odd)"),
+];
+
 fn close(a: f64, b: f64) -> bool {
     (a.is_infinite() && b.is_infinite() && a.signum() == b.signum()) || (a - b).abs() < 1e-6
+}
+
+/// Whether a certified bracket is narrower than `eps` (an exact `[∞, ∞]`
+/// has width 0).
+fn narrow((lo, hi): (f64, f64), eps: f64) -> bool {
+    lo == hi || hi - lo < eps
 }
 
 proptest! {
@@ -128,6 +150,27 @@ proptest! {
                 prop_assert!(
                     close(opt, plain),
                     "{form}=? [ {body} ]: mdp {opt} vs dtmc {plain} (n={n}, seed={seed:#x})"
+                );
+            }
+        }
+        // Certified brackets from the two engines' walks: each narrower
+        // than ε, and overlapping.
+        let eps = 1e-9;
+        let opts = CheckOptions::certified(eps);
+        for (chain_form, mdp_forms, body) in CERTIFIED {
+            let prop = parse_property(&format!("{chain_form}=? [ {body} ]")).unwrap();
+            let chain = check_query_with(&d.dtmc, &prop, &opts).unwrap().interval().unwrap();
+            prop_assert!(narrow(chain, eps), "{chain_form}=? [ {body} ]: {chain:?}");
+            for form in mdp_forms {
+                let prop = parse_property(&format!("{form}=? [ {body} ]")).unwrap();
+                let mdp = check_mdp_query_with(&m.mdp, &prop, &opts)
+                    .unwrap()
+                    .interval()
+                    .unwrap();
+                prop_assert!(narrow(mdp, eps), "{form}=? [ {body} ]: {mdp:?}");
+                prop_assert!(
+                    mdp.0 <= chain.1 && chain.0 <= mdp.1,
+                    "{form}=? [ {body} ]: mdp {mdp:?} vs dtmc {chain:?} (n={n}, seed={seed:#x})"
                 );
             }
         }
